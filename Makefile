@@ -141,5 +141,9 @@ sweep-smoke:
 		--grid "p_awake=1.0,0.75" --grid batch=8 --grid rounds=60 \
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-churn
 	$(PYTHON) -m repro report smoke-churn --results-dir .sweep-smoke
+	$(PYTHON) -m repro run feasibility_at_scale \
+		--grid "case=core-like n=100 f=3,hetring n=100 f=2 extra=0.5" \
+		--workers 2 --results-dir .sweep-smoke --run-id smoke-scale
+	$(PYTHON) -m repro report smoke-scale --results-dir .sweep-smoke
 	rm -rf .sweep-smoke
 	@echo "sweep smoke OK"

@@ -139,34 +139,52 @@ def hypercube_dimension_cut_witness(dimension: int, cut_bit: int | None = None) 
 # ---------------------------------------------------------------------------
 # Heuristic searches
 # ---------------------------------------------------------------------------
-def _witness_from_left(
+def _grow_left(
     graph: Digraph,
-    fault_set: frozenset[NodeId],
-    left: frozenset[NodeId],
+    seed: NodeId,
+    universe: frozenset[NodeId],
     threshold: int,
-    view: BitsetDigraphView | None = None,
-) -> PartitionWitness | None:
-    """Try to complete a candidate ``L`` into a full witness for fault set ``F``.
+) -> tuple[set[NodeId], set[NodeId]] | None:
+    """Grow ``L`` from ``{seed}`` inside ``universe = V − F`` until it is
+    insulated, and return ``L`` with ``universe − L``; return ``None`` if
+    offenders remain with nothing left to absorb (``threshold <= 0``).
 
-    ``L`` must itself be insulated in ``V − F``; the matching ``R`` is the
-    maximal insulated subset of the remainder, and ``C`` is whatever is left.
-    Returns ``None`` when no completion exists.
+    Each round, every offender (a node of ``L`` with ``threshold`` or more
+    in-neighbours in ``universe − L``) absorbs the first ``repr``-sorted of
+    those in-neighbours, just enough to drop under the threshold.  Offenders
+    and absorb lists are taken against the ``L`` the round started with;
+    the joiners are added afterwards, offender by offender in ``L``'s
+    iteration order.
+
+    Only the nodes that joined in the previous round can be offenders with
+    anything left to absorb: a node that was not an offender has only lost
+    outside in-neighbours since, and an offender absorbed enough of its own
+    to fall under the threshold (or, at ``threshold <= 0``, all of them).
+    So each node's outside in-degree is counted once, in the round after it
+    joins, rather than recounted for all of ``L`` every round.
     """
-    universe = graph.nodes - fault_set
-    if not left or left - universe:
-        return None
-    outside = universe - left
-    if any(graph.in_degree_within(node, outside) >= threshold for node in left):
-        return None
-    right = _closure(graph, view, outside, universe, threshold)
-    if not right:
-        return None
-    return PartitionWitness(
-        faulty=fault_set,
-        left=left,
-        center=universe - left - right,
-        right=right,
-    )
+    left = {seed}
+    outside = set(universe)
+    outside.discard(seed)
+    joined = {seed}
+    while True:
+        offenders: list[set[NodeId]] = []
+        for node in left:
+            if node in joined:
+                external = graph.in_neighbors_within(node, outside)
+                if len(external) >= threshold:
+                    offenders.append(external)
+        if not offenders:
+            return left, outside
+        absorbed: list[NodeId] = []
+        for external in offenders:
+            needed = len(external) - threshold + 1
+            absorbed += sorted(external, key=repr)[:needed]
+        if not absorbed:
+            return None
+        left.update(absorbed)
+        outside.difference_update(absorbed)
+        joined = set(absorbed)
 
 
 def greedy_witness_search(
@@ -209,9 +227,7 @@ def greedy_witness_search(
     for seed in seeds:
         # Candidate fault sets: every prefix of the seed's in-neighbours
         # sorted by descending in-degree (knocking out well-connected
-        # neighbours is the most effective way to isolate the seed).  The
-        # pre-fix code only tried the empty set and the full top-f prefix,
-        # missing witnesses that need an intermediate fault set.
+        # neighbours is the most effective way to isolate the seed).
         neighbor_by_degree = sorted(
             graph.in_neighbors(seed), key=lambda v: (-graph.in_degree(v), repr(v))
         )
@@ -225,38 +241,25 @@ def greedy_witness_search(
             if seed in fault_set:
                 continue
             universe = graph.nodes - fault_set
-            left: set[NodeId] = {seed}
-            # Absorb offending in-neighbours until L is insulated or too big.
-            for _ in range(n):
-                outside = universe - left
-                offenders = [
-                    node
-                    for node in left
-                    if graph.in_degree_within(node, outside) >= effective_threshold
-                ]
-                if not offenders:
-                    break
-                grew = False
-                for node in offenders:
-                    external = sorted(
-                        graph.in_neighbors_within(node, outside), key=repr
-                    )
-                    needed = (
-                        graph.in_degree_within(node, outside)
-                        - effective_threshold
-                        + 1
-                    )
-                    for absorb in external[:needed]:
-                        left.add(absorb)
-                        grew = True
-                if not grew:
-                    break
-            if len(left) >= len(universe):
+            grown = _grow_left(graph, seed, universe, effective_threshold)
+            if grown is None:
                 continue
-            witness = _witness_from_left(
-                graph, fault_set, frozenset(left), effective_threshold, view=view
+            left, outside = grown
+            if not outside:
+                continue
+            # R is the maximal insulated subset of what L left outside.
+            right = _closure(
+                graph, view, frozenset(outside), universe, effective_threshold
             )
-            if witness is not None and verify_witness_fast(
+            if not right:
+                continue
+            witness = PartitionWitness(
+                faulty=fault_set,
+                left=frozenset(left),
+                center=universe - left - right,
+                right=right,
+            )
+            if verify_witness_fast(
                 graph, f, witness, threshold=effective_threshold, view=view
             ):
                 return witness

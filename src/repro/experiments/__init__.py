@@ -57,6 +57,7 @@ from repro.experiments.dynamic import (
 from repro.experiments.feasibility_scale import (
     DEFAULT_SCALE_SIZES,
     feasibility_scale_battery,
+    feasibility_scale_cases,
     feasibility_scale_cell,
     feasibility_scale_study,
 )
@@ -139,6 +140,7 @@ __all__ = [
     "make_dynamic_schedule",
     "DEFAULT_SCALE_SIZES",
     "feasibility_scale_battery",
+    "feasibility_scale_cases",
     "feasibility_scale_cell",
     "feasibility_scale_study",
     "NecessityDemonstration",

@@ -1,4 +1,4 @@
-"""Experiment E12 — the feasibility verdict stack on 100–1000-node graphs.
+"""Experiment E15 — the feasibility verdict stack on 100–1000-node graphs.
 
 The exhaustive Theorem-1 checker caps out in the mid-20s of nodes; the
 layered verdict stack (:mod:`repro.conditions.verdict`) keeps answering the
@@ -24,7 +24,7 @@ column must be true on every row.
 from __future__ import annotations
 
 import time
-from typing import TypedDict
+from typing import Callable, TypedDict
 
 from repro.conditions.verdict import (
     UNKNOWN,
@@ -42,7 +42,7 @@ from repro.sweeps.schema import schema_from_typeddict
 
 
 class FeasibilityScaleRow(TypedDict):
-    """One audited verdict of the E12 feasibility-at-scale sweep."""
+    """One audited verdict of the E15 feasibility-at-scale sweep."""
 
     case: str
     n: int
@@ -78,44 +78,51 @@ FEASIBILITY_SCALE_SCHEMA = schema_from_typeddict(
 #: Node counts swept by the scale battery.
 DEFAULT_SCALE_SIZES = (100, 300, 1000)
 
+#: One battery case: its label, a zero-argument build function and the fault
+#: budget.
+ScaleCase = tuple[str, Callable[[], Digraph], int]
 
-def feasibility_scale_battery(seed: int = 11) -> list[tuple[str, Digraph, int]]:
-    """Return the labelled 100–1000-node battery for the verdict sweep.
 
-    Each size contributes one graph per family; generator seeds are derived
-    from ``seed`` and the size so cases are independent but reproducible.
+def feasibility_scale_cases(seed: int = 11) -> list[ScaleCase]:
+    """Return the labelled 100–1000-node battery as unbuilt cases.
+
+    Each size contributes one case per family.  Every build function seeds
+    its own generator from ``seed`` and the size, so a case builds the same
+    graph alone as it does inside the whole battery; listing the cases
+    builds nothing.
     """
-    cases: list[tuple[str, Digraph, int]] = []
+    cases: list[ScaleCase] = []
     for n in DEFAULT_SCALE_SIZES:
-        cases.append(
+        rng = seed + n
+        cases += [
             (
                 f"hetring n={n} f=2 extra=0.5",
-                heterogeneous_ring_lattice(n, 2, 0.5, rng=seed + n),
+                lambda n=n, rng=rng: heterogeneous_ring_lattice(n, 2, 0.5, rng=rng),
                 2,
-            )
-        )
-        cases.append(
+            ),
             (
                 f"hetring n={n} f=2 extra=2.0",
-                heterogeneous_ring_lattice(n, 2, 2.0, rng=seed + n),
+                lambda n=n, rng=rng: heterogeneous_ring_lattice(n, 2, 2.0, rng=rng),
                 2,
-            )
-        )
-        cases.append(
+            ),
             (
                 f"erdos-renyi n={n} sparse f=2",
-                erdos_renyi_digraph(n, 3.0 / n, rng=seed + n),
+                lambda n=n, rng=rng: erdos_renyi_digraph(n, 3.0 / n, rng=rng),
                 2,
-            )
-        )
-        cases.append(
+            ),
             (
                 f"core-like n={n} f=3",
-                random_core_like_network(n, 3, rng=seed + n),
+                lambda n=n, rng=rng: random_core_like_network(n, 3, rng=rng),
                 3,
-            )
-        )
+            ),
+        ]
     return cases
+
+
+def feasibility_scale_battery(seed: int = 11) -> list[tuple[str, Digraph, int]]:
+    """Return the labelled 100–1000-node battery for the verdict sweep, with
+    every graph of :func:`feasibility_scale_cases` built."""
+    return [(label, build(), f) for label, build, f in feasibility_scale_cases(seed)]
 
 
 def feasibility_scale_study(
@@ -160,14 +167,14 @@ def feasibility_scale_study(
 
 @register_experiment(
     name="feasibility_at_scale",
-    paper_section="Theorem-1 feasibility beyond the exact cap (E12)",
+    paper_section="Theorem-1 feasibility beyond the exact cap (E15)",
     claim=(
         "The layered verdict stack decides Theorem-1 feasibility with "
         "re-verifiable certificates on most 100-1000-node random graphs."
     ),
     engine="checker",
     grid={
-        "case": tuple(label for label, _, _ in feasibility_scale_battery()),
+        "case": tuple(label for label, _, _ in feasibility_scale_cases()),
         "witness_attempts": (60,),
     },
     schema=FEASIBILITY_SCALE_SCHEMA,
@@ -175,10 +182,11 @@ def feasibility_scale_study(
 def feasibility_scale_cell(
     case: str, witness_attempts: int = 60, seed: int = 23
 ) -> list[FeasibilityScaleRow]:
-    """Registry cell for E12: the verdict stack on one battery graph."""
-    matching = select_labelled_case(
-        case, feasibility_scale_battery(), "feasibility_at_scale case"
+    """Registry cell for E15: the verdict stack on one battery graph, the
+    only one the cell builds."""
+    [(label, build, f)] = select_labelled_case(
+        case, feasibility_scale_cases(), "feasibility_at_scale case"
     )
     return feasibility_scale_study(
-        battery=matching, witness_attempts=witness_attempts, seed=seed
+        battery=[(label, build(), f)], witness_attempts=witness_attempts, seed=seed
     )

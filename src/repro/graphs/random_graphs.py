@@ -20,6 +20,28 @@ def _as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _add_random_links(
+    graph: Digraph,
+    start: int,
+    n: int,
+    edge_probability: float,
+    generator: np.random.Generator,
+) -> None:
+    """Link every pair ``start <= first < second < n`` in both directions,
+    independently with probability ``edge_probability``.
+
+    Row ``first`` takes one ``generator.random(n - first - 1)`` call, which
+    consumes the stream exactly as one scalar ``generator.random()`` per pair
+    would; links go in row by row, partners ascending, so the adjacency sets
+    match a pair-by-pair loop in contents and iteration order.
+    """
+    for first in range(start, n - 1):
+        row = generator.random(n - first - 1)
+        partners = np.flatnonzero(row < edge_probability) + (first + 1)
+        for second in partners.tolist():
+            graph.add_bidirectional_edge(first, second)
+
+
 def erdos_renyi_digraph(
     n: int,
     edge_probability: float,
@@ -40,11 +62,13 @@ def erdos_renyi_digraph(
     graph = Digraph(nodes=range(n))
     if n == 1 or edge_probability == 0.0:
         return graph
-    draws = generator.random((n, n))
+    # One row of n draws per source consumes the stream exactly as a single
+    # (n, n) draw would, without holding n² doubles at once.
     for source in range(n):
-        for target in range(n):
-            if source != target and draws[source, target] < edge_probability:
-                graph.add_edge(source, target)
+        hits = generator.random(n) < edge_probability
+        hits[source] = False
+        for target in np.flatnonzero(hits).tolist():
+            graph.add_edge(source, target)
     return graph
 
 
@@ -62,10 +86,7 @@ def erdos_renyi_symmetric(
         )
     generator = _as_rng(rng)
     graph = Digraph(nodes=range(n))
-    for first in range(n):
-        for second in range(first + 1, n):
-            if generator.random() < edge_probability:
-                graph.add_bidirectional_edge(first, second)
+    _add_random_links(graph, 0, n, edge_probability, generator)
     return graph
 
 
@@ -165,14 +186,13 @@ def random_core_like_network(
     """
     from repro.graphs.generators import core_network
 
+    if not 0.0 <= extra_edge_probability <= 1.0:
+        raise InvalidParameterError(
+            f"extra_edge_probability must be in [0, 1], got {extra_edge_probability}"
+        )
     generator = _as_rng(rng)
     graph = core_network(n, f)
-    clique_size = 2 * f + 1
-    outsiders = list(range(clique_size, n))
-    for index, first in enumerate(outsiders):
-        for second in outsiders[index + 1 :]:
-            if generator.random() < extra_edge_probability:
-                graph.add_bidirectional_edge(first, second)
+    _add_random_links(graph, 2 * f + 1, n, extra_edge_probability, generator)
     return graph
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.conditions import (
@@ -13,15 +14,24 @@ from repro.conditions import (
     satisfies_theorem1,
     verify_witness,
 )
+from repro.conditions.necessary import maximal_insulated_subset
+from repro.conditions.verdict import DEFAULT_GREEDY_SEED_CAP
 from repro.exceptions import InvalidParameterError
+from repro.experiments import feasibility_scale_cases
 from repro.graphs import (
     butterfly_barbell,
     chord_network,
     complete_graph,
     core_network,
+    erdos_renyi_digraph,
+    erdos_renyi_symmetric,
+    heterogeneous_ring_lattice,
     hypercube,
+    k_in_regular_digraph,
+    random_spanning_strongly_connected,
     undirected_ring,
 )
+from repro.types import PartitionWitness
 
 
 class TestCanonicalWitnesses:
@@ -79,6 +89,122 @@ class TestGreedySearch:
     def test_negative_f_rejected(self):
         with pytest.raises(InvalidParameterError):
             greedy_witness_search(complete_graph(4), -1)
+
+
+def _reference_greedy_witness_search(graph, f, threshold=None, max_seeds=None):
+    """Reference greedy search: every growth round recounts the outside
+    in-degree of every node of ``L``, then L's insulation is re-checked."""
+    effective_threshold = f + 1 if threshold is None else threshold
+    nodes = sorted(graph.nodes, key=repr)
+    n = len(nodes)
+    seeds = nodes
+    if max_seeds is not None and max_seeds < n:
+        stride = n / max_seeds
+        seeds = [nodes[int(index * stride)] for index in range(max_seeds)]
+    for seed in seeds:
+        neighbor_by_degree = sorted(
+            graph.in_neighbors(seed), key=lambda v: (-graph.in_degree(v), repr(v))
+        )
+        fault_candidates = [frozenset()]
+        if f > 0 and neighbor_by_degree:
+            fault_candidates.extend(
+                frozenset(neighbor_by_degree[:size])
+                for size in range(1, min(f, len(neighbor_by_degree)) + 1)
+            )
+        for fault_set in fault_candidates:
+            if seed in fault_set:
+                continue
+            universe = graph.nodes - fault_set
+            left = {seed}
+            for _ in range(n):
+                outside = universe - left
+                offenders = [
+                    node
+                    for node in left
+                    if graph.in_degree_within(node, outside) >= effective_threshold
+                ]
+                if not offenders:
+                    break
+                grew = False
+                for node in offenders:
+                    external = sorted(
+                        graph.in_neighbors_within(node, outside), key=repr
+                    )
+                    needed = (
+                        graph.in_degree_within(node, outside) - effective_threshold + 1
+                    )
+                    for absorb in external[:needed]:
+                        left.add(absorb)
+                        grew = True
+                if not grew:
+                    break
+            if len(left) >= len(universe):
+                continue
+            outside = universe - left
+            if any(
+                graph.in_degree_within(node, outside) >= effective_threshold
+                for node in left
+            ):
+                continue
+            right = maximal_insulated_subset(
+                graph, outside, universe, effective_threshold
+            )
+            if not right:
+                continue
+            witness = PartitionWitness(
+                faulty=fault_set,
+                left=frozenset(left),
+                center=universe - left - right,
+                right=right,
+            )
+            if verify_witness(graph, f, witness, threshold=effective_threshold):
+                return witness
+    return None
+
+
+def _random_family_cases():
+    """Small random graphs across families, fault budgets and sizes."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for index in range(12):
+        n = int(rng.integers(8, 70))
+        f = int(rng.integers(0, 3))
+        graphs = {
+            "erdos-renyi": erdos_renyi_digraph(n, rng.uniform(0.05, 0.5), rng=index),
+            "k-in-regular": k_in_regular_digraph(n, int(rng.integers(1, n)), rng=index),
+            "symmetric": erdos_renyi_symmetric(n, rng.uniform(0.05, 0.4), rng=index),
+            "hetring": heterogeneous_ring_lattice(n, 1, rng.uniform(0.0, 3.0), rng=index),
+            "spanning": random_spanning_strongly_connected(
+                n, int(rng.integers(0, 3 * n)), rng=index
+            ),
+        }
+        cases += [(f"{family} #{index}", graph, f) for family, graph in graphs.items()]
+    return cases
+
+
+class TestGreedyMatchesReference:
+    """The greedy search returns exactly the reference's witnesses."""
+
+    @pytest.mark.parametrize("threshold", [None, 0, 1, 2, 3])
+    def test_random_families(self, threshold):
+        found = 0
+        for label, graph, f in _random_family_cases():
+            expected = _reference_greedy_witness_search(graph, f, threshold=threshold)
+            assert greedy_witness_search(graph, f, threshold=threshold) == expected, label
+            found += expected is not None
+        if threshold != 0:
+            assert found > 0  # the comparison covers returned witnesses too
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "label", [label for label, _, _ in feasibility_scale_cases()]
+    )
+    def test_scale_battery_with_the_verdict_seed_cap(self, label):
+        [(_, build, f)] = [case for case in feasibility_scale_cases() if case[0] == label]
+        graph = build()
+        cap = DEFAULT_GREEDY_SEED_CAP
+        expected = _reference_greedy_witness_search(graph, f, max_seeds=cap)
+        assert greedy_witness_search(graph, f, max_seeds=cap) == expected
 
 
 class TestRandomSearch:

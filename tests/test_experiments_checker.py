@@ -103,6 +103,47 @@ class TestFeasibilityAtScale:
         assert row["certificate"] == "core-structure"
         assert row["certificate_ok"] is True
 
+    def test_cell_builds_only_its_own_graph(self, monkeypatch):
+        import repro.experiments.feasibility_scale as module
+
+        built = []
+        for name in (
+            "heterogeneous_ring_lattice",
+            "erdos_renyi_digraph",
+            "random_core_like_network",
+        ):
+            original = getattr(module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        cases = module.feasibility_scale_cases()
+        assert len(cases) == 12
+        assert built == []  # listing the cases builds nothing
+        rows = module.feasibility_scale_cell("core-like n=100 f=3")
+        assert [row["case"] for row in rows] == ["core-like n=100 f=3"]
+        assert built == ["random_core_like_network"]
+
+    def test_grid_lists_the_case_labels(self):
+        from repro.experiments import feasibility_scale_cases
+        from repro.sweeps.registry import get_experiment
+
+        labels = tuple(label for label, _, _ in feasibility_scale_cases())
+        assert get_experiment("feasibility_at_scale").grid["case"] == labels
+
+    def test_a_case_built_alone_matches_the_battery(self):
+        from repro.experiments import feasibility_scale_battery, feasibility_scale_cases
+
+        battery = {label: (graph, f) for label, graph, f in feasibility_scale_battery()}
+        # Build in reverse so no case can lean on generator state an earlier
+        # case left behind.
+        for label, build, f in reversed(feasibility_scale_cases()):
+            graph = build()
+            assert battery[label] == (graph, f), label
+
     def test_study_decides_majority_of_small_cases(self):
         from repro.experiments import feasibility_scale_battery, feasibility_scale_study
 
