@@ -7,7 +7,13 @@
 #                    gate (mypy, skipped with a notice when not installed;
 #                    CI installs it) + docstring-coverage gate
 #   make bench       synchronous engine benchmark -> BENCH_engine.json
+#   make bench-smoke tiny-n scalar/vectorized equivalence-guarded engine
+#                    benchmark run (output to a temp dir; CI runs this on
+#                    every push)
 #   make bench-async asynchronous engine benchmark -> BENCH_async.json
+#   make bench-async-smoke tiny-n scalar/vectorized async equivalence-guarded
+#                    benchmark run (output to a temp dir; CI runs this on
+#                    every push)
 #   make bench-checker legacy-vs-bitset checker benchmark -> BENCH_checker.json
 #   make bench-checker-smoke tiny-n equivalence-guarded checker benchmark run
 #                    (no file written; CI runs this on every push)
@@ -17,16 +23,16 @@
 #                    run (no file written; CI runs this on every push)
 #   make bench-scale sparse-engine scale benchmark up to n=10^5
 #                    -> BENCH_scale.json
-#   make bench-scale-smoke tiny-n scale run: scalar/dense/sparse equivalence
-#                    guards only (no file written; CI runs this on every push)
+#   make bench-scale-smoke tiny-n scale run: scalar/vectorized equivalence
+#                    guard (no file written; CI runs this on every push)
 #   make bench-verdict layered feasibility-verdict benchmark with parity and
 #                    certificate guards -> BENCH_verdict.json
 #   make bench-verdict-smoke parity + certificate guards and one tiny timed
 #                    battery (no file written; CI runs this on every push)
 #   make bench-dynamic dynamic-topology masking-overhead benchmark
 #                    -> BENCH_dynamic.json
-#   make bench-dynamic-smoke tiny-n dynamic run: scalar/dense/sparse
-#                    equivalence guards under every schedule kind (no file
+#   make bench-dynamic-smoke tiny-n dynamic run: scalar/vectorized
+#                    equivalence guard under the composed schedule (no file
 #                    written; CI runs this on every push)
 #   make docs-check  docs exist, examples in them import, docstrings covered
 #   make sweep-smoke end-to-end CLI sweep: run a tiny sharded grid with two
@@ -49,7 +55,7 @@ DOCSTRING_GATE = $(PYTHON) tools/check_docstrings.py \
 	--require repro.simulation.sparse \
 	--require repro.simulation.dynamic
 
-.PHONY: test test-fast lint bench bench-async bench-checker bench-checker-smoke bench-adversary bench-adversary-smoke bench-scale bench-scale-smoke bench-verdict bench-verdict-smoke bench-dynamic bench-dynamic-smoke docs-check sweep-smoke
+.PHONY: test test-fast lint bench bench-smoke bench-async bench-async-smoke bench-checker bench-checker-smoke bench-adversary bench-adversary-smoke bench-scale bench-scale-smoke bench-verdict bench-verdict-smoke bench-dynamic bench-dynamic-smoke docs-check sweep-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -77,8 +83,22 @@ lint:
 bench:
 	$(PYTHON) benchmarks/bench_engine.py
 
+# The two smoke runs write their payload into a temporary directory, so the
+# committed BENCH files are never touched.
+bench-smoke:
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(PYTHON) benchmarks/bench_engine.py --n 20 --batch 4 --rounds 3 \
+		--scalar-runs 1 --out "$$tmp/BENCH_engine.json" > /dev/null
+	@echo "bench smoke OK: scalar/vectorized equivalence guard passed"
+
 bench-async:
 	$(PYTHON) benchmarks/bench_async.py
+
+bench-async-smoke:
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(PYTHON) benchmarks/bench_async.py --n 20 --batch 4 --rounds 3 \
+		--scalar-runs 1 --out "$$tmp/BENCH_async.json" > /dev/null
+	@echo "bench-async smoke OK: scalar/vectorized async equivalence guard passed"
 
 bench-checker:
 	$(PYTHON) benchmarks/bench_checker.py

@@ -40,11 +40,8 @@ from repro.graphs.generators import core_network
 from repro.simulation.engine import SimulationConfig
 from repro.simulation.async_engine import PartiallyAsynchronousEngine
 from repro.simulation.inputs import uniform_random_inputs
-from repro.simulation.vectorized import random_input_matrix
-from repro.simulation.vectorized_async import (
-    VectorizedAsyncEngine,
-    async_cross_check_engines,
-)
+from repro.simulation.vectorized import cross_check_engines, random_input_matrix
+from repro.simulation.vectorized_async import VectorizedAsyncEngine
 from repro.sweeps.provenance import bench_payload
 
 
@@ -117,7 +114,7 @@ def run_benchmark(
 
     # Guard: never benchmark an engine that diverged from the reference.
     small = core_network(10, 2)
-    report = async_cross_check_engines(
+    report = cross_check_engines(
         graph=small,
         rule=TrimmedMeanRule(2),
         inputs=uniform_random_inputs(small.nodes, rng=seed),

@@ -9,18 +9,16 @@ the schedule kinds of :mod:`repro.simulation.dynamic`:
 * ``random-churn`` — seeded i.i.d. per-round sleep/wake masks;
 * ``composed`` — both at once (the worst case for the masking path);
 
-each on the dense :class:`~repro.simulation.vectorized.VectorizedEngine`
-and the CSR :class:`~repro.simulation.sparse.SparseEngine`, plus one
-adversary axis timing the batch-native 1-lookahead
+each on the :class:`~repro.simulation.vectorized.VectorizedEngine`, plus
+one adversary axis timing the batch-native 1-lookahead
 :class:`~repro.adversary.vectorized.BatchAdaptiveStrategy` against the
 closed-form extreme-push strategy under the composed schedule.
 
-Every point is **equivalence-guarded** before timing: scalar-vs-dense
-lockstep under the composed schedule on a small instance, and
-dense-vs-sparse bit-equality per masked round at every timed size — the
-table can never report overheads for an engine that drifted from the
-reference.  The headline numbers are the ``masking_overhead_*`` ratios
-(masked seconds / static seconds, same engine, same inputs).  Results land
+The table is **equivalence-guarded** before timing: scalar-vs-vectorized
+lockstep under the composed schedule on a small instance, so it can never
+report overheads for an engine that drifted from the reference.  The
+headline number is the ``masking_overhead_composed_at_largest_n`` ratio
+(masked seconds / static seconds, same inputs).  Results land
 in ``BENCH_dynamic.json`` (unified schema v2 via
 :func:`repro.sweeps.provenance.bench_payload`); run via
 ``make bench-dynamic``, or ``make bench-dynamic-smoke`` for the
@@ -53,7 +51,6 @@ from repro.simulation.dynamic import (
     StaticSchedule,
 )
 from repro.simulation.engine import SimulationConfig
-from repro.simulation.sparse import SparseEngine
 from repro.simulation.vectorized import (
     VectorizedEngine,
     cross_check_engines,
@@ -102,7 +99,7 @@ def _time_rounds(engine, matrix: np.ndarray, rounds: int) -> float:
 
 
 def _scalar_guard(seed: int) -> None:
-    """Refuse to benchmark if any engine drifts under the composed schedule."""
+    """Refuse to benchmark if the engine drifts under the composed schedule."""
     small = heterogeneous_ring_lattice(60, 2, rng=seed)
     report = cross_check_engines(
         graph=small,
@@ -121,8 +118,8 @@ def _scalar_guard(seed: int) -> None:
     )
     if not report.identical:
         raise SystemExit(
-            "dense engine is not bit-exact with the scalar engine under the "
-            "composed schedule; refusing to benchmark"
+            "vectorized engine is not bit-exact with the scalar engine under "
+            "the composed schedule; refusing to benchmark"
         )
 
 
@@ -136,9 +133,8 @@ def run_benchmark(
     """Time the masking overhead per schedule kind across the size grid.
 
     Returns the ``BENCH_dynamic.json`` payload.  Each point builds one
-    heterogeneous ring lattice; per schedule kind it asserts dense-vs-sparse
-    bit-equality over ``rounds`` masked rounds, then times each engine on a
-    fresh copy of the same input matrix.
+    heterogeneous ring lattice and times every schedule kind on a fresh copy
+    of the same input matrix.
     """
     if batch < 1:
         raise SystemExit(f"--batch must be >= 1, got {batch}")
@@ -158,8 +154,8 @@ def run_benchmark(
             stop_on_convergence=False,
         )
 
-        def build(cls, schedule, adversary=None, **kwargs):
-            return cls(
+        def build(schedule, adversary=None):
+            return VectorizedEngine(
                 graph,
                 rule,
                 faulty=faulty,
@@ -170,7 +166,6 @@ def run_benchmark(
                 ),
                 config=config,
                 schedule=schedule,
-                **kwargs,
             )
 
         matrix = random_input_matrix(
@@ -179,41 +174,21 @@ def run_benchmark(
         node_rounds = n * batch * rounds
 
         point: dict[str, object] = {"n": n, "edges": graph.number_of_edges}
-        static_seconds: dict[str, float] = {}
+        static_seconds = 0.0
         for kind in SCHEDULE_KINDS:
-            dense = build(VectorizedEngine, _make_schedule(kind, seed))
-            sparse = build(SparseEngine, _make_schedule(kind, seed))
-            dense_state, sparse_state = matrix.copy(), matrix.copy()
-            for round_index in range(1, rounds + 1):
-                dense_state = dense.step_matrix(dense_state, round_index)
-                sparse_state = sparse.step_matrix(sparse_state, round_index)
-                if not np.array_equal(dense_state, sparse_state):
-                    raise SystemExit(
-                        f"sparse engine diverged from the dense engine at "
-                        f"n={n}, schedule={kind}, round {round_index}; "
-                        "refusing to benchmark"
-                    )
-            entry: dict[str, object] = {}
-            for name, engine in (("dense", dense), ("sparse", sparse)):
-                seconds = _time_rounds(engine, matrix.copy(), rounds)
-                stats = {
-                    "seconds": seconds,
-                    "node_rounds_per_sec": node_rounds / seconds,
-                }
-                if kind == "static":
-                    static_seconds[name] = seconds
-                else:
-                    stats["overhead_vs_static"] = (
-                        seconds / static_seconds[name]
-                    )
-                entry[name] = stats
-            point[kind] = entry
+            engine = build(_make_schedule(kind, seed))
+            seconds = _time_rounds(engine, matrix.copy(), rounds)
+            stats = {"seconds": seconds, "node_rounds_per_sec": node_rounds / seconds}
+            if kind == "static":
+                static_seconds = seconds
+            else:
+                stats["overhead_vs_static"] = seconds / static_seconds
+            point[kind] = stats
 
         # Adversary axis: the 1-lookahead adaptive strategy replays one
         # trimmed round per probe, so its cost relative to the closed-form
         # push is the price of worst-case adaptivity.
         adaptive = build(
-            VectorizedEngine,
             _make_schedule("composed", seed),
             adversary=BatchAdaptiveStrategy(mode="lookahead", delta=1.0),
         )
@@ -222,18 +197,15 @@ def run_benchmark(
             "seconds": adaptive_seconds,
             "node_rounds_per_sec": node_rounds / adaptive_seconds,
             "cost_vs_extreme_push": (
-                adaptive_seconds / point["composed"]["dense"]["seconds"]
+                adaptive_seconds / point["composed"]["seconds"]
             ),
         }
         per_n.append(point)
 
     largest = per_n[-1]
     speedups = {
-        "masking_overhead_dense_composed_at_largest_n": (
-            largest["composed"]["dense"]["overhead_vs_static"]
-        ),
-        "masking_overhead_sparse_composed_at_largest_n": (
-            largest["composed"]["sparse"]["overhead_vs_static"]
+        "masking_overhead_composed_at_largest_n": (
+            largest["composed"]["overhead_vs_static"]
         ),
         "adaptive_lookahead_cost_vs_extreme_push_at_largest_n": (
             largest["adaptive_lookahead"]["cost_vs_extreme_push"]
@@ -294,17 +266,15 @@ def main() -> None:
     )
     if args.smoke:
         print(
-            "dynamic smoke OK: scalar/dense/sparse equivalence guards passed "
-            f"under every schedule kind at n in {list(sizes)}"
+            "dynamic smoke OK: scalar/vectorized equivalence guard passed "
+            f"under the composed schedule, timed n in {list(sizes)}"
         )
         return
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
-    overhead = result["speedups"][
-        "masking_overhead_dense_composed_at_largest_n"
-    ]
+    overhead = result["speedups"]["masking_overhead_composed_at_largest_n"]
     print(
-        f"\ncomposed-schedule masking overhead (dense, n={max(sizes)}): "
+        f"\ncomposed-schedule masking overhead (n={max(sizes)}): "
         f"{overhead:.2f}x vs static"
     )
 

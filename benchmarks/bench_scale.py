@@ -1,25 +1,21 @@
-"""Scale benchmark: sparse-engine throughput versus ``n``.
+"""Scale benchmark: batch-engine throughput versus ``n``.
 
 Times batched executions of Algorithm 1 on the
 :func:`~repro.graphs.random_graphs.heterogeneous_ring_lattice` family (an
 ``O(n)``-edge sparse graph with heterogeneous in-degrees) at ``n`` from the
-paper's scale up to ``10^5``, through three paths:
+paper's scale up to ``10^5``, on the CSR message plane of
+:class:`repro.simulation.vectorized.VectorizedEngine` at two dtypes:
 
-* ``dense``: :class:`repro.simulation.vectorized.VectorizedEngine` — timed
-  only up to ``--dense-max-n`` (its per-degree gathers over a wide state
-  matrix dominate beyond that);
-* ``sparse_f64``: :class:`repro.simulation.sparse.SparseEngine` at float64,
-  bit-exact with the dense path;
-* ``sparse_f32``: the same engine at float32 (half-memory tier under the
-  documented tolerance contract).
+* ``f64``: float64, bit-exact with the scalar reference;
+* ``f32``: float32 (half-memory tier under the documented tolerance
+  contract).
 
-Every point is **equivalence-guarded**: before timing, the harness asserts
-scalar-vs-dense bit-equality on a small instance and dense-vs-sparse
-bit-equality on every point where the dense engine runs, so the curve can
-never report throughput for an engine that drifted from the reference.
+The curve is **equivalence-guarded**: before timing, the harness asserts
+scalar-vs-vectorized bit-equality on a small instance of the same family,
+so it can never report throughput for an engine that drifted from the
+reference.
 
-The headline numbers are ``speedups.sparse_vs_dense_at_largest_shared_n``
-and the ``n = 10^5`` sparse throughput.  Results land in
+The headline number is the ``n = 10^5`` float64 throughput.  Results land in
 ``BENCH_scale.json`` (unified schema v2 via
 :func:`repro.sweeps.provenance.bench_payload`); run via ``make bench-scale``
 or::
@@ -46,7 +42,6 @@ from repro.adversary.vectorized import BatchExtremePushStrategy
 from repro.algorithms.trimmed_mean import TrimmedMeanRule
 from repro.graphs.random_graphs import heterogeneous_ring_lattice
 from repro.simulation.engine import SimulationConfig
-from repro.simulation.sparse import SparseEngine
 from repro.simulation.vectorized import (
     VectorizedEngine,
     cross_check_engines,
@@ -72,7 +67,7 @@ def _time_rounds(engine, matrix: np.ndarray, rounds: int) -> float:
 
 
 def _scalar_guard(seed: int) -> None:
-    """Refuse to benchmark if the dense engine drifted from the scalar one."""
+    """Refuse to benchmark if the batch engine drifted from the scalar one."""
     small = heterogeneous_ring_lattice(60, 2, rng=seed)
     report = cross_check_engines(
         graph=small,
@@ -90,7 +85,7 @@ def _scalar_guard(seed: int) -> None:
     )
     if not report.identical:
         raise SystemExit(
-            "dense engine is not bit-exact with the scalar engine; "
+            "vectorized engine is not bit-exact with the scalar engine; "
             "refusing to benchmark"
         )
 
@@ -100,16 +95,13 @@ def run_benchmark(
     f: int = 2,
     batch: int = 16,
     rounds: int = 10,
-    dense_max_n: int = 10_000,
     seed: int = 23,
 ) -> dict:
-    """Time the dense and sparse paths across the size grid.
+    """Time the float64 and float32 engines across the size grid.
 
     Returns the ``BENCH_scale.json`` payload.  Each point builds one
-    heterogeneous ring lattice, asserts dense-vs-sparse bit-equality over
-    ``rounds`` rounds wherever the dense engine runs (every ``n`` up to
-    ``dense_max_n``), then times each path on a fresh copy of the same
-    input matrix.
+    heterogeneous ring lattice and times each dtype on a fresh copy of the
+    same input matrix.
     """
     if batch < 1:
         raise SystemExit(f"--batch must be >= 1, got {batch}")
@@ -118,7 +110,6 @@ def run_benchmark(
     _scalar_guard(seed)
 
     per_n: list[dict[str, object]] = []
-    largest_shared: dict[str, float] | None = None
     for n in sizes:
         rng = np.random.default_rng(seed)
         graph = heterogeneous_ring_lattice(n, f, rng=rng)
@@ -130,73 +121,27 @@ def run_benchmark(
             stop_on_convergence=False,
         )
 
-        def build(cls, **kwargs):
-            return cls(
+        node_rounds = n * batch * rounds
+        point: dict[str, object] = {"n": n, "edges": graph.number_of_edges}
+        for name, dtype in (("f64", np.float64), ("f32", np.float32)):
+            engine = VectorizedEngine(
                 graph,
                 rule,
                 faulty=faulty,
                 adversary=BatchExtremePushStrategy(1.0),
                 config=config,
-                **kwargs,
+                dtype=dtype,
             )
-
-        sparse64 = build(SparseEngine)
-        matrix = random_input_matrix(sparse64.nodes, batch, rng=seed)
-        node_rounds = n * batch * rounds
-
-        point: dict[str, object] = {
-            "n": n,
-            "edges": graph.number_of_edges,
-            "nnz": sparse64.nnz,
-            "plane_mb_per_row": sparse64.plane_bytes_per_row / 1e6,
-        }
-
-        dense_rate = None
-        if n <= dense_max_n:
-            dense = build(VectorizedEngine)
-            dense_state, sparse_state = matrix.copy(), matrix.copy()
-            for round_index in range(1, rounds + 1):
-                dense_state = dense.step_matrix(dense_state, round_index)
-                sparse_state = sparse64.step_matrix(sparse_state, round_index)
-                if not np.array_equal(dense_state, sparse_state):
-                    raise SystemExit(
-                        f"sparse engine diverged from the dense engine at "
-                        f"n={n}, round {round_index}; refusing to benchmark"
-                    )
-            dense_seconds = _time_rounds(dense, matrix.copy(), rounds)
-            dense_rate = node_rounds / dense_seconds
-            point["dense"] = {
-                "seconds": dense_seconds,
-                "node_rounds_per_sec": dense_rate,
-            }
-
-        sparse_seconds = _time_rounds(sparse64, matrix.copy(), rounds)
-        sparse_rate = node_rounds / sparse_seconds
-        point["sparse_f64"] = {
-            "seconds": sparse_seconds,
-            "node_rounds_per_sec": sparse_rate,
-        }
-
-        sparse32 = build(SparseEngine, dtype=np.float32)
-        sparse32_seconds = _time_rounds(
-            sparse32, matrix.astype(np.float32), rounds
-        )
-        point["sparse_f32"] = {
-            "seconds": sparse32_seconds,
-            "node_rounds_per_sec": node_rounds / sparse32_seconds,
-        }
-
-        if dense_rate is not None:
-            largest_shared = {
-                "n": float(n),
-                "ratio": sparse_rate / dense_rate,
+            if name == "f64":
+                point["nnz"] = engine.nnz
+                point["plane_mb_per_row"] = engine.plane_bytes_per_row / 1e6
+            matrix = random_input_matrix(engine.nodes, batch, rng=seed)
+            seconds = _time_rounds(engine, matrix.astype(dtype), rounds)
+            point[name] = {
+                "seconds": seconds,
+                "node_rounds_per_sec": node_rounds / seconds,
             }
         per_n.append(point)
-
-    speedups: dict[str, float] = {}
-    if largest_shared is not None:
-        speedups["sparse_vs_dense_at_largest_shared_n"] = largest_shared["ratio"]
-        speedups["largest_shared_n"] = largest_shared["n"]
 
     return bench_payload(
         benchmark="engine-scale",
@@ -207,11 +152,10 @@ def run_benchmark(
             "batch": batch,
             "rounds": rounds,
             "adversary": "batch-extreme-push(delta=1.0)",
-            "dense_max_n": dense_max_n,
             "seed": seed,
         },
         results={f"n={point['n']}": point for point in per_n},
-        speedups=speedups,
+        speedups={},
     )
 
 
@@ -221,12 +165,6 @@ def main() -> None:
     parser.add_argument("--f", type=int, default=2, help="fault budget")
     parser.add_argument("--batch", type=int, default=16, help="batch size B")
     parser.add_argument("--rounds", type=int, default=10, help="rounds per run")
-    parser.add_argument(
-        "--dense-max-n",
-        type=int,
-        default=10_000,
-        help="largest n the dense engine is timed (and cross-checked) at",
-    )
     parser.add_argument(
         "--sizes",
         type=int,
@@ -252,19 +190,18 @@ def main() -> None:
         f=args.f,
         batch=args.batch,
         rounds=args.rounds,
-        dense_max_n=args.dense_max_n,
     )
     if args.smoke:
         print(
-            "scale smoke OK: scalar/dense/sparse equivalence guards passed "
-            f"at n in {list(sizes)}"
+            "scale smoke OK: scalar/vectorized equivalence guard passed, "
+            f"timed n in {list(sizes)}"
         )
         return
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
     largest = f"n={max(sizes)}"
-    rate = result["results"][largest]["sparse_f64"]["node_rounds_per_sec"]
-    print(f"\nsparse float64 throughput at {largest}: {rate:,.0f} node-rounds/s")
+    rate = result["results"][largest]["f64"]["node_rounds_per_sec"]
+    print(f"\nfloat64 throughput at {largest}: {rate:,.0f} node-rounds/s")
 
 
 if __name__ == "__main__":

@@ -538,21 +538,22 @@ class BatchBroadcastConsistentWrapper(_ChannelLayoutStrategy):
 
 
 @dataclass(frozen=True)
-class _ProbeGroup:
-    """One in-degree group of the adaptive strategy's lookahead probe.
+class _ProbePlane:
+    """The adaptive strategy's lookahead probe layout.
 
-    Mirrors the dense engine's ``_DegreeGroup`` but spans **all** fault-free
+    The batch engines' bucket-major message plane over **all** fault-free
     receivers (the probe simulates the full round, not just the faulty
-    channels): ``in_idx`` gathers the received block, ``edge_index`` /
-    ``edge_rows`` / ``edge_slots`` scatter a candidate channel fill into it.
+    channels), built by :func:`repro.simulation.vectorized.bucket_plane`:
+    ``plane_indices`` gathers the received values from the state matrix,
+    and candidate channel ``channels[k]`` is scattered into plane slot
+    ``channel_slots[k]``, whose receiver is column ``channel_receivers[k]``.
     """
 
-    degree: int
-    columns: np.ndarray
-    in_idx: np.ndarray
-    edge_index: np.ndarray
-    edge_rows: np.ndarray
-    edge_slots: np.ndarray
+    buckets: tuple
+    plane_indices: np.ndarray
+    channels: np.ndarray
+    channel_slots: np.ndarray
+    channel_receivers: np.ndarray
 
 
 class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
@@ -576,8 +577,9 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
     ``mode="lookahead"`` (default) simulates one full trimmed round per
     candidate — the 1-lookahead — and keeps, per batch row, the candidate
     whose post-round fault-free spread is largest (ties break toward
-    ``split``, then ``high``).  The probe replays the engines' exact kernel
-    (sort, trim ``[f : d − f]``, own-first sequential mean or midpoint, per
+    ``split``, then ``high``).  The probe runs the engines' own plane kernel
+    (:func:`~repro.simulation.vectorized.reduce_plane`: sort, trim
+    ``[f : d − f]``, own-first sequential mean or midpoint, per
     ``rule_mode``) and honours ``context.active_edge_mask`` on faulty
     channels (a down channel self-substitutes, exactly as the engine will).
     Fault-free-sender edges are assumed up and all receivers awake in the
@@ -586,8 +588,8 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
     engine with the true masks.
 
     The strategy draws no randomness: its choice is a pure function of the
-    round's state, so runs are deterministic and the dense and sparse
-    engines agree bit-for-bit (there is no scalar counterpart).
+    round's state, so runs are deterministic and untiled and tiled runs
+    agree bit-for-bit (there is no scalar counterpart).
 
     Parameters
     ----------
@@ -637,84 +639,63 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
         """How far beyond the fault-free extremes the adversary pushes."""
         return self._delta
 
-    def _build_layout(self, context: BatchAdversaryContext) -> tuple[_ProbeGroup, ...]:
-        column_of = {node: c for c, node in enumerate(context.nodes)}
+    def _build_layout(self, context: BatchAdversaryContext) -> _ProbePlane:
+        from repro.simulation.vectorized import bucket_plane
+
+        receivers = np.asarray(context.fault_free_columns)
+        indptr, indices, buckets, plane_order = bucket_plane(
+            context.graph, context.nodes, receivers
+        )
+        plane_indices = indices[plane_order]
+        plane_receivers = np.repeat(receivers, np.diff(indptr))[plane_order]
         channel_index = {
             edge: position for position, edge in enumerate(context.edge_nodes)
         }
-        by_degree: dict[int, dict[str, list]] = {}
-        for column in context.fault_free_columns:
-            receiver = context.nodes[int(column)]
-            senders = sorted(context.graph.in_neighbors(receiver), key=repr)
-            group = by_degree.setdefault(
-                len(senders),
-                {"cols": [], "in_idx": [], "edge_index": [], "rows": [], "slots": []},
-            )
-            row = len(group["cols"])
-            group["cols"].append(int(column))
-            group["in_idx"].append([column_of[s] for s in senders])
-            for slot, sender in enumerate(senders):
-                channel = channel_index.get((sender, receiver))
-                if channel is not None:
-                    group["edge_index"].append(channel)
-                    group["rows"].append(row)
-                    group["slots"].append(slot)
-        groups = []
-        for degree in sorted(by_degree):
-            group = by_degree[degree]
-            groups.append(
-                _ProbeGroup(
-                    degree=degree,
-                    columns=np.array(group["cols"], dtype=int),
-                    in_idx=np.array(group["in_idx"], dtype=int).reshape(
-                        len(group["cols"]), degree
-                    ),
-                    edge_index=np.array(group["edge_index"], dtype=int),
-                    edge_rows=np.array(group["rows"], dtype=int),
-                    edge_slots=np.array(group["slots"], dtype=int),
-                )
-            )
-        return tuple(groups)
+        nodes = context.nodes
+        channels: list[int] = []
+        slots: list[int] = []
+        for slot, (sender, receiver) in enumerate(
+            zip(plane_indices.tolist(), plane_receivers.tolist())
+        ):
+            channel = channel_index.get((nodes[sender], nodes[receiver]))
+            if channel is not None:
+                channels.append(channel)
+                slots.append(slot)
+        channel_slots = np.array(slots, dtype=np.int64)
+        return _ProbePlane(
+            buckets=buckets,
+            plane_indices=plane_indices,
+            channels=np.array(channels, dtype=np.int64),
+            channel_slots=channel_slots,
+            channel_receivers=plane_receivers[channel_slots],
+        )
 
     def _probe(
         self,
         context: BatchAdversaryContext,
         fill: np.ndarray,
-        groups: tuple[_ProbeGroup, ...],
+        layout: _ProbePlane,
     ) -> np.ndarray:
         """Simulate one trimmed round under ``fill``; return the ``(B,)``
         post-round fault-free spread."""
+        from repro.simulation.vectorized import reduce_plane
+
         state = context.state
-        f = context.f
+        plane = state[:, layout.plane_indices]
+        plane[:, layout.channel_slots] = fill[:, layout.channels]
         mask = context.active_edge_mask
-        batch = context.batch_size
-        low = np.full(batch, np.inf)
-        high = np.full(batch, -np.inf)
-        for group in groups:
-            received = state[:, group.in_idx]
-            if group.edge_index.size:
-                received[:, group.edge_rows, group.edge_slots] = fill[
-                    :, group.edge_index
+        if mask is not None:
+            down = ~mask[layout.channels]
+            if down.any():
+                plane[:, layout.channel_slots[down]] = state[
+                    :, layout.channel_receivers[down]
                 ]
-                if mask is not None:
-                    bad = ~mask[group.edge_index]
-                    if bad.any():
-                        received[:, group.edge_rows[bad], group.edge_slots[bad]] = (
-                            state[:, group.columns[group.edge_rows[bad]]]
-                        )
-            received.sort(axis=-1)
-            survivors = received[:, :, f : group.degree - f]
-            own = state[:, group.columns]
-            if self._rule_mode == "mean":
-                full = np.concatenate([own[:, :, None], survivors], axis=2)
-                values = np.cumsum(full, axis=2)[:, :, -1] / float(full.shape[2])
-            else:  # midpoint
-                mins = np.minimum(own, survivors.min(axis=2, initial=np.inf))
-                maxs = np.maximum(own, survivors.max(axis=2, initial=-np.inf))
-                values = (mins + maxs) / 2.0
-            low = np.minimum(low, values.min(axis=1))
-            high = np.maximum(high, values.max(axis=1))
-        return high - low
+        new_state = np.empty_like(state)
+        reduce_plane(
+            plane, state, new_state, layout.buckets, context.f, self._rule_mode
+        )
+        values = new_state[:, context.fault_free_columns]
+        return values.max(axis=1) - values.min(axis=1)
 
     def edge_values(self, context: BatchAdversaryContext) -> np.ndarray:
         batch = context.batch_size
@@ -741,10 +722,10 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
             high_value[:, None],
             low_value[:, None],
         )
-        groups = self._layout_for(context)
+        layout = self._layout_for(context)
         spreads = np.stack(
             [
-                self._probe(context, fill, groups)
+                self._probe(context, fill, layout)
                 for fill in (split_fill, high_fill, low_fill)
             ]
         )

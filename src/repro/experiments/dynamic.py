@@ -7,10 +7,10 @@ experiments cover that axis:
 * **E16 ``dynamic_topology``** sweeps the schedule kinds of
   :mod:`repro.simulation.dynamic` (periodic edge outages, seeded random edge
   up/down, random churn, and their composition) over the paper's graph
-  families, running batched executions on the dense vectorized engine.
-  Every cell re-runs its first batch row through the scalar reference
-  engine in lockstep (:func:`~repro.simulation.vectorized.cross_check_engines`
-  with the schedule) and one masked round through the sparse engine, and
+  families, running batched executions on the vectorized engine.  Every
+  cell re-runs its first batch row through the scalar reference engine in
+  lockstep (:func:`~repro.simulation.vectorized.cross_check_engines` with
+  the schedule) and replays one masked round of every batch row on it, and
   **raises** :class:`~repro.exceptions.SimulationError` on any divergence —
   the sweep's numbers are tied to the cross-engine bit-exactness contract.
 
@@ -46,7 +46,6 @@ from repro.simulation.dynamic import (
     resolve_activity,
 )
 from repro.simulation.engine import SimulationConfig, SynchronousEngine
-from repro.simulation.sparse import SparseEngine
 from repro.simulation.vectorized import (
     VectorizedEngine,
     cross_check_engines,
@@ -73,6 +72,8 @@ class DynamicTopologyRow(TypedDict):
     mean_final_spread: float
     mean_contraction: float
     scalar_guard: bool
+    #: One masked round of every batch row matched the scalar engine (the
+    #: name predates the single batch layout and is kept for stored runs).
     sparse_guard: bool
 
 
@@ -221,11 +222,12 @@ def dynamic_topology_study(
 ) -> list[DynamicTopologyRow]:
     """Run one schedule kind over the graph cases with equivalence guards.
 
-    Per case: ``batch`` executions on the dense engine under the schedule
-    and the batch-native extreme-push adversary, a scalar-vs-dense lockstep
-    check of the first row (scalar adversary, full trajectory), and a
-    one-round dense-vs-sparse bit-equality check of the whole batch.  Any
-    divergence raises :class:`~repro.exceptions.SimulationError`.
+    Per case: ``batch`` executions on the vectorized engine under the
+    schedule and the batch-native extreme-push adversary, a
+    scalar-vs-vectorized lockstep check of the first row (scalar adversary,
+    full trajectory), and a one-round bit-equality check of every row
+    against the scalar engine.  Any divergence raises
+    :class:`~repro.exceptions.SimulationError`.
     """
     chosen = cases if cases is not None else default_dynamic_cases()
     rows: list[DynamicTopologyRow] = []
@@ -252,8 +254,9 @@ def dynamic_topology_study(
         matrix = random_input_matrix(engine.nodes, batch, rng=seed + index)
         outcome = engine.run_batch(matrix)
 
-        # Guard 1: the first batch row, replayed scalar-vs-dense in lockstep
-        # under the same schedule, must stay bit-identical every round.
+        # Guard 1: the first batch row, replayed scalar-vs-vectorized in
+        # lockstep under the same schedule, must stay bit-identical every
+        # round.
         row_inputs = dict(zip(engine.nodes, matrix[0].tolist()))
         report = cross_check_engines(
             graph=graph,
@@ -267,25 +270,26 @@ def dynamic_topology_study(
         )
         if not report.identical:
             raise SimulationError(
-                f"scalar/dense divergence under {schedule.name!r} on {label} "
-                f"at round {report.first_divergence_round}"
+                f"scalar/vectorized divergence under {schedule.name!r} on "
+                f"{label} at round {report.first_divergence_round}"
             )
 
-        # Guard 2: one masked round of the whole batch, dense vs sparse.
-        sparse = SparseEngine(
+        # Guard 2: one masked round of every batch row, scalar vs batch.
+        scalar = SynchronousEngine(
             graph,
             rule,
             faulty=faulty,
-            adversary=BatchExtremePushStrategy(delta=1.5),
+            adversary=ExtremePushStrategy(delta=1.5),
             config=config,
             schedule=schedule,
         )
-        if not np.array_equal(
-            engine.step_matrix(matrix, 1), sparse.step_matrix(matrix, 1)
-        ):
-            raise SimulationError(
-                f"dense/sparse divergence under {schedule.name!r} on {label}"
-            )
+        stepped = engine.step_matrix(matrix, 1)
+        for row_values, row_stepped in zip(matrix.tolist(), stepped.tolist()):
+            expected = scalar.step(dict(zip(engine.nodes, row_values)), 1)
+            if row_stepped != [expected[node] for node in engine.nodes]:
+                raise SimulationError(
+                    f"scalar/batch divergence under {schedule.name!r} on {label}"
+                )
 
         edge_down, asleep = _mean_masked_fraction(schedule, graph, rounds)
         rows.append(
@@ -361,7 +365,7 @@ def churn_sweep_study(
 ) -> list[ChurnSweepRow]:
     """Measure convergence degradation under one awake probability.
 
-    Runs ``batch`` executions on the dense engine over ``core_network(n, f)``
+    Runs ``batch`` executions on the vectorized engine over ``core_network(n, f)``
     under a :class:`~repro.simulation.dynamic.RandomChurnSchedule`, then
     replays the first row through the scalar engine, whose run-level verdict
     includes the participation audit (asleep nodes must hold their state

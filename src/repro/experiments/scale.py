@@ -1,19 +1,20 @@
-"""Experiment E14 — ``large_n``: the sparse engine tier at scale.
+"""Experiment E14 — ``large_n``: the CSR batch engine at scale.
 
 The paper's experiments stop near ``n ≈ 200``; the roadmap's scale-out tier
 asks what Algorithm 1 does on graphs two to three orders of magnitude larger.
 This sweep runs batched executions of the trimmed-mean rule on the
 :func:`~repro.graphs.random_graphs.heterogeneous_ring_lattice` family — an
 ``O(n)``-edge sparse graph whose in-degrees spread over many distinct values,
-the shape the CSR :class:`~repro.simulation.sparse.SparseEngine` is built
-for — under the batch-native extreme-push adversary, and records throughput
-(node-rounds per second), the validity verdict, and the hull contraction per
-cell.
+the shape the CSR message plane of
+:class:`~repro.simulation.vectorized.VectorizedEngine` is built for — under
+the batch-native extreme-push adversary, and records throughput (node-rounds
+per second), the validity verdict, and the hull contraction per cell.
 
-Cells with ``n`` small enough to afford the dense engine also run a one-shot
-dense-vs-sparse equivalence guard, so the timing numbers are tied to the
-bit-exactness contract rather than taken on faith; the full curve (up to
-``n = 10^5``) lives in ``benchmarks/bench_scale.py`` → ``BENCH_scale.json``.
+Cells with ``n`` small enough to afford the scalar reference engine also
+replay one round of the first batch row through it, so the timing numbers
+are tied to the bit-exactness contract rather than taken on faith; the full
+curve (up to ``n = 10^5``) lives in ``benchmarks/bench_scale.py`` →
+``BENCH_scale.json``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from typing import TypedDict
 import numpy as np
 
 from repro.adversary.selection import random_fault_set
+from repro.adversary.strategies import ExtremePushStrategy
 from repro.adversary.vectorized import BatchExtremePushStrategy
 from repro.algorithms.trimmed_mean import TrimmedMeanRule
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.graphs.random_graphs import heterogeneous_ring_lattice
-from repro.simulation.engine import SimulationConfig
-from repro.simulation.sparse import SparseEngine
+from repro.simulation.engine import SimulationConfig, SynchronousEngine
 from repro.simulation.vectorized import VectorizedEngine, random_input_matrix
 from repro.sweeps.registry import register_experiment
 from repro.sweeps.schema import schema_from_typeddict
@@ -79,11 +80,11 @@ LARGE_N_SCHEMA = schema_from_typeddict(
     },
 )
 
-#: State dtypes the sweep accepts (the sparse engine's two tiers).
+#: State dtypes the sweep accepts (the batch engine's two tiers).
 SCALE_DTYPES = ("float64", "float32")
 
-#: Largest ``n`` for which a cell runs the dense-vs-sparse equivalence guard
-#: (the dense engine's per-degree gathers get expensive beyond this).
+#: Largest ``n`` for which a cell runs the scalar equivalence guard (the
+#: scalar engine's per-node Python gets expensive beyond this).
 EQUIVALENCE_GUARD_MAX_N = 2000
 
 
@@ -106,10 +107,11 @@ def large_n_study(
 
     Builds the graph and a random ``f``-node fault set from ``seed``, runs
     ``batch`` executions for ``rounds`` rounds under the batch-native
-    extreme-push adversary on the sparse engine, and returns a single row
+    extreme-push adversary on the CSR batch engine, and returns a single row
     with build/run timings, throughput, and the validity and contraction
     summary.  For ``n <= EQUIVALENCE_GUARD_MAX_N`` at float64 the row also
-    records a one-round dense-vs-sparse bit-equality check.
+    records a one-round bit-equality check of the first batch row against
+    the scalar engine (with the scalar form of the adversary).
     """
     if dtype not in SCALE_DTYPES:
         raise InvalidParameterError(
@@ -126,7 +128,7 @@ def large_n_study(
         n, f, extra_mean=extra_mean, rng=np.random.default_rng(graph_stream)
     )
     faulty = random_fault_set(graph, f, rng=np.random.default_rng(fault_stream))
-    engine = SparseEngine(
+    engine = VectorizedEngine(
         graph,
         TrimmedMeanRule(f),
         faulty=faulty,
@@ -151,18 +153,18 @@ def large_n_study(
 
     equivalence_checked = False
     if dtype == "float64" and n <= EQUIVALENCE_GUARD_MAX_N:
-        dense = VectorizedEngine(
+        scalar = SynchronousEngine(
             graph,
             TrimmedMeanRule(f),
             faulty=faulty,
-            adversary=BatchExtremePushStrategy(delta=1.5),
+            adversary=ExtremePushStrategy(delta=1.5),
             config=engine.config,
         )
-        if not np.array_equal(
-            dense.step_matrix(matrix, 1), engine.step_matrix(matrix, 1)
-        ):
+        expected = scalar.step(dict(zip(engine.nodes, matrix[0].tolist())), 1)
+        stepped = engine.step_matrix(matrix[:1], 1)[0]
+        if stepped.tolist() != [expected[node] for node in engine.nodes]:
             raise SimulationError(
-                f"sparse engine diverged from the dense engine at n={n}"
+                f"batch engine diverged from the scalar engine at n={n}"
             )
         equivalence_checked = True
 
@@ -197,9 +199,9 @@ def large_n_study(
         "Scale-out beyond the paper's n ~ 200 (roadmap large-n tier, E14)"
     ),
     claim=(
-        "The CSR sparse tier runs Algorithm 1 on sparse heterogeneous graphs "
+        "The CSR batch engine runs Algorithm 1 on sparse heterogeneous graphs "
         "up to n = 10^5 with validity intact in every execution, bit-exact "
-        "with the dense engine at float64."
+        "with the scalar engine at float64."
     ),
     engine="sparse",
     grid={

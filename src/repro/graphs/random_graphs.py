@@ -132,7 +132,7 @@ def heterogeneous_ring_lattice(
 
     This is the scale-out family of the ``large_n`` experiment and
     ``benchmarks/bench_scale.py``: in-degrees spread over dozens of distinct
-    values (exercising the sparse engine's bucket-major plane across many
+    values (exercising the batch engine's bucket-major plane across many
     degree buckets) while the edge count stays ``O(n)``, so ``n = 10^5`` is
     cheap to build.  Construction is vectorized — the ring offsets and the
     extra-edge endpoints are drawn as flat NumPy arrays, not per-node Python

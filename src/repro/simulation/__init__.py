@@ -41,11 +41,6 @@ from repro.simulation.metrics import (
     within_hull,
 )
 from repro.simulation.run import run_consensus
-from repro.simulation.sparse import (
-    SparseEngine,
-    run_sparse,
-    sparse_cross_check_engines,
-)
 from repro.simulation.trace import ExecutionTrace, spreads_from_records
 from repro.simulation.vectorized import (
     BatchOutcome,
@@ -58,7 +53,6 @@ from repro.simulation.vectorized import (
 )
 from repro.simulation.vectorized_async import (
     VectorizedAsyncEngine,
-    async_cross_check_engines,
     run_vectorized_async,
     spawn_row_generators,
 )
@@ -67,12 +61,8 @@ __all__ = [
     "BatchOutcome",
     "BatchRunner",
     "EquivalenceReport",
-    "SparseEngine",
     "VectorizedEngine",
     "VectorizedAsyncEngine",
-    "run_sparse",
-    "sparse_cross_check_engines",
-    "async_cross_check_engines",
     "canonical_edge_order",
     "cross_check_engines",
     "random_input_matrix",

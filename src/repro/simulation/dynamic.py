@@ -3,10 +3,10 @@
 Every engine so far simulated a *static* communication pattern.  This module
 adds the dynamic scenario axis the roadmap asks for: a
 :class:`TopologySchedule` tells the engines, per round, which directed edges
-are **up** and which nodes are **awake**, and all five engine tiers (scalar
-synchronous, dense vectorized, sparse CSR, scalar and vectorized
-asynchronous) consume the same schedule object with identical semantics —
-enforced by the cross-engine fuzz suite in ``tests/test_dynamic_fuzz.py``.
+are **up** and which nodes are **awake**, and all four engines (scalar and
+vectorized, synchronous and asynchronous) consume the same schedule object
+with identical semantics — enforced by the cross-engine fuzz suite in
+``tests/test_dynamic_fuzz.py``.
 
 Masking semantics
 -----------------

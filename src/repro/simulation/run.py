@@ -20,15 +20,13 @@ from repro.graphs.digraph import Digraph
 from repro.simulation.async_engine import run_partially_asynchronous
 from repro.simulation.engine import run_synchronous
 from repro.simulation.inputs import uniform_random_inputs
-from repro.simulation.sparse import run_sparse
 from repro.simulation.vectorized import run_vectorized
 from repro.simulation.vectorized_async import run_vectorized_async
 from repro.types import ConsensusOutcome, NodeId, ValueMap
 
 #: Engine names accepted by :func:`run_consensus`: the faithful dict-based
-#: reference engines, the dense NumPy engines that are bit-exact with them,
-#: or the CSR sparse tier (synchronous model only) for large-``n`` graphs.
-ENGINE_CHOICES = ("scalar", "vectorized", "sparse")
+#: reference engines or the NumPy engines that are bit-exact with them.
+ENGINE_CHOICES = ("scalar", "vectorized")
 
 
 def run_consensus(
@@ -83,13 +81,7 @@ def run_consensus(
         engines; ``"vectorized"`` routes the same execution through the
         NumPy engines (:func:`~repro.simulation.vectorized.run_vectorized` /
         :func:`~repro.simulation.vectorized_async.run_vectorized_async`),
-        which are bit-exact with the reference for the rules they support;
-        ``"sparse"`` routes through the CSR message-plane engine
-        (:func:`~repro.simulation.sparse.run_sparse`), bit-exact with the
-        dense engine at float64 but built for large sparse graphs.  The
-        sparse tier implements the synchronous model only — combining it
-        with ``synchronous=False`` raises
-        :class:`~repro.exceptions.InvalidParameterError`.
+        which are bit-exact with the reference for the rules they support.
 
     Returns
     -------
@@ -125,23 +117,6 @@ def run_consensus(
     if chosen_adversary is None and chosen_faulty:
         chosen_adversary = ExtremePushStrategy(delta=1.0)
 
-    if engine == "sparse":
-        if not synchronous:
-            raise InvalidParameterError(
-                "the sparse engine tier implements the synchronous model "
-                "only; use engine='vectorized' or engine='scalar' with "
-                "synchronous=False"
-            )
-        return run_sparse(
-            graph=graph,
-            rule=chosen_rule,
-            inputs=chosen_inputs,
-            faulty=chosen_faulty,
-            adversary=chosen_adversary,
-            max_rounds=max_rounds,
-            tolerance=tolerance,
-            record_history=record_history,
-        )
     if engine == "vectorized":
         if synchronous:
             return run_vectorized(

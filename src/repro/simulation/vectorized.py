@@ -3,20 +3,51 @@
 :class:`~repro.simulation.engine.SynchronousEngine` walks Python dicts one
 node at a time, which is faithful but slow for the Monte-Carlo sweeps the
 experiment drivers run.  This module re-expresses one round of Algorithm 1 as
-batched array operations:
+flat segment arithmetic over a compressed-sparse-row message plane:
 
 * the states of **all** nodes live in a single ``(B, n)`` float matrix
   covering ``B`` independent executions (different inputs and adversary
   draws) of the **same** ``(graph, rule, faulty)`` configuration;
-* per-node incoming-edge index arrays are precomputed once from the
-  :class:`~repro.graphs.digraph.Digraph`, so a round is a gather →
-  adversary-scatter → sort → trim → cumulative-sum pipeline with no
-  per-node Python;
-* the trimmed-mean reduction preserves the scalar engine's exact
-  floating-point summation order (own value first, then survivors in sorted
-  order, accumulated left to right via ``cumsum``), so a vectorized execution
-  is **bit-for-bit identical** to the scalar one — enforced by
+* **CSR neighbour lists** are built once from the digraph: ``csr_indptr`` /
+  ``csr_indices`` hold every fault-free receiver's in-neighbour columns in
+  the repr-sorted canonical order (receiver-major, senders sorted by
+  ``repr`` within a receiver — exactly the scalar engine's tie-break and the
+  batch adversary layer's canonical channel order);
+* each round performs **one** gather ``plane = state[:, plane_indices]``
+  into a flat ``(B, nnz)`` message plane whose receiver segments are laid
+  out *bucket-major* (receivers grouped by exact in-degree, canonical order
+  within a bucket).  Every degree bucket is therefore a contiguous slab that
+  reshapes to a ``(B, m_d, d)`` view for free;
+* Byzantine channel values are scattered once into precomputed flat plane
+  positions, then each slab is sorted **in place** and trimmed via the
+  contiguous ``[f : d − f]`` slice;
+* the equal-weight average prepends the receiver's own value and reduces
+  with ``cumsum`` along the segment, reproducing the scalar engine's
+  left-to-right floating-point summation order, so a vectorized execution is
+  **bit-for-bit identical** to the scalar one — enforced by
   :func:`cross_check_engines` and the property tests.
+  (``np.add.reduceat`` was evaluated for the segment sums and rejected: its
+  unrolled/pairwise accumulation is **not** sequential, so it is not
+  bit-exact with the scalar reference — see ``docs/architecture.md``.)
+* ``dtype=np.float32`` opts into a half-memory state plane.  Float32 runs
+  are not bit-identical to float64 runs, but they keep the paper's hull
+  invariants *exactly*: the float32 trimmed-mean reduction is clamped into
+  the local trim hull ``[min(own ∪ survivors), max(own ∪ survivors)]`` — a
+  mathematical no-op that removes the one rounding path which could push a
+  value out of the fault-free hull.  The contract is documented in
+  ``docs/performance.md``.
+* ``max_plane_bytes`` tiles the batch: one round streams the ``B`` rows in
+  tiles small enough that the plane working set respects the budget, so a
+  single box can simulate ``10^5``-plus-node networks at large ``B``.
+  Tiling happens *inside* :meth:`VectorizedEngine.step_matrix` — the
+  adversary still sees the full batch once per round, so the RNG-stream
+  contract and every :class:`~repro.adversary.vectorized.BatchStrategy`
+  behave exactly as in the untiled run.
+
+The partially asynchronous
+:class:`~repro.simulation.vectorized_async.VectorizedAsyncEngine` feeds the
+same slab kernel from its delivery buffers, whose channel axis is the
+canonical CSR order.
 
 The speedup is the point: the transition-matrix view of the update (the
 Lemma 5 machinery in :mod:`repro.analysis.markov`) says a round is a gather
@@ -26,8 +57,8 @@ plus a row-stochastic reduction, and that is exactly what the arrays do.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,24 +86,125 @@ from repro.simulation.dynamic import (
 from repro.simulation.engine import SimulationConfig, SynchronousEngine
 from repro.simulation.metrics import VALIDITY_TOLERANCE, ValidityTracker
 from repro.simulation.trace import ExecutionTrace
-from repro.types import ConsensusOutcome, NodeId, ValueMap
+from repro.types import ConsensusOutcome, NodeId, RoundRecord, ValueMap
+
+#: State dtypes the engine accepts.  float64 is the bit-exact default;
+#: float32 trades bit-parity for half the plane memory under the documented
+#: tolerance contract (hull invariants still hold exactly).
+# reprolint: disable=EXA003 -- this IS the documented dtype= plumbing (docs/architecture.md, float32 tier)
+SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @dataclass(frozen=True)
-class _DegreeGroup:
-    """Dense per-round work unit: all fault-free nodes of one in-degree.
+class _DegreeBucket:
+    """One contiguous plane slab: all fault-free receivers of one in-degree.
 
-    ``in_idx`` gathers the ``(B, n_g, degree)`` received block from the state
-    matrix; ``edge_index``/``edge_rows``/``edge_slots`` scatter the
-    adversary's channel values into it before the sort.
+    ``columns`` are the receivers' state columns (canonical order), and
+    ``plane_start``/``plane_stop`` bound the slab inside the flat message
+    plane, which reshapes to a ``(B, len(columns), degree)`` view for free.
     """
 
     degree: int
     columns: np.ndarray
-    in_idx: np.ndarray
-    edge_index: np.ndarray
-    edge_rows: np.ndarray
-    edge_slots: np.ndarray
+    plane_start: int
+    plane_stop: int
+
+
+def bucket_plane(
+    graph: Digraph, nodes: Sequence[NodeId], receiver_columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[_DegreeBucket, ...], np.ndarray]:
+    """Build the CSR in-neighbour lists and the bucket-major plane layout.
+
+    Returns ``(csr_indptr, csr_indices, buckets, plane_order)``.  The CSR
+    keeps the receivers (state columns over ``nodes``) in the given order
+    and each receiver's senders sorted by ``repr``.  The plane permutes the
+    receiver segments bucket-major (grouped by exact in-degree, given order
+    within a bucket) so each bucket is one contiguous slab;
+    ``plane_order`` maps each plane slot to its CSR position.
+    """
+    column = {node: index for index, node in enumerate(nodes)}
+    indptr = [0]
+    indices: list[int] = []
+    for receiver_column in receiver_columns.tolist():
+        senders = graph.in_neighbors(nodes[receiver_column])
+        indices.extend(column[sender] for sender in sorted(senders, key=repr))
+        indptr.append(len(indices))
+    csr_indptr = np.array(indptr, dtype=np.int64)
+    degrees = np.diff(csr_indptr)
+    chunks: list[np.ndarray] = []
+    buckets: list[_DegreeBucket] = []
+    cursor = 0
+    for degree in np.unique(degrees).tolist():
+        members = np.flatnonzero(degrees == degree)
+        chunks.append((csr_indptr[members, None] + np.arange(degree)).ravel())
+        buckets.append(
+            _DegreeBucket(
+                degree=degree,
+                columns=receiver_columns[members],
+                plane_start=cursor,
+                plane_stop=cursor + members.size * degree,
+            )
+        )
+        cursor += members.size * degree
+    return (
+        csr_indptr,
+        np.array(indices, dtype=np.int64),
+        tuple(buckets),
+        np.concatenate(chunks),
+    )
+
+
+def reduce_plane(
+    plane: np.ndarray,
+    state: np.ndarray,
+    out: np.ndarray,
+    buckets: Sequence[_DegreeBucket],
+    f: int,
+    mode: str,
+) -> None:
+    """Apply the trimmed update to a bucket-major received-value plane.
+
+    ``plane`` is ``(b, nnz)`` in the layout of ``buckets`` and is sorted in
+    place, ``state`` holds the same rows' previous states and ``out``
+    receives the new values in the buckets' receiver columns.  Each bucket
+    slab reshapes to ``(b, m_d, d)``; after the sort the trim window is the
+    contiguous slice ``[f : d − f]``.  ``mode="mean"`` prepends the
+    receiver's own value and sums left to right with one ``cumsum``, the
+    scalar engine's summation order; ``mode="midpoint"`` averages the
+    extremes of own ∪ survivors.  A float32 plane gets the hull clamp of the
+    documented float32 contract.
+    """
+    # reprolint: disable=EXA003 -- float32 clamp gate of the documented dtype= plumbing
+    clamp32 = plane.dtype == np.dtype(np.float32)
+    rows = plane.shape[0]
+    for bucket in buckets:
+        d = bucket.degree
+        block = plane[:, bucket.plane_start : bucket.plane_stop].reshape(
+            rows, bucket.columns.size, d
+        )
+        block.sort(axis=-1)
+        own = state[:, bucket.columns]
+        survivors = block[:, :, f : d - f]
+        if mode == "mean":
+            full = np.concatenate([own[:, :, None], survivors], axis=2)
+            totals = np.cumsum(full, axis=2)[:, :, -1]
+            values = totals / float(full.shape[2])
+            if clamp32:
+                # Mathematically a no-op (the mean of points lies in their
+                # hull); at float32 it removes the rounding path that could
+                # push a value one ulp outside the local trim hull, keeping
+                # the paper's validity invariant exact.
+                if survivors.shape[2]:
+                    lows = np.minimum(own, survivors[:, :, 0])
+                    highs = np.maximum(own, survivors[:, :, -1])
+                else:
+                    lows = highs = own
+                np.clip(values, lows, highs, out=values)
+        else:  # midpoint
+            mins = np.minimum(own, survivors.min(axis=2, initial=np.inf))
+            maxs = np.maximum(own, survivors.max(axis=2, initial=-np.inf))
+            values = (mins + maxs) / 2.0
+        out[:, bucket.columns] = values
 
 
 @dataclass(frozen=True)
@@ -141,7 +273,7 @@ class VectorizedEngine:
 
     Parameters
     ----------
-    graph, rule, faulty, config:
+    graph, rule, faulty, config, schedule:
         As for :class:`~repro.simulation.engine.SynchronousEngine`.  Only the
         trimmed update rules of the paper
         (:class:`~repro.algorithms.trimmed_mean.TrimmedMeanRule`,
@@ -152,18 +284,23 @@ class VectorizedEngine:
         :class:`~repro.adversary.base.ByzantineStrategy` (wrapped in a
         :class:`~repro.adversary.vectorized.ScalarStrategyAdapter`
         automatically), or ``None`` for protocol-following faulty nodes.
+    dtype:
+        ``np.float64`` (default) for bit-exact parity with the scalar
+        engine, or ``np.float32`` for half-memory state under the documented
+        tolerance contract.
+    max_plane_bytes:
+        Optional soft budget (in bytes) for the per-round plane working set.
+        When the full batch would exceed it, :meth:`step_matrix` processes
+        the batch in row tiles of :meth:`plane_tile_rows` rows each;
+        results are bit-identical to the untiled run.  ``None`` disables
+        tiling.  A single row's working set is the floor — one row is
+        always processed at a time even if it alone exceeds the budget.
     """
 
     #: Update rules the vectorized kernel implements; everything else must
     #: use the scalar engine.  Callers choosing an engine should go through
     #: :meth:`supports_rule` rather than repeating this list.
     SUPPORTED_RULES: tuple[type, ...] = (TrimmedMeanRule, TrimmedMidpointRule)
-
-    #: State dtype used by :meth:`pack_inputs` / :meth:`step_matrix`.  The
-    #: dense engine is float64-only (bit-exactness with the scalar engine is
-    #: its contract); :class:`~repro.simulation.sparse.SparseEngine` shadows
-    #: this with an instance attribute to offer an opt-in float32 tier.
-    _dtype: np.dtype = np.dtype(np.float64)
 
     @classmethod
     def supports_rule(cls, rule: UpdateRule) -> bool:
@@ -178,7 +315,25 @@ class VectorizedEngine:
         adversary: BatchStrategy | ByzantineStrategy | None = None,
         config: SimulationConfig | None = None,
         schedule: TopologySchedule | None = None,
+        *,
+        dtype: np.dtype | type = np.float64,
+        max_plane_bytes: int | None = None,
     ) -> None:
+        requested = np.dtype(dtype)
+        if requested not in SUPPORTED_DTYPES:
+            raise InvalidParameterError(
+                f"VectorizedEngine dtype must be one of "
+                f"{tuple(str(d) for d in SUPPORTED_DTYPES)}, got {requested}"
+            )
+        if max_plane_bytes is not None and int(max_plane_bytes) < 1:
+            raise InvalidParameterError(
+                f"max_plane_bytes must be a positive byte budget or None, "
+                f"got {max_plane_bytes!r}"
+            )
+        self._dtype = requested
+        self._max_plane_bytes = (
+            int(max_plane_bytes) if max_plane_bytes is not None else None
+        )
         self._graph = graph
         self._rule = rule
         self._faulty = frozenset(faulty)
@@ -211,19 +366,34 @@ class VectorizedEngine:
 
         self._build_index_arrays()
         if schedule is not None:
-            self._build_schedule_arrays()
+            self._build_edge_arrays()
 
-    def _build_node_columns(self) -> None:
-        """Set up the canonical node → column maps shared by every engine.
+    # ------------------------------------------------------------------
+    # Index construction
+    # ------------------------------------------------------------------
+    def _build_index_arrays(self) -> None:
+        """Build the CSR lists, the bucket-major plane layout and the flat
+        channel scatter positions.
 
         Nodes are sorted by ``repr`` (the scalar engine's deterministic
-        tie-break) and split into faulty and fault-free column index arrays.
-        Both the dense and the sparse engine derive their gather structures
-        and the canonical channel order from this layout.
+        tie-break) into state columns.  Two layouts coexist over them, both
+        built by :func:`bucket_plane`:
+
+        * the **canonical CSR** (:attr:`csr_indptr` / :attr:`csr_indices`)
+          keeps fault-free receivers in column order, senders by ``repr``
+          within a receiver.  Its faulty-sender slots, in order, are the
+          canonical channel order shared with the batch adversary layer
+          (``_edge_csr_pos`` locates them), and the asynchronous engine's
+          delivery buffers use it as their channel axis;
+        * the **plane layout** permutes receiver segments bucket-major
+          (grouped by exact in-degree) so each bucket is one contiguous
+          slab.  ``_plane_order`` maps each plane slot to its CSR position,
+          ``_plane_indices`` is the single per-round gather from the state
+          matrix and ``_edge_plane_pos`` maps canonical channel ``j`` to its
+          plane slot.
         """
-        self._nodes: tuple[NodeId, ...] = tuple(
-            sorted(self._graph.nodes, key=repr)
-        )
+        graph = self._graph
+        self._nodes: tuple[NodeId, ...] = tuple(sorted(graph.nodes, key=repr))
         self._column = {node: index for index, node in enumerate(self._nodes)}
         self._faulty_cols = np.array(
             [i for i, node in enumerate(self._nodes) if node in self._faulty],
@@ -233,94 +403,70 @@ class VectorizedEngine:
             [i for i, node in enumerate(self._nodes) if node not in self._faulty],
             dtype=int,
         )
+        (
+            self._csr_indptr,
+            self._csr_indices,
+            self._buckets,
+            self._plane_order,
+        ) = bucket_plane(graph, self._nodes, self._ff_cols)
 
-    def _build_index_arrays(self) -> None:
-        """Precompute the gather/scatter index arrays for one round.
-
-        Fault-free nodes are grouped by exact in-degree so every group works
-        on a dense ``(B, n_g, d)`` block with no padding: the trim window is
-        a contiguous slice ``[f : d − f]`` and the equal-weight average is a
-        single ``cumsum`` whose last column is the left-to-right total —
-        reproducing the scalar engine's floating-point summation order
-        bit for bit.  Within each node's row, senders are ordered by
-        ``repr`` (the scalar engine's deterministic tie-break).
-        """
-        graph = self._graph
-        self._build_node_columns()
-
-        # Canonical channel order (receiver-major, senders by repr within a
-        # receiver) shared with BatchAdversaryContext.edge_nodes.
-        edge_nodes: list[tuple[NodeId, NodeId]] = []
-        by_degree: dict[int, dict[str, list]] = {}
-        for column in self._ff_cols:
-            receiver = self._nodes[column]
-            senders = sorted(graph.in_neighbors(receiver), key=repr)
-            group = by_degree.setdefault(
-                len(senders),
-                {"cols": [], "in_idx": [], "edge_index": [], "rows": [], "slots": []},
+        # The faulty-sender CSR slots, in order, are the canonical channels.
+        sender_is_faulty = np.zeros(len(self._nodes), dtype=bool)
+        sender_is_faulty[self._faulty_cols] = True
+        self._edge_csr_pos = np.flatnonzero(sender_is_faulty[self._csr_indices])
+        receivers = np.repeat(self._ff_cols, np.diff(self._csr_indptr))
+        self._edge_src_cols = self._csr_indices[self._edge_csr_pos]
+        self._edge_dst_cols = receivers[self._edge_csr_pos]
+        self._edge_nodes = tuple(
+            (self._nodes[sender], self._nodes[receiver])
+            for sender, receiver in zip(
+                self._edge_src_cols.tolist(), self._edge_dst_cols.tolist()
             )
-            row = len(group["cols"])
-            group["cols"].append(column)
-            group["in_idx"].append([self._column[s] for s in senders])
-            for slot, sender in enumerate(senders):
-                if sender in self._faulty:
-                    group["edge_index"].append(len(edge_nodes))
-                    group["rows"].append(row)
-                    group["slots"].append(slot)
-                    edge_nodes.append((sender, receiver))
-
-        self._groups = []
-        for degree in sorted(by_degree):
-            group = by_degree[degree]
-            self._groups.append(
-                _DegreeGroup(
-                    degree=degree,
-                    columns=np.array(group["cols"], dtype=int),
-                    in_idx=np.array(group["in_idx"], dtype=int).reshape(
-                        len(group["cols"]), degree
-                    ),
-                    edge_index=np.array(group["edge_index"], dtype=int),
-                    edge_rows=np.array(group["rows"], dtype=int),
-                    edge_slots=np.array(group["slots"], dtype=int),
-                )
-            )
-
-        self._edge_nodes = tuple(edge_nodes)
-        self._edge_src_cols = np.array(
-            [self._column[s] for s, _t in edge_nodes], dtype=int
-        )
-        self._edge_dst_cols = np.array(
-            [self._column[t] for _s, t in edge_nodes], dtype=int
         )
 
-    def _build_schedule_arrays(self) -> None:
-        """Precompute translations from schedule masks to kernel indices.
+        self._plane_indices = self._csr_indices[self._plane_order]
+        plane_slot = np.empty_like(self._plane_order)
+        plane_slot[self._plane_order] = np.arange(self._plane_order.size)
+        self._edge_plane_pos = plane_slot[self._edge_csr_pos]
 
-        Schedule masks are expressed over the canonical sender-major edge
-        order (:class:`~repro.simulation.dynamic.ScheduleLayout`); the dense
-        kernel works in degree groups and in the receiver-major faulty
-        channel order.  These index arrays translate a ``(E,)`` edge mask
-        into per-group ``(n_g, d)`` slot masks and a ``(E_f,)`` channel mask
-        once, so per-round masking stays pure fancy indexing.
+        # Per-row working-set estimate for the tiling budget: the flat plane
+        # plus the largest bucket's own+survivors block and its cumsum
+        # output (the two big per-bucket temporaries).
+        f = self._rule.f
+        max_trim_block = max(
+            bucket.columns.size * (max(bucket.degree - 2 * f, 0) + 1)
+            for bucket in self._buckets
+        )
+        self._plane_row_elements = self._plane_indices.size + 2 * max_trim_block
+
+    def _build_edge_arrays(self) -> None:
+        """Map message slots to the canonical sender-major edge order.
+
+        Schedule masks (and the asynchronous engine's per-round delay draw)
+        are indexed by :class:`~repro.simulation.dynamic.ScheduleLayout`'s
+        edge order.  ``_csr_edge_pos`` gives every CSR slot its edge
+        position; ``_chan_edge_pos``, ``_plane_edge_pos`` and
+        ``_plane_recv_cols`` are its views for the faulty channels and the
+        plane slots plus each plane slot's receiver column, so a round's
+        ``(E,)`` edge mask becomes a flat list of down plane slots and their
+        self-substitution sources by pure fancy indexing.
         """
         layout = ScheduleLayout.for_graph(self._graph)
         self._sched_layout = layout
-        self._chan_edge_pos = np.array(
-            [layout.edge_index[edge] for edge in self._edge_nodes], dtype=int
-        )
-        group_edge_pos: list[np.ndarray] = []
-        for group in self._groups:
-            rows = []
-            for column in group.columns:
-                receiver = self._nodes[int(column)]
-                senders = sorted(self._graph.in_neighbors(receiver), key=repr)
-                rows.append(
-                    [layout.edge_index[(sender, receiver)] for sender in senders]
+        receivers = np.repeat(self._ff_cols, np.diff(self._csr_indptr))
+        nodes = self._nodes
+        self._csr_edge_pos = np.array(
+            [
+                layout.edge_index[(nodes[sender], nodes[receiver])]
+                for sender, receiver in zip(
+                    self._csr_indices.tolist(), receivers.tolist()
                 )
-            group_edge_pos.append(
-                np.array(rows, dtype=int).reshape(len(group.columns), group.degree)
-            )
-        self._group_edge_pos = group_edge_pos
+            ],
+            dtype=np.int64,
+        )
+        self._chan_edge_pos = self._csr_edge_pos[self._edge_csr_pos]
+        self._plane_edge_pos = self._csr_edge_pos[self._plane_order]
+        self._plane_recv_cols = receivers[self._plane_order]
 
     def _round_activity(self, round_index: int) -> RoundActivity | None:
         """Resolve the schedule's masks for one round (``None`` if static)."""
@@ -380,6 +526,51 @@ class VectorizedEngine:
         """The topology schedule, or ``None`` for a static run."""
         return self._schedule
 
+    @property
+    def dtype(self) -> np.dtype:
+        """State dtype of the engine (``float64`` default, ``float32`` tier)."""
+        return self._dtype
+
+    @property
+    def max_plane_bytes(self) -> int | None:
+        """The plane working-set budget in bytes (``None`` = untiled)."""
+        return self._max_plane_bytes
+
+    @property
+    def csr_indptr(self) -> np.ndarray:
+        """CSR row pointer: fault-free receivers in canonical (repr) order."""
+        return self._csr_indptr
+
+    @property
+    def csr_indices(self) -> np.ndarray:
+        """CSR column indices: sender state columns, repr-sorted per receiver."""
+        return self._csr_indices
+
+    @property
+    def nnz(self) -> int:
+        """Number of fault-free-receiver message slots (plane width)."""
+        return int(self._csr_indices.size)
+
+    @property
+    def plane_bytes_per_row(self) -> int:
+        """Estimated plane working-set bytes for one batch row."""
+        return int(self._plane_row_elements) * self._dtype.itemsize
+
+    def plane_tile_rows(self, batch: int) -> int:
+        """Return how many batch rows one kernel tile processes.
+
+        Without a budget the whole batch is one tile.  With a budget the
+        tile is the largest row count whose estimated plane working set
+        (:attr:`plane_bytes_per_row` per row) fits ``max_plane_bytes``,
+        floored at one row.
+        """
+        if batch < 1:
+            raise InvalidParameterError(f"batch must be >= 1, got {batch}")
+        if self._max_plane_bytes is None:
+            return batch
+        per_row = max(self.plane_bytes_per_row, 1)
+        return max(1, min(batch, self._max_plane_bytes // per_row))
+
     # ------------------------------------------------------------------
     # Input packing
     # ------------------------------------------------------------------
@@ -390,6 +581,7 @@ class VectorizedEngine:
 
         Accepts a single value map (``B = 1``), a sequence of value maps
         (one per row), or an already-packed array (validated and copied).
+        An empty batch (``B = 0``) is rejected.
         """
         if isinstance(inputs, np.ndarray):
             matrix = np.array(inputs, dtype=self._dtype)
@@ -400,20 +592,21 @@ class VectorizedEngine:
                     f"input matrix must have shape (B, {len(self._nodes)}), "
                     f"got {matrix.shape}"
                 )
-            return matrix
-        if isinstance(inputs, Mapping):
-            inputs = [inputs]
-        rows = []
-        for value_map in inputs:
-            missing = self._graph.nodes - value_map.keys()
-            if missing:
-                raise InvalidParameterError(
-                    f"inputs missing for nodes {sorted(missing, key=repr)!r}"
-                )
-            rows.append([float(value_map[node]) for node in self._nodes])
-        if not rows:
+        else:
+            if isinstance(inputs, Mapping):
+                inputs = [inputs]
+            rows = []
+            for value_map in inputs:
+                missing = self._graph.nodes - value_map.keys()
+                if missing:
+                    raise InvalidParameterError(
+                        f"inputs missing for nodes {sorted(missing, key=repr)!r}"
+                    )
+                rows.append([float(value_map[node]) for node in self._nodes])
+            matrix = np.array(rows, dtype=self._dtype)
+        if matrix.shape[0] == 0:
             raise InvalidParameterError("at least one input assignment is required")
-        return np.array(rows, dtype=self._dtype)
+        return matrix
 
     def _context(
         self,
@@ -439,12 +632,58 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _adversary_fill(
+        self,
+        state: np.ndarray,
+        round_index: int,
+        activity: RoundActivity | None,
+    ) -> tuple[BatchAdversaryContext | None, np.ndarray | None]:
+        """Return the round's adversary context and ``(B, E_f)`` channel values.
+
+        Both are ``None`` when there are no faulty nodes.  Masking is applied
+        downstream of the adversary: the strategy is interrogated for every
+        channel regardless of the round's masks (its RNG draws stay
+        mask-independent); it only sees them as ``active_edge_mask``.
+        """
+        if not self._faulty_cols.size:
+            return None, None
+        context = self._context(
+            state, round_index, active_edge_mask=self._channel_mask(activity)
+        )
+        values = np.asarray(self._adversary.edge_values(context), dtype=self._dtype)
+        expected = (state.shape[0], len(self._edge_nodes))
+        if values.shape != expected:
+            raise SimulationError(
+                f"batch adversary {self._adversary.name!r} returned edge "
+                f"values of shape {values.shape}; expected {expected}"
+            )
+        return context, values
+
+    def _write_nominal(
+        self, context: BatchAdversaryContext | None, new_state: np.ndarray
+    ) -> None:
+        """Write the adversary's nominal values into the faulty columns."""
+        if context is None:
+            return
+        nominal = np.asarray(
+            self._adversary.nominal_values(context), dtype=self._dtype
+        )
+        expected = (new_state.shape[0], self._faulty_cols.shape[0])
+        if nominal.shape != expected:
+            raise SimulationError(
+                f"batch adversary {self._adversary.name!r} returned nominal "
+                f"values of shape {nominal.shape}; expected {expected}"
+            )
+        new_state[:, self._faulty_cols] = nominal
+
     def step_matrix(self, state: np.ndarray, round_index: int) -> np.ndarray:
         """Execute one iteration on a ``(B, n)`` state matrix.
 
         Returns the new ``(B, n)`` matrix; faulty columns hold the
         adversary's nominal values, exactly like the scalar engine's
-        :meth:`~repro.simulation.engine.SynchronousEngine.step`.
+        :meth:`~repro.simulation.engine.SynchronousEngine.step`.  The
+        adversary fills every faulty → fault-free channel once for the full
+        batch, then the kernel streams the rows in plane tiles.
         """
         state = np.asarray(state, dtype=self._dtype)
         if state.ndim != 2 or state.shape[1] != len(self._nodes):
@@ -453,61 +692,45 @@ class VectorizedEngine:
                 f"got {state.shape}"
             )
         batch = state.shape[0]
-        f = self._rule.f
 
-        # Masking is applied downstream of the adversary: the strategy is
-        # interrogated for every channel regardless of the round's masks (its
-        # RNG draws stay mask-independent), then down channels are
-        # overwritten with the receiver's own value like any other edge.
+        # Masks are resolved once per round (before tiling) exactly like the
+        # adversary: every tile sees the same round activity.
         activity = self._round_activity(round_index)
+        context, channel_values = self._adversary_fill(state, round_index, activity)
 
-        context = None
-        channel_values = np.empty((batch, 0), dtype=float)
-        if self._faulty_cols.size:
-            context = self._context(
-                state, round_index, active_edge_mask=self._channel_mask(activity)
-            )
-            channel_values = np.asarray(
-                self._adversary.edge_values(context), dtype=float
-            )
-            expected = (batch, len(self._edge_nodes))
-            if channel_values.shape != expected:
-                raise SimulationError(
-                    f"batch adversary {self._adversary.name!r} returned edge "
-                    f"values of shape {channel_values.shape}; expected {expected}"
-                )
+        down_slots: np.ndarray | None = None
+        down_recv: np.ndarray | None = None
+        if activity is not None:
+            up = np.ones(self._plane_indices.shape, dtype=bool)
+            if activity.edge_up is not None:
+                up &= activity.edge_up[self._plane_edge_pos]
+            if activity.awake is not None:
+                up &= activity.awake[self._plane_indices]
+            if not up.all():
+                down_slots = np.flatnonzero(~up)
+                down_recv = self._plane_recv_cols[down_slots]
 
         new_state = np.array(state)
-        for position, group in enumerate(self._groups):
-            received = state[:, group.in_idx]
-            if group.edge_index.size:
-                received[:, group.edge_rows, group.edge_slots] = channel_values[
-                    :, group.edge_index
-                ]
-            if activity is not None:
-                up = np.ones(group.in_idx.shape, dtype=bool)
-                if activity.edge_up is not None:
-                    up &= activity.edge_up[self._group_edge_pos[position]]
-                if activity.awake is not None:
-                    up &= activity.awake[group.in_idx]
-                if not up.all():
-                    # Self-substitution: a dead slot carries the receiver's
-                    # own previous value, keeping the trim window width d.
-                    rows_i, slots_i = np.nonzero(~up)
-                    received[:, rows_i, slots_i] = state[
-                        :, group.columns[rows_i]
-                    ]
-            received.sort(axis=-1)
-            survivors = received[:, :, f : group.degree - f]
-            own = state[:, group.columns]
-            if self._mode == "mean":
-                full = np.concatenate([own[:, :, None], survivors], axis=2)
-                totals = np.cumsum(full, axis=2)[:, :, -1]
-                new_state[:, group.columns] = totals / float(full.shape[2])
-            else:  # midpoint
-                mins = np.minimum(own, survivors.min(axis=2, initial=np.inf))
-                maxs = np.maximum(own, survivors.max(axis=2, initial=-np.inf))
-                new_state[:, group.columns] = (mins + maxs) / 2.0
+        tile = self.plane_tile_rows(batch)
+        for start in range(0, batch, tile):
+            rows = slice(start, start + tile)
+            plane = state[rows][:, self._plane_indices]
+            if channel_values is not None:
+                plane[:, self._edge_plane_pos] = channel_values[rows]
+            if down_slots is not None:
+                # Self-substitution, after the adversary scatter so down
+                # faulty channels are substituted too: a dead slot carries
+                # the receiver's own previous value, keeping the trim window
+                # width d.
+                plane[:, down_slots] = state[rows][:, down_recv]
+            reduce_plane(
+                plane,
+                state[rows],
+                new_state[rows],
+                self._buckets,
+                self._rule.f,
+                self._mode,
+            )
 
         if activity is not None and activity.awake is not None:
             # Asleep receivers skip their update (state frozen); their state
@@ -516,19 +739,7 @@ class VectorizedEngine:
             new_state[:, ff] = np.where(
                 activity.awake[ff][None, :], new_state[:, ff], state[:, ff]
             )
-
-        if self._faulty_cols.size:
-            assert context is not None
-            nominal = np.asarray(
-                self._adversary.nominal_values(context), dtype=float
-            )
-            expected = (batch, self._faulty_cols.shape[0])
-            if nominal.shape != expected:
-                raise SimulationError(
-                    f"batch adversary {self._adversary.name!r} returned nominal "
-                    f"values of shape {nominal.shape}; expected {expected}"
-                )
-            new_state[:, self._faulty_cols] = nominal
+        self._write_nominal(context, new_state)
         return new_state
 
     def run(self, inputs: ValueMap) -> ConsensusOutcome:
@@ -780,34 +991,34 @@ class EquivalenceReport:
     first_divergence_round: int | None = None
 
 
-def _divergence_report(
-    rounds_checked: int,
-    value_pairs: Iterable[tuple[int, float, float]],
-    length_mismatch: bool = False,
+def _history_report(
+    reference: Sequence[RoundRecord], candidate: Sequence[RoundRecord]
 ) -> EquivalenceReport:
-    """Fold ``(round_index, reference, candidate)`` triples into a report.
+    """Compare two per-round histories node by node.
 
-    Shared by the synchronous and asynchronous cross-checkers so the exact
-    comparison semantics (float ``==``, NaN treated as infinite divergence,
-    first-divergence bookkeeping) live in one place.  ``length_mismatch``
-    records that one engine produced more rounds than the other; it forces
+    The comparison is exact (float ``==``, NaN treated as infinite
+    divergence).  ``rounds_checked`` counts executed rounds (the histories
+    include the round-0 record).  A length mismatch forces
     ``identical=False`` but never hides an earlier value divergence — the
     earliest diverging round and the real magnitude win when both occur.
     """
+    rounds_checked = max(0, min(len(reference), len(candidate)) - 1)
     identical = True
     max_diff = 0.0
     first_divergence: int | None = None
-    for round_index, reference, candidate in value_pairs:
-        if reference == candidate:
-            continue
-        identical = False
-        if first_divergence is None:
-            first_divergence = round_index
-        difference = abs(reference - candidate)
-        if np.isnan(difference):  # pragma: no cover - defensive
-            difference = float("inf")
-        max_diff = max(max_diff, difference)
-    if length_mismatch:
+    for expected, observed in zip(reference, candidate):
+        for node in sorted(expected.values, key=repr):
+            value, other = expected.values[node], observed.values[node]
+            if value == other:
+                continue
+            identical = False
+            if first_divergence is None:
+                first_divergence = expected.round_index
+            difference = abs(value - other)
+            if np.isnan(difference):  # pragma: no cover - defensive
+                difference = float("inf")
+            max_diff = max(max_diff, difference)
+    if len(reference) != len(candidate):
         identical = False
         if first_divergence is None:
             first_divergence = rounds_checked
@@ -829,60 +1040,94 @@ def cross_check_engines(
     config: SimulationConfig | None = None,
     rounds: int | None = None,
     schedule: TopologySchedule | None = None,
+    max_delay: int | None = None,
+    update_probability: float = 1.0,
+    seed: int = 0,
 ) -> EquivalenceReport:
-    """Run both engines round-for-round and compare every node's state.
+    """Run one execution on a scalar reference engine and on a batch engine,
+    and compare every node's state at every round.
 
-    This is the equivalence mode: each engine gets a deep copy of the scalar
-    ``adversary`` (so stateful or RNG-backed strategies start from identical
-    state and consume draws independently), then the scalar
-    :meth:`~repro.simulation.engine.SynchronousEngine.step` and the
-    vectorized :meth:`VectorizedEngine.step_matrix` execute in lockstep from
-    the same inputs.  A ``schedule`` is applied to both engines (schedules
-    are pure functions of the round, so deep copies see identical masks).
-    Intended for small instances — it pays the scalar engine's cost.
+    Both engines run at most ``rounds`` rounds (default
+    ``config.max_rounds``).  Without ``max_delay`` the pair is
+    :class:`~repro.simulation.engine.SynchronousEngine` and
+    :class:`VectorizedEngine`, run for all of them without stopping at
+    convergence.  With ``max_delay`` it is the partially asynchronous pair
+    (:class:`~repro.simulation.async_engine.PartiallyAsynchronousEngine` and
+    :class:`~repro.simulation.vectorized_async.VectorizedAsyncEngine`), each
+    driven by its own ``default_rng(seed)``; under the shared RNG-stream
+    contract the two runs, which stop at convergence as ``config`` says, must
+    be bit-identical at every recorded round.  ``update_probability`` and
+    ``seed`` belong to the asynchronous pair: passing either without
+    ``max_delay`` raises :class:`~repro.exceptions.InvalidParameterError`.
+
+    Each engine gets a deep copy of the scalar ``adversary`` (so stateful or
+    RNG-backed strategies start from identical state and consume draws
+    independently) and of ``schedule`` (schedules are pure functions of the
+    round, so the copies see identical masks).  Intended for small
+    instances — it pays the scalar engine's cost.
     """
     if adversary is not None and not isinstance(adversary, ByzantineStrategy):
         raise InvalidParameterError(
             "cross_check_engines needs a scalar ByzantineStrategy (or None); "
             "a BatchStrategy has no scalar counterpart to compare against"
         )
-    chosen_config = config if config is not None else SimulationConfig()
-    total_rounds = rounds if rounds is not None else chosen_config.max_rounds
-
-    scalar_engine = SynchronousEngine(
-        graph=graph,
-        rule=rule,
-        faulty=faulty,
-        adversary=copy.deepcopy(adversary) if adversary is not None else None,
-        config=chosen_config,
-        schedule=copy.deepcopy(schedule) if schedule is not None else None,
-    )
-    vector_engine = VectorizedEngine(
-        graph=graph,
-        rule=rule,
-        faulty=faulty,
-        adversary=copy.deepcopy(adversary) if adversary is not None else None,
-        config=chosen_config,
-        schedule=copy.deepcopy(schedule) if schedule is not None else None,
-    )
-
-    missing = graph.nodes - inputs.keys()
-    if missing:
+    if max_delay is None and (update_probability != 1.0 or seed != 0):
         raise InvalidParameterError(
-            f"inputs missing for nodes {sorted(missing, key=repr)!r}"
+            "update_probability and seed configure the asynchronous pair; "
+            "pass max_delay to cross-check the partially asynchronous engines"
         )
-    scalar_state = {node: float(inputs[node]) for node in graph.nodes}
-    matrix = vector_engine.pack_inputs(scalar_state)
+    chosen = config if config is not None else SimulationConfig()
+    chosen = replace(
+        chosen,
+        max_rounds=rounds if rounds is not None else chosen.max_rounds,
+        record_history=True,
+    )
+    if max_delay is None:
+        chosen = replace(
+            chosen, strict_validity=False, stop_on_convergence=False
+        )
+        reference = SynchronousEngine(
+            graph,
+            rule,
+            faulty,
+            copy.deepcopy(adversary),
+            chosen,
+            schedule=copy.deepcopy(schedule),
+        ).run(inputs)
+        candidate = VectorizedEngine(
+            graph,
+            rule,
+            faulty,
+            copy.deepcopy(adversary),
+            chosen,
+            schedule=copy.deepcopy(schedule),
+        ).run(inputs)
+    else:
+        from repro.simulation.async_engine import PartiallyAsynchronousEngine
+        from repro.simulation.vectorized_async import VectorizedAsyncEngine
 
-    def stepped_pairs() -> Iterator[tuple[int, float, float]]:
-        nonlocal scalar_state, matrix
-        for round_index in range(1, total_rounds + 1):
-            scalar_state = scalar_engine.step(scalar_state, round_index)
-            matrix = vector_engine.step_matrix(matrix, round_index)
-            for column, node in enumerate(vector_engine.nodes):
-                yield round_index, scalar_state[node], float(matrix[0, column])
-
-    return _divergence_report(total_rounds, stepped_pairs())
+        reference = PartiallyAsynchronousEngine(
+            graph,
+            rule,
+            faulty,
+            copy.deepcopy(adversary),
+            chosen,
+            max_delay=max_delay,
+            update_probability=update_probability,
+            rng=np.random.default_rng(seed),
+            schedule=copy.deepcopy(schedule),
+        ).run(inputs)
+        candidate = VectorizedAsyncEngine(
+            graph,
+            rule,
+            faulty,
+            copy.deepcopy(adversary),
+            chosen,
+            max_delay=max_delay,
+            update_probability=update_probability,
+            schedule=copy.deepcopy(schedule),
+        ).run(inputs, rng=np.random.default_rng(seed))
+    return _history_report(reference.history, candidate.history)
 
 
 def run_vectorized(
@@ -899,6 +1144,8 @@ def run_vectorized(
     cross_check: bool = False,
     cross_check_rounds: int = 25,
     schedule: TopologySchedule | None = None,
+    dtype: np.dtype | type = np.float64,
+    max_plane_bytes: int | None = None,
 ) -> ConsensusOutcome:
     """Functional wrapper around :class:`VectorizedEngine`, mirroring
     :func:`~repro.simulation.engine.run_synchronous`.
@@ -906,7 +1153,9 @@ def run_vectorized(
     With ``cross_check=True`` (and a scalar or absent adversary) the run is
     preceded by a :func:`cross_check_engines` pass over
     ``cross_check_rounds`` rounds; any divergence raises
-    :class:`~repro.exceptions.SimulationError`.
+    :class:`~repro.exceptions.SimulationError`.  The cross-check always runs
+    at float64 — the tier where bit-parity is the contract — regardless of
+    the requested ``dtype``.
     """
     config = SimulationConfig(
         max_rounds=max_rounds,
@@ -936,7 +1185,7 @@ def run_vectorized(
                 f"{report.first_divergence_round} (max abs difference "
                 f"{report.max_abs_difference:.3e})"
             )
-        adversary = copy.deepcopy(adversary) if adversary is not None else None
+        adversary = copy.deepcopy(adversary)
     engine = VectorizedEngine(
         graph=graph,
         rule=rule,
@@ -944,5 +1193,7 @@ def run_vectorized(
         adversary=adversary,
         config=config,
         schedule=schedule,
+        dtype=dtype,
+        max_plane_bytes=max_plane_bytes,
     )
     return engine.run(inputs)

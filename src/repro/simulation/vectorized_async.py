@@ -18,16 +18,19 @@ arrays over the ``E`` directed channels into fault-free receivers:
   (max_delay + 1)`` is overwritten every message it held has already been
   delivered; no per-message bookkeeping survives.
 
-Each round is: adversary-scatter into the sent-value plane → ring write →
-masked "freshest send wins" delivery sweep (oldest slot first, exactly the
-scalar engine's ``send_round >= stored_round`` rule) → the same per-in-degree
-gather → sort → trim → cumsum kernel as
-:class:`~repro.simulation.vectorized.VectorizedEngine` → activation mask →
-faulty-column overwrite.  Because the delivered floats are bit-identical to
-the scalar buffers and the reduction reuses the synchronous kernel, a
-vectorized execution is **bit-for-bit identical** to the scalar asynchronous
-engine under the shared RNG-stream contract — enforced by
-:func:`async_cross_check_engines` and the cross-engine parity suite.
+The channel axis ``E`` is the synchronous engine's canonical CSR order
+(channel ``k`` carries sender ``csr_indices[k]`` into its receiver), so each
+round is: adversary-scatter into the sent-value plane → ring write → masked
+"freshest send wins" delivery sweep (oldest slot first, exactly the scalar
+engine's ``send_round >= stored_round`` rule) → one gather of the delivered
+values into the bucket-major plane → the same sort → trim → cumsum slab
+kernel as :class:`~repro.simulation.vectorized.VectorizedEngine` →
+activation mask → faulty-column overwrite.  Because the delivered floats are
+bit-identical to the scalar buffers and the reduction is the synchronous
+kernel, a vectorized execution is **bit-for-bit identical** to the scalar
+asynchronous engine under the shared RNG-stream contract — enforced by
+:func:`~repro.simulation.vectorized.cross_check_engines` (with
+``max_delay``) and the cross-engine parity suite.
 
 RNG-stream contract
 -------------------
@@ -47,7 +50,6 @@ degenerates to the synchronous kernel, making the engine bit-exact with
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,25 +58,16 @@ import numpy as np
 from repro.adversary.base import ByzantineStrategy
 from repro.adversary.vectorized import BatchStrategy
 from repro.algorithms.base import UpdateRule
-from repro.exceptions import (
-    InvalidParameterError,
-    SimulationError,
-    ValidityViolationError,
-)
+from repro.exceptions import InvalidParameterError, ValidityViolationError
 from repro.graphs.digraph import Digraph
-from repro.simulation.async_engine import (
-    PartiallyAsynchronousEngine,
-    canonical_edge_order,
-)
 from repro.simulation.dynamic import TopologySchedule
 from repro.simulation.engine import SimulationConfig
 from repro.simulation.metrics import VALIDITY_TOLERANCE, within_hull
 from repro.simulation.trace import ExecutionTrace
 from repro.simulation.vectorized import (
     BatchOutcome,
-    EquivalenceReport,
     VectorizedEngine,
-    _divergence_report,
+    reduce_plane,
 )
 from repro.types import ConsensusOutcome, NodeId, ValueMap
 
@@ -197,72 +190,11 @@ class VectorizedAsyncEngine(VectorizedEngine):
         )
         self._max_delay = int(max_delay)
         self._update_probability = float(update_probability)
-        self._build_async_arrays()
-
-    # ------------------------------------------------------------------
-    # Index construction
-    # ------------------------------------------------------------------
-    def _build_async_arrays(self) -> None:
-        """Precompute the channel-axis index arrays for the delivery buffers.
-
-        The buffer axis enumerates the directed channels into fault-free
-        receivers in receiver-major order (receivers by state column, senders
-        by ``repr`` within a receiver) so that each in-degree group's gather
-        from ``buffer_values`` lands in the same slot order as the
-        synchronous kernel's gather from the state matrix.
-        """
-        graph = self._graph
-        rng_edges = canonical_edge_order(graph)
-        self._rng_edge_count = len(rng_edges)
-        rng_position = {edge: k for k, edge in enumerate(rng_edges)}
-
-        channel_position = {edge: k for k, edge in enumerate(self._edge_nodes)}
-        buffer_edges: list[tuple[NodeId, NodeId]] = []
-        faulty_positions: list[int] = []
-        faulty_channels: list[int] = []
-        for column in self._ff_cols:
-            receiver = self._nodes[column]
-            for sender in sorted(graph.in_neighbors(receiver), key=repr):
-                if sender in self._faulty:
-                    faulty_positions.append(len(buffer_edges))
-                    faulty_channels.append(channel_position[(sender, receiver)])
-                buffer_edges.append((sender, receiver))
-        self._buffer_edges = tuple(buffer_edges)
-        buffer_position = {edge: k for k, edge in enumerate(buffer_edges)}
-
-        self._buffer_src_cols = np.array(
-            [self._column[sender] for sender, _target in buffer_edges], dtype=int
-        )
-        self._buffer_rng_positions = np.array(
-            [rng_position[edge] for edge in buffer_edges], dtype=int
-        )
-        self._buffer_faulty_positions = np.array(faulty_positions, dtype=int)
-        self._buffer_faulty_channels = np.array(faulty_channels, dtype=int)
-
-        self._group_buffer_idx: list[np.ndarray] = []
-        for group in self._groups:
-            rows = [
-                [
-                    buffer_position[(sender, self._nodes[column])]
-                    for sender in sorted(
-                        graph.in_neighbors(self._nodes[column]), key=repr
-                    )
-                ]
-                for column in group.columns
-            ]
-            self._group_buffer_idx.append(
-                np.array(rows, dtype=int).reshape(len(group.columns), group.degree)
-            )
-
-        # Canonical-edge position of each buffer channel, for translating a
-        # schedule's (E,) edge mask onto the buffer axis.  Built here (not in
-        # _build_schedule_arrays) because the buffer order above does not
-        # exist yet while super().__init__ runs.
-        if self._schedule is not None:
-            self._buffer_edge_pos = np.array(
-                [self._sched_layout.edge_index[edge] for edge in buffer_edges],
-                dtype=int,
-            )
+        # The per-round delay draw is indexed in the canonical sender-major
+        # edge order; a schedule already made the CSR-slot translation.
+        if schedule is None:
+            self._build_edge_arrays()
+        self._rng_edge_count = self._sched_layout.edge_count
 
     # ------------------------------------------------------------------
     # Properties
@@ -285,9 +217,9 @@ class VectorizedAsyncEngine(VectorizedEngine):
         sender's input tagged with send round 0, the ring entirely empty."""
         batch = state.shape[0]
         depth = self._max_delay + 1
-        edges = len(self._buffer_edges)
+        edges = self.nnz
         return _DeliveryBuffers(
-            buffer_values=np.array(state[:, self._buffer_src_cols]),
+            buffer_values=state[:, self._csr_indices],
             buffer_rounds=np.zeros((batch, edges), dtype=np.int64),
             ring_values=np.zeros((batch, edges, depth), dtype=float),
             ring_deliveries=np.zeros((batch, edges, depth), dtype=np.int64),
@@ -365,7 +297,6 @@ class VectorizedAsyncEngine(VectorizedEngine):
         """
         state = np.asarray(state, dtype=float)
         batch = state.shape[0]
-        f = self._rule.f
 
         # Masks compose with the delivery machinery, not the reduce kernel:
         # a masked channel's message is written but never comes due, and
@@ -376,25 +307,10 @@ class VectorizedAsyncEngine(VectorizedEngine):
 
         # 1. The values every channel carries this round: senders' states,
         #    with the adversary's channel values scattered over faulty edges.
-        sent = np.array(state[:, self._buffer_src_cols])
-        context = None
-        if self._faulty_cols.size:
-            context = self._context(
-                state, round_index, active_edge_mask=self._channel_mask(activity)
-            )
-            channel_values = np.asarray(
-                self._adversary.edge_values(context), dtype=float
-            )
-            expected = (batch, len(self._edge_nodes))
-            if channel_values.shape != expected:
-                raise SimulationError(
-                    f"batch adversary {self._adversary.name!r} returned edge "
-                    f"values of shape {channel_values.shape}; expected {expected}"
-                )
-            if self._buffer_faulty_positions.size:
-                sent[:, self._buffer_faulty_positions] = channel_values[
-                    :, self._buffer_faulty_channels
-                ]
+        sent = state[:, self._csr_indices]
+        context, channel_values = self._adversary_fill(state, round_index, activity)
+        if channel_values is not None:
+            sent[:, self._edge_csr_pos] = channel_values
 
         # 2. Ring write.  The slot being overwritten held send round
         #    round_index − (max_delay + 1), whose last possible delivery was
@@ -407,14 +323,14 @@ class VectorizedAsyncEngine(VectorizedEngine):
             buffers.ring_deliveries[:, :, slot] = round_index
         else:
             buffers.ring_deliveries[:, :, slot] = (
-                round_index + delays[:, self._buffer_rng_positions]
+                round_index + delays[:, self._csr_edge_pos]
             )
         if activity is not None:
-            up = np.ones(len(self._buffer_edges), dtype=bool)
+            up = np.ones(self.nnz, dtype=bool)
             if activity.edge_up is not None:
-                up &= activity.edge_up[self._buffer_edge_pos]
+                up &= activity.edge_up[self._csr_edge_pos]
             if activity.awake is not None:
-                up &= activity.awake[self._buffer_src_cols]
+                up &= activity.awake[self._csr_indices]
             silent = np.flatnonzero(~up)
             if silent.size:
                 buffers.ring_deliveries[:, silent, slot] = _NEVER
@@ -436,22 +352,17 @@ class VectorizedAsyncEngine(VectorizedEngine):
                     due, buffers.ring_values[:, :, slot_index], buffers.buffer_values
                 )
 
-        # 4. The synchronous reduction kernel, fed from the delivery buffers
-        #    instead of the raw state matrix.
+        # 4. The synchronous slab kernel, fed from the delivery buffers (one
+        #    gather into plane layout) instead of the raw state matrix.
         new_state = np.array(state)
-        for group, buffer_idx in zip(self._groups, self._group_buffer_idx):
-            received = buffers.buffer_values[:, buffer_idx]
-            received.sort(axis=-1)
-            survivors = received[:, :, f : group.degree - f]
-            own = state[:, group.columns]
-            if self._mode == "mean":
-                full = np.concatenate([own[:, :, None], survivors], axis=2)
-                totals = np.cumsum(full, axis=2)[:, :, -1]
-                new_state[:, group.columns] = totals / float(full.shape[2])
-            else:  # midpoint
-                mins = np.minimum(own, survivors.min(axis=2, initial=np.inf))
-                maxs = np.maximum(own, survivors.max(axis=2, initial=-np.inf))
-                new_state[:, group.columns] = (mins + maxs) / 2.0
+        reduce_plane(
+            buffers.buffer_values[:, self._plane_order],
+            state,
+            new_state,
+            self._buckets,
+            self._rule.f,
+            self._mode,
+        )
 
         # 5. Sporadic activation: inactive nodes keep their previous state
         #    (their buffers kept absorbing deliveries above).  Receiver sleep
@@ -472,18 +383,7 @@ class VectorizedAsyncEngine(VectorizedEngine):
             )
 
         # 6. Faulty columns record the adversary's nominal values.
-        if self._faulty_cols.size:
-            assert context is not None
-            nominal = np.asarray(
-                self._adversary.nominal_values(context), dtype=float
-            )
-            expected = (batch, self._faulty_cols.shape[0])
-            if nominal.shape != expected:
-                raise SimulationError(
-                    f"batch adversary {self._adversary.name!r} returned nominal "
-                    f"values of shape {nominal.shape}; expected {expected}"
-                )
-            new_state[:, self._faulty_cols] = nominal
+        self._write_nominal(context, new_state)
         return new_state
 
     def run(
@@ -497,7 +397,7 @@ class VectorizedAsyncEngine(VectorizedEngine):
         outcome — every field, including the per-round history — is
         bit-identical to :class:`PartiallyAsynchronousEngine` for the same
         configuration, the adversary permitting (see
-        :func:`async_cross_check_engines`).
+        :func:`~repro.simulation.vectorized.cross_check_engines`).
         """
         config = self._config
         state = self.pack_inputs(inputs)
@@ -646,82 +546,6 @@ class VectorizedAsyncEngine(VectorizedEngine):
             final_states=state,
             spread_history=np.stack(history) if history is not None else None,
         )
-
-
-def async_cross_check_engines(
-    graph: Digraph,
-    rule: UpdateRule,
-    inputs: ValueMap,
-    faulty: frozenset[NodeId] | set[NodeId] = frozenset(),
-    adversary: ByzantineStrategy | None = None,
-    config: SimulationConfig | None = None,
-    max_delay: int = 1,
-    update_probability: float = 1.0,
-    seed: int = 0,
-    schedule: TopologySchedule | None = None,
-) -> EquivalenceReport:
-    """Run both asynchronous engines from one seed and compare every round.
-
-    Each engine gets a deep copy of the scalar ``adversary`` and its own
-    ``default_rng(seed)``; under the shared RNG-stream contract the two
-    executions must then be bit-identical at every node of every recorded
-    round.  Intended for small instances — it pays the scalar engine's cost.
-    """
-    if adversary is not None and not isinstance(adversary, ByzantineStrategy):
-        raise InvalidParameterError(
-            "async_cross_check_engines needs a scalar ByzantineStrategy (or "
-            "None); a BatchStrategy has no scalar counterpart to compare against"
-        )
-    chosen_config = config if config is not None else SimulationConfig()
-    if not chosen_config.record_history:
-        chosen_config = SimulationConfig(
-            max_rounds=chosen_config.max_rounds,
-            tolerance=chosen_config.tolerance,
-            record_history=True,
-            strict_validity=chosen_config.strict_validity,
-            stop_on_convergence=chosen_config.stop_on_convergence,
-        )
-
-    scalar_engine = PartiallyAsynchronousEngine(
-        graph=graph,
-        rule=rule,
-        faulty=faulty,
-        adversary=copy.deepcopy(adversary) if adversary is not None else None,
-        config=chosen_config,
-        max_delay=max_delay,
-        update_probability=update_probability,
-        rng=np.random.default_rng(seed),
-        schedule=copy.deepcopy(schedule) if schedule is not None else None,
-    )
-    vector_engine = VectorizedAsyncEngine(
-        graph=graph,
-        rule=rule,
-        faulty=faulty,
-        adversary=copy.deepcopy(adversary) if adversary is not None else None,
-        config=chosen_config,
-        max_delay=max_delay,
-        update_probability=update_probability,
-        schedule=copy.deepcopy(schedule) if schedule is not None else None,
-    )
-    scalar_outcome = scalar_engine.run(inputs)
-    vector_outcome = vector_engine.run(inputs, rng=np.random.default_rng(seed))
-
-    # Histories include the round-0 record; count executed rounds so the
-    # report's rounds_checked matches the synchronous cross_check_engines.
-    rounds_checked = max(
-        0, min(len(scalar_outcome.history), len(vector_outcome.history)) - 1
-    )
-    return _divergence_report(
-        rounds_checked,
-        (
-            (scalar_record.round_index, scalar_record.values[node], vector_record.values[node])
-            for scalar_record, vector_record in zip(
-                scalar_outcome.history, vector_outcome.history
-            )
-            for node in graph.nodes
-        ),
-        length_mismatch=len(scalar_outcome.history) != len(vector_outcome.history),
-    )
 
 
 def run_vectorized_async(

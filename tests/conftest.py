@@ -9,10 +9,11 @@ be copy-pasted across ``test_engine_parity.py`` / ``test_adversary_batch.py``
 * :func:`make_scalar_adversary` — the shared scalar adversary factory;
 * the **engine axis**: :data:`SYNC_ENGINE_KINDS` /
   :func:`run_sync_engine` run one synchronous execution through any of the
-  four engine tiers (scalar reference, dense vectorized, sparse CSR, or the
-  vectorized async engine degenerated to ``max_delay=0, p=1.0``), and
-  :func:`make_batch_engine` builds a batch engine for the dense/sparse/async
-  tiers with one shared configuration.
+  engine tiers (scalar reference, vectorized, vectorized with a one-row
+  tile budget, or the vectorized async engine degenerated to
+  ``max_delay=0, p=1.0``), and :func:`make_batch_engine` builds a batch
+  engine for the vectorized/tiled/async tiers with one shared
+  configuration.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ from repro.graphs import (
 )
 from repro.simulation import (
     SimulationConfig,
-    SparseEngine,
     VectorizedAsyncEngine,
     VectorizedEngine,
-    run_sparse,
     run_synchronous,
     run_vectorized,
     run_vectorized_async,
@@ -142,12 +141,16 @@ def make_scalar_adversary(kind: str):
 # ---------------------------------------------------------------------------
 
 #: The synchronous engine tiers every differential suite sweeps: the scalar
-#: reference, the dense vectorized engine, the sparse CSR engine, and the
-#: vectorized async engine degenerated to the synchronous point.
-SYNC_ENGINE_KINDS = ("scalar", "dense", "sparse", "async-degenerate")
+#: reference, the vectorized engine, the vectorized engine streaming one row
+#: per plane tile, and the vectorized async engine degenerated to the
+#: synchronous point.
+SYNC_ENGINE_KINDS = ("scalar", "vectorized", "tiled", "async-degenerate")
 
 #: The batch-capable engine tiers (everything but the scalar reference).
-BATCH_ENGINE_KINDS = ("dense", "sparse", "async-degenerate")
+BATCH_ENGINE_KINDS = ("vectorized", "tiled", "async-degenerate")
+
+#: Plane budget of the ``tiled`` tier: one byte, so every tile is one row.
+TILED_PLANE_BYTES = 1
 
 
 def run_sync_engine(
@@ -171,12 +174,10 @@ def run_sync_engine(
         return run_synchronous(
             graph, rule, inputs, faulty=faulty, adversary=adversary, **kwargs
         )
-    if engine_kind == "dense":
+    if engine_kind in ("vectorized", "tiled"):
+        if engine_kind == "tiled":
+            kwargs["max_plane_bytes"] = TILED_PLANE_BYTES
         return run_vectorized(
-            graph, rule, inputs, faulty=faulty, adversary=adversary, **kwargs
-        )
-    if engine_kind == "sparse":
-        return run_sparse(
             graph, rule, inputs, faulty=faulty, adversary=adversary, **kwargs
         )
     if engine_kind == "async-degenerate":
@@ -207,13 +208,14 @@ def make_batch_engine(
 ):
     """Build a batch engine of the requested tier with one shared config.
 
-    The sparse tier honours ``dtype`` / ``max_plane_bytes``; the dense and
-    async-degenerate tiers ignore them (they are float64-only).  Note that
+    The vectorized tier honours ``dtype`` / ``max_plane_bytes``, the tiled
+    tier ``dtype`` (its budget is :data:`TILED_PLANE_BYTES`); the
+    async-degenerate tier ignores both (it is float64-only).  Note that
     under a schedule that actually masks something the async-degenerate tier
     intentionally leaves the synchronous equality set (never-delivered
     semantics instead of self-substitution).
     """
-    if engine_kind == "dense":
+    if engine_kind in ("vectorized", "tiled"):
         return VectorizedEngine(
             graph,
             rule,
@@ -221,17 +223,10 @@ def make_batch_engine(
             adversary=adversary,
             config=config,
             schedule=schedule,
-        )
-    if engine_kind == "sparse":
-        return SparseEngine(
-            graph,
-            rule,
-            faulty=faulty,
-            adversary=adversary,
-            config=config,
-            schedule=schedule,
             dtype=dtype,
-            max_plane_bytes=max_plane_bytes,
+            max_plane_bytes=(
+                TILED_PLANE_BYTES if engine_kind == "tiled" else max_plane_bytes
+            ),
         )
     if engine_kind == "async-degenerate":
         return VectorizedAsyncEngine(

@@ -5,20 +5,24 @@ rule, adversary, batch size, tile budget, round count, **and topology
 schedule** (periodic edge outages, seeded random edge up/down, periodic or
 random churn, or their AND-composition) — from a single integer seed, then:
 
-1. runs the same batch through the dense
-   :class:`~repro.simulation.vectorized.VectorizedEngine` and the CSR
-   :class:`~repro.simulation.sparse.SparseEngine` under deep copies of the
-   same schedule and requires every :class:`BatchOutcome` array to match
-   exactly (``np.array_equal``, never ``allclose``); and
-2. for scalar-expressible adversaries, replays one batch row through the
-   scalar :class:`~repro.simulation.engine.SynchronousEngine` in lockstep
-   with a fresh dense engine
+1. runs the same batch through the
+   :class:`~repro.simulation.vectorized.VectorizedEngine` untiled and in
+   tiles of one to three rows (deep copies of the same schedule; every
+   ``B > 1`` draw really tiles) and requires every :class:`BatchOutcome`
+   array to match exactly (``np.array_equal``, never ``allclose``);
+2. replays batch row 0 through the scalar
+   :class:`~repro.simulation.engine.SynchronousEngine` under the same
+   schedule, with the adversary's scalar form (a batch-native strategy is
+   replayed through its scalar counterpart), and requires row 0's final
+   state, spread series and verdicts to match it exactly; and
+3. for scalar-expressible adversaries, replays one batch row through the
+   scalar engine in lockstep with a fresh vectorized engine
    (:func:`~repro.simulation.vectorized.cross_check_engines` with the
    schedule) and requires the full trajectory to be bit-identical.
 
 The batch-native :class:`~repro.adversary.vectorized.BatchAdaptiveStrategy`
 (greedy and 1-lookahead) has no scalar counterpart, so its seeds exercise
-the dense/sparse pair only — it is deterministic, which is what makes it
+the untiled/tiled pair only — it is deterministic, which is what makes it
 fuzzable at all.
 
 The first :data:`FAST_CASES` seeds run in the default suite; the remaining
@@ -40,6 +44,8 @@ from repro.adversary import (
     BatchRandomNoiseStrategy,
     BatchStaticValueStrategy,
     ExtremePushStrategy,
+    FrozenValueStrategy,
+    RandomNoiseStrategy,
     StaticValueStrategy,
 )
 from repro.algorithms import TrimmedMeanRule, TrimmedMidpointRule
@@ -58,10 +64,12 @@ from repro.simulation import (
     RandomEdgeSchedule,
     ScheduleLayout,
     SimulationConfig,
-    SparseEngine,
     StaticSchedule,
+    SynchronousEngine,
     VectorizedEngine,
     cross_check_engines,
+    spawn_row_generators,
+    spreads_from_records,
 )
 from repro.simulation.vectorized import random_input_matrix
 
@@ -73,7 +81,7 @@ TOTAL_CASES = 150
 FAMILIES = ("complete", "core", "core-like", "ring", "k-in-regular")
 
 #: Adversary kinds; the scalar-expressible ones additionally run the
-#: scalar-vs-dense lockstep check.
+#: scalar-vs-vectorized lockstep check.
 STRATEGY_KINDS = (
     "none",
     "scalar-extreme",
@@ -121,38 +129,51 @@ def _draw_graph(rng: np.random.Generator, f: int):
 
 
 def _draw_strategy(rng: np.random.Generator, seed: int):
-    """Return ``(scalar blueprint or None, batch blueprint)`` for one kind.
+    """Return ``(kind, batch blueprint, row-0 scalar twin or None)``.
 
-    The scalar blueprint is ``None`` for batch-only kinds; for
-    scalar-expressible kinds both blueprints denote the same adversary, so
-    the lockstep check can hand the scalar form to
-    :func:`cross_check_engines` while the batch engines get the batch form.
+    The twin maps the batch size to the scalar strategy that replays batch
+    row 0 on the scalar engine: the scalar blueprint itself for
+    scalar-expressible kinds (the lockstep check hands it to
+    :func:`cross_check_engines`), a batch-native strategy's scalar
+    counterpart otherwise (for random noise, seeded with row 0's spawned
+    stream).  It is ``None`` for the adaptive kinds, which have no scalar
+    form.
     """
     kind = STRATEGY_KINDS[int(rng.integers(len(STRATEGY_KINDS)))]
     if kind == "none":
-        return kind, None, None
+        return kind, None, lambda batch: None
     if kind == "scalar-extreme":
-        strategy = ExtremePushStrategy(delta=float(rng.uniform(0.5, 5.0)))
-        return kind, strategy, strategy
+        extreme = ExtremePushStrategy(delta=float(rng.uniform(0.5, 5.0)))
+        return kind, extreme, lambda batch: extreme
     if kind == "scalar-static":
-        strategy = StaticValueStrategy(float(rng.uniform(-10.0, 10.0)))
-        return kind, strategy, strategy
+        static = StaticValueStrategy(float(rng.uniform(-10.0, 10.0)))
+        return kind, static, lambda batch: static
     if kind == "batch-static":
-        return kind, None, BatchStaticValueStrategy(float(rng.uniform(-10.0, 10.0)))
+        value = float(rng.uniform(-10.0, 10.0))
+        return kind, BatchStaticValueStrategy(value), (
+            lambda batch: StaticValueStrategy(value)
+        )
     if kind == "batch-extreme":
-        return kind, None, BatchExtremePushStrategy(float(rng.uniform(0.5, 5.0)))
+        delta = float(rng.uniform(0.5, 5.0))
+        return kind, BatchExtremePushStrategy(delta), (
+            lambda batch: ExtremePushStrategy(delta)
+        )
     if kind == "batch-frozen":
-        return kind, None, BatchFrozenValueStrategy()
+        return kind, BatchFrozenValueStrategy(), lambda batch: FrozenValueStrategy()
     if kind == "batch-noise":
-        return kind, None, BatchRandomNoiseStrategy(-5.0, 5.0, rng=seed)
+        return kind, BatchRandomNoiseStrategy(-5.0, 5.0, rng=seed), (
+            lambda batch: RandomNoiseStrategy(
+                -5.0, 5.0, rng=spawn_row_generators(seed, batch)[0]
+            )
+        )
     mode = "greedy" if kind == "adaptive-greedy" else "lookahead"
     rule_mode = "mean" if rng.random() < 0.7 else "midpoint"
     return (
         kind,
-        None,
         BatchAdaptiveStrategy(
             mode=mode, delta=float(rng.uniform(0.5, 3.0)), rule_mode=rule_mode
         ),
+        None,
     )
 
 
@@ -189,13 +210,13 @@ def _fuzz_one(seed: int) -> None:
         int(c) for c in rng.choice(len(nodes), size=fault_count, replace=False)
     )
     rule_factory = TrimmedMeanRule if rng.random() < 0.7 else TrimmedMidpointRule
-    kind, scalar_adversary, batch_adversary = (
-        _draw_strategy(rng, seed) if faulty else ("none", None, None)
+    kind, batch_adversary, twin = (
+        _draw_strategy(rng, seed) if faulty else ("none", None, lambda batch: None)
     )
     schedule = _draw_schedule(rng, graph, seed)
     batch = int(rng.choice([1, 4, 16]))
     rounds = int(rng.integers(4, 11))
-    max_plane_bytes = [None, 1 << 12, 1 << 16][int(rng.integers(3))]
+    tile_rows = int(rng.integers(1, 4))
 
     config = SimulationConfig(
         max_rounds=rounds,
@@ -203,7 +224,7 @@ def _fuzz_one(seed: int) -> None:
         record_history=True,
         stop_on_convergence=False,
     )
-    dense = VectorizedEngine(
+    untiled = VectorizedEngine(
         graph,
         rule_factory(f),
         faulty=faulty,
@@ -211,55 +232,77 @@ def _fuzz_one(seed: int) -> None:
         config=config,
         schedule=copy.deepcopy(schedule),
     )
-    sparse = SparseEngine(
+    tiled = VectorizedEngine(
         graph,
         rule_factory(f),
         faulty=faulty,
         adversary=copy.deepcopy(batch_adversary),
         config=config,
         schedule=copy.deepcopy(schedule),
-        max_plane_bytes=max_plane_bytes,
+        max_plane_bytes=tile_rows * untiled.plane_bytes_per_row,
     )
+    assert tiled.plane_tile_rows(batch) == min(tile_rows, batch)
 
-    matrix = random_input_matrix(dense.nodes, batch, rng=rng)
-    dense_out = dense.run_batch(matrix.copy())
-    sparse_out = sparse.run_batch(matrix.copy())
+    matrix = random_input_matrix(untiled.nodes, batch, rng=rng)
+    untiled_out = untiled.run_batch(matrix.copy())
+    tiled_out = tiled.run_batch(matrix.copy())
 
     label = (
         f"seed={seed} n={len(nodes)} f={f} |F|={len(faulty)} B={batch} "
-        f"rounds={rounds} tile={max_plane_bytes} adversary={kind} "
+        f"rounds={rounds} tile_rows={tile_rows} adversary={kind} "
         f"schedule={schedule.name}"
     )
-    assert np.array_equal(dense_out.final_states, sparse_out.final_states), label
-    assert np.array_equal(dense_out.converged, sparse_out.converged), label
+    assert np.array_equal(untiled_out.final_states, tiled_out.final_states), label
+    assert np.array_equal(untiled_out.converged, tiled_out.converged), label
     assert np.array_equal(
-        dense_out.rounds_executed, sparse_out.rounds_executed
+        untiled_out.rounds_executed, tiled_out.rounds_executed
     ), label
     assert np.array_equal(
-        dense_out.initial_spread, sparse_out.initial_spread
+        untiled_out.initial_spread, tiled_out.initial_spread
     ), label
-    assert np.array_equal(dense_out.final_spread, sparse_out.final_spread), label
-    assert np.array_equal(dense_out.validity_ok, sparse_out.validity_ok), label
+    assert np.array_equal(untiled_out.final_spread, tiled_out.final_spread), label
+    assert np.array_equal(untiled_out.validity_ok, tiled_out.validity_ok), label
     assert np.array_equal(
-        dense_out.spread_history, sparse_out.spread_history
+        untiled_out.spread_history, tiled_out.spread_history
     ), label
 
-    # Scalar lockstep: one batch row, scalar reference vs a fresh dense
+    # Independent reference: row 0 replayed on the scalar engine.
+    if twin is not None:
+        scalar = SynchronousEngine(
+            graph,
+            rule_factory(f),
+            faulty=faulty,
+            adversary=copy.deepcopy(twin(batch)),
+            config=config,
+            schedule=copy.deepcopy(schedule),
+        ).run(dict(zip(untiled.nodes, matrix[0].tolist())))
+        final = scalar.history[-1].values
+        assert [final[node] for node in untiled.nodes] == (
+            untiled_out.final_states[0].tolist()
+        ), label
+        assert np.array_equal(
+            spreads_from_records(scalar.history), untiled_out.spread_history[:, 0]
+        ), label
+        assert scalar.rounds_executed == untiled_out.rounds_executed[0], label
+        assert scalar.converged == bool(untiled_out.converged[0]), label
+        assert scalar.validity_ok == bool(untiled_out.validity_ok[0]), label
+
+    # Scalar lockstep: one batch row, scalar reference vs a fresh vectorized
     # engine, full trajectory, same schedule.
     if kind in SCALAR_EXPRESSIBLE:
         row = int(rng.integers(batch))
         report = cross_check_engines(
             graph=graph,
             rule=rule_factory(f),
-            inputs=dict(zip(dense.nodes, matrix[row].tolist())),
+            inputs=dict(zip(untiled.nodes, matrix[row].tolist())),
             faulty=faulty,
-            adversary=copy.deepcopy(scalar_adversary),
+            adversary=copy.deepcopy(twin(batch)),
             config=config,
             rounds=rounds,
             schedule=copy.deepcopy(schedule),
         )
         assert report.identical, (
-            f"{label}: scalar/dense diverged at round "
+            f"{label}: scalar/vectorized diverged at round "
             f"{report.first_divergence_round} "
             f"(max |diff| {report.max_abs_difference})"
         )

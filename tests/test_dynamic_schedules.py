@@ -44,8 +44,8 @@ from repro.simulation import (
     StaticSchedule,
     VectorizedAsyncEngine,
     VectorizedEngine,
-    async_cross_check_engines,
     canonical_edge_order,
+    cross_check_engines,
 )
 from repro.simulation.metrics import VALIDITY_TOLERANCE
 
@@ -118,9 +118,9 @@ def test_all_up_random_schedule_equals_static(schedule):
         tolerance=0.0,
         record_history=True,
     )
-    bare = run_sync_engine("dense", graph, TrimmedMeanRule(1), inputs, **kwargs)
+    bare = run_sync_engine("vectorized", graph, TrimmedMeanRule(1), inputs, **kwargs)
     masked = run_sync_engine(
-        "dense", graph, TrimmedMeanRule(1), inputs, schedule=schedule, **kwargs
+        "vectorized", graph, TrimmedMeanRule(1), inputs, schedule=schedule, **kwargs
     )
     assert _histories_equal(bare.history, masked.history)
 
@@ -170,7 +170,7 @@ def test_async_engines_stay_bit_identical_under_masks():
         RandomEdgeSchedule(p_up=0.75, seed=5),
         RandomChurnSchedule(p_awake=0.8, seed=5),
     )
-    report = async_cross_check_engines(
+    report = cross_check_engines(
         graph=graph,
         rule=TrimmedMeanRule(2),
         inputs=_inputs_for(graph),

@@ -4,12 +4,12 @@ Four equivalence layers, each parametrized over the shared graph-family
 matrix in ``conftest.py`` (:data:`conftest.SYNC_FAMILY_CASES`):
 
 1. **Synchronous quartet** — the scalar :class:`SynchronousEngine`, the
-   dense :class:`VectorizedEngine`, the CSR :class:`SparseEngine`, and the
+   :class:`VectorizedEngine` untiled and with a one-row plane tile, and the
    vectorized :class:`VectorizedAsyncEngine` degenerated to ``max_delay=0,
    update_probability=1.0`` produce identical trajectories (``==`` on
    floats, never ``approx``).
-2. **Batch differential** — dense and sparse ``run_batch`` agree on every
-   output array at ``B = 1`` and ``B = 64``.
+2. **Batch differential** — untiled and one-row-tiled ``run_batch`` agree
+   on every output array at ``B = 1`` and ``B = 64``.
 3. **Asynchronous pair** — the scalar :class:`PartiallyAsynchronousEngine`
    and :class:`VectorizedAsyncEngine` agree round-for-round under the shared
    RNG-stream contract (same seed → same delay draws and activation coins).
@@ -37,7 +37,7 @@ from repro.simulation import (
     PartiallyAsynchronousEngine,
     SimulationConfig,
     VectorizedAsyncEngine,
-    async_cross_check_engines,
+    cross_check_engines,
     linear_ramp_inputs,
     run_vectorized_async,
     spawn_row_generators,
@@ -54,7 +54,7 @@ from repro.simulation.vectorized import random_input_matrix
 def test_sync_quartet_bit_exact(
     label, graph_factory, f, faulty, rule_factory, adversary_kind
 ):
-    """Scalar == dense == sparse == async-degenerate, float-for-float.
+    """Scalar == vectorized == tiled == async-degenerate, float-for-float.
 
     Every engine gets a fresh adversary instance; with tolerance 0 identical
     trajectories stop at identical rounds, so the histories must have equal
@@ -77,7 +77,7 @@ def test_sync_quartet_bit_exact(
             adversary=make_scalar_adversary(adversary_kind),
             **kwargs,
         )
-        for engine_kind in ("scalar", "dense", "sparse", "async-degenerate")
+        for engine_kind in ("scalar", "vectorized", "tiled", "async-degenerate")
     }
     scalar = outcomes.pop("scalar")
     for engine_kind, outcome in outcomes.items():
@@ -96,10 +96,10 @@ def test_sync_quartet_bit_exact(
     SYNC_FAMILY_CASES,
     ids=SYNC_FAMILY_IDS,
 )
-def test_batch_dense_vs_sparse_bit_exact(
+def test_batch_untiled_vs_tiled_bit_exact(
     label, graph_factory, f, faulty, rule_factory, adversary_kind, batch
 ):
-    """run_batch parity: dense and sparse agree on every output array."""
+    """run_batch parity: untiled and tiled agree on every output array."""
     graph = graph_factory()
     config = SimulationConfig(
         max_rounds=12,
@@ -108,7 +108,7 @@ def test_batch_dense_vs_sparse_bit_exact(
         stop_on_convergence=False,
     )
     outcomes = {}
-    for engine_kind in ("dense", "sparse"):
+    for engine_kind in ("vectorized", "tiled"):
         engine = make_batch_engine(
             engine_kind,
             graph,
@@ -119,15 +119,15 @@ def test_batch_dense_vs_sparse_bit_exact(
         )
         matrix = random_input_matrix(engine.nodes, batch, rng=17)
         outcomes[engine_kind] = engine.run_batch(matrix)
-    dense, sparse = outcomes["dense"], outcomes["sparse"]
-    assert dense.nodes == sparse.nodes
-    assert np.array_equal(dense.final_states, sparse.final_states)
-    assert np.array_equal(dense.converged, sparse.converged)
-    assert np.array_equal(dense.rounds_executed, sparse.rounds_executed)
-    assert np.array_equal(dense.initial_spread, sparse.initial_spread)
-    assert np.array_equal(dense.final_spread, sparse.final_spread)
-    assert np.array_equal(dense.validity_ok, sparse.validity_ok)
-    assert np.array_equal(dense.spread_history, sparse.spread_history)
+    untiled, tiled = outcomes["vectorized"], outcomes["tiled"]
+    assert untiled.nodes == tiled.nodes
+    assert np.array_equal(untiled.final_states, tiled.final_states)
+    assert np.array_equal(untiled.converged, tiled.converged)
+    assert np.array_equal(untiled.rounds_executed, tiled.rounds_executed)
+    assert np.array_equal(untiled.initial_spread, tiled.initial_spread)
+    assert np.array_equal(untiled.final_spread, tiled.final_spread)
+    assert np.array_equal(untiled.validity_ok, tiled.validity_ok)
+    assert np.array_equal(untiled.spread_history, tiled.spread_history)
 
 
 @pytest.mark.parametrize("engine_kind", BATCH_ENGINE_KINDS)
@@ -139,7 +139,7 @@ def test_batch_engines_share_canonical_channel_order(engine_kind):
     """
     graph = core_network(10, 2)
     reference = make_batch_engine(
-        "dense", graph, TrimmedMeanRule(2), faulty=frozenset({8, 9})
+        "vectorized", graph, TrimmedMeanRule(2), faulty=frozenset({8, 9})
     )
     candidate = make_batch_engine(
         engine_kind, graph, TrimmedMeanRule(2), faulty=frozenset({8, 9})
@@ -175,7 +175,7 @@ def test_async_pair_bit_exact(
 ):
     """Scalar async == vectorized async under the shared RNG-stream contract."""
     graph = graph_factory()
-    report = async_cross_check_engines(
+    report = cross_check_engines(
         graph,
         rule_factory(f),
         uniform_random_inputs(graph.nodes, rng=seed),

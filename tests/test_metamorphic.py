@@ -11,7 +11,7 @@ Three families of properties, no new dependencies:
 * **Hull invariants** — every engine tier (synchronous and asynchronous)
   keeps every fault-free value inside the initial fault-free hull at every
   recorded round, even under the extreme-pushing adversary.
-* **Float32 tolerance contract** — the sparse engine's ``dtype=float32``
+* **Float32 tolerance contract** — the batch engine's ``dtype=float32``
   tier is not bit-identical to float64, but hull containment and the
   monotone nesting of the fault-free hull hold *exactly* (no epsilon) at
   float32, and float32 trajectories stay close to their float64 twins.
@@ -33,7 +33,7 @@ from repro.algorithms import TrimmedMeanRule, TrimmedMidpointRule
 from repro.graphs import Digraph, complete_graph, core_network
 from repro.simulation import (
     SimulationConfig,
-    SparseEngine,
+    VectorizedEngine,
     run_partially_asynchronous,
     run_synchronous,
     run_vectorized_async,
@@ -155,7 +155,7 @@ class TestRelabeling:
 class TestAffineEquivalence:
     """Affine input shifts affinely shift every fault-free state."""
 
-    @pytest.mark.parametrize("engine_kind", ["scalar", "dense", "sparse"])
+    @pytest.mark.parametrize("engine_kind", ["scalar", "vectorized", "tiled"])
     @pytest.mark.parametrize("scale,shift", [(2.0, 5.0), (0.5, -3.0), (10.0, 0.0)])
     def test_synchronous(self, scale, shift, engine_kind):
         graph = complete_graph(6)
@@ -256,7 +256,7 @@ class TestHullInvariants:
 
 
 class TestFloat32Contract:
-    """The sparse engine's float32 tier keeps the paper's invariants exactly.
+    """The batch engine's float32 tier keeps the paper's invariants exactly.
 
     float32 runs are *not* bit-identical to float64 runs — that is the
     documented trade (see ``docs/performance.md``) — but the contract is
@@ -275,7 +275,7 @@ class TestFloat32Contract:
 
     def _engine(self, rule_factory, dtype):
         graph = core_network(12, 2)
-        return SparseEngine(
+        return VectorizedEngine(
             graph,
             rule_factory(2),
             faulty=frozenset({10, 11}),

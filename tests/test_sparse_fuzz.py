@@ -1,11 +1,16 @@
-"""Randomized differential fuzz suite: sparse == dense, bit for bit.
+"""Randomized differential fuzz suite for the CSR batch plane, bit for bit.
 
 Each case derives an entire scenario — graph family, size, fault budget,
-fault set, rule, adversary, batch size, tile budget, round count — from a
-single integer seed, runs the same batch through the dense
-:class:`~repro.simulation.vectorized.VectorizedEngine` and the CSR
-:class:`~repro.simulation.sparse.SparseEngine` (float64), and requires every
-output array to match exactly (``np.array_equal``, never ``allclose``).
+fault set, rule, adversary, batch size, tile size, round count — from a
+single integer seed and runs the same batch through the
+:class:`~repro.simulation.vectorized.VectorizedEngine` twice: untiled and in
+tiles of one to three rows (so every ``B > 1`` draw really tiles).  Every
+output array must match exactly (``np.array_equal``, never ``allclose``).
+Batch row 0 is also replayed through the scalar
+:class:`~repro.simulation.engine.SynchronousEngine`, the independent
+reference, with the drawn adversary's scalar form (a batch-native strategy
+is replayed through its scalar counterpart, which it matches row by row):
+the scalar run's final state, spread series and verdicts must equal row 0's.
 
 The families deliberately mix degree-homogeneous graphs (complete,
 ``k``-in-regular, ring lattices) with heterogeneous ones (core networks and
@@ -31,7 +36,10 @@ from repro.adversary import (
     BatchFrozenValueStrategy,
     BatchRandomNoiseStrategy,
     BatchStaticValueStrategy,
+    BroadcastConsistentStrategy,
     ExtremePushStrategy,
+    FrozenValueStrategy,
+    RandomNoiseStrategy,
     StaticValueStrategy,
 )
 from repro.algorithms import TrimmedMeanRule, TrimmedMidpointRule
@@ -42,7 +50,13 @@ from repro.graphs import (
     random_core_like_network,
     ring_lattice,
 )
-from repro.simulation import SimulationConfig, SparseEngine, VectorizedEngine
+from repro.simulation import (
+    SimulationConfig,
+    SynchronousEngine,
+    VectorizedEngine,
+    spawn_row_generators,
+    spreads_from_records,
+)
 from repro.simulation.vectorized import random_input_matrix
 
 #: Seeds run in the default (fast) suite.
@@ -87,26 +101,45 @@ def _draw_graph(rng: np.random.Generator, f: int):
 
 
 def _draw_strategy(rng: np.random.Generator, seed: int):
-    """Return a fresh adversary blueprint (deep-copied once per engine)."""
+    """Return ``(adversary blueprint, row-0 scalar twin)`` for a random kind.
+
+    The blueprint is deep-copied once per engine.  The twin maps the batch
+    size to the scalar strategy that replays batch row 0 on the scalar
+    engine: the scalar blueprint itself, or a batch-native strategy's scalar
+    counterpart (for random noise, seeded with row 0's spawned stream).
+    """
     kind = STRATEGY_KINDS[int(rng.integers(len(STRATEGY_KINDS)))]
     if kind == "none":
-        return None
+        return None, lambda batch: None
     if kind == "scalar-extreme":
-        return ExtremePushStrategy(delta=float(rng.uniform(0.5, 5.0)))
+        extreme = ExtremePushStrategy(delta=float(rng.uniform(0.5, 5.0)))
+        return extreme, lambda batch: extreme
     if kind == "scalar-static":
-        return StaticValueStrategy(float(rng.uniform(-10.0, 10.0)))
+        static = StaticValueStrategy(float(rng.uniform(-10.0, 10.0)))
+        return static, lambda batch: static
     if kind == "batch-static":
-        return BatchStaticValueStrategy(float(rng.uniform(-10.0, 10.0)))
+        value = float(rng.uniform(-10.0, 10.0))
+        return BatchStaticValueStrategy(value), lambda batch: StaticValueStrategy(
+            value
+        )
     if kind == "batch-extreme":
-        return BatchExtremePushStrategy(float(rng.uniform(0.5, 5.0)))
+        delta = float(rng.uniform(0.5, 5.0))
+        return BatchExtremePushStrategy(delta), lambda batch: ExtremePushStrategy(
+            delta
+        )
     if kind == "batch-frozen":
-        return BatchFrozenValueStrategy()
+        return BatchFrozenValueStrategy(), lambda batch: FrozenValueStrategy()
     if kind == "batch-noise":
         # Seeded with an int: each engine deep-copies the blueprint before
         # the generator's first draw, so both consume identical streams.
-        return BatchRandomNoiseStrategy(-5.0, 5.0, rng=seed)
-    return BatchBroadcastConsistentWrapper(
-        BatchExtremePushStrategy(float(rng.uniform(0.5, 3.0)))
+        return BatchRandomNoiseStrategy(-5.0, 5.0, rng=seed), (
+            lambda batch: RandomNoiseStrategy(
+                -5.0, 5.0, rng=spawn_row_generators(seed, batch)[0]
+            )
+        )
+    delta = float(rng.uniform(0.5, 3.0))
+    return BatchBroadcastConsistentWrapper(BatchExtremePushStrategy(delta)), (
+        lambda batch: BroadcastConsistentStrategy(ExtremePushStrategy(delta))
     )
 
 
@@ -120,10 +153,12 @@ def _fuzz_one(seed: int) -> None:
         int(c) for c in rng.choice(len(nodes), size=fault_count, replace=False)
     )
     rule_factory = TrimmedMeanRule if rng.random() < 0.7 else TrimmedMidpointRule
-    adversary = _draw_strategy(rng, seed) if faulty else None
+    adversary, twin = (
+        _draw_strategy(rng, seed) if faulty else (None, lambda batch: None)
+    )
     batch = int(rng.choice([1, 4, 16]))
     rounds = int(rng.integers(4, 11))
-    max_plane_bytes = [None, 1 << 12, 1 << 16][int(rng.integers(3))]
+    tile_rows = int(rng.integers(1, 4))
 
     config = SimulationConfig(
         max_rounds=rounds,
@@ -131,55 +166,74 @@ def _fuzz_one(seed: int) -> None:
         record_history=True,
         stop_on_convergence=False,
     )
-    dense = VectorizedEngine(
+    untiled = VectorizedEngine(
         graph,
         rule_factory(f),
         faulty=faulty,
         adversary=copy.deepcopy(adversary),
         config=config,
     )
-    sparse = SparseEngine(
+    tiled = VectorizedEngine(
         graph,
         rule_factory(f),
         faulty=faulty,
         adversary=copy.deepcopy(adversary),
         config=config,
-        max_plane_bytes=max_plane_bytes,
+        max_plane_bytes=tile_rows * untiled.plane_bytes_per_row,
     )
-    assert sparse._edge_nodes == dense._edge_nodes, "canonical channel order"
+    assert tiled.plane_tile_rows(batch) == min(tile_rows, batch)
 
-    matrix = random_input_matrix(dense.nodes, batch, rng=rng)
-    dense_out = dense.run_batch(matrix.copy())
-    sparse_out = sparse.run_batch(matrix.copy())
+    matrix = random_input_matrix(untiled.nodes, batch, rng=rng)
+    untiled_out = untiled.run_batch(matrix.copy())
+    tiled_out = tiled.run_batch(matrix.copy())
 
     label = (
         f"seed={seed} n={len(nodes)} f={f} |F|={len(faulty)} B={batch} "
-        f"rounds={rounds} tile={max_plane_bytes} "
+        f"rounds={rounds} tile_rows={tile_rows} "
         f"adversary={getattr(adversary, 'name', None)}"
     )
-    assert np.array_equal(dense_out.final_states, sparse_out.final_states), label
-    assert np.array_equal(dense_out.converged, sparse_out.converged), label
+    assert np.array_equal(untiled_out.final_states, tiled_out.final_states), label
+    assert np.array_equal(untiled_out.converged, tiled_out.converged), label
     assert np.array_equal(
-        dense_out.rounds_executed, sparse_out.rounds_executed
+        untiled_out.rounds_executed, tiled_out.rounds_executed
     ), label
     assert np.array_equal(
-        dense_out.initial_spread, sparse_out.initial_spread
+        untiled_out.initial_spread, tiled_out.initial_spread
     ), label
-    assert np.array_equal(dense_out.final_spread, sparse_out.final_spread), label
-    assert np.array_equal(dense_out.validity_ok, sparse_out.validity_ok), label
+    assert np.array_equal(untiled_out.final_spread, tiled_out.final_spread), label
+    assert np.array_equal(untiled_out.validity_ok, tiled_out.validity_ok), label
     assert np.array_equal(
-        dense_out.spread_history, sparse_out.spread_history
+        untiled_out.spread_history, tiled_out.spread_history
     ), label
+
+    # Independent reference: row 0 replayed on the scalar engine.
+    scalar = SynchronousEngine(
+        graph,
+        rule_factory(f),
+        faulty=faulty,
+        adversary=copy.deepcopy(twin(batch)),
+        config=config,
+    ).run(dict(zip(untiled.nodes, matrix[0].tolist())))
+    final = scalar.history[-1].values
+    assert [final[node] for node in untiled.nodes] == (
+        untiled_out.final_states[0].tolist()
+    ), label
+    assert np.array_equal(
+        spreads_from_records(scalar.history), untiled_out.spread_history[:, 0]
+    ), label
+    assert scalar.rounds_executed == untiled_out.rounds_executed[0], label
+    assert scalar.converged == bool(untiled_out.converged[0]), label
+    assert scalar.validity_ok == bool(untiled_out.validity_ok[0]), label
 
 
 @pytest.mark.parametrize("seed", range(FAST_CASES))
-def test_sparse_matches_dense_fuzz_fast(seed):
+def test_batch_plane_fuzz_fast(seed):
     """Fast CI subset of the randomized differential sweep."""
     _fuzz_one(seed)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(FAST_CASES, TOTAL_CASES))
-def test_sparse_matches_dense_fuzz_full(seed):
+def test_batch_plane_fuzz_full(seed):
     """The long tail of the randomized differential sweep."""
     _fuzz_one(seed)
