@@ -123,11 +123,34 @@ class AlgorithmPreconditionError(SimulationError, ValueError):
 
 
 class ValidityViolationError(SimulationError):
-    """Raised by strict-mode simulations when a fault-free node's state leaves
-    the convex hull of the fault-free inputs — i.e. the validity condition of
-    the paper (eq. 1) was violated.  This should never happen for the
-    algorithms implemented here; it exists to catch implementation bugs and to
-    support negative tests."""
+    """Raised by strict-mode simulations when validity is violated: a
+    fault-free state left the reference interval (eq. 1, or the initial hull
+    in the partially asynchronous model) or an asleep node's frozen state
+    changed.  This should never happen for the algorithms implemented here;
+    it exists to catch implementation bugs and to support negative tests.
+
+    ``row`` (batch row, ``0`` for a single run), ``round_index`` and
+    ``node`` locate the violation; ``bound`` is the value the node had to
+    respect (the interval end it crossed, or its frozen value) and
+    ``observed`` the value it reached.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        row: int | None = None,
+        round_index: int | None = None,
+        node: object = None,
+        bound: float | None = None,
+        observed: float | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.row = row
+        self.round_index = round_index
+        self.node = node
+        self.bound = bound
+        self.observed = observed
 
 
 class ConvergenceError(SimulationError):

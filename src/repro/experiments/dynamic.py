@@ -16,10 +16,10 @@ experiments cover that axis:
 
 * **E17 ``churn_sweep``** fixes the graph and sweeps the per-round awake
   probability, reporting how convergence degrades with participation.  The
-  scalar engine's participation-aware validity verdict
-  (:class:`~repro.simulation.metrics.ParticipationValidityTracker`) audits
-  the first row of every cell: asleep nodes must hold their state exactly
-  and the fault-free hull must still never expand.
+  scalar engine's validity verdict
+  (:class:`~repro.simulation.metrics.ValidityMonitor` with its asleep-node
+  freeze check) audits the first row of every cell: asleep nodes must hold
+  their state exactly and the fault-free hull must still never expand.
 """
 
 from __future__ import annotations
@@ -395,8 +395,8 @@ def churn_sweep_study(
     matrix = random_input_matrix(engine.nodes, batch, rng=seed)
     outcome = engine.run_batch(matrix)
 
-    # Participation audit: the scalar engine folds the sleep-consistency
-    # check (ParticipationValidityTracker) into its validity verdict.
+    # Participation audit: the scalar engine's ValidityMonitor folds the
+    # asleep-node freeze check into its validity verdict.
     scalar = SynchronousEngine(
         graph,
         rule,

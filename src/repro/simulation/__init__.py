@@ -31,14 +31,11 @@ from repro.simulation.inputs import (
     uniform_random_inputs,
 )
 from repro.simulation.metrics import (
-    VALIDITY_TOLERANCE,
-    ParticipationValidityTracker,
-    ValidityTracker,
+    ValidityMonitor,
     empirical_contraction_ratios,
     fault_free_extremes,
     has_converged,
     spread,
-    within_hull,
 )
 from repro.simulation.run import run_consensus
 from repro.simulation.trace import ExecutionTrace, spreads_from_records
@@ -89,14 +86,11 @@ __all__ = [
     "TopologySchedule",
     "resolve_activity",
     "schedule_rng",
-    "VALIDITY_TOLERANCE",
-    "ParticipationValidityTracker",
-    "ValidityTracker",
+    "ValidityMonitor",
     "empirical_contraction_ratios",
     "fault_free_extremes",
     "has_converged",
     "spread",
-    "within_hull",
     "run_consensus",
     "ExecutionTrace",
     "spreads_from_records",

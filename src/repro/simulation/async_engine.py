@@ -52,20 +52,19 @@ import numpy as np
 
 from repro.adversary.base import AdversaryContext, ByzantineStrategy, PassiveStrategy
 from repro.algorithms.base import UpdateRule
-from repro.exceptions import (
-    FaultBudgetExceededError,
-    InvalidParameterError,
-    SimulationError,
-    ValidityViolationError,
-)
+from repro.exceptions import InvalidParameterError, SimulationError
 from repro.graphs.digraph import Digraph
 from repro.simulation.dynamic import (
     ScheduleLayout,
     TopologySchedule,
     resolve_activity,
 )
-from repro.simulation.engine import SimulationConfig
-from repro.simulation.metrics import fault_free_extremes, within_hull
+from repro.simulation.engine import (
+    SimulationConfig,
+    checked_fault_free,
+    initial_state,
+)
+from repro.simulation.metrics import ValidityMonitor
 from repro.simulation.trace import ExecutionTrace
 from repro.types import ConsensusOutcome, NodeId, ReceivedValue, ValueMap
 
@@ -143,28 +142,16 @@ class PartiallyAsynchronousEngine:
             rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         )
 
-        unknown = self._faulty - graph.nodes
-        if unknown:
-            raise InvalidParameterError(
-                f"faulty nodes {sorted(unknown, key=repr)!r} are not in the graph"
-            )
-        fault_free = graph.nodes - self._faulty
-        if not fault_free:
-            # Checked before the fault budget: an all-faulty system is a
-            # malformed configuration regardless of how large ``f`` is.
-            raise InvalidParameterError("at least one node must be fault-free")
-        if len(self._faulty) > rule.f:
-            raise FaultBudgetExceededError(len(self._faulty), rule.f)
-        rule.validate_graph(graph, nodes=sorted(fault_free, key=repr))
-
+        self._ff_sorted = checked_fault_free(graph, rule, self._faulty)
         self._canonical_edges = canonical_edge_order(graph)
-        self._ff_sorted: tuple[NodeId, ...] = tuple(
-            sorted(fault_free, key=repr)
-        )
         self._schedule = schedule
         self._sched_layout = (
             ScheduleLayout.for_graph(graph) if schedule is not None else None
         )
+        if self._sched_layout is not None:
+            self._ff_positions = np.array(
+                [self._sched_layout.node_index[node] for node in self._ff_sorted]
+            )
 
     @property
     def schedule(self) -> TopologySchedule | None:
@@ -190,15 +177,7 @@ class PartiallyAsynchronousEngine:
         """Run until the fault-free spread reaches the tolerance or ``max_rounds``."""
         graph = self._graph
         config = self._config
-        missing = graph.nodes - inputs.keys()
-        if missing:
-            raise InvalidParameterError(
-                f"inputs missing for nodes {sorted(missing, key=repr)!r}"
-            )
-
-        state: dict[NodeId, float] = {
-            node: float(inputs[node]) for node in graph.nodes
-        }
+        state = initial_state(graph, inputs)
         nodes_sorted = sorted(graph.nodes, key=repr)
         # Freshest value known per directed edge: (send_round, value).  The
         # initial entries model the paper's assumption that every node knows
@@ -211,9 +190,14 @@ class PartiallyAsynchronousEngine:
         in_flight: dict[int, list[tuple[int, NodeId, NodeId, float]]] = defaultdict(list)
 
         trace = ExecutionTrace(faulty=self._faulty)
-        hull_min, hull_max = fault_free_extremes(state, self._faulty)
-        initial_spread = hull_max - hull_min
-        hull_ok = True
+        monitor = ValidityMonitor(
+            self._fault_free_row(state),
+            self._ff_sorted,
+            initial_hull=True,
+            track_sleep=self._schedule is not None,
+            strict=config.strict_validity,
+        )
+        initial_spread = float(monitor.high[0] - monitor.low[0])
         if config.record_history:
             trace.record_round(0, state)
 
@@ -336,22 +320,13 @@ class PartiallyAsynchronousEngine:
             state = new_state
             rounds_executed = round_index
 
-            low, high = fault_free_extremes(state, self._faulty)
-            fault_free_values = [
-                # reprolint: disable=ORD002 -- hull containment is order-free
-                value for node, value in state.items() if node not in self._faulty
-            ]
-            if not within_hull(fault_free_values, hull_min, hull_max):
-                hull_ok = False
-                if config.strict_validity:
-                    raise ValidityViolationError(
-                        f"hull validity violated at round {round_index}: a "
-                        f"fault-free value left the initial hull "
-                        f"[{hull_min}, {hull_max}]"
-                    )
+            lows, highs = monitor.observe(
+                self._fault_free_row(state),
+                awake=None if awake is None else awake[self._ff_positions],
+            )
             if config.record_history:
                 trace.record_round(round_index, state)
-            current_spread = high - low
+            current_spread = float(highs[0] - lows[0])
             if config.stop_on_convergence and current_spread <= config.tolerance:
                 converged = True
 
@@ -365,10 +340,14 @@ class PartiallyAsynchronousEngine:
             rounds_executed=rounds_executed,
             final_spread=current_spread,
             initial_spread=initial_spread,
-            validity_ok=hull_ok,
+            validity_ok=bool(monitor.ok[0]),
             final_values=final_values,
             history=trace.as_records() if config.record_history else tuple(),
         )
+
+    def _fault_free_row(self, state: dict[NodeId, float]) -> np.ndarray:
+        """The fault-free states as the ``(1, m)`` row the monitor reads."""
+        return np.array([[state[node] for node in self._ff_sorted]])
 
 
 def run_partially_asynchronous(

@@ -17,7 +17,10 @@ convergence, and can optionally record the full execution trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.adversary.base import AdversaryContext, ByzantineStrategy, PassiveStrategy
 from repro.algorithms.base import UpdateRule
@@ -25,7 +28,6 @@ from repro.exceptions import (
     FaultBudgetExceededError,
     InvalidParameterError,
     SimulationError,
-    ValidityViolationError,
 )
 from repro.graphs.digraph import Digraph
 from repro.simulation.dynamic import (
@@ -33,11 +35,7 @@ from repro.simulation.dynamic import (
     TopologySchedule,
     resolve_activity,
 )
-from repro.simulation.metrics import (
-    ParticipationValidityTracker,
-    ValidityTracker,
-    fault_free_extremes,
-)
+from repro.simulation.metrics import ValidityMonitor
 from repro.simulation.trace import ExecutionTrace
 from repro.types import ConsensusOutcome, NodeId, ReceivedValue, ValueMap
 
@@ -127,21 +125,11 @@ class SynchronousEngine:
             ScheduleLayout.for_graph(graph) if schedule is not None else None
         )
 
-        unknown = self._faulty - graph.nodes
-        if unknown:
-            raise InvalidParameterError(
-                f"faulty nodes {sorted(unknown, key=repr)!r} are not in the graph"
+        self._ff_sorted = checked_fault_free(graph, rule, self._faulty)
+        if self._sched_layout is not None:
+            self._ff_positions = np.array(
+                [self._sched_layout.node_index[node] for node in self._ff_sorted]
             )
-        fault_free = graph.nodes - self._faulty
-        if not fault_free:
-            # Checked before the fault budget: an all-faulty system is a
-            # malformed configuration regardless of how large ``f`` is.
-            raise InvalidParameterError("at least one node must be fault-free")
-        if len(self._faulty) > rule.f:
-            raise FaultBudgetExceededError(len(self._faulty), rule.f)
-        # The structural precondition only needs to hold at fault-free nodes:
-        # faulty nodes never run the rule.
-        rule.validate_graph(graph, nodes=sorted(fault_free, key=repr))
 
     # ------------------------------------------------------------------
     # Properties
@@ -271,33 +259,19 @@ class SynchronousEngine:
     def run(self, inputs: ValueMap) -> ConsensusOutcome:
         """Run the algorithm from ``inputs`` until convergence or ``max_rounds``.
 
-        ``inputs`` must provide an initial value for every node (faulty nodes'
-        inputs only matter as the adversary's starting nominal state).
+        ``inputs`` must provide a finite initial value for every node (faulty
+        nodes' inputs only matter as the adversary's starting nominal state).
         """
-        graph = self._graph
-        missing = graph.nodes - inputs.keys()
-        if missing:
-            raise InvalidParameterError(
-                f"inputs missing for nodes {sorted(missing, key=repr)!r}"
-            )
         config = self._config
-        state: dict[NodeId, float] = {
-            node: float(inputs[node]) for node in graph.nodes
-        }
-
+        state = initial_state(self._graph, inputs)
         trace = ExecutionTrace(faulty=self._faulty)
-        # Under a schedule the participation-aware tracker additionally
-        # checks that asleep nodes hold their frozen value exactly; on a
-        # static run it degenerates to the plain hull tracker.
-        ff_sorted = sorted(graph.nodes - self._faulty, key=repr)
-        participation: ParticipationValidityTracker | None = None
-        if self._schedule is not None:
-            participation = ParticipationValidityTracker()
-            participation.observe([state[node] for node in ff_sorted])
-        validity = ValidityTracker()
-        low, high = fault_free_extremes(state, self._faulty)
-        validity.observe(low, high)
-        initial_spread = high - low
+        monitor = ValidityMonitor(
+            self._fault_free_row(state),
+            self._ff_sorted,
+            track_sleep=self._schedule is not None,
+            strict=config.strict_validity,
+        )
+        initial_spread = float(monitor.high[0] - monitor.low[0])
         if config.record_history:
             trace.record_round(0, state)
 
@@ -309,51 +283,81 @@ class SynchronousEngine:
                 break
             state = self.step(state, round_index)
             rounds_executed = round_index
-            low, high = fault_free_extremes(state, self._faulty)
-            validity.observe(low, high)
-            if participation is not None:
-                # ``activity`` is a pure function of the round, so re-querying
-                # here returns the exact mask ``step`` just applied.
-                activity = resolve_activity(
-                    self._schedule, round_index, self._sched_layout
-                )
-                awake = None
-                if activity.awake is not None:
-                    awake_of = dict(
-                        zip(self._sched_layout.node_order, activity.awake.tolist())
-                    )
-                    awake = [awake_of[node] for node in ff_sorted]
-                participation.observe(
-                    [state[node] for node in ff_sorted], awake=awake
-                )
-            if config.strict_validity and not validity.ok:
-                raise ValidityViolationError(
-                    f"validity violated at round {round_index}: the fault-free "
-                    f"interval expanded to [{low}, {high}]"
-                )
+            lows, highs = monitor.observe(
+                self._fault_free_row(state), awake=self._awake(round_index)
+            )
             if config.record_history:
                 trace.record_round(round_index, state)
-            current_spread = high - low
+            current_spread = float(highs[0] - lows[0])
             if config.stop_on_convergence and current_spread <= config.tolerance:
                 converged = True
 
         if not config.stop_on_convergence:
             converged = current_spread <= config.tolerance
-        final_values = {
-            node: state[node] for node in graph.nodes if node not in self._faulty
-        }
-        validity_ok = validity.ok
-        if participation is not None:
-            validity_ok = validity_ok and participation.ok
         return ConsensusOutcome(
             converged=converged,
             rounds_executed=rounds_executed,
             final_spread=current_spread,
             initial_spread=initial_spread,
-            validity_ok=validity_ok,
-            final_values=final_values,
+            validity_ok=bool(monitor.ok[0]),
+            final_values={
+                node: state[node]
+                for node in self._graph.nodes
+                if node not in self._faulty
+            },
             history=trace.as_records() if config.record_history else tuple(),
         )
+
+    def _fault_free_row(self, state: dict[NodeId, float]) -> np.ndarray:
+        """The fault-free states as the ``(1, m)`` row the monitor reads."""
+        return np.array([[state[node] for node in self._ff_sorted]])
+
+    def _awake(self, round_index: int) -> np.ndarray | None:
+        """The round's awake mask over the fault-free nodes, if any slept."""
+        if self._schedule is None:
+            return None
+        # ``activity`` is a pure function of the round, so re-querying here
+        # returns the exact mask ``step`` just applied.
+        awake = resolve_activity(self._schedule, round_index, self._sched_layout).awake
+        return None if awake is None else awake[self._ff_positions]
+
+
+def checked_fault_free(
+    graph: Digraph, rule: UpdateRule, faulty: frozenset[NodeId]
+) -> tuple[NodeId, ...]:
+    """Check an engine's fault set and rule; return the fault-free nodes
+    sorted by ``repr``.  An all-faulty set fails before the budget (it is
+    malformed whatever ``f`` is), and the rule's structural precondition
+    only needs to hold where the rule runs: at the fault-free nodes."""
+    unknown = faulty - graph.nodes
+    if unknown:
+        raise InvalidParameterError(
+            f"faulty nodes {sorted(unknown, key=repr)!r} are not in the graph"
+        )
+    fault_free = tuple(sorted(graph.nodes - faulty, key=repr))
+    if not fault_free:
+        raise InvalidParameterError("at least one node must be fault-free")
+    if len(faulty) > rule.f:
+        raise FaultBudgetExceededError(len(faulty), rule.f)
+    rule.validate_graph(graph, nodes=list(fault_free))
+    return fault_free
+
+
+def initial_state(graph: Digraph, inputs: ValueMap) -> dict[NodeId, float]:
+    """Return every node's input as a float, rejecting missing or non-finite
+    values with :class:`~repro.exceptions.InvalidParameterError`."""
+    missing = graph.nodes - inputs.keys()
+    if missing:
+        raise InvalidParameterError(
+            f"inputs missing for nodes {sorted(missing, key=repr)!r}"
+        )
+    state = {node: float(inputs[node]) for node in graph.nodes}
+    for node in sorted(state, key=repr):
+        if not math.isfinite(state[node]):
+            raise InvalidParameterError(
+                f"input for node {node!r} is not finite: {state[node]!r}"
+            )
+    return state
 
 
 def run_synchronous(

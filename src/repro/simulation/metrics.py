@@ -7,16 +7,18 @@ and smallest fault-free states:
   ``t > 0`` (which, with the output constraint, implies the convex-hull form).
 * Convergence: ``U[t] − µ[t] → 0``.
 
-These helpers compute the two extremes, track validity across rounds and
-decide convergence against a tolerance.
+These helpers compute the two extremes, check validity across rounds
+(:class:`ValidityMonitor`, shared by every engine tier) and decide
+convergence against a tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.exceptions import InvalidParameterError
+import numpy as np
+
+from repro.exceptions import InvalidParameterError, ValidityViolationError
 from repro.types import NodeId
 
 # Validity comparisons allow this much numerical slack: the update rules are
@@ -55,150 +57,135 @@ def has_converged(
     return spread(values, faulty) <= tolerance
 
 
-def within_hull(
-    values: Iterable[float], hull_min: float, hull_max: float, slack: float = VALIDITY_TOLERANCE
-) -> bool:
-    """Return whether every value lies inside ``[hull_min, hull_max]`` up to slack."""
-    return all(hull_min - slack <= value <= hull_max + slack for value in values)
+class ValidityMonitor:
+    """The validity check of every engine tier, vectorised over ``B`` rows.
 
+    Built from the round-0 fault-free values, a ``(B, m)`` array whose
+    columns are the fault-free ``nodes`` (a single run is ``B = 1``), and fed
+    each executed round's values through :meth:`observe`.  The engine class
+    fixes the reference interval:
 
-@dataclass
-class ValidityTracker:
-    """Tracks the paper's validity condition across an execution.
+    * the synchronous tiers check eq. 1 against the running *tightest*
+      interval observed so far.  Comparing with the previous round only
+      would grant fresh slack every round and let the hull drift by
+      ``rounds × slack`` unnoticed; this way a whole run gets one slack;
+    * the partially asynchronous tiers (``initial_hull=True``) check the
+      round-0 hull, the form of validity that survives stale values.
 
-    Feed it ``(µ[t], U[t])`` once per round (round 0 first); it records
-    whether the interval ``[µ[t], U[t]]`` ever expanded.  ``ok`` stays true
-    exactly when validity (eq. 1) held at every observed round.
+    With ``track_sleep`` (runs under a topology schedule) the monitor keeps
+    the previous round's values and requires every node asleep in a round to
+    keep its state *exactly*: engines freeze by copying, so any difference is
+    an engine bug.  The hull still spans all fault-free nodes, so a sleeping
+    extreme keeps bounding it.
 
-    Each round is compared against the *tightest* interval observed so far,
-    not merely the previous round's: per-round comparison would grant fresh
-    slack every round, letting the hull drift by ``rounds × slack`` without
-    ever flagging a violation.  Against the running tightest interval the
-    total tolerated drift is bounded by one ``slack`` for the whole execution.
+    ``ok`` holds per row; ``first_round`` and ``first_node`` locate each
+    row's first violation.  With ``strict`` the first violation raises
+    :class:`~repro.exceptions.ValidityViolationError` with its row, round,
+    node, bound and observed value.
     """
 
-    slack: float = VALIDITY_TOLERANCE
-    ok: bool = True
-    rounds_observed: int = 0
-    first_violation_round: int | None = None
-    _tightest_min: float = field(default=float("-inf"), init=False)
-    _tightest_max: float = field(default=float("inf"), init=False)
-    _initial: tuple[float, float] | None = field(default=None, init=False)
-
-    def observe(self, minimum: float, maximum: float) -> None:
-        """Record the fault-free extremes of the next round."""
-        if minimum > maximum:
-            raise InvalidParameterError(
-                f"minimum ({minimum}) cannot exceed maximum ({maximum})"
-            )
-        if self.rounds_observed == 0:
-            self._initial = (minimum, maximum)
-        else:
-            expanded_up = maximum > self._tightest_max + self.slack
-            expanded_down = minimum < self._tightest_min - self.slack
-            if (expanded_up or expanded_down) and self.ok:
-                self.ok = False
-                self.first_violation_round = self.rounds_observed
-        self._tightest_min = max(self._tightest_min, minimum)
-        self._tightest_max = min(self._tightest_max, maximum)
-        self.rounds_observed += 1
-
-    @property
-    def initial_interval(self) -> tuple[float, float] | None:
-        """Return ``(µ[0], U[0])``, or ``None`` before any observation."""
-        return self._initial
-
-
-class ParticipationValidityTracker:
-    """Participation-aware validity tracking for churn/sleep-wake runs.
-
-    Under a churn schedule the paper's hull condition still has to hold over
-    **all** fault-free nodes, awake or asleep: an asleep node keeps its frozen
-    state, which remains part of the fault-free hull, so excluding it would
-    let the observed interval *appear* tighter than it is and mask a real
-    escape.  This tracker therefore layers two checks on one execution:
-
-    * **Hull check** — the extremes over all fault-free values must never
-      widen, delegated to an internal :class:`ValidityTracker` (inheriting
-      its running-tightest-interval logic; naive per-round slack would let
-      the hull drift by ``rounds × slack``, the PR 5 drift bug).
-    * **Sleep check** — an asleep node's value must equal its previous value
-      **exactly** (no slack: engines freeze by copying, so any difference is
-      an engine bug, not floating-point noise).
-
-    Feed :meth:`observe` the fault-free values (fixed order) once per round,
-    round 0 first; the ``awake`` mask describes which of those fault-free
-    nodes executed the round's update (ignored at round 0, where the values
-    are inputs).
-    """
-
-    def __init__(self, slack: float = VALIDITY_TOLERANCE) -> None:
-        self._hull = ValidityTracker(slack=slack)
-        self._previous: tuple[float, ...] | None = None
-        self.sleep_ok: bool = True
-        self.first_sleep_violation_round: int | None = None
+    def __init__(
+        self,
+        values: np.ndarray,
+        nodes: Sequence[NodeId],
+        *,
+        initial_hull: bool = False,
+        track_sleep: bool = False,
+        strict: bool = False,
+    ) -> None:
+        values = np.asarray(values)
+        self._nodes = tuple(nodes)
+        self._initial_hull = initial_hull
+        self._strict = strict
+        self._previous = values if track_sleep else None
+        #: ``(B,)`` ends of the reference interval.
+        self.low: np.ndarray = values.min(axis=1)
+        self.high: np.ndarray = values.max(axis=1)
+        self._round_index = 0
+        self.ok = np.ones(values.shape[0], dtype=bool)
+        self.first_round: list[int | None] = [None] * values.shape[0]
+        self.first_node: list[NodeId | None] = [None] * values.shape[0]
 
     def observe(
-        self, values: Sequence[float], awake: Sequence[bool] | None = None
+        self,
+        values: np.ndarray,
+        active: np.ndarray | None = None,
+        awake: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Check the next round and return its per-row ``(µ[t], U[t])``.
+
+        ``values`` is the round's ``(B, m)`` fault-free state, ``active`` the
+        ``(B,)`` rows that executed it (``None``: all) and ``awake`` the
+        ``(m,)`` nodes the schedule kept awake (``None``: nobody slept).
+        """
+        values = np.asarray(values)
+        self._round_index += 1
+        lows = values.min(axis=1)
+        highs = values.max(axis=1)
+        # Negated comparisons, so a NaN extreme counts as an escape.
+        bad = ~(
+            (lows >= self.low - VALIDITY_TOLERANCE)
+            & (highs <= self.high + VALIDITY_TOLERANCE)
+        )
+        previous = self._previous
+        moved: np.ndarray | None = None
+        if previous is not None:
+            self._previous = values
+            if awake is not None:
+                moved = ~np.asarray(awake, dtype=bool) & (values != previous)
+                bad |= moved.any(axis=1)
+        if active is not None:
+            bad &= active
+        if bad.any():
+            rows = np.flatnonzero(bad & self.ok)
+            self.ok &= ~bad
+            if rows.size:
+                self._record(rows, values, moved, previous)
+        if not self._initial_hull:
+            self.low = np.maximum(self.low, lows)
+            self.high = np.minimum(self.high, highs)
+        return lows, highs
+
+    def _record(
+        self,
+        rows: np.ndarray,
+        values: np.ndarray,
+        moved: np.ndarray | None,
+        previous: np.ndarray | None,
     ) -> None:
-        """Record one round's fault-free values and participation mask."""
-        values = tuple(float(value) for value in values)
-        if not values:
-            raise InvalidParameterError(
-                "cannot track validity without fault-free values"
-            )
-        if self._previous is not None and len(values) != len(self._previous):
-            raise InvalidParameterError(
-                f"observed {len(values)} fault-free values after "
-                f"{len(self._previous)} in the previous round"
-            )
-        if self._previous is not None and awake is not None:
-            if len(awake) != len(values):
-                raise InvalidParameterError(
-                    f"awake mask has {len(awake)} entries for "
-                    f"{len(values)} fault-free values"
-                )
-            for position, is_awake in enumerate(awake):
-                if is_awake:
-                    continue
-                if values[position] != self._previous[position] and self.sleep_ok:
-                    self.sleep_ok = False
-                    self.first_sleep_violation_round = self._hull.rounds_observed
-        self._hull.observe(min(values), max(values))
-        self._previous = values
-
-    @property
-    def ok(self) -> bool:
-        """Whether both the hull and the sleep condition held every round."""
-        return self._hull.ok and self.sleep_ok
-
-    @property
-    def hull_ok(self) -> bool:
-        """Whether the fault-free hull never widened (eq. 1)."""
-        return self._hull.ok
-
-    @property
-    def rounds_observed(self) -> int:
-        """Number of rounds observed so far (round 0 included)."""
-        return self._hull.rounds_observed
-
-    @property
-    def first_violation_round(self) -> int | None:
-        """Earliest round either check failed, or ``None``."""
-        candidates = [
-            round_index
-            for round_index in (
-                self._hull.first_violation_round,
-                self.first_sleep_violation_round,
-            )
-            if round_index is not None
-        ]
-        return min(candidates) if candidates else None
-
-    @property
-    def initial_interval(self) -> tuple[float, float] | None:
-        """Return ``(µ[0], U[0])``, or ``None`` before any observation."""
-        return self._hull.initial_interval
+        """Note each new violation's first offending node (column order);
+        in strict mode raise for the first row."""
+        block = values[rows]
+        escaped = ~(
+            (block >= self.low[rows, None] - VALIDITY_TOLERANCE)
+            & (block <= self.high[rows, None] + VALIDITY_TOLERANCE)
+        )
+        columns = (escaped if moved is None else escaped | moved[rows]).argmax(axis=1)
+        for row, column in zip(rows.tolist(), columns.tolist()):
+            self.first_round[row] = self._round_index
+            self.first_node[row] = self._nodes[column]
+        if not self._strict:
+            return
+        row, column = int(rows[0]), int(columns[0])
+        node, observed = self._nodes[column], float(values[row, column])
+        low, high = float(self.low[row]), float(self.high[row])
+        if escaped[0, column] or previous is None:
+            bound = high if observed > high + VALIDITY_TOLERANCE else low
+            interval = "initial hull" if self._initial_hull else "tightest interval"
+            what = f"left the {interval} [{low}, {high}]"
+        else:
+            bound = float(previous[row, column])
+            what = f"moved from {bound!r} while asleep"
+        form = "hull validity" if self._initial_hull else "validity"
+        raise ValidityViolationError(
+            f"{form} violated at round {self._round_index} in row {row}: "
+            f"fault-free node {node!r} reached {observed!r} and {what}",
+            row=row,
+            round_index=self._round_index,
+            node=node,
+            bound=bound,
+            observed=observed,
+        )
 
 
 def empirical_contraction_ratios(spreads: Iterable[float]) -> list[float]:

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,12 +70,7 @@ from repro.adversary.vectorized import (
 )
 from repro.algorithms.base import UpdateRule
 from repro.algorithms.trimmed_mean import TrimmedMeanRule, TrimmedMidpointRule
-from repro.exceptions import (
-    FaultBudgetExceededError,
-    InvalidParameterError,
-    SimulationError,
-    ValidityViolationError,
-)
+from repro.exceptions import InvalidParameterError, SimulationError
 from repro.graphs.digraph import Digraph
 from repro.simulation.dynamic import (
     RoundActivity,
@@ -83,8 +78,12 @@ from repro.simulation.dynamic import (
     TopologySchedule,
     resolve_activity,
 )
-from repro.simulation.engine import SimulationConfig, SynchronousEngine
-from repro.simulation.metrics import VALIDITY_TOLERANCE, ValidityTracker
+from repro.simulation.engine import (
+    SimulationConfig,
+    SynchronousEngine,
+    checked_fault_free,
+)
+from repro.simulation.metrics import ValidityMonitor
 from repro.simulation.trace import ExecutionTrace
 from repro.types import ConsensusOutcome, NodeId, RoundRecord, ValueMap
 
@@ -93,6 +92,10 @@ from repro.types import ConsensusOutcome, NodeId, RoundRecord, ValueMap
 #: tolerance contract (hull invariants still hold exactly).
 # reprolint: disable=EXA003 -- this IS the documented dtype= plumbing (docs/architecture.md, float32 tier)
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+#: One round of a batch engine: ``(state, round_index, active_rows)`` to the
+#: new ``(B, n)`` state.
+Advance = Callable[[np.ndarray, int, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,8 @@ class BatchOutcome:
         ``(B,)`` float: ``U[0] − µ[0]`` and the spread at each row's last
         executed round.
     validity_ok:
-        ``(B,)`` bool: whether validity (eq. 1) held at every round.
+        ``(B,)`` bool: whether validity held at every round, in the engine
+        class's form (see :attr:`~repro.types.ConsensusOutcome.validity_ok`).
     final_states:
         ``(B, n)`` float: final state of every node (faulty columns hold the
         adversary's nominal values).
@@ -302,6 +306,10 @@ class VectorizedEngine:
     #: :meth:`supports_rule` rather than repeating this list.
     SUPPORTED_RULES: tuple[type, ...] = (TrimmedMeanRule, TrimmedMidpointRule)
 
+    #: Validity form of the engine class: eq. 1's running tightest interval
+    #: here, the round-0 hull in the partially asynchronous subclass.
+    _initial_hull_validity = False
+
     @classmethod
     def supports_rule(cls, rule: UpdateRule) -> bool:
         """Return whether this engine has a vectorized kernel for ``rule``."""
@@ -352,21 +360,12 @@ class VectorizedEngine:
                 "(use SynchronousEngine for other rules)"
             )
 
-        unknown = self._faulty - graph.nodes
-        if unknown:
-            raise InvalidParameterError(
-                f"faulty nodes {sorted(unknown, key=repr)!r} are not in the graph"
-            )
-        fault_free = graph.nodes - self._faulty
-        if not fault_free:
-            raise InvalidParameterError("at least one node must be fault-free")
-        if len(self._faulty) > rule.f:
-            raise FaultBudgetExceededError(len(self._faulty), rule.f)
-        rule.validate_graph(graph, nodes=sorted(fault_free, key=repr))
-
+        self._ff_nodes = checked_fault_free(graph, rule, self._faulty)
         self._build_index_arrays()
         if schedule is not None:
             self._build_edge_arrays()
+        self._activity_round: int | None = None
+        self._activity: RoundActivity | None = None
 
     # ------------------------------------------------------------------
     # Index construction
@@ -469,13 +468,20 @@ class VectorizedEngine:
         self._plane_recv_cols = receivers[self._plane_order]
 
     def _round_activity(self, round_index: int) -> RoundActivity | None:
-        """Resolve the schedule's masks for one round (``None`` if static)."""
+        """Resolve the schedule's masks for one round (``None`` if static).
+
+        The step and the validity monitor both ask for every round, so the
+        last answer is kept (a schedule is a pure function of the round).
+        """
         if self._schedule is None:
             return None
-        activity = resolve_activity(
-            self._schedule, round_index, self._sched_layout
-        )
-        return None if activity.is_static else activity
+        if self._activity_round != round_index:
+            activity = resolve_activity(
+                self._schedule, round_index, self._sched_layout
+            )
+            self._activity = None if activity.is_static else activity
+            self._activity_round = round_index
+        return self._activity
 
     def _channel_mask(self, activity: RoundActivity | None) -> np.ndarray | None:
         """Return the ``(E_f,)`` up-mask over faulty channels, or ``None``."""
@@ -581,7 +587,8 @@ class VectorizedEngine:
 
         Accepts a single value map (``B = 1``), a sequence of value maps
         (one per row), or an already-packed array (validated and copied).
-        An empty batch (``B = 0``) is rejected.
+        An empty batch (``B = 0``) and non-finite inputs (NaN, ±inf) are
+        rejected with :class:`~repro.exceptions.InvalidParameterError`.
         """
         if isinstance(inputs, np.ndarray):
             matrix = np.array(inputs, dtype=self._dtype)
@@ -606,6 +613,13 @@ class VectorizedEngine:
             matrix = np.array(rows, dtype=self._dtype)
         if matrix.shape[0] == 0:
             raise InvalidParameterError("at least one input assignment is required")
+        # min/max propagate NaN and expose ±inf without a (B, n) temporary.
+        if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+            row, column = np.argwhere(~np.isfinite(matrix))[0].tolist()
+            raise InvalidParameterError(
+                f"input for node {self._nodes[column]!r} (row {row}, column "
+                f"{column}) is not finite: {matrix[row, column]}"
+            )
         return matrix
 
     def _context(
@@ -745,65 +759,14 @@ class VectorizedEngine:
     def run(self, inputs: ValueMap) -> ConsensusOutcome:
         """Run one execution, mirroring the scalar engine's :meth:`run`.
 
-        Produces a :class:`~repro.types.ConsensusOutcome` whose every field —
-        including the per-round history — is identical to what
+        This is :meth:`run_batch`'s round loop at ``B = 1``, so the outcome
+        equals row 0 of a one-row batch; every field, including the
+        per-round history, is identical to what
         :class:`~repro.simulation.engine.SynchronousEngine` computes for the
         same configuration (the adversary permitting; see
         :func:`cross_check_engines`).
         """
-        config = self._config
-        state = self.pack_inputs(inputs)
-        if state.shape[0] != 1:
-            raise InvalidParameterError(
-                f"run() executes a single run but received {state.shape[0]} "
-                "input rows; use run_batch() for batched execution"
-            )
-
-        trace = ExecutionTrace(faulty=self._faulty)
-        validity = ValidityTracker()
-        low, high = self._extremes(state)
-        validity.observe(low, high)
-        initial_spread = high - low
-        if config.record_history:
-            trace.record_round(0, self._values_dict(state))
-
-        rounds_executed = 0
-        converged = initial_spread <= config.tolerance and config.stop_on_convergence
-        current_spread = initial_spread
-        for round_index in range(1, config.max_rounds + 1):
-            if converged:
-                break
-            state = self.step_matrix(state, round_index)
-            rounds_executed = round_index
-            low, high = self._extremes(state)
-            validity.observe(low, high)
-            if config.strict_validity and not validity.ok:
-                raise ValidityViolationError(
-                    f"validity violated at round {round_index}: the fault-free "
-                    f"interval expanded to [{low}, {high}]"
-                )
-            if config.record_history:
-                trace.record_round(round_index, self._values_dict(state))
-            current_spread = high - low
-            if config.stop_on_convergence and current_spread <= config.tolerance:
-                converged = True
-
-        if not config.stop_on_convergence:
-            converged = current_spread <= config.tolerance
-        final_values = {
-            node: float(state[0, self._column[node]])
-            for node in self._nodes
-            if node not in self._faulty
-        }
-        return ConsensusOutcome(
-            converged=converged,
-            rounds_executed=rounds_executed,
-            final_spread=current_spread,
-            initial_spread=initial_spread,
-            validity_ok=validity.ok,
-            final_values=final_values,
-            history=trace.as_records() if config.record_history else tuple(),
-        )
+        return self._run_single(inputs, lambda state: self._step_rows)
 
     def run_batch(
         self, inputs: np.ndarray | Sequence[ValueMap]
@@ -819,20 +782,72 @@ class VectorizedEngine:
         mode; shared-instance adapters over strategies with mutable state
         (``batch_safe = False``) are rejected at ``B > 1``.
         """
-        config = self._config
-        state = self.pack_inputs(inputs)
-        batch = state.shape[0]
+        return self._rounds(self.pack_inputs(inputs), self._step_rows)
 
+    def _step_rows(
+        self, state: np.ndarray, round_index: int, active: np.ndarray
+    ) -> np.ndarray:
+        """The synchronous per-round advance: one :meth:`step_matrix`."""
+        return self.step_matrix(state, round_index)
+
+    def _run_single(
+        self, inputs: ValueMap, advance_for: Callable[[np.ndarray], Advance]
+    ) -> ConsensusOutcome:
+        """Run :meth:`_rounds` on one input row and report that row, with
+        its per-round states as the history when the config asks for one.
+        ``advance_for`` builds the round advance from the packed state."""
+        state = self.pack_inputs(inputs)
+        if state.shape[0] != 1:
+            raise InvalidParameterError(
+                f"run() executes a single run but received {state.shape[0]} "
+                "input rows; use run_batch() for batched execution"
+            )
+        trace = None
+        if self._config.record_history:
+            trace = ExecutionTrace(faulty=self._faulty)
+        outcome = self._rounds(state, advance_for(state), trace)
+        final = outcome.final_states[0]
+        return ConsensusOutcome(
+            converged=bool(outcome.converged[0]),
+            rounds_executed=int(outcome.rounds_executed[0]),
+            final_spread=float(outcome.final_spread[0]),
+            initial_spread=float(outcome.initial_spread[0]),
+            validity_ok=bool(outcome.validity_ok[0]),
+            final_values={
+                node: float(final[self._column[node]])
+                for node in self._nodes
+                if node not in self._faulty
+            },
+            history=trace.as_records() if trace is not None else tuple(),
+        )
+
+    def _rounds(
+        self,
+        state: np.ndarray,
+        advance: Advance,
+        trace: ExecutionTrace | None = None,
+    ) -> BatchOutcome:
+        """The round loop of both batch engines, for single runs and batches.
+
+        ``advance(state, round_index, active)`` executes one round on the
+        whole ``(B, n)`` matrix; ``active`` marks the rows still running.
+        Rows that reach the tolerance freeze: their state, round count and
+        (asynchronous) random streams stop advancing.  A
+        :class:`~repro.simulation.metrics.ValidityMonitor` checks every
+        round in the engine class's validity form; ``trace`` records row 0.
+        """
+        config = self._config
         ff = self._ff_cols
-        mins = state[:, ff].min(axis=1)
-        maxs = state[:, ff].max(axis=1)
-        initial_spread = maxs - mins
+        batch = state.shape[0]
+        monitor = ValidityMonitor(
+            state[:, ff],
+            self._ff_nodes,
+            initial_hull=self._initial_hull_validity,
+            track_sleep=self._schedule is not None,
+            strict=config.strict_validity,
+        )
+        initial_spread = monitor.high - monitor.low
         spread = initial_spread.copy()
-        # Running tightest interval per row, mirroring ValidityTracker: a
-        # per-round comparison would grant fresh slack every round and let
-        # the hull drift by rounds x slack undetected.
-        tight_min, tight_max = mins.copy(), maxs.copy()
-        validity_ok = np.ones(batch, dtype=bool)
         rounds_executed = np.zeros(batch, dtype=int)
         converged = (
             initial_spread <= config.tolerance
@@ -840,35 +855,26 @@ class VectorizedEngine:
             else np.zeros(batch, dtype=bool)
         )
         active = ~converged
-        history: list[np.ndarray] | None = (
-            [spread.copy()] if config.record_history else None
-        )
+        history = [spread] if config.record_history else None
+        if trace is not None:
+            trace.record_round(0, self._values_dict(state))
 
         for round_index in range(1, config.max_rounds + 1):
             if config.stop_on_convergence and not active.any():
                 break
-            new_state = self.step_matrix(state, round_index)
+            new_state = advance(state, round_index, active)
             state = np.where(active[:, None], new_state, state)
             rounds_executed = np.where(active, round_index, rounds_executed)
-            mins = state[:, ff].min(axis=1)
-            maxs = state[:, ff].max(axis=1)
-            expanded = active & (
-                (maxs > tight_max + VALIDITY_TOLERANCE)
-                | (mins < tight_min - VALIDITY_TOLERANCE)
+            activity = self._round_activity(round_index)
+            awake = None if activity is None else activity.awake
+            lows, highs = monitor.observe(
+                state[:, ff], active, None if awake is None else awake[ff]
             )
-            if config.strict_validity and expanded.any():
-                row = int(np.flatnonzero(expanded)[0])
-                raise ValidityViolationError(
-                    f"validity violated at round {round_index} in batch row "
-                    f"{row}: the fault-free interval expanded to "
-                    f"[{mins[row]}, {maxs[row]}]"
-                )
-            validity_ok &= ~expanded
-            tight_min = np.maximum(tight_min, mins)
-            tight_max = np.minimum(tight_max, maxs)
-            spread = maxs - mins
+            spread = highs - lows
+            if trace is not None:
+                trace.record_round(round_index, self._values_dict(state))
             if history is not None:
-                history.append(spread.copy())
+                history.append(spread)
             if config.stop_on_convergence:
                 newly = active & (spread <= config.tolerance)
                 converged = converged | newly
@@ -883,7 +889,7 @@ class VectorizedEngine:
             rounds_executed=rounds_executed,
             initial_spread=initial_spread,
             final_spread=spread,
-            validity_ok=validity_ok,
+            validity_ok=monitor.ok,
             final_states=state,
             spread_history=np.stack(history) if history is not None else None,
         )
@@ -891,10 +897,6 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _extremes(self, state: np.ndarray) -> tuple[float, float]:
-        ff = state[0, self._ff_cols]
-        return float(ff.min()), float(ff.max())
-
     def _values_dict(self, state: np.ndarray) -> dict[NodeId, float]:
         return {
             node: float(state[0, column])

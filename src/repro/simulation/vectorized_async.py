@@ -58,13 +58,12 @@ import numpy as np
 from repro.adversary.base import ByzantineStrategy
 from repro.adversary.vectorized import BatchStrategy
 from repro.algorithms.base import UpdateRule
-from repro.exceptions import InvalidParameterError, ValidityViolationError
+from repro.exceptions import InvalidParameterError
 from repro.graphs.digraph import Digraph
 from repro.simulation.dynamic import TopologySchedule
 from repro.simulation.engine import SimulationConfig
-from repro.simulation.metrics import VALIDITY_TOLERANCE, within_hull
-from repro.simulation.trace import ExecutionTrace
 from repro.simulation.vectorized import (
+    Advance,
     BatchOutcome,
     VectorizedEngine,
     reduce_plane,
@@ -163,6 +162,8 @@ class VectorizedAsyncEngine(VectorizedEngine):
         no longer degenerates to the synchronous engines.
     """
 
+    _initial_hull_validity = True
+
     def __init__(
         self,
         graph: Digraph,
@@ -210,7 +211,7 @@ class VectorizedAsyncEngine(VectorizedEngine):
         return self._update_probability
 
     # ------------------------------------------------------------------
-    # Buffer lifecycle and per-round draws
+    # Buffer lifecycle
     # ------------------------------------------------------------------
     def _init_buffers(self, state: np.ndarray) -> _DeliveryBuffers:
         """Return fresh buffers for ``state``: every channel holds the
@@ -225,41 +226,6 @@ class VectorizedAsyncEngine(VectorizedEngine):
             ring_deliveries=np.zeros((batch, edges, depth), dtype=np.int64),
             ring_send=[-1] * depth,
         )
-
-    def _draw_delays(
-        self,
-        generators: Sequence[np.random.Generator],
-        active_rows: np.ndarray | None,
-    ) -> np.ndarray | None:
-        """Per-row canonical-order delay draws; ``None`` when ``max_delay=0``.
-
-        Frozen (converged) rows draw nothing — their scalar counterparts
-        stopped executing, so their streams must not advance.
-        """
-        if self._max_delay == 0:
-            return None
-        delays = np.zeros((len(generators), self._rng_edge_count), dtype=np.int64)
-        for row, generator in enumerate(generators):
-            if active_rows is None or active_rows[row]:
-                delays[row] = generator.integers(
-                    0, self._max_delay + 1, size=self._rng_edge_count
-                )
-        return delays
-
-    def _draw_activation(
-        self,
-        generators: Sequence[np.random.Generator],
-        active_rows: np.ndarray | None,
-    ) -> np.ndarray | None:
-        """Per-row activation mask; ``None`` when every node always updates."""
-        if self._update_probability >= 1.0:
-            return None
-        count = self._ff_cols.size
-        coins = np.ones((len(generators), count), dtype=float)
-        for row, generator in enumerate(generators):
-            if active_rows is None or active_rows[row]:
-                coins[row] = generator.random(count)
-        return coins < self._update_probability
 
     # ------------------------------------------------------------------
     # Execution
@@ -397,70 +363,14 @@ class VectorizedAsyncEngine(VectorizedEngine):
         outcome — every field, including the per-round history — is
         bit-identical to :class:`PartiallyAsynchronousEngine` for the same
         configuration, the adversary permitting (see
-        :func:`~repro.simulation.vectorized.cross_check_engines`).
+        :func:`~repro.simulation.vectorized.cross_check_engines`), and equal
+        to row 0 of a one-row :meth:`run_batch` driven by the same generator.
         """
-        config = self._config
-        state = self.pack_inputs(inputs)
-        if state.shape[0] != 1:
-            raise InvalidParameterError(
-                f"run() executes a single run but received {state.shape[0]} "
-                "input rows; use run_batch() for batched execution"
-            )
         generator = (
             rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         )
-        generators = [generator]
-        buffers = self._init_buffers(state)
-
-        trace = ExecutionTrace(faulty=self._faulty)
-        hull_min, hull_max = self._extremes(state)
-        initial_spread = hull_max - hull_min
-        hull_ok = True
-        if config.record_history:
-            trace.record_round(0, self._values_dict(state))
-
-        rounds_executed = 0
-        current_spread = initial_spread
-        converged = config.stop_on_convergence and initial_spread <= config.tolerance
-
-        for round_index in range(1, config.max_rounds + 1):
-            if converged:
-                break
-            delays = self._draw_delays(generators, None)
-            active_nodes = self._draw_activation(generators, None)
-            state = self.step_async(state, buffers, round_index, delays, active_nodes)
-            rounds_executed = round_index
-
-            low, high = self._extremes(state)
-            if not within_hull(state[0, self._ff_cols], hull_min, hull_max):
-                hull_ok = False
-                if config.strict_validity:
-                    raise ValidityViolationError(
-                        f"hull validity violated at round {round_index}: a "
-                        f"fault-free value left the initial hull "
-                        f"[{hull_min}, {hull_max}]"
-                    )
-            if config.record_history:
-                trace.record_round(round_index, self._values_dict(state))
-            current_spread = high - low
-            if config.stop_on_convergence and current_spread <= config.tolerance:
-                converged = True
-
-        if not config.stop_on_convergence:
-            converged = current_spread <= config.tolerance
-        final_values = {
-            node: float(state[0, self._column[node]])
-            for node in self._nodes
-            if node not in self._faulty
-        }
-        return ConsensusOutcome(
-            converged=converged,
-            rounds_executed=rounds_executed,
-            final_spread=current_spread,
-            initial_spread=initial_spread,
-            validity_ok=hull_ok,
-            final_values=final_values,
-            history=trace.as_records() if config.record_history else tuple(),
+        return self._run_single(
+            inputs, lambda state: self._async_advance(state, [generator])
         )
 
     def run_batch(
@@ -477,75 +387,45 @@ class VectorizedAsyncEngine(VectorizedEngine):
         ``validity_ok`` reports the *initial-hull* form of validity, the
         correct condition for the partially asynchronous model.
         """
-        config = self._config
         state = self.pack_inputs(inputs)
-        batch = state.shape[0]
-        generators = spawn_row_generators(rng, batch)
+        generators = spawn_row_generators(rng, state.shape[0])
+        return self._rounds(state, self._async_advance(state, generators))
+
+    def _async_advance(
+        self, state: np.ndarray, generators: Sequence[np.random.Generator]
+    ) -> Advance:
+        """Return the per-round advance of a run from ``state``.
+
+        The run gets fresh delivery buffers.  Each round draws, per active
+        row, the canonical-order delays (iff ``max_delay > 0``) and then the
+        activation coins (iff ``update_probability < 1``), and executes one
+        :meth:`step_async`.  Frozen (converged) rows draw nothing: their
+        scalar counterparts stopped executing, so their streams must not
+        advance.
+        """
         buffers = self._init_buffers(state)
+        batch, edges, count = len(generators), self._rng_edge_count, self._ff_cols.size
 
-        ff = self._ff_cols
-        hull_low = state[:, ff].min(axis=1)
-        hull_high = state[:, ff].max(axis=1)
-        initial_spread = hull_high - hull_low
-        spread = initial_spread.copy()
-        validity_ok = np.ones(batch, dtype=bool)
-        rounds_executed = np.zeros(batch, dtype=int)
-        converged = (
-            initial_spread <= config.tolerance
-            if config.stop_on_convergence
-            else np.zeros(batch, dtype=bool)
-        )
-        active_rows = ~converged if config.stop_on_convergence else np.ones(batch, dtype=bool)
-        history: list[np.ndarray] | None = (
-            [spread.copy()] if config.record_history else None
-        )
+        def advance(
+            state: np.ndarray, round_index: int, active: np.ndarray
+        ) -> np.ndarray:
+            rows = np.flatnonzero(active).tolist()
+            delays: np.ndarray | None = None
+            if self._max_delay > 0:
+                delays = np.zeros((batch, edges), dtype=np.int64)
+                for row in rows:
+                    delays[row] = generators[row].integers(
+                        0, self._max_delay + 1, size=edges
+                    )
+            active_nodes: np.ndarray | None = None
+            if self._update_probability < 1.0:
+                coins = np.ones((batch, count), dtype=float)
+                for row in rows:
+                    coins[row] = generators[row].random(count)
+                active_nodes = coins < self._update_probability
+            return self.step_async(state, buffers, round_index, delays, active_nodes)
 
-        for round_index in range(1, config.max_rounds + 1):
-            if config.stop_on_convergence and not active_rows.any():
-                break
-            delays = self._draw_delays(generators, active_rows)
-            active_nodes = self._draw_activation(generators, active_rows)
-            new_state = self.step_async(
-                state, buffers, round_index, delays, active_nodes
-            )
-            state = np.where(active_rows[:, None], new_state, state)
-            rounds_executed = np.where(active_rows, round_index, rounds_executed)
-
-            mins = state[:, ff].min(axis=1)
-            maxs = state[:, ff].max(axis=1)
-            escaped = active_rows & (
-                (mins < hull_low - VALIDITY_TOLERANCE)
-                | (maxs > hull_high + VALIDITY_TOLERANCE)
-            )
-            if config.strict_validity and escaped.any():
-                row = int(np.flatnonzero(escaped)[0])
-                raise ValidityViolationError(
-                    f"hull validity violated at round {round_index} in batch "
-                    f"row {row}: the fault-free values left the initial hull "
-                    f"[{hull_low[row]}, {hull_high[row]}]"
-                )
-            validity_ok &= ~escaped
-            spread = np.where(active_rows, maxs - mins, spread)
-            if history is not None:
-                history.append(spread.copy())
-            if config.stop_on_convergence:
-                newly = active_rows & (spread <= config.tolerance)
-                converged = converged | newly
-                active_rows = active_rows & ~newly
-
-        if not config.stop_on_convergence:
-            converged = spread <= config.tolerance
-        return BatchOutcome(
-            nodes=self._nodes,
-            faulty=self._faulty,
-            converged=converged,
-            rounds_executed=rounds_executed,
-            initial_spread=initial_spread,
-            final_spread=spread,
-            validity_ok=validity_ok,
-            final_states=state,
-            spread_history=np.stack(history) if history is not None else None,
-        )
+        return advance
 
 
 def run_vectorized_async(

@@ -84,9 +84,14 @@ class ConsensusOutcome:
     initial_spread:
         ``U[0] − µ[0]``.
     validity_ok:
-        Whether validity (eq. 1 of the paper) held at every iteration:
-        ``U[t] ≤ U[t−1]`` and ``µ[t] ≥ µ[t−1]``, which together with round 0
-        gives the convex-hull form of validity.
+        Whether validity held at every iteration, as checked by
+        :class:`~repro.simulation.metrics.ValidityMonitor`.  The synchronous
+        engines check eq. 1 (``U[t] ≤ U[t−1]`` and ``µ[t] ≥ µ[t−1]``) against
+        the tightest interval seen so far; the partially asynchronous
+        engines check the weaker initial-hull form (every fault-free state
+        stays in ``[µ[0], U[0]]``), the one that survives stale values.
+        Under a topology schedule it also requires every asleep node to keep
+        its state exactly.
     final_values:
         Final state of every fault-free node.
     history:

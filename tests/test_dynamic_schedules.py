@@ -11,7 +11,7 @@ Four groups of pins:
   edge incident to it; the canonical edge order of
   :class:`~repro.simulation.dynamic.ScheduleLayout` is pinned to
   :func:`~repro.simulation.async_engine.canonical_edge_order`.
-* **Participation-aware validity** — the tracker must flag cumulative
+* **Participation-aware validity** — the monitor must flag cumulative
   drift a naive per-round-slack check would wave through (the PR 5 drift
   bug, now on the churn axis), must require *exact* state freezing of
   asleep nodes, and must keep sleeping extremes inside the hull so a
@@ -33,7 +33,6 @@ from repro.algorithms import TrimmedMeanRule, TrimmedMidpointRule
 from repro.graphs import chord_network, complete_graph, core_network
 from repro.simulation import (
     ComposedSchedule,
-    ParticipationValidityTracker,
     PartiallyAsynchronousEngine,
     PeriodicChurnSchedule,
     PeriodicEdgeSchedule,
@@ -42,6 +41,7 @@ from repro.simulation import (
     ScheduleLayout,
     SimulationConfig,
     StaticSchedule,
+    ValidityMonitor,
     VectorizedAsyncEngine,
     VectorizedEngine,
     canonical_edge_order,
@@ -273,11 +273,21 @@ def test_random_schedules_are_pure_functions_of_the_round():
 
 
 # ---------------------------------------------------------------------------
-# Participation-aware validity tracking
+# Participation-aware validity monitoring
 # ---------------------------------------------------------------------------
 
 
-def test_tracker_flags_slow_cumulative_drift_of_a_sleeping_node():
+def _feed(values, *rounds, track_sleep=True):
+    """Run a one-row monitor over ``values`` then each ``(values, awake)``."""
+    monitor = ValidityMonitor([values], range(len(values)), track_sleep=track_sleep)
+    for round_values, awake in rounds:
+        monitor.observe(
+            [round_values], awake=None if awake is None else np.array(awake)
+        )
+    return monitor
+
+
+def test_monitor_flags_slow_cumulative_drift_of_a_sleeping_node():
     """Regression: per-round drift below the hull slack must still flag.
 
     A naive implementation comparing an asleep node's value with per-round
@@ -285,65 +295,64 @@ def test_tracker_flags_slow_cumulative_drift_of_a_sleeping_node():
     node drifts by ``rounds x tolerance/2`` in total; the sleep check is
     exact equality, so the very first drifting round must flag.
     """
-    tracker = ParticipationValidityTracker()
-    values = [0.0, 1.0]
-    tracker.observe(values)
     drift = VALIDITY_TOLERANCE / 2.0
+    rounds, value = [], 0.0
     for _round in range(10):
-        values = [values[0] + drift, 1.0]  # node 0 "asleep" yet drifting
-        tracker.observe(values, awake=[False, True])
-    assert not tracker.sleep_ok
-    assert not tracker.ok
-    assert tracker.first_sleep_violation_round == 1
-    assert tracker.hull_ok  # the drift stayed inside the hull: sleep-only bug
+        value += drift  # node 0 "asleep" yet drifting
+        rounds.append(([value, 1.0], [False, True]))
+    monitor = _feed([0.0, 1.0], *rounds)
+    assert not monitor.ok[0]
+    assert monitor.first_round == [1]
+    assert monitor.first_node == [0]
+    # The drift stayed inside the hull: a sleep-only bug.
+    assert _feed([0.0, 1.0], *rounds, track_sleep=False).ok[0]
 
 
-def test_tracker_requires_exact_freezing_even_for_tiny_drift():
-    tracker = ParticipationValidityTracker()
-    tracker.observe([2.0, 5.0])
-    tracker.observe([2.0 + 1e-15, 5.0], awake=[False, True])
-    assert not tracker.sleep_ok
-    assert tracker.first_violation_round == 1
+def test_monitor_requires_exact_freezing_even_for_tiny_drift():
+    frozen_drift = ([2.0 + 1e-15, 5.0], [False, True])
+    monitor = _feed([2.0, 5.0], frozen_drift)
+    assert not monitor.ok[0]
+    assert monitor.first_round == [1]
+    assert _feed([2.0, 5.0], frozen_drift, track_sleep=False).ok[0]
 
 
-def test_tracker_keeps_sleeping_extreme_inside_the_hull():
+def test_monitor_keeps_sleeping_extreme_inside_the_hull():
     """An awake node may move toward a sleeping extreme's frozen value.
 
-    A tracker that tightened the hull over *awake* nodes only would see the
+    A monitor that tightened the hull over *awake* nodes only would see the
     interval shrink to [1, 6] while node 0 sleeps at 10, then flag the jump
     to 9.5 — but 10 is still a fault-free value, so the fault-free hull
     never actually tightened past it and the move is legal.
     """
-    tracker = ParticipationValidityTracker()
-    tracker.observe([10.0, 1.0, 6.0])
-    tracker.observe([10.0, 2.0, 6.0], awake=[False, True, True])
-    tracker.observe([10.0, 9.5, 6.0], awake=[False, True, False])
-    tracker.observe([8.0, 9.5, 6.0], awake=[True, False, False])
-    assert tracker.ok
-    assert tracker.hull_ok
-    assert tracker.sleep_ok
+    monitor = _feed(
+        [10.0, 1.0, 6.0],
+        ([10.0, 2.0, 6.0], [False, True, True]),
+        ([10.0, 9.5, 6.0], [False, True, False]),
+        ([8.0, 9.5, 6.0], [True, False, False]),
+    )
+    assert monitor.ok[0]
+    assert monitor.first_round == [None]
 
 
-def test_tracker_still_flags_a_real_hull_escape():
-    tracker = ParticipationValidityTracker()
-    tracker.observe([0.0, 1.0])
-    tracker.observe([0.5, 1.2], awake=[True, True])  # 1.2 > max(0, 1)
-    assert not tracker.hull_ok
-    assert not tracker.ok
-    assert tracker.first_violation_round == 1
+def test_monitor_still_flags_a_real_hull_escape():
+    escape = ([0.5, 1.2], [True, True])  # 1.2 > max(0, 1)
+    monitor = _feed([0.0, 1.0], escape)
+    assert not monitor.ok[0]
+    assert monitor.first_round == [1]
+    assert monitor.first_node == [1]
+    assert not _feed([0.0, 1.0], escape, track_sleep=False).ok[0]
 
 
-def test_tracker_sleep_check_waits_for_an_awake_mask():
-    tracker = ParticipationValidityTracker()
-    tracker.observe([3.0, 4.0])
-    tracker.observe([3.5, 4.0])  # no mask: plain hull round
-    assert tracker.ok
+def test_monitor_sleep_check_waits_for_an_awake_mask():
+    monitor = _feed([3.0, 4.0], ([3.5, 4.0], None))  # no mask: plain hull round
+    assert monitor.ok[0]
 
 
-def test_engine_run_folds_participation_audit_into_validity():
+@pytest.mark.parametrize("engine_kind", ["scalar", "vectorized", "tiled"])
+def test_engine_run_folds_participation_audit_into_validity(engine_kind):
     graph = core_network(8, 1)
     outcome = run_sync_engine(
-        "scalar",
+        engine_kind,
         graph,
         TrimmedMeanRule(1),
         _inputs_for(graph),

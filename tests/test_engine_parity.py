@@ -19,6 +19,8 @@ matrix in ``conftest.py`` (:data:`conftest.SYNC_FAMILY_CASES`):
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,7 @@ from repro.simulation import (
     uniform_random_inputs,
 )
 from repro.simulation.vectorized import random_input_matrix
+from repro.types import ConsensusOutcome
 
 
 @pytest.mark.parametrize(
@@ -58,7 +61,8 @@ def test_sync_quartet_bit_exact(
 
     Every engine gets a fresh adversary instance; with tolerance 0 identical
     trajectories stop at identical rounds, so the histories must have equal
-    length as well as equal contents.
+    length as well as equal contents, and every other outcome field (spreads,
+    round count, convergence and validity verdicts, final values) must match.
     """
     graph = graph_factory()
     inputs = uniform_random_inputs(graph.nodes, rng=11)
@@ -88,6 +92,10 @@ def test_sync_quartet_bit_exact(
                     f"{engine_kind} diverged at round {o_rec.round_index} "
                     f"on node {node!r}"
                 )
+        for field in dataclasses.fields(ConsensusOutcome):
+            assert getattr(outcome, field.name) == getattr(scalar, field.name), (
+                f"{engine_kind} differs from the scalar engine in {field.name}"
+            )
 
 
 @pytest.mark.parametrize("batch", [1, 64], ids=["B1", "B64"])

@@ -1,4 +1,4 @@
-"""Unit tests for metrics, validity tracking and input generators."""
+"""Unit tests for metrics, the validity monitor and input generators."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.conditions import chord_n7_f2_witness
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, ValidityViolationError
 from repro.simulation import (
-    ValidityTracker,
+    ValidityMonitor,
     bimodal_inputs,
     empirical_contraction_ratios,
     fault_free_extremes,
@@ -17,8 +17,8 @@ from repro.simulation import (
     split_inputs_from_witness,
     spread,
     uniform_random_inputs,
-    within_hull,
 )
+from repro.simulation.metrics import VALIDITY_TOLERANCE
 
 
 class TestExtremesAndSpread:
@@ -42,44 +42,41 @@ class TestExtremesAndSpread:
         with pytest.raises(InvalidParameterError):
             has_converged({0: 1.0}, frozenset(), tolerance=-1.0)
 
-    def test_within_hull(self):
-        assert within_hull([0.1, 0.9], 0.0, 1.0)
-        assert not within_hull([1.5], 0.0, 1.0)
-        assert within_hull([1.0 + 1e-12], 0.0, 1.0)
+
+def _interval_monitor(low, high, **kwargs):
+    """A one-row monitor over two nodes that start at ``low`` and ``high``.
+
+    Feeding ``[[µ, U]]`` each round replays the old ``(µ[t], U[t])``
+    tracker inputs: the row's extremes are exactly that interval.
+    """
+    return ValidityMonitor([[low, high]], ("low", "high"), **kwargs)
 
 
-class TestValidityTracker:
+class TestValidityMonitor:
     def test_monotone_shrinkage_is_valid(self):
-        tracker = ValidityTracker()
-        tracker.observe(0.0, 1.0)
-        tracker.observe(0.1, 0.9)
-        tracker.observe(0.2, 0.8)
-        assert tracker.ok
-        assert tracker.first_violation_round is None
+        monitor = _interval_monitor(0.0, 1.0)
+        monitor.observe([[0.1, 0.9]])
+        monitor.observe([[0.2, 0.8]])
+        assert monitor.ok.tolist() == [True]
+        assert monitor.first_round == [None]
 
     def test_expansion_detected(self):
-        tracker = ValidityTracker()
-        tracker.observe(0.0, 1.0)
-        tracker.observe(0.0, 1.5)
-        assert not tracker.ok
-        assert tracker.first_violation_round == 1
+        monitor = _interval_monitor(0.0, 1.0)
+        monitor.observe([[0.0, 1.5]])
+        assert monitor.ok.tolist() == [False]
+        assert monitor.first_round == [1]
+        assert monitor.first_node == ["high"]
 
     def test_downward_expansion_detected(self):
-        tracker = ValidityTracker()
-        tracker.observe(0.0, 1.0)
-        tracker.observe(-0.5, 1.0)
-        assert not tracker.ok
+        monitor = _interval_monitor(0.0, 1.0)
+        monitor.observe([[-0.5, 1.0]])
+        assert monitor.ok.tolist() == [False]
+        assert monitor.first_node == ["low"]
 
     def test_tiny_numerical_noise_tolerated(self):
-        tracker = ValidityTracker()
-        tracker.observe(0.0, 1.0)
-        tracker.observe(0.0, 1.0 + 1e-12)
-        assert tracker.ok
-
-    def test_inverted_interval_rejected(self):
-        tracker = ValidityTracker()
-        with pytest.raises(InvalidParameterError):
-            tracker.observe(1.0, 0.0)
+        monitor = _interval_monitor(0.0, 1.0)
+        monitor.observe([[0.0, 1.0 + 1e-12]])
+        assert monitor.ok.tolist() == [True]
 
     def test_slow_drift_regression(self):
         """Sub-slack expansion every round must not accumulate unnoticed.
@@ -88,63 +85,54 @@ class TestValidityTracker:
         round with fresh slack, so a per-round expansion of ``slack/2``
         drifted the hull arbitrarily far without ever flagging a violation.
         """
-        tracker = ValidityTracker()
-        step = tracker.slack / 2.0
-        tracker.observe(0.0, 1.0)
+        monitor = _interval_monitor(0.0, 1.0)
+        step = VALIDITY_TOLERANCE / 2.0
         for round_index in range(1, 10):
-            tracker.observe(0.0, 1.0 + round_index * step)
-        assert not tracker.ok
+            monitor.observe([[0.0, 1.0 + round_index * step]])
+        assert monitor.ok.tolist() == [False]
         # Rounds 1 and 2 are within one total slack of the round-0 hull;
         # round 3 (1.0 + 1.5 * slack) is the first genuine escape.
-        assert tracker.first_violation_round == 3
+        assert monitor.first_round == [3]
 
     def test_total_slack_bounded_once(self):
-        tracker = ValidityTracker()
-        tracker.observe(0.0, 1.0)
-        tracker.observe(0.0, 1.0 + tracker.slack / 2.0)
-        tracker.observe(0.0, 1.0 + tracker.slack / 2.0)
-        assert tracker.ok
+        monitor = _interval_monitor(0.0, 1.0)
+        monitor.observe([[0.0, 1.0 + VALIDITY_TOLERANCE / 2.0]])
+        monitor.observe([[0.0, 1.0 + VALIDITY_TOLERANCE / 2.0]])
+        assert monitor.ok.tolist() == [True]
 
     def test_downward_drift_detected(self):
-        tracker = ValidityTracker()
-        step = tracker.slack / 2.0
-        tracker.observe(0.0, 1.0)
+        monitor = _interval_monitor(0.0, 1.0)
+        step = VALIDITY_TOLERANCE / 2.0
         for round_index in range(1, 10):
-            tracker.observe(-round_index * step, 1.0)
-        assert not tracker.ok
-        assert tracker.first_violation_round == 3
+            monitor.observe([[-round_index * step, 1.0]])
+        assert monitor.ok.tolist() == [False]
+        assert monitor.first_round == [3]
 
     def test_recovery_does_not_reset_the_hull(self):
         """A round that re-tightens never forgives an earlier tightest bound."""
-        tracker = ValidityTracker()
-        tracker.observe(0.0, 1.0)
-        tracker.observe(0.2, 0.5)  # tightest hull is now [0.2, 0.5]
-        tracker.observe(0.1, 0.6)  # outside the tightest hull -> violation
-        assert not tracker.ok
-        assert tracker.first_violation_round == 2
-
-    def test_initial_interval_recorded(self):
-        tracker = ValidityTracker()
-        assert tracker.initial_interval is None
-        tracker.observe(-1.5, 2.5)
-        assert tracker.initial_interval == (-1.5, 2.5)
-        tracker.observe(0.0, 1.0)
-        assert tracker.initial_interval == (-1.5, 2.5)
+        monitor = _interval_monitor(0.0, 1.0)
+        monitor.observe([[0.2, 0.5]])  # tightest hull is now [0.2, 0.5]
+        monitor.observe([[0.1, 0.6]])  # outside the tightest hull -> violation
+        assert monitor.ok.tolist() == [False]
+        assert monitor.first_round == [2]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_property_monotone_hull_always_passes(self, seed):
         """Any execution whose hull only tightens satisfies validity."""
         rng = np.random.default_rng(seed)
         low, high = 0.0, 1.0
-        tracker = ValidityTracker()
-        tracker.observe(low, high)
+        monitor = _interval_monitor(low, high)
+        initial = _interval_monitor(low, high, initial_hull=True)
         for _ in range(40):
             low = low + rng.uniform(0.0, 0.4) * (high - low)
             high = high - rng.uniform(0.0, 0.4) * (high - low)
-            tracker.observe(low, high)
-        assert tracker.ok
-        assert tracker.first_violation_round is None
-        assert tracker.initial_interval == (0.0, 1.0)
+            monitor.observe([[low, high]])
+            initial.observe([[low, high]])
+        assert monitor.ok.tolist() == [True]
+        assert monitor.first_round == [None]
+        assert (monitor.low.tolist(), monitor.high.tolist()) == ([low], [high])
+        assert (initial.low.tolist(), initial.high.tolist()) == ([0.0], [1.0])
+        assert initial.ok.tolist() == [True]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_property_single_expansion_flags_correct_round(self, seed):
@@ -152,17 +140,49 @@ class TestValidityTracker:
         rng = np.random.default_rng(100 + seed)
         violation_round = int(rng.integers(1, 30))
         low, high = 0.0, 1.0
-        tracker = ValidityTracker()
-        tracker.observe(low, high)
+        monitor = _interval_monitor(low, high)
         for round_index in range(1, 31):
             if round_index == violation_round:
-                high = high + 10.0 * tracker.slack
+                high = high + 10.0 * VALIDITY_TOLERANCE
             else:
                 shrink = rng.uniform(0.0, 0.1) * (high - low)
                 low, high = low + shrink, high - shrink
-            tracker.observe(low, high)
-        assert not tracker.ok
-        assert tracker.first_violation_round == violation_round
+            monitor.observe([[low, high]])
+        assert monitor.ok.tolist() == [False]
+        assert monitor.first_round == [violation_round]
+
+    def test_initial_hull_form_allows_reexpansion_inside_the_hull(self):
+        """The asynchronous form checks round 0's hull, not the tightest one."""
+        monitor = _interval_monitor(0.0, 1.0, initial_hull=True)
+        monitor.observe([[0.2, 0.5]])
+        monitor.observe([[0.1, 0.6]])
+        assert monitor.ok.tolist() == [True]
+        monitor.observe([[0.1, 1.0 + 10.0 * VALIDITY_TOLERANCE]])
+        assert monitor.ok.tolist() == [False]
+        assert monitor.first_round == [3]
+
+    def test_rows_are_independent_and_frozen_rows_skipped(self):
+        monitor = ValidityMonitor([[0.0, 1.0]] * 3, ("a", "b"))
+        escaped = [[0.0, 1.0], [0.0, 2.0], [0.0, 2.0]]
+        monitor.observe(escaped, active=np.array([True, True, False]))
+        assert monitor.ok.tolist() == [True, False, True]
+        assert monitor.first_round == [None, 1, None]
+        assert monitor.first_node == [None, "b", None]
+
+    def test_nan_counts_as_an_escape(self):
+        monitor = _interval_monitor(0.0, 1.0)
+        monitor.observe([[0.5, float("nan")]])
+        assert monitor.ok.tolist() == [False]
+        assert monitor.first_node == ["high"]
+
+    def test_strict_violation_carries_its_coordinates(self):
+        monitor = ValidityMonitor([[0.0, 1.0], [0.0, 1.0]], ("a", "b"), strict=True)
+        monitor.observe([[0.0, 0.9], [0.1, 0.9]])
+        with pytest.raises(ValidityViolationError, match="row 1") as caught:
+            monitor.observe([[0.0, 0.9], [0.1, 0.95]])
+        error = caught.value
+        assert (error.row, error.round_index, error.node) == (1, 2, "b")
+        assert (error.bound, error.observed) == (0.9, 0.95)
 
 
 class TestContractionRatios:
