@@ -6,34 +6,10 @@
 #                    ratchet (tools/check_typing_ratchet.py) + typed-API
 #                    gate (mypy, skipped with a notice when not installed;
 #                    CI installs it) + docstring-coverage gate
-#   make bench       synchronous engine benchmark -> BENCH_engine.json
-#   make bench-smoke tiny-n scalar/vectorized equivalence-guarded engine
-#                    benchmark run (output to a temp dir; CI runs this on
-#                    every push)
-#   make bench-async asynchronous engine benchmark -> BENCH_async.json
-#   make bench-async-smoke tiny-n scalar/vectorized async equivalence-guarded
-#                    benchmark run (output to a temp dir; CI runs this on
-#                    every push)
-#   make bench-checker legacy-vs-bitset checker benchmark -> BENCH_checker.json
-#   make bench-checker-smoke tiny-n equivalence-guarded checker benchmark run
-#                    (no file written; CI runs this on every push)
-#   make bench-adversary batch-native vs adapter adversary benchmark
-#                    -> BENCH_adversary.json
-#   make bench-adversary-smoke tiny-n equivalence-guarded adversary benchmark
-#                    run (no file written; CI runs this on every push)
-#   make bench-scale sparse-engine scale benchmark up to n=10^5
-#                    -> BENCH_scale.json
-#   make bench-scale-smoke tiny-n scale run: scalar/vectorized equivalence
-#                    guard (no file written; CI runs this on every push)
-#   make bench-verdict layered feasibility-verdict benchmark with parity and
-#                    certificate guards -> BENCH_verdict.json
-#   make bench-verdict-smoke parity + certificate guards and one tiny timed
-#                    battery (no file written; CI runs this on every push)
-#   make bench-dynamic dynamic-topology masking-overhead benchmark
-#                    -> BENCH_dynamic.json
-#   make bench-dynamic-smoke tiny-n dynamic run: scalar/vectorized
-#                    equivalence guard under the composed schedule (no file
-#                    written; CI runs this on every push)
+#   make bench       run the benchmark harness: every scenario, or only
+#                    SCENARIO="engine scale ..."; rewrites BENCH_<scenario>.json
+#   make bench-smoke every scenario's refusal guard and timed paths at smoke
+#                    size; writes no file (CI runs this on every push)
 #   make docs-check  docs exist, examples in them import, docstrings covered
 #   make sweep-smoke end-to-end CLI sweep: run a tiny sharded grid with two
 #                    workers, then re-open it with `repro report`
@@ -42,7 +18,7 @@ PYTHON ?= python
 export PYTHONPATH := src:tools$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # The docstring gate covers the library, the sweeps/CLI layer and the
-# benchmark scripts; --require guards against a package silently leaving
+# benchmark harness; --require guards against a package silently leaving
 # the scan.
 DOCSTRING_GATE = $(PYTHON) tools/check_docstrings.py \
 	--root src/repro --root benchmarks --root tools/reprolint \
@@ -55,7 +31,7 @@ DOCSTRING_GATE = $(PYTHON) tools/check_docstrings.py \
 	--require repro.simulation.sparse \
 	--require repro.simulation.dynamic
 
-.PHONY: test test-fast lint bench bench-smoke bench-async bench-async-smoke bench-checker bench-checker-smoke bench-adversary bench-adversary-smoke bench-scale bench-scale-smoke bench-verdict bench-verdict-smoke bench-dynamic bench-dynamic-smoke docs-check sweep-smoke
+.PHONY: test test-fast lint bench bench-smoke docs-check sweep-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -81,57 +57,12 @@ lint:
 	$(DOCSTRING_GATE)
 
 bench:
-	$(PYTHON) benchmarks/bench_engine.py
+	$(PYTHON) benchmarks/harness.py $(SCENARIO)
 
-# The two smoke runs write their payload into a temporary directory, so the
-# committed BENCH files are never touched.
+# Smoke mode never opens an output file, so the committed BENCH files stay
+# untouched.
 bench-smoke:
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(PYTHON) benchmarks/bench_engine.py --n 20 --batch 4 --rounds 3 \
-		--scalar-runs 1 --out "$$tmp/BENCH_engine.json" > /dev/null
-	@echo "bench smoke OK: scalar/vectorized equivalence guard passed"
-
-bench-async:
-	$(PYTHON) benchmarks/bench_async.py
-
-bench-async-smoke:
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(PYTHON) benchmarks/bench_async.py --n 20 --batch 4 --rounds 3 \
-		--scalar-runs 1 --out "$$tmp/BENCH_async.json" > /dev/null
-	@echo "bench-async smoke OK: scalar/vectorized async equivalence guard passed"
-
-bench-checker:
-	$(PYTHON) benchmarks/bench_checker.py
-
-bench-checker-smoke:
-	$(PYTHON) benchmarks/bench_checker.py --smoke
-
-bench-adversary:
-	$(PYTHON) benchmarks/bench_adversary.py
-
-bench-adversary-smoke:
-	$(PYTHON) benchmarks/bench_adversary.py --smoke
-
-bench-scale:
-	$(PYTHON) benchmarks/bench_scale.py
-
-bench-scale-smoke:
-	$(PYTHON) benchmarks/bench_scale.py --smoke
-	@git diff --quiet -- BENCH_scale.json || { echo "bench-scale-smoke must not modify BENCH_scale.json"; exit 1; }
-
-bench-verdict:
-	$(PYTHON) benchmarks/bench_verdict.py
-
-bench-verdict-smoke:
-	$(PYTHON) benchmarks/bench_verdict.py --smoke
-	@git diff --quiet -- BENCH_verdict.json || { echo "bench-verdict-smoke must not modify BENCH_verdict.json"; exit 1; }
-
-bench-dynamic:
-	$(PYTHON) benchmarks/bench_dynamic.py
-
-bench-dynamic-smoke:
-	$(PYTHON) benchmarks/bench_dynamic.py --smoke
-	@git diff --quiet -- BENCH_dynamic.json || { echo "bench-dynamic-smoke must not modify BENCH_dynamic.json"; exit 1; }
+	$(PYTHON) benchmarks/harness.py --smoke
 
 docs-check:
 	@test -f README.md || { echo "README.md missing"; exit 1; }

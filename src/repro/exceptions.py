@@ -153,20 +153,6 @@ class ValidityViolationError(SimulationError):
         self.observed = observed
 
 
-class ConvergenceError(SimulationError):
-    """A simulation that was required to converge failed to do so within the
-    allotted number of iterations."""
-
-    def __init__(self, rounds: int, spread: float, tolerance: float) -> None:
-        super().__init__(
-            f"consensus did not converge within {rounds} iterations: "
-            f"remaining spread {spread:.6g} exceeds tolerance {tolerance:.6g}"
-        )
-        self.rounds = rounds
-        self.spread = spread
-        self.tolerance = tolerance
-
-
 class SchemaViolationError(ReproError):
     """A result row (or stored document) does not match its declared schema.
 

@@ -5,15 +5,12 @@ qualitative shape the paper reports, while the examples print them."""
 
 from repro.experiments.ablation import (
     ablation_cell,
-    ablation_summary,
     algorithm_ablation,
     default_ablation_graphs,
     rule_zoo,
 )
 from repro.experiments.asynchronous import (
-    async_condition_sweep,
     asynchronous_cell,
-    async_simulation_study,
     async_sweep,
 )
 from repro.experiments.checker import (
@@ -33,7 +30,6 @@ from repro.experiments.corollaries import (
     corollaries_cell,
     corollary2_sweep,
     corollary3_edge_removal,
-    low_in_degree_always_fails,
 )
 from repro.experiments.families import (
     chord_case_studies,
@@ -94,7 +90,6 @@ from repro.experiments.showdown import (
 )
 from repro.experiments.validity import (
     adversary_zoo,
-    count_validity_failures,
     default_validity_graphs,
     validity_cell,
     validity_study,
@@ -102,13 +97,10 @@ from repro.experiments.validity import (
 
 __all__ = [
     "ablation_cell",
-    "ablation_summary",
     "algorithm_ablation",
     "default_ablation_graphs",
     "rule_zoo",
-    "async_condition_sweep",
     "asynchronous_cell",
-    "async_simulation_study",
     "async_sweep",
     "checker_agreement_study",
     "checker_cell",
@@ -122,7 +114,6 @@ __all__ = [
     "corollaries_cell",
     "corollary2_sweep",
     "corollary3_edge_removal",
-    "low_in_degree_always_fails",
     "chord_case_studies",
     "families_cell",
     "chord_feasibility_sweep",
@@ -165,7 +156,6 @@ __all__ = [
     "default_showdown_cases",
     "make_showdown_strategy",
     "adversary_zoo",
-    "count_validity_failures",
     "default_validity_graphs",
     "validity_cell",
     "validity_study",

@@ -179,30 +179,6 @@ def algorithm_ablation(
     return rows
 
 
-def ablation_summary(rows: list[AblationRow]) -> list[dict[str, object]]:
-    """Aggregate ablation rows per rule: validity failures and convergence counts."""
-    by_rule: dict[str, dict[str, int]] = {}
-    for row in rows:
-        entry = by_rule.setdefault(
-            str(row["rule"]),
-            {"cases": 0, "validity_failures": 0, "hull_escapes": 0, "converged": 0},
-        )
-        entry["cases"] += 1
-        entry["validity_failures"] += 0 if row["validity_ok"] else 1
-        entry["hull_escapes"] += 0 if row["final_within_input_hull"] else 1
-        entry["converged"] += 1 if row["converged"] else 0
-    return [
-        {
-            "rule": rule,
-            "cases": counts["cases"],
-            "validity_failures": counts["validity_failures"],
-            "hull_escapes": counts["hull_escapes"],
-            "converged": counts["converged"],
-        }
-        for rule, counts in sorted(by_rule.items())
-    ]
-
-
 @register_experiment(
     name="ablation",
     paper_section="Algorithm 1 vs alternative update rules (E12)",

@@ -1,25 +1,18 @@
 """Experiment E9 — the asynchronous extension (Section 7).
 
-Three parts:
+The Monte-Carlo sweep (:func:`async_sweep`) runs Algorithm 1 through the
+partially asynchronous model (bounded message delay ``B``, sporadic
+activation) on graphs satisfying the asynchronous condition: for every
+case × delay bound × activation probability it runs ``B`` independent
+executions through
+:class:`~repro.simulation.vectorized_async.VectorizedAsyncEngine` as one
+``(B, n)`` matrix and aggregates convergence statistics, showing that delays
+slow but do not break convergence on those graphs.  One sweep cell costs
+roughly what a *single* scalar execution used to.
 
-1. *Condition sweep* — mirror the Corollary-2/3 sweeps with the asynchronous
-   screens (``n > 5f``, in-degree ``≥ 3f + 1``) and the ``2f + 1`` threshold
-   in the exhaustive checker, confirming the thresholds shift exactly as
-   Section 7 states.
-2. *Simulation study* — run Algorithm 1 through the partially asynchronous
-   model (bounded message delay ``B``) on graphs satisfying the asynchronous
-   condition and report convergence and hull validity, showing that delays
-   slow but do not break convergence on those graphs.
-3. *Monte-Carlo sweep* (:func:`async_sweep`) — the batched workhorse: for
-   every case × delay bound × activation probability it runs ``B``
-   independent executions through
-   :class:`~repro.simulation.vectorized_async.VectorizedAsyncEngine` as one
-   ``(B, n)`` matrix and aggregates convergence statistics.  One sweep cell
-   costs roughly what a *single* scalar execution used to.
-
-Both simulation drivers run on the vectorized asynchronous engine; the
-cross-engine parity suite (``tests/test_engine_parity.py``) pins it
-bit-for-bit to the scalar reference, so the speed costs no fidelity.
+The cross-engine parity suite (``tests/test_engine_parity.py``) pins the
+vectorized asynchronous engine bit-for-bit to the scalar reference, so the
+speed costs no fidelity.
 """
 
 from __future__ import annotations
@@ -27,25 +20,15 @@ from __future__ import annotations
 from typing import TypedDict
 
 from repro.adversary.selection import random_fault_set
-from repro.adversary.strategies import ExtremePushStrategy
 from repro.adversary.vectorized import BatchExtremePushStrategy
 from repro.algorithms.trimmed_mean import TrimmedMeanRule
-from repro.conditions.asynchronous import (
-    check_async_feasibility,
-    passes_async_count_screen,
-    passes_async_in_degree_screen,
-)
-from repro.conditions.necessary import check_feasibility
+from repro.conditions.asynchronous import check_async_feasibility
 from repro.exceptions import GraphTooLargeError, InvalidParameterError
 from repro.graphs.digraph import Digraph
 from repro.graphs.generators import complete_graph, core_network
 from repro.simulation.engine import SimulationConfig
-from repro.simulation.inputs import bimodal_inputs
 from repro.simulation.vectorized import random_input_matrix
-from repro.simulation.vectorized_async import (
-    VectorizedAsyncEngine,
-    run_vectorized_async,
-)
+from repro.simulation.vectorized_async import VectorizedAsyncEngine
 from repro.sweeps.registry import register_experiment, select_labelled_case
 from repro.sweeps.schema import schema_from_typeddict
 
@@ -87,36 +70,8 @@ ASYNCHRONOUS_SCHEMA = schema_from_typeddict(
 )
 
 
-def async_condition_sweep(
-    f: int,
-    n_values: list[int] | None = None,
-) -> list[dict[str, object]]:
-    """Sweep ``n`` over complete graphs comparing the synchronous and
-    asynchronous feasibility conditions (the thresholds ``3f`` vs ``5f``)."""
-    if f < 0:
-        raise InvalidParameterError(f"f must be >= 0, got {f}")
-    chosen_n = n_values if n_values is not None else list(range(2, 5 * f + 4))
-    rows: list[dict[str, object]] = []
-    for n in chosen_n:
-        graph = complete_graph(n)
-        sync_result = check_feasibility(graph, f)
-        async_result = check_async_feasibility(graph, f)
-        rows.append(
-            {
-                "n": n,
-                "f": f,
-                "sync_condition": sync_result.satisfied,
-                "async_condition": async_result.satisfied,
-                "n_gt_3f": n > 3 * f,
-                "n_gt_5f": passes_async_count_screen(n, f) if f > 0 else n >= 1,
-                "async_in_degree_screen": passes_async_in_degree_screen(graph, f),
-            }
-        )
-    return rows
-
-
 def _default_cases() -> list[tuple[str, Digraph, int]]:
-    """The labelled ``(graph, f)`` scenarios shared by both simulation drivers."""
+    """The labelled ``(graph, f)`` scenarios of the asynchronous sweep."""
     return [
         ("complete n=6 f=1", complete_graph(6), 1),
         ("complete n=11 f=2", complete_graph(11), 2),
@@ -131,55 +86,6 @@ def _async_feasibility_flag(graph: Digraph, f: int) -> bool | None:
         return check_async_feasibility(graph, f).satisfied
     except GraphTooLargeError:
         return None
-
-
-def async_simulation_study(
-    cases: list[tuple[str, Digraph, int]] | None = None,
-    delays: list[int] | None = None,
-    rounds: int = 600,
-    tolerance: float = 1e-5,
-    seed: int = 23,
-) -> list[dict[str, object]]:
-    """Run Algorithm 1 under bounded message delays on async-feasible graphs.
-
-    For each case and each delay bound ``B`` the row records whether the run
-    converged, how many rounds it took and whether every fault-free value
-    stayed within the initial fault-free hull.  Executions go through the
-    vectorized asynchronous engine (bit-exact with the scalar reference).
-    """
-    chosen_cases = cases if cases is not None else _default_cases()
-    chosen_delays = delays if delays is not None else [0, 1, 3]
-    rows: list[dict[str, object]] = []
-    for index, (label, graph, f) in enumerate(chosen_cases):
-        rule = TrimmedMeanRule(f)
-        faulty = random_fault_set(graph, f, rng=seed + index) if f > 0 else frozenset()
-        inputs = bimodal_inputs(graph.nodes, 0.0, 1.0, rng=seed + index)
-        async_feasible = _async_feasibility_flag(graph, f)
-        for delay in chosen_delays:
-            outcome = run_vectorized_async(
-                graph=graph,
-                rule=rule,
-                inputs=inputs,
-                faulty=faulty,
-                adversary=ExtremePushStrategy(delta=1.0) if faulty else None,
-                max_delay=delay,
-                max_rounds=rounds,
-                tolerance=tolerance,
-                rng=seed + index,
-            )
-            rows.append(
-                {
-                    "case": label,
-                    "f": f,
-                    "async_condition_holds": async_feasible,
-                    "max_delay_B": delay,
-                    "converged": outcome.converged,
-                    "rounds": outcome.rounds_executed,
-                    "final_spread": outcome.final_spread,
-                    "hull_validity_ok": outcome.validity_ok,
-                }
-            )
-    return rows
 
 
 def async_sweep(

@@ -21,7 +21,6 @@ from repro.conditions.necessary import (
     passes_in_degree_screen,
 )
 from repro.exceptions import AlgorithmPreconditionError, InvalidParameterError
-from repro.graphs.digraph import Digraph
 from repro.graphs.generators import complete_graph, core_network
 from repro.graphs.properties import minimum_in_degree
 from repro.simulation.engine import run_synchronous
@@ -174,18 +173,6 @@ def corollary3_edge_removal(
         if removed_count < len(incoming):
             working.remove_edge(incoming[removed_count], chosen_victim)
     return rows
-
-
-def low_in_degree_always_fails(graph: Digraph, f: int) -> bool:
-    """Return whether the combination "some node has in-degree ≤ 2f" and
-    "condition holds" ever occurs — it must not (Corollary 3).
-
-    Returns ``True`` when the corollary is respected on this graph (either the
-    in-degree screen passes, or the exact condition indeed fails).
-    """
-    if passes_in_degree_screen(graph, f):
-        return True
-    return not check_feasibility(graph, f, use_structural_shortcuts=False).satisfied
 
 
 @register_experiment(

@@ -13,8 +13,8 @@ per second), the validity verdict, and the hull contraction per cell.
 Cells with ``n`` small enough to afford the scalar reference engine also
 replay one round of the first batch row through it, so the timing numbers
 are tied to the bit-exactness contract rather than taken on faith; the full
-curve (up to ``n = 10^5``) lives in ``benchmarks/bench_scale.py`` →
-``BENCH_scale.json``.
+curve (up to ``n = 10^5``) is the ``scale`` scenario of
+``benchmarks/harness.py`` → ``BENCH_scale.json``.
 """
 
 from __future__ import annotations

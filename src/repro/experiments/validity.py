@@ -140,15 +140,6 @@ def validity_study(
     return rows
 
 
-def count_validity_failures(
-    rows: list[ValidityRow], rule_name: str
-) -> tuple[int, int]:
-    """Return ``(failures, total)`` validity counts for one rule across rows."""
-    relevant = [row for row in rows if row["rule"] == rule_name]
-    failures = sum(1 for row in relevant if not row["validity_ok"])
-    return failures, len(relevant)
-
-
 @register_experiment(
     name="validity",
     paper_section="Section 4, Theorem 2 (E8)",

@@ -130,13 +130,13 @@ def heterogeneous_ring_lattice(
     starts above the ``2f`` trim floor) plus ``Poisson(extra_mean)`` extra
     random in-edges per node.
 
-    This is the scale-out family of the ``large_n`` experiment and
-    ``benchmarks/bench_scale.py``: in-degrees spread over dozens of distinct
-    values (exercising the batch engine's bucket-major plane across many
-    degree buckets) while the edge count stays ``O(n)``, so ``n = 10^5`` is
-    cheap to build.  Construction is vectorized — the ring offsets and the
-    extra-edge endpoints are drawn as flat NumPy arrays, not per-node Python
-    loops.
+    This is the scale-out family of the ``large_n`` experiment and of the
+    benchmark harness's ``scale`` and ``dynamic`` scenarios: in-degrees
+    spread over dozens of distinct values (exercising the batch engine's
+    bucket-major plane across many degree buckets) while the edge count
+    stays ``O(n)``, so ``n = 10^5`` is cheap to build.  Construction is
+    vectorized — the ring offsets and the extra-edge endpoints are drawn as
+    flat NumPy arrays, not per-node Python loops.
     """
     if f < 0:
         raise InvalidParameterError(f"f must be >= 0, got {f}")

@@ -29,9 +29,7 @@ The command-line front end is :mod:`repro.cli` (``python -m repro`` or the
 from repro.sweeps.grid import apply_overrides, expand_grid, grid_fingerprint, parse_override
 from repro.sweeps.orchestrator import SweepPlan, SweepResult, plan_sweep, run_sweep
 from repro.sweeps.provenance import (
-    BENCH_SCHEMA_VERSION,
     RUN_SCHEMA_VERSION,
-    bench_payload,
     git_revision,
     machine_provenance,
 )
@@ -51,7 +49,6 @@ from repro.sweeps.store import Aggregate, Manifest, RunStore
 
 __all__ = [
     "Aggregate",
-    "BENCH_SCHEMA_VERSION",
     "Column",
     "Manifest",
     "RUN_SCHEMA_VERSION",
@@ -63,7 +60,6 @@ __all__ = [
     "SweepResult",
     "all_experiments",
     "apply_overrides",
-    "bench_payload",
     "expand_grid",
     "get_experiment",
     "git_revision",

@@ -2,9 +2,7 @@
 
 Every sweep manifest and every ``BENCH_*.json`` records where its numbers
 came from: interpreter and NumPy versions, machine architecture, and the git
-revision of the working tree (when available).  The benchmark scripts also
-share :func:`bench_payload` so both files follow one schema — documented in
-``docs/performance.md``.
+revision of the working tree (when available).
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import datetime
 import platform
 import subprocess
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -29,9 +26,6 @@ def utc_now_iso() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="seconds"
     )
-
-#: Schema version of the unified ``BENCH_*.json`` layout.
-BENCH_SCHEMA_VERSION = 2
 
 #: Schema version of sweep run manifests / shard files under ``results/``.
 RUN_SCHEMA_VERSION = 1
@@ -63,29 +57,4 @@ def machine_provenance() -> dict[str, object]:
         "machine": platform.machine(),
         "system": platform.system(),
         "git_sha": git_revision(Path(__file__).resolve().parent),
-    }
-
-
-def bench_payload(
-    benchmark: str,
-    scenario: Mapping[str, object],
-    results: Mapping[str, object],
-    speedups: Mapping[str, float],
-) -> dict[str, object]:
-    """Assemble the unified ``BENCH_*.json`` payload (schema v2).
-
-    ``benchmark`` names the harness (``engine-sync`` / ``engine-async``),
-    ``scenario`` the fixed configuration that was timed, ``results`` one
-    entry per timed path and ``speedups`` the headline ratios.  The payload
-    always records that the engine-equivalence guard ran (both harnesses
-    refuse to time a drifted engine) and the machine provenance.
-    """
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "benchmark": benchmark,
-        "scenario": dict(scenario),
-        "equivalence_checked": True,
-        "results": dict(results),
-        "speedups": dict(speedups),
-        "provenance": machine_provenance(),
     }

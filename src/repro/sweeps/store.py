@@ -25,7 +25,8 @@ on read, and both :meth:`RunStore.read_shard` and
 :meth:`RunStore.read_aggregate` re-validate their rows against the run's
 :class:`~repro.sweeps.schema.RowSchema` so a hand-edited or
 version-skewed run directory fails loudly instead of feeding a corrupted
-aggregate downstream.
+aggregate downstream.  A file that is not a JSON object at all (truncated,
+say) raises the same typed error, naming the file.
 """
 
 from __future__ import annotations
@@ -219,6 +220,28 @@ def _validate_aggregate(
     return cast(Aggregate, dict(payload))
 
 
+def _read_document(path: Path) -> dict[str, object]:
+    """Parse one stored JSON object, raising a typed error that names the file.
+
+    A truncated or garbled manifest, shard or aggregate raises
+    :class:`~repro.exceptions.SchemaViolationError` instead of a bare
+    ``JSONDecodeError``, so the CLI reports it like any other bad run
+    directory.
+    """
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as error:
+        raise SchemaViolationError(
+            f"{path} is not valid JSON ({error}); the file is truncated or "
+            "corrupted — delete the run directory or use a fresh --run-id"
+        ) from error
+    if not isinstance(payload, dict):
+        raise SchemaViolationError(
+            f"{path} must hold a JSON object, got {type(payload).__name__}"
+        )
+    return payload
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename)."""
     tmp = path.with_name(path.name + ".tmp")
@@ -271,7 +294,7 @@ class RunStore:
         """
         if not self.manifest_path.is_file():
             return None
-        payload = json.loads(self.manifest_path.read_text())
+        payload = _read_document(self.manifest_path)
         return _validate_manifest(payload, f"manifest {self.manifest_path}")
 
     # -- shards --------------------------------------------------------------
@@ -302,7 +325,7 @@ class RunStore:
         path = self.shard_path(shard_index)
         if not path.is_file():
             return None
-        payload = json.loads(path.read_text())
+        payload = _read_document(path)
         if fingerprint is not None and payload.get("fingerprint") != fingerprint:
             raise InvalidParameterError(
                 f"{path} belongs to a different sweep (fingerprint mismatch); "
@@ -379,7 +402,7 @@ class RunStore:
         """
         if not self.aggregate_path.is_file():
             return None
-        payload = json.loads(self.aggregate_path.read_text())
+        payload = _read_document(self.aggregate_path)
         return _validate_aggregate(
             payload, f"aggregate {self.aggregate_path}", schema
         )

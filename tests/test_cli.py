@@ -127,6 +127,32 @@ class TestRunAndReport:
         assert code == 2
         assert "no run directory" in capsys.readouterr().err
 
+    def _truncated_run(self, tmp_path, name):
+        args = ["run", "convergence_rate", *SMOKE_ARGS]
+        args += ["--results-dir", str(tmp_path), "--run-id", "cut", "--quiet"]
+        assert main(args) == 0
+        path = tmp_path / "cut" / name
+        path.write_text(path.read_text()[:40])
+        return args, path
+
+    def test_resume_over_truncated_shard_exits_2_naming_it(
+        self, tmp_path, capsys
+    ):
+        args, path = self._truncated_run(tmp_path, "shard_0000.json")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "not valid JSON" in err
+
+    def test_report_over_truncated_manifest_exits_2_naming_it(
+        self, tmp_path, capsys
+    ):
+        _, path = self._truncated_run(tmp_path, "manifest.json")
+        assert main(["report", "cut", "--results-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "not valid JSON" in err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_repro_list(self):

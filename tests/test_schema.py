@@ -440,6 +440,12 @@ class TestSchemaDriftAndCorruption:
         with pytest.raises(SchemaViolationError, match="row_schema"):
             store.read_manifest()
 
+    def test_manifest_that_is_not_a_json_object_names_the_file(self, tmp_path):
+        store = self._run(tmp_path, "listed")
+        store.manifest_path.write_text("[]\n")
+        with pytest.raises(SchemaViolationError, match="must hold a JSON object"):
+            store.read_manifest()
+
     def test_corrupted_shard_row_fails_with_coordinates(self, tmp_path):
         store = self._run(tmp_path, "shardfix")
         payload = json.loads(store.shard_path(0).read_text())

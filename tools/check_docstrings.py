@@ -7,7 +7,7 @@ below the threshold, listing the offenders, so ``make test`` keeps the
 documentation suite honest without any third-party dependency.
 
 ``--root`` may repeat (default: ``src/repro``), so the gate also covers the
-benchmark scripts.  ``--require`` names modules that must appear in the scan
+benchmark harness.  ``--require`` names modules that must appear in the scan
 — a guard against silently dropping a package (e.g. ``repro.sweeps`` or the
 ``repro.cli`` module) from coverage by moving it.
 
