@@ -11,8 +11,9 @@
 #   make bench-smoke every scenario's refusal guard and timed paths at smoke
 #                    size; writes no file (CI runs this on every push)
 #   make docs-check  docs exist, examples in them import, docstrings covered
-#   make sweep-smoke end-to-end CLI sweep: run a tiny sharded grid with two
-#                    workers, then re-open it with `repro report`
+#   make sweep-smoke end-to-end CLI sweep: run tiny grids with two workers,
+#                    re-open them with `repro report`, and resume one after
+#                    deleting one cell's shard file
 
 PYTHON ?= python
 export PYTHONPATH := src:tools$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -30,6 +31,12 @@ DOCSTRING_GATE = $(PYTHON) tools/check_docstrings.py \
 	--require repro.adversary.vectorized \
 	--require repro.simulation.sparse \
 	--require repro.simulation.dynamic
+
+# The two-cell sweep that sweep-smoke runs, interrupts and resumes.
+SMOKE_RUN = $(PYTHON) -m repro run convergence_rate \
+	--grid "case=complete n=4 f=1,core n=7 f=2" \
+	--grid batch=8 --grid rounds=80 \
+	--workers 2 --results-dir .sweep-smoke --run-id smoke
 
 .PHONY: test test-fast lint bench bench-smoke docs-check sweep-smoke
 
@@ -77,11 +84,19 @@ docs-check:
 sweep-smoke:
 	rm -rf .sweep-smoke
 	$(PYTHON) -m repro list
-	$(PYTHON) -m repro run convergence_rate \
-		--grid "case=complete n=4 f=1,core n=7 f=2" \
-		--grid batch=8 --grid rounds=80 \
-		--workers 2 --results-dir .sweep-smoke --run-id smoke
+	$(SMOKE_RUN)
 	$(PYTHON) -m repro report smoke --results-dir .sweep-smoke
+	# Interrupted run: the shard files are the progress that report and
+	# resume read, whatever the manifest says.
+	rm .sweep-smoke/smoke/shard_0001.json .sweep-smoke/smoke/aggregate.json
+	$(PYTHON) -m repro report smoke --results-dir .sweep-smoke > .sweep-smoke/out.txt
+	grep "cells: *1 of 2 stored" .sweep-smoke/out.txt
+	grep "no aggregate" .sweep-smoke/out.txt
+	$(SMOKE_RUN) > .sweep-smoke/out.txt
+	grep "1 already complete, 1 to run" .sweep-smoke/out.txt
+	$(PYTHON) -m repro report smoke --results-dir .sweep-smoke > .sweep-smoke/out.txt
+	grep "status: *complete" .sweep-smoke/out.txt
+	grep "cells: *2 of 2 stored" .sweep-smoke/out.txt
 	$(PYTHON) -m repro run dynamic_topology \
 		--grid "case=core n=9 f=2" \
 		--grid "schedule_kind=static,composed" \

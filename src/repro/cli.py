@@ -5,9 +5,9 @@ feasibility machinery (:mod:`repro.conditions`):
 
 * ``repro list`` — every registered experiment with its paper section,
   engine, default grid size and one-line description;
-* ``repro run <experiment>`` — plan, shard and execute a sweep (optionally
-  across ``--workers N`` processes), persisting a resumable run under the
-  results store and printing the aggregate table;
+* ``repro run <experiment>`` — plan and execute a sweep (optionally across
+  ``--workers N`` processes), persisting a resumable run under the results
+  store and printing the aggregate table;
 * ``repro report <run>`` — re-open a stored run (by run id or path) and
   print its manifest summary and rows;
 * ``repro verdict <family>`` — run the layered feasibility verdict stack on
@@ -97,12 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="worker processes (default 1)"
     )
     run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count (default: one shard per grid cell)",
-    )
-    run_parser.add_argument(
         "--seed", type=int, default=0, help="root seed for SeedSequence.spawn"
     )
     run_parser.add_argument(
@@ -115,11 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-id",
         default=None,
         help="run directory name (default: <experiment>-<fingerprint>)",
-    )
-    run_parser.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="recompute every shard even if its result file exists",
     )
     run_parser.add_argument(
         "--limit",
@@ -272,11 +261,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.experiment,
         grid_overrides=args.grid,
         workers=args.workers,
-        shards=args.shards,
         seed=args.seed,
         results_root=args.results_dir,
         run_id=args.run_id,
-        resume=not args.no_resume,
         echo=echo,
     )
     if not args.quiet:
@@ -361,11 +348,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"paper section:  {manifest.get('paper_section')}")
     print(f"engine:         {manifest.get('engine')}")
     print(f"status:         {manifest.get('status')}")
-    print(
-        f"cells/shards:   {manifest.get('num_cells')} cells in "
-        f"{manifest.get('num_shards')} shards "
-        f"({len(manifest.get('completed_shards', []))} complete)"
-    )
+    num_cells = manifest["num_cells"]
+    print(f"cells:          {store.stored_cells(num_cells)} of {num_cells} stored")
     print(f"seed:           {manifest.get('seed')}")
     grid = manifest.get("grid", {})
     for key, values in grid.items():

@@ -1143,8 +1143,6 @@ def run_vectorized(
     record_history: bool = True,
     strict_validity: bool = False,
     stop_on_convergence: bool = True,
-    cross_check: bool = False,
-    cross_check_rounds: int = 25,
     schedule: TopologySchedule | None = None,
     dtype: np.dtype | type = np.float64,
     max_plane_bytes: int | None = None,
@@ -1152,12 +1150,9 @@ def run_vectorized(
     """Functional wrapper around :class:`VectorizedEngine`, mirroring
     :func:`~repro.simulation.engine.run_synchronous`.
 
-    With ``cross_check=True`` (and a scalar or absent adversary) the run is
-    preceded by a :func:`cross_check_engines` pass over
-    ``cross_check_rounds`` rounds; any divergence raises
-    :class:`~repro.exceptions.SimulationError`.  The cross-check always runs
-    at float64 — the tier where bit-parity is the contract — regardless of
-    the requested ``dtype``.
+    To check that an instance runs bit-identically on the scalar engine,
+    call :func:`cross_check_engines` with the same graph, rule, inputs,
+    faulty set and adversary.
     """
     config = SimulationConfig(
         max_rounds=max_rounds,
@@ -1166,28 +1161,6 @@ def run_vectorized(
         strict_validity=strict_validity,
         stop_on_convergence=stop_on_convergence,
     )
-    if cross_check:
-        if adversary is not None and not isinstance(adversary, ByzantineStrategy):
-            raise InvalidParameterError(
-                "cross_check=True requires a scalar ByzantineStrategy adversary"
-            )
-        report = cross_check_engines(
-            graph=graph,
-            rule=rule,
-            inputs=inputs,
-            faulty=faulty,
-            adversary=adversary,
-            config=config,
-            rounds=min(cross_check_rounds, max_rounds),
-            schedule=schedule,
-        )
-        if not report.identical:
-            raise SimulationError(
-                "vectorized engine diverged from the scalar engine at round "
-                f"{report.first_divergence_round} (max abs difference "
-                f"{report.max_abs_difference:.3e})"
-            )
-        adversary = copy.deepcopy(adversary)
     engine = VectorizedEngine(
         graph=graph,
         rule=rule,

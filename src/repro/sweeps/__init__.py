@@ -1,4 +1,4 @@
-"""Declarative experiment registry and sharded sweep orchestration.
+"""Declarative experiment registry and sweep orchestration.
 
 This subpackage turns the experiment driver modules under
 :mod:`repro.experiments` into named, rerunnable artifacts:
@@ -13,12 +13,12 @@ This subpackage turns the experiment driver modules under
   it, validated at every shard boundary and persisted in run manifests.
 * :mod:`repro.sweeps.grid` — parameter-grid expansion into cells, CLI-style
   ``key=v1,v2`` overrides and canonical fingerprints.
-* :mod:`repro.sweeps.orchestrator` — splits a grid into deterministic shards
-  (per-cell seeds via ``numpy.random.SeedSequence.spawn``), fans them across
-  ``multiprocessing`` workers and aggregates bit-identically regardless of the
-  worker count.
+* :mod:`repro.sweeps.orchestrator` — runs a grid's cells (per-cell seeds via
+  ``numpy.random.SeedSequence.spawn``) across ``multiprocessing`` workers and
+  aggregates bit-identically regardless of the worker count.
 * :mod:`repro.sweeps.store` — the resumable ``results/`` store: one directory
-  per run holding a manifest, per-shard JSON files and a JSON + NPZ aggregate.
+  per run holding the manifest (the plan), one shard file per cell (the
+  progress) and a JSON + NPZ aggregate.
 * :mod:`repro.sweeps.provenance` — machine / git metadata stamped into run
   manifests and the ``BENCH_*.json`` benchmark files.
 

@@ -20,8 +20,8 @@ def expand_grid(grid: Mapping[str, Sequence[object]]) -> list[dict[str, object]]
     """Expand ``grid`` into its list of cells.
 
     Declaration order is preserved and the last parameter varies fastest, so
-    the cell list (and therefore shard layout and aggregate row order) is a
-    pure function of the grid.  An empty grid yields one empty cell.
+    the cell list (and therefore the shard files and aggregate row order) is
+    a pure function of the grid.  An empty grid yields one empty cell.
     """
     keys = list(grid)
     cells: list[dict[str, object]] = []
@@ -112,21 +112,19 @@ def grid_fingerprint(
     experiment: str,
     grid: Mapping[str, Sequence[object]],
     seed: int,
-    num_shards: int,
 ) -> str:
     """Return a stable hex fingerprint of a sweep's identity.
 
     The fingerprint covers everything that determines the results — the
-    experiment name, the effective grid, the root seed and the shard count —
-    and nothing environmental, so a resumed run can verify it is continuing
-    the same sweep.
+    experiment name, the effective grid and the root seed — and nothing
+    environmental, so a resumed run can verify it is continuing the same
+    sweep.
     """
     payload = json.dumps(
         {
             "experiment": experiment,
             "grid": {key: list(values) for key, values in grid.items()},
             "seed": seed,
-            "num_shards": num_shards,
         },
         sort_keys=True,
         default=repr,

@@ -1,22 +1,22 @@
-"""The sharded sweep orchestrator.
+"""The sweep orchestrator.
 
-A sweep is planned deterministically from ``(experiment, grid, seed,
-num_shards)``:
+A sweep is planned deterministically from ``(experiment, grid, seed)``:
 
 1. the grid expands into an ordered cell list (:func:`repro.sweeps.grid.expand_grid`);
 2. the run's root ``numpy.random.SeedSequence`` spawns one child per cell —
    cell ``i`` always receives child ``i``, so its seed depends only on the
-   root seed and its position, never on which worker executes it;
-3. cells are split into ``num_shards`` contiguous, balanced shards (by
-   default one cell per shard, the finest resume granularity).
+   root seed and its position, never on which worker executes it.
 
-Execution fans the pending shards across ``multiprocessing`` workers; each
-worker rebuilds the plan from the same inputs (no pickled graphs or engines
-cross the process boundary) and runs its cells in order.  Aggregation sorts
-rows by cell index, so the aggregate is **bit-identical** for any worker
-count — enforced by ``tests/test_sweeps.py``.  Completed shards persist as
-JSON files in the run directory (:class:`repro.sweeps.store.RunStore`) and
-are skipped on resume.
+The cell is the unit of work, resume and progress: shard file ``i`` holds
+exactly cell ``i``.  Execution fans the pending cells across
+``multiprocessing`` workers; each worker rebuilds the plan from the same
+inputs (no pickled graphs or engines cross the process boundary).
+Aggregation sorts rows by cell index, so the aggregate is **bit-identical**
+for any worker count — enforced by ``tests/test_sweeps.py``.  The manifest is
+the plan, written once as ``running`` before any cell executes and once as
+``complete`` after aggregation; the shard files in the run directory
+(:class:`repro.sweeps.store.RunStore`) are the progress, and cells whose
+file exists are skipped on resume.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, cast
 
 import numpy as np
 
@@ -47,16 +47,15 @@ DEFAULT_RESULTS_ROOT = Path("results")
 class SweepPlan:
     """Deterministic description of one sweep run.
 
-    Everything downstream (shard layout, per-cell seeds, the run id) is a
-    pure function of ``(experiment, grid, seed, num_shards)``; two plans
-    built from the same inputs are identical in every field.
+    Everything downstream (per-cell seeds, the run id) is a pure function of
+    ``(experiment, grid, seed)``; two plans built from the same inputs are
+    identical in every field.
     """
 
     experiment: str
     grid: Mapping[str, tuple]
     cells: tuple[dict[str, object], ...]
     cell_seeds: tuple[int, ...]
-    shards: tuple[tuple[int, ...], ...]
     seed: int
     fingerprint: str
     run_id: str
@@ -72,18 +71,6 @@ class SweepResult:
     rows: list[dict[str, object]]
 
 
-def _split_shards(num_cells: int, num_shards: int) -> tuple[tuple[int, ...], ...]:
-    """Split ``range(num_cells)`` into ``num_shards`` contiguous balanced chunks."""
-    base, extra = divmod(num_cells, num_shards)
-    shards: list[tuple[int, ...]] = []
-    start = 0
-    for index in range(num_shards):
-        size = base + (1 if index < extra else 0)
-        shards.append(tuple(range(start, start + size)))
-        start += size
-    return tuple(shards)
-
-
 def _spawn_cell_seeds(seed: int, num_cells: int) -> tuple[int, ...]:
     """Derive one deterministic seed per cell via ``SeedSequence.spawn``."""
     if num_cells == 0:
@@ -96,24 +83,18 @@ def plan_from_grid(
     name: str,
     grid: Mapping[str, Sequence[object]],
     seed: int = 0,
-    shards: int | None = None,
     run_id: str | None = None,
 ) -> SweepPlan:
     """Build a :class:`SweepPlan` from an already-effective grid."""
     spec = get_experiment(name)
     effective = {str(key): tuple(values) for key, values in grid.items()}
     cells = expand_grid(effective)
-    num_shards = len(cells) if shards is None else shards
-    if num_shards < 1:
-        raise InvalidParameterError(f"shards must be >= 1, got {num_shards}")
-    num_shards = min(num_shards, len(cells))
-    fingerprint = grid_fingerprint(name, effective, seed, num_shards)
+    fingerprint = grid_fingerprint(name, effective, seed)
     return SweepPlan(
         experiment=spec.name,
         grid=effective,
         cells=tuple(cells),
         cell_seeds=_spawn_cell_seeds(seed, len(cells)),
-        shards=_split_shards(len(cells), num_shards),
         seed=seed,
         fingerprint=fingerprint,
         run_id=run_id or f"{spec.name}-{fingerprint[:10]}",
@@ -124,14 +105,13 @@ def plan_sweep(
     name: str,
     grid_overrides: Sequence[str] = (),
     seed: int = 0,
-    shards: int | None = None,
     run_id: str | None = None,
 ) -> SweepPlan:
     """Plan a sweep of experiment ``name`` with CLI-style grid overrides."""
     spec = get_experiment(name)
     extra = ("seed",) if spec.accepts_seed else ()
     grid = apply_overrides(spec.grid, grid_overrides, extra_allowed=extra)
-    return plan_from_grid(name, grid, seed=seed, shards=shards, run_id=run_id)
+    return plan_from_grid(name, grid, seed=seed, run_id=run_id)
 
 
 def _cell_params(
@@ -152,58 +132,45 @@ def _parameter_columns(spec: ExperimentSpec, plan: SweepPlan) -> list[str]:
     return columns
 
 
-def execute_shard(plan: SweepPlan, shard_index: int) -> dict[str, object]:
-    """Run every cell of one shard and return the shard payload.
+def execute_shard(plan: SweepPlan, cell_index: int) -> dict[str, object]:
+    """Run one cell and return its shard payload.
 
-    The payload is self-describing (fingerprint, cell indices, per-cell
-    parameters and rows) so a shard file can be validated and aggregated
-    without re-deriving anything.  Every row is validated against the
-    experiment's :class:`~repro.sweeps.schema.RowSchema` before the shard
-    leaves this function — an unknown, missing or mistyped column raises
-    :class:`~repro.exceptions.SchemaViolationError` naming the experiment,
-    shard, cell and row it came from.
+    The payload is self-describing (fingerprint, cell index, the exact
+    runner parameters and the rows) so a shard file can be validated and
+    aggregated without re-deriving anything.  Every row is validated against
+    the experiment's :class:`~repro.sweeps.schema.RowSchema` before the
+    payload leaves this function — an unknown, missing or mistyped column
+    raises :class:`~repro.exceptions.SchemaViolationError` naming the
+    experiment, cell and row it came from.
     """
     spec = get_experiment(plan.experiment)
-    cells_out: list[dict[str, object]] = []
-    for cell_index in plan.shards[shard_index]:
-        params = _cell_params(spec, plan, cell_index)
-        rows = spec.runner(**params)
-        spec.schema.validate_rows(
-            list(rows),
-            context=(
-                f"experiment {plan.experiment!r}, shard {shard_index}, "
-                f"cell {cell_index}"
-            ),
-        )
-        cells_out.append(
-            {
-                "cell_index": cell_index,
-                "params": params,
-                "rows": [dict(row) for row in rows],
-            }
-        )
+    params = _cell_params(spec, plan, cell_index)
+    rows = [dict(row) for row in spec.runner(**params)]
+    spec.schema.validate_rows(
+        rows, context=f"experiment {plan.experiment!r}, cell {cell_index}"
+    )
     return {
         "schema_version": RUN_SCHEMA_VERSION,
         "experiment": plan.experiment,
         "fingerprint": plan.fingerprint,
-        "shard_index": shard_index,
-        "cell_indices": list(plan.shards[shard_index]),
-        "cells": cells_out,
+        "cell_index": cell_index,
+        "params": params,
+        "rows": rows,
     }
 
 
 def _shard_task(
-    task: tuple[str, tuple[tuple[str, tuple], ...], int, int, int]
+    task: tuple[str, tuple[tuple[str, tuple], ...], int, int]
 ) -> tuple[int, dict[str, object]]:
-    """Worker entry point: rebuild the plan and execute one shard.
+    """Worker entry point: rebuild the plan and execute one cell.
 
     Workers receive only JSON-level scalars (experiment name, grid items,
-    seed, shard count, shard index) and rebuild the identical plan locally,
-    so results cannot depend on pickling details or on the parent's state.
+    seed, cell index) and rebuild the identical plan locally, so results
+    cannot depend on pickling details or on the parent's state.
     """
-    name, grid_items, seed, num_shards, shard_index = task
-    plan = plan_from_grid(name, dict(grid_items), seed=seed, shards=num_shards)
-    return shard_index, execute_shard(plan, shard_index)
+    name, grid_items, seed, cell_index = task
+    plan = plan_from_grid(name, dict(grid_items), seed=seed)
+    return cell_index, execute_shard(plan, cell_index)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -213,9 +180,12 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 
 def _build_manifest(
-    spec: ExperimentSpec, plan: SweepPlan, status: str, completed: Iterable[int]
+    spec: ExperimentSpec,
+    plan: SweepPlan,
+    status: str,
+    provenance: dict[str, object],
 ) -> Manifest:
-    """Assemble the manifest document for the current run state."""
+    """Assemble the manifest document: the run's plan and its status."""
     return {
         "schema_version": RUN_SCHEMA_VERSION,
         "experiment": plan.experiment,
@@ -229,12 +199,9 @@ def _build_manifest(
         "num_cells": len(plan.cells),
         "cells": [dict(cell) for cell in plan.cells],
         "cell_seeds": list(plan.cell_seeds),
-        "num_shards": len(plan.shards),
-        "shards": [list(shard) for shard in plan.shards],
-        "completed_shards": sorted(completed),
         "status": status,
         "updated_at": utc_now_iso(),
-        "provenance": machine_provenance(),
+        "provenance": provenance,
         "row_schema": spec.schema.to_json(),
         "parameter_columns": _parameter_columns(spec, plan),
     }
@@ -243,32 +210,19 @@ def _build_manifest(
 def aggregate_rows(
     plan: SweepPlan, payloads: Mapping[int, Mapping[str, object]]
 ) -> list[dict[str, object]]:
-    """Merge shard payloads into the flat row list, in cell order.
+    """Merge the cells' shard payloads into the flat row list, in cell order.
 
     Each output row is the cell's parameters, then the driver's row (driver
     keys win on collision — they carry the same values anyway), then the
     bookkeeping ``cell_index``.  Because cells are totally ordered, the
-    result is independent of shard completion order and worker count.
+    result is independent of completion order and worker count.
     """
     rows: list[dict[str, object]] = []
-    for shard_index, shard in enumerate(plan.shards):
-        payload = payloads.get(shard_index)
-        if payload is None:
-            raise InvalidParameterError(
-                f"shard {shard_index} missing from the run; the run directory "
-                "was modified concurrently"
-            )
-        for cell in payload["cells"]:
-            merged_params = dict(cell["params"])
-            for row in cell["rows"]:
-                rows.append(
-                    {**merged_params, **row, "cell_index": cell["cell_index"]}
-                )
-        if list(shard) != list(payload["cell_indices"]):
-            raise InvalidParameterError(
-                f"shard {shard_index} payload does not match the plan "
-                "(cell indices differ); the run directory is stale"
-            )
+    for cell_index in range(len(plan.cells)):
+        payload = payloads[cell_index]
+        params = dict(cast("Mapping[str, object]", payload["params"]))
+        for row in cast("list[Mapping[str, object]]", payload["rows"]):
+            rows.append({**params, **row, "cell_index": cell_index})
     return rows
 
 
@@ -276,14 +230,12 @@ def run_sweep(
     name: str,
     grid_overrides: Sequence[str] = (),
     workers: int = 1,
-    shards: int | None = None,
     seed: int = 0,
     results_root: Path | str = DEFAULT_RESULTS_ROOT,
     run_id: str | None = None,
-    resume: bool = True,
     echo: Callable[[str], None] | None = None,
 ) -> SweepResult:
-    """Plan, execute (sharded, optionally multi-process) and persist a sweep.
+    """Plan, execute (optionally multi-process), persist and resume a sweep.
 
     Parameters
     ----------
@@ -294,16 +246,12 @@ def run_sweep(
     workers:
         Process count; ``1`` runs in-process.  Aggregates are bit-identical
         for any value.
-    shards:
-        Shard count (default: one shard per cell — finest resume unit).
     seed:
         Root seed; per-cell seeds are spawned from it via ``SeedSequence``.
     results_root, run_id:
         Where the run directory lives and what it is called (default id:
-        ``<experiment>-<fingerprint prefix>``).
-    resume:
-        Skip shards whose result files already exist (the default); pass
-        ``False`` to recompute everything in place.
+        ``<experiment>-<fingerprint prefix>``).  Cells whose shard file
+        already exists there are not executed again.
     echo:
         Optional progress sink (e.g. ``print``).
 
@@ -315,7 +263,7 @@ def run_sweep(
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     spec = get_experiment(name)
-    plan = plan_sweep(name, grid_overrides, seed=seed, shards=shards, run_id=run_id)
+    plan = plan_sweep(name, grid_overrides, seed=seed, run_id=run_id)
     say = echo if echo is not None else (lambda message: None)
 
     store = RunStore(Path(results_root) / plan.run_id)
@@ -338,58 +286,49 @@ def run_sweep(
                 "delete the run directory or use a fresh --run-id"
             )
 
-    # One pass over the run directory fills the payload cache; everything
-    # downstream (manifest progress, aggregation) reuses it instead of
-    # re-reading shard files.  Stored shards are schema-re-validated here,
-    # so resume never mixes rows a different code version wrote.
+    # The shard files are the run's progress.  One pass over them fills the
+    # payload cache that aggregation reuses instead of re-reading them.
+    # Stored cells are schema-re-validated here, so resume never mixes rows
+    # a different code version wrote.
     payloads: dict[int, dict[str, object]] = {}
-    if resume:
-        for index in range(len(plan.shards)):
-            payload = store.read_shard(
-                index, fingerprint=plan.fingerprint, schema=spec.schema
-            )
-            if payload is not None:
-                payloads[index] = payload
-    pending = [
-        index for index in range(len(plan.shards)) if index not in payloads
-    ]
-    store.write_manifest(_build_manifest(spec, plan, "running", payloads))
+    for index in range(len(plan.cells)):
+        payload = store.read_shard(
+            index, fingerprint=plan.fingerprint, schema=spec.schema
+        )
+        if payload is not None:
+            payloads[index] = payload
+    pending = [index for index in range(len(plan.cells)) if index not in payloads]
+    provenance = machine_provenance()
+    store.write_manifest(_build_manifest(spec, plan, "running", provenance))
     say(
-        f"{plan.experiment}: {len(plan.cells)} cells in {len(plan.shards)} shards "
+        f"{plan.experiment}: {len(plan.cells)} cells "
         f"({len(payloads)} already complete, {len(pending)} to run, "
         f"workers={workers}) -> {store.run_dir}"
     )
 
-    def record(shard_index: int, payload: dict[str, object]) -> None:
-        store.write_shard(shard_index, payload)
-        payloads[shard_index] = payload
-        # Refresh the manifest after every shard so an interrupted run
-        # reports its true progress.
-        store.write_manifest(_build_manifest(spec, plan, "running", payloads))
-        say(
-            f"  shard {shard_index:04d} done "
-            f"({len(payload['cell_indices'])} cells)"
-        )
+    def record(cell_index: int, payload: dict[str, object]) -> None:
+        store.write_shard(cell_index, payload)
+        payloads[cell_index] = payload
+        say(f"  cell {cell_index:04d} done")
 
     if pending:
         if workers == 1 or len(pending) == 1:
-            for shard_index in pending:
-                record(shard_index, execute_shard(plan, shard_index))
+            for cell_index in pending:
+                record(cell_index, execute_shard(plan, cell_index))
         else:
             grid_items = tuple(
                 (key, tuple(values)) for key, values in plan.grid.items()
             )
             tasks = [
-                (plan.experiment, grid_items, plan.seed, len(plan.shards), index)
-                for index in pending
+                (plan.experiment, grid_items, plan.seed, index) for index in pending
             ]
             context = _pool_context()
             with context.Pool(processes=min(workers, len(pending))) as pool:
-                for shard_index, payload in pool.imap_unordered(_shard_task, tasks):
-                    record(shard_index, payload)
+                for cell_index, payload in pool.imap_unordered(_shard_task, tasks):
+                    record(cell_index, payload)
 
     rows = aggregate_rows(plan, payloads)
-    manifest = _build_manifest(spec, plan, "complete", range(len(plan.shards)))
+    manifest = _build_manifest(spec, plan, "complete", provenance)
     manifest["row_count"] = len(rows)
     store.write_aggregate(
         rows,

@@ -28,7 +28,7 @@ def utc_now_iso() -> str:
     )
 
 #: Schema version of sweep run manifests / shard files under ``results/``.
-RUN_SCHEMA_VERSION = 1
+RUN_SCHEMA_VERSION = 2
 
 
 def git_revision(cwd: Path | str | None = None) -> str | None:

@@ -6,7 +6,7 @@ entry points with :func:`register_experiment` (one per module, plus the
 
 * the **parameter grid** the experiment sweeps by default (a mapping from
   parameter name to the tuple of values; the Cartesian product forms the
-  cells the orchestrator shards),
+  cells the orchestrator runs),
 * the **engine** the cells execute on (``vectorized``, ``vectorized-async``,
   ``scalar-sync``, ``checker`` for pure condition evaluation, or ``mixed``),
 * the **paper section** and the one-line **claim** the experiment reproduces.

@@ -165,7 +165,7 @@ class RowSchema:
     ) -> None:
         """Raise :class:`SchemaViolationError` unless ``row`` matches.
 
-        ``context`` carries the cell coordinates (experiment, shard, cell,
+        ``context`` carries the cell coordinates (experiment, cell and
         row index) the orchestrator prepends to every message, so a
         violation in a thousand-cell sweep names the offending cell.
         """

@@ -3,20 +3,22 @@
 Layout (one directory per run, under ``results/`` by default)::
 
     results/<run_id>/
-        manifest.json      run identity: experiment, grid, cells, shard map,
-                           per-cell seeds, fingerprint, row schema, status,
-                           provenance
-        shard_0000.json    one file per completed shard: the rows of its cells
-        ...
+        manifest.json      the run's plan: experiment, grid, cells, per-cell
+                           seeds, fingerprint, row schema, status, provenance
+        shard_0000.json    one file per stored cell: shard ``i`` holds
+        ...                exactly cell ``i``'s parameters and rows
         aggregate.json     all rows in cell order (written when the run
                            completes), plus a summary block
         aggregate.npz      the numeric/boolean columns of the aggregate as
                            NumPy arrays (keyed by column name)
 
-Shard files are the resume unit: a re-run with the same fingerprint skips
-every shard whose file already exists and only executes the missing ones.
-All writes are atomic (temp file + ``os.replace``) so an interrupted run
-never leaves a half-written shard behind.
+The manifest is the plan and the shard files are the progress: a re-run
+with the same fingerprint skips every cell whose shard file already exists
+and only executes the missing ones, and :meth:`RunStore.stored_cells`
+counts them for ``repro report``.  All writes are atomic (a temp file named
+for the writing process, then ``os.replace``) so an interrupted run never
+leaves a half-written file behind, and two processes writing one run
+directory never rename each other's temp files.
 
 Documents come back **typed and validated**: :meth:`RunStore.read_manifest`
 returns a :class:`Manifest` and :meth:`RunStore.read_aggregate` an
@@ -62,9 +64,6 @@ class _ManifestRequired(TypedDict):
     num_cells: int
     cells: list[dict[str, object]]
     cell_seeds: list[int]
-    num_shards: int
-    shards: list[list[int]]
-    completed_shards: list[int]
     status: str
     updated_at: str
     provenance: dict[str, object]
@@ -100,8 +99,7 @@ class Aggregate(_AggregateRequired, total=False):
     """The validated ``aggregate.json`` document."""
 
 
-#: (key, required type) pairs checked by the manifest validator.  ``bool``
-#: is excluded from the ``int`` checks via exact-type tests below.
+#: (key, required type) pairs checked by the manifest validator.
 _MANIFEST_SCALARS: tuple[tuple[str, type], ...] = (
     ("experiment", str),
     ("paper_section", str),
@@ -109,6 +107,7 @@ _MANIFEST_SCALARS: tuple[tuple[str, type], ...] = (
     ("engine", str),
     ("run_id", str),
     ("fingerprint", str),
+    ("num_cells", int),
     ("status", str),
     ("updated_at", str),
 )
@@ -242,9 +241,18 @@ def _read_document(path: Path) -> dict[str, object]:
     return payload
 
 
+def _temp_path(path: Path) -> Path:
+    """Return the temp name this process writes ``path`` through.
+
+    The pid makes the name unique per writer, so two processes writing one
+    run directory each rename their own file.
+    """
+    return path.with_name(f"{path.name}.{os.getpid()}.tmp")
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename)."""
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _temp_path(path)
     tmp.write_text(text)
     os.replace(tmp, path)
 
@@ -272,9 +280,9 @@ class RunStore:
         """Path of the NPZ aggregate (numeric columns)."""
         return self.run_dir / AGGREGATE_NPZ_NAME
 
-    def shard_path(self, shard_index: int) -> Path:
-        """Path of one shard's result file."""
-        return self.run_dir / f"shard_{shard_index:04d}.json"
+    def shard_path(self, cell_index: int) -> Path:
+        """Path of the shard file holding cell ``cell_index``."""
+        return self.run_dir / f"shard_{cell_index:04d}.json"
 
     # -- manifest ------------------------------------------------------------
     def write_manifest(self, manifest: Mapping[str, object]) -> None:
@@ -298,31 +306,33 @@ class RunStore:
         return _validate_manifest(payload, f"manifest {self.manifest_path}")
 
     # -- shards --------------------------------------------------------------
-    def write_shard(self, shard_index: int, payload: Mapping[str, object]) -> None:
-        """Atomically write one shard's result file."""
+    def write_shard(self, cell_index: int, payload: Mapping[str, object]) -> None:
+        """Atomically write the shard file of cell ``cell_index``."""
         self.run_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(
-            self.shard_path(shard_index),
+            self.shard_path(cell_index),
             json.dumps(payload, indent=2, default=repr) + "\n",
         )
 
     def read_shard(
         self,
-        shard_index: int,
+        cell_index: int,
         fingerprint: str | None = None,
         schema: RowSchema | None = None,
     ) -> dict[str, object] | None:
-        """Return one shard's payload, or ``None`` when absent.
+        """Return cell ``cell_index``'s shard payload, or ``None`` when absent.
 
-        When ``fingerprint`` is given, a stored shard from a *different*
-        sweep (stale directory reuse) raises instead of silently mixing
-        results.  When ``schema`` is given, every stored row is re-validated
-        against it, so rows that were corrupted on disk (or written by a
-        different code version) raise
+        The payload must name this cell and carry a ``params`` object and a
+        ``rows`` list; otherwise :class:`~repro.exceptions.SchemaViolationError`
+        names the file.  When ``fingerprint`` is given, a stored shard from a
+        *different* sweep (stale directory reuse) raises instead of silently
+        mixing results.  When ``schema`` is given, every stored row is
+        re-validated against it, so rows that were corrupted on disk (or
+        written by a different code version) raise
         :class:`~repro.exceptions.SchemaViolationError` with their cell
         coordinates.
         """
-        path = self.shard_path(shard_index)
+        path = self.shard_path(cell_index)
         if not path.is_file():
             return None
         payload = _read_document(path)
@@ -331,32 +341,29 @@ class RunStore:
                 f"{path} belongs to a different sweep (fingerprint mismatch); "
                 "use a fresh --run-id or delete the stale run directory"
             )
-        if schema is not None:
-            cells = payload.get("cells")
-            if not isinstance(cells, list):
+        if payload.get("cell_index") != cell_index:
+            raise SchemaViolationError(
+                f"{path}: 'cell_index' is {payload.get('cell_index')!r}, "
+                f"expected {cell_index}; delete the file to recompute the cell"
+            )
+        for key, kind in (("params", dict), ("rows", list)):
+            if not isinstance(payload.get(key), kind):
                 raise SchemaViolationError(
-                    f"{path}: shard payload has no 'cells' list"
+                    f"{path}: {key!r} must be a {kind.__name__}, got "
+                    f"{type(payload.get(key)).__name__}; delete the file to "
+                    "recompute the cell"
                 )
-            for cell in cells:
-                if not isinstance(cell, Mapping):
-                    raise SchemaViolationError(
-                        f"{path}: cell entry is not a mapping"
-                    )
-                schema.validate_rows(
-                    cell.get("rows"),
-                    context=f"{path}, cell {cell.get('cell_index')}",
-                )
+        if schema is not None:
+            schema.validate_rows(payload["rows"], context=f"{path}, cell {cell_index}")
         return payload
 
-    def completed_shards(
-        self, num_shards: int, fingerprint: str | None = None
-    ) -> set[int]:
-        """Return the indices of shards whose result files already exist."""
-        return {
-            index
-            for index in range(num_shards)
-            if self.read_shard(index, fingerprint=fingerprint) is not None
-        }
+    def stored_cells(self, num_cells: int) -> int:
+        """Count the cells of a ``num_cells``-cell run whose shard file exists.
+
+        One ``is_file`` probe per cell: nothing is parsed, and the store
+        never lists the directory.
+        """
+        return sum(self.shard_path(index).is_file() for index in range(num_cells))
 
     # -- aggregate -----------------------------------------------------------
     def write_aggregate(
@@ -386,7 +393,7 @@ class RunStore:
         )
         columns = numeric_columns(rows, schema=schema)
         if columns:
-            tmp = self.aggregate_npz_path.with_suffix(".npz.tmp")
+            tmp = _temp_path(self.aggregate_npz_path)
             with open(tmp, "wb") as handle:
                 np.savez(handle, **columns)
             os.replace(tmp, self.aggregate_npz_path)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -127,12 +129,12 @@ class TestRunAndReport:
         assert code == 2
         assert "no run directory" in capsys.readouterr().err
 
-    def _truncated_run(self, tmp_path, name):
+    def _truncated_run(self, tmp_path, name, damage=lambda text: text[:40]):
         args = ["run", "convergence_rate", *SMOKE_ARGS]
         args += ["--results-dir", str(tmp_path), "--run-id", "cut", "--quiet"]
         assert main(args) == 0
         path = tmp_path / "cut" / name
-        path.write_text(path.read_text()[:40])
+        path.write_text(damage(path.read_text()))
         return args, path
 
     def test_resume_over_truncated_shard_exits_2_naming_it(
@@ -143,6 +145,21 @@ class TestRunAndReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert "not valid JSON" in err
+
+    @pytest.mark.parametrize("key", ["cell_index", "params", "rows"])
+    def test_resume_over_shard_without_key_exits_2_naming_it(
+        self, tmp_path, capsys, key
+    ):
+        def drop_key(text):
+            payload = json.loads(text)
+            del payload[key]
+            return json.dumps(payload)
+
+        args, path = self._truncated_run(tmp_path, "shard_0000.json", drop_key)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert repr(key) in err
 
     def test_report_over_truncated_manifest_exits_2_naming_it(
         self, tmp_path, capsys

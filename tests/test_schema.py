@@ -449,7 +449,7 @@ class TestSchemaDriftAndCorruption:
     def test_corrupted_shard_row_fails_with_coordinates(self, tmp_path):
         store = self._run(tmp_path, "shardfix")
         payload = json.loads(store.shard_path(0).read_text())
-        payload["cells"][0]["rows"][0]["rounds"] = "sixty"
+        payload["rows"][0]["rounds"] = "sixty"
         store.write_shard(0, payload)
         schema = get_experiment("necessity").schema
         with pytest.raises(

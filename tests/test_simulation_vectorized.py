@@ -208,17 +208,17 @@ class TestScalarEquivalence:
         assert batched.final_values == scalar.final_values
         assert batched.rounds_executed == scalar.rounds_executed
 
-    def test_run_vectorized_cross_check_flag(self):
+    def test_run_vectorized_after_cross_check(self):
         graph = core_network(7, 2)
         faulty = random_fault_set(graph, 2, rng=8)
         inputs = uniform_random_inputs(graph.nodes, rng=8)
+        adversary = ExtremePushStrategy(1.0)
+        report = cross_check_engines(
+            graph, TrimmedMeanRule(2), inputs, faulty=faulty, adversary=adversary
+        )
+        assert report.identical, report
         outcome = run_vectorized(
-            graph,
-            TrimmedMeanRule(2),
-            inputs,
-            faulty=faulty,
-            adversary=ExtremePushStrategy(1.0),
-            cross_check=True,
+            graph, TrimmedMeanRule(2), inputs, faulty=faulty, adversary=adversary
         )
         assert outcome.validity_ok
 

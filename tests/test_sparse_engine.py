@@ -283,14 +283,19 @@ class TestRouting:
     def test_run_vectorized_float32_cross_check_passes(self):
         """The cross-check runs at float64 whatever dtype the run uses."""
         graph = core_network(9, 1)
+        inputs = uniform_random_inputs(graph.nodes, rng=2)
+        adversary = ExtremePushStrategy(1.0)
+        report = cross_check_engines(
+            graph, TrimmedMeanRule(1), inputs, {8}, adversary, rounds=30
+        )
+        assert report.identical, report
         outcome = run_vectorized(
             graph,
             TrimmedMeanRule(1),
-            uniform_random_inputs(graph.nodes, rng=2),
+            inputs,
             faulty={8},
-            adversary=ExtremePushStrategy(1.0),
+            adversary=adversary,
             max_rounds=30,
-            cross_check=True,
             dtype=np.float32,
         )
         assert outcome.validity_ok

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.exceptions import InvalidParameterError
+from repro.sweeps import orchestrator, store as store_module
 from repro.sweeps.grid import (
     apply_overrides,
     expand_grid,
@@ -137,11 +142,11 @@ class TestGrid:
         assert merged["tolerance"] == (1e-5,)
 
     def test_fingerprint_changes_with_inputs(self):
-        base = grid_fingerprint("e", {"a": (1,)}, 0, 1)
-        assert base == grid_fingerprint("e", {"a": (1,)}, 0, 1)
-        assert base != grid_fingerprint("e", {"a": (2,)}, 0, 1)
-        assert base != grid_fingerprint("e", {"a": (1,)}, 1, 1)
-        assert base != grid_fingerprint("f", {"a": (1,)}, 0, 1)
+        base = grid_fingerprint("e", {"a": (1,)}, 0)
+        assert base == grid_fingerprint("e", {"a": (1,)}, 0)
+        assert base != grid_fingerprint("e", {"a": (2,)}, 0)
+        assert base != grid_fingerprint("e", {"a": (1,)}, 1)
+        assert base != grid_fingerprint("f", {"a": (1,)}, 0)
 
 
 class TestPlanning:
@@ -158,19 +163,18 @@ class TestPlanning:
         expected = tuple(int(child.generate_state(1)[0]) for child in children)
         assert plan.cell_seeds == expected
 
-    def test_default_one_shard_per_cell_and_explicit_shards(self):
+    def test_one_shard_per_cell(self):
         plan = plan_sweep("convergence_rate", TINY_GRID)
-        assert [list(shard) for shard in plan.shards] == [[0], [1]]
-        coarse = plan_sweep("convergence_rate", TINY_GRID, shards=1)
-        assert [list(shard) for shard in coarse.shards] == [[0, 1]]
-        # More shards than cells degrades gracefully to one per cell.
-        capped = plan_sweep("convergence_rate", TINY_GRID, shards=10)
-        assert len(capped.shards) == 2
+        payloads = [execute_shard(plan, index) for index in range(len(plan.cells))]
+        assert [payload["cell_index"] for payload in payloads] == [0, 1]
+        assert [payload["params"]["case"] for payload in payloads] == [
+            cell["case"] for cell in plan.cells
+        ]
 
     def test_injected_seed_reaches_the_runner(self):
         plan = plan_sweep("convergence_rate", ("case=complete n=4 f=1", "batch=4", "rounds=60"))
         payload = execute_shard(plan, 0)
-        assert payload["cells"][0]["params"]["seed"] == plan.cell_seeds[0]
+        assert payload["params"]["seed"] == plan.cell_seeds[0]
 
     def test_grid_pinned_seed_wins_over_injection(self):
         plan = plan_sweep(
@@ -178,7 +182,7 @@ class TestPlanning:
             ("case=complete n=4 f=1", "batch=4", "rounds=60", "seed=11"),
         )
         payload = execute_shard(plan, 0)
-        assert payload["cells"][0]["params"]["seed"] == 11
+        assert payload["params"]["seed"] == 11
 
 
 class TestRunSweep:
@@ -215,7 +219,6 @@ class TestRunSweep:
         assert manifest["status"] == "complete"
         assert manifest["experiment"] == "necessity"
         assert manifest["paper_section"].startswith("Section 3")
-        assert manifest["completed_shards"] == [0]
         assert manifest["provenance"]["python"]
         aggregate = store.read_aggregate()
         assert aggregate["rows"] == result.rows
@@ -247,10 +250,6 @@ class TestRunSweep:
         )
         assert any("1 already complete, 1 to run" in message for message in messages)
         assert len(resumed.rows) == 2
-        # The manifest reflects per-shard progress even mid-run, so an
-        # interrupted sweep reports truthfully.
-        manifest = store.read_manifest()
-        assert manifest["completed_shards"] == [0, 1]
         # And a fully-complete rerun executes nothing.
         messages.clear()
         run_sweep(
@@ -278,9 +277,84 @@ class TestRunSweep:
                 run_id="clash",
             )
 
+    def test_each_run_writes_the_manifest_twice_and_takes_provenance_once(
+        self, tmp_path, monkeypatch
+    ):
+        counts: Counter[str] = Counter()
+        write_manifest = RunStore.write_manifest
+        provenance = orchestrator.machine_provenance
+
+        def counted_write(store, manifest):
+            counts["write_manifest"] += 1
+            write_manifest(store, manifest)
+
+        def counted_provenance():
+            counts["machine_provenance"] += 1
+            return provenance()
+
+        monkeypatch.setattr(RunStore, "write_manifest", counted_write)
+        monkeypatch.setattr(orchestrator, "machine_provenance", counted_provenance)
+
+        def run_counts():
+            counts.clear()
+            run_sweep(
+                "convergence_rate", TINY_GRID, results_root=tmp_path, run_id="plan"
+            )
+            return dict(counts)
+
+        once = {"write_manifest": 2, "machine_provenance": 1}
+        assert run_counts() == once  # fresh
+        RunStore(tmp_path / "plan").shard_path(1).unlink()
+        assert run_counts() == once  # resumed after losing one shard file
+        assert run_counts() == once  # every cell already stored
+
+    def test_report_counts_cells_from_the_shard_files(self, tmp_path, capsys):
+        run_sweep("convergence_rate", TINY_GRID, results_root=tmp_path, run_id="cut")
+        store = RunStore(tmp_path / "cut")
+        store.shard_path(1).unlink()
+        store.aggregate_path.unlink()
+        assert main(["report", "cut", "--results-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "cells:          1 of 2 stored" in out
+        assert "no aggregate" in out
+
     def test_invalid_workers(self, tmp_path):
         with pytest.raises(InvalidParameterError, match="workers"):
             run_sweep("necessity", workers=0, results_root=tmp_path)
+
+
+class TestStoreWriters:
+    @pytest.mark.parametrize("target", ["manifest.json", "aggregate.npz"])
+    def test_two_writers_of_one_run_directory_keep_their_own_temp_files(
+        self, tmp_path, monkeypatch, target
+    ):
+        store = RunStore(tmp_path / "run")
+        pid = [1]
+
+        def write(writer):
+            pid[0] = writer
+            if target == "manifest.json":
+                store.write_manifest({"writer": writer})
+            else:
+                store.write_aggregate([{"writer": writer}], header={})
+
+        def replace(src, dst):
+            if os.path.basename(dst) == target and pid[0] == 1:
+                # Before writer 1 renames its temp file into place, writer 2
+                # (another process) writes and renames the same file.
+                write(2)
+                pid[0] = 1
+            os.replace(src, dst)
+
+        shim = types.SimpleNamespace(getpid=lambda: pid[0], replace=replace)
+        monkeypatch.setattr(store_module, "os", shim)
+        write(1)
+        if target == "manifest.json":
+            assert json.loads(store.manifest_path.read_text()) == {"writer": 1}
+        else:
+            with np.load(store.aggregate_npz_path) as npz:
+                assert npz["writer"].tolist() == [1]
+        assert not [p for p in store.run_dir.iterdir() if p.suffix == ".tmp"]
 
 
 class TestNumericColumns:
