@@ -23,5 +23,7 @@ setup(
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
+    # The test suite's own needs: ``pip install -e .[test]``.
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -29,6 +29,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.exceptions import InvalidParameterError, ReproError
 from repro.experiments.reporting import format_table
+from repro.sweeps.grid import check_seed
 from repro.sweeps.orchestrator import DEFAULT_RESULTS_ROOT, run_sweep
 from repro.sweeps.registry import all_experiments
 from repro.sweeps.schema import RowSchema
@@ -286,6 +287,7 @@ def cmd_verdict(args: argparse.Namespace) -> int:
         verify_certificate,
     )
 
+    check_seed(args.seed, "--seed")
     graph = VERDICT_FAMILIES[args.family](args)
     attempts = (
         DEFAULT_WITNESS_ATTEMPTS if args.attempts is None else args.attempts

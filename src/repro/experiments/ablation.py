@@ -110,75 +110,6 @@ def adversaries_for_ablation() -> list[tuple[str, ByzantineStrategy, BatchStrate
     ]
 
 
-def algorithm_ablation(
-    graphs: list[tuple[str, Digraph, int]] | None = None,
-    rounds: int = 150,
-    tolerance: float = 1e-6,
-) -> list[AblationRow]:
-    """Cross every (graph, rule, adversary) combination and record outcomes.
-
-    Trimmed rules execute on the vectorized engine driven by the
-    batch-native adversaries (bit-exact with the scalar pair); rules without
-    a vectorized kernel (W-MSR, median, linear average) keep the scalar
-    engine and the scalar strategies.
-    """
-    chosen = graphs if graphs is not None else default_ablation_graphs()
-    rows: list[AblationRow] = []
-    for label, graph, f in chosen:
-        faulty = highest_out_degree_fault_set(graph, f)
-        inputs = linear_ramp_inputs(graph.nodes, 0.0, 1.0)
-        hull_low = min(
-            value for node, value in inputs.items() if node not in faulty
-        )
-        hull_high = max(
-            value for node, value in inputs.items() if node not in faulty
-        )
-        for rule in rule_zoo(f):
-            vectorized = VectorizedEngine.supports_rule(rule)
-            for adversary_label, scalar_adversary, batch_adversary in (
-                adversaries_for_ablation()
-            ):
-                if vectorized:
-                    outcome = run_vectorized(
-                        graph=graph,
-                        rule=rule,
-                        inputs=inputs,
-                        faulty=faulty,
-                        adversary=batch_adversary,
-                        max_rounds=rounds,
-                        tolerance=tolerance,
-                    )
-                else:
-                    outcome = run_synchronous(
-                        graph=graph,
-                        rule=rule,
-                        inputs=inputs,
-                        faulty=faulty,
-                        adversary=scalar_adversary,
-                        max_rounds=rounds,
-                        tolerance=tolerance,
-                    )
-                final_within_hull = all(
-                    hull_low - 1e-9 <= value <= hull_high + 1e-9
-                    for value in outcome.final_values.values()
-                )
-                rows.append(
-                    {
-                        "graph": label,
-                        "f": f,
-                        "rule": rule.name,
-                        "adversary": adversary_label,
-                        "engine": "vectorized" if vectorized else "scalar",
-                        "converged": outcome.converged,
-                        "validity_ok": outcome.validity_ok,
-                        "final_within_input_hull": final_within_hull,
-                        "rounds": outcome.rounds_executed,
-                        "final_spread": outcome.final_spread,
-                    }
-                )
-    return rows
-
-
 @register_experiment(
     name="ablation",
     paper_section="Algorithm 1 vs alternative update rules (E12)",
@@ -197,8 +128,62 @@ def algorithm_ablation(
 def ablation_cell(
     graph: str, rounds: int = 150, tolerance: float = 1e-6
 ) -> list[AblationRow]:
-    """Registry cell for E12: the whole rule zoo under both adversaries."""
-    matching = select_labelled_case(
+    """Registry cell for E12: the whole rule zoo under both adversaries.
+
+    Trimmed rules execute on the vectorized engine driven by the
+    batch-native adversaries (bit-exact with the scalar pair); rules without
+    a vectorized kernel (W-MSR, median, linear average) keep the scalar
+    engine and the scalar strategies.
+    """
+    label, digraph, f = select_labelled_case(
         graph, default_ablation_graphs(), "ablation graph"
     )
-    return algorithm_ablation(graphs=matching, rounds=rounds, tolerance=tolerance)
+    faulty = highest_out_degree_fault_set(digraph, f)
+    inputs = linear_ramp_inputs(digraph.nodes, 0.0, 1.0)
+    hull_low = min(value for node, value in inputs.items() if node not in faulty)
+    hull_high = max(value for node, value in inputs.items() if node not in faulty)
+    rows: list[AblationRow] = []
+    for rule in rule_zoo(f):
+        vectorized = VectorizedEngine.supports_rule(rule)
+        for adversary_label, scalar_adversary, batch_adversary in (
+            adversaries_for_ablation()
+        ):
+            if vectorized:
+                outcome = run_vectorized(
+                    graph=digraph,
+                    rule=rule,
+                    inputs=inputs,
+                    faulty=faulty,
+                    adversary=batch_adversary,
+                    max_rounds=rounds,
+                    tolerance=tolerance,
+                )
+            else:
+                outcome = run_synchronous(
+                    graph=digraph,
+                    rule=rule,
+                    inputs=inputs,
+                    faulty=faulty,
+                    adversary=scalar_adversary,
+                    max_rounds=rounds,
+                    tolerance=tolerance,
+                )
+            final_within_hull = all(
+                hull_low - 1e-9 <= value <= hull_high + 1e-9
+                for value in outcome.final_values.values()
+            )
+            rows.append(
+                {
+                    "graph": label,
+                    "f": f,
+                    "rule": rule.name,
+                    "adversary": adversary_label,
+                    "engine": "vectorized" if vectorized else "scalar",
+                    "converged": outcome.converged,
+                    "validity_ok": outcome.validity_ok,
+                    "final_within_input_hull": final_within_hull,
+                    "rounds": outcome.rounds_executed,
+                    "final_spread": outcome.final_spread,
+                }
+            )
+    return rows

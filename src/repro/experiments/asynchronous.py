@@ -1,9 +1,9 @@
 """Experiment E9 — the asynchronous extension (Section 7).
 
-The Monte-Carlo sweep (:func:`async_sweep`) runs Algorithm 1 through the
-partially asynchronous model (bounded message delay ``B``, sporadic
-activation) on graphs satisfying the asynchronous condition: for every
-case × delay bound × activation probability it runs ``B`` independent
+The registered sweep (:func:`asynchronous_cell`) runs Algorithm 1 through
+the partially asynchronous model (bounded message delay ``B``, sporadic
+activation) on graphs satisfying the asynchronous condition: each case ×
+delay bound × activation probability cell runs ``batch`` independent
 executions through
 :class:`~repro.simulation.vectorized_async.VectorizedAsyncEngine` as one
 ``(B, n)`` matrix and aggregates convergence statistics, showing that delays
@@ -79,84 +79,6 @@ def _default_cases() -> list[tuple[str, Digraph, int]]:
     ]
 
 
-def _async_feasibility_flag(graph: Digraph, f: int) -> bool | None:
-    """Exhaustive async-condition verdict, or ``None`` when the graph exceeds
-    the exact checker's node cap (the sweep still runs the simulation)."""
-    try:
-        return check_async_feasibility(graph, f).satisfied
-    except GraphTooLargeError:
-        return None
-
-
-def async_sweep(
-    cases: list[tuple[str, Digraph, int]] | None = None,
-    delays: list[int] | None = None,
-    update_probabilities: list[float] | None = None,
-    batch: int = 32,
-    rounds: int = 600,
-    tolerance: float = 1e-5,
-    seed: int = 23,
-) -> list[AsynchronousRow]:
-    """Batched Monte-Carlo sweep of the partially asynchronous model.
-
-    For every case × delay bound × activation probability, runs ``batch``
-    independent executions (i.i.d. uniform inputs) as one vectorized pass and
-    aggregates: fraction converged, mean rounds to convergence, whether the
-    initial-hull validity held in every execution, and the mean final spread.
-    The per-row RNG streams derive from ``seed`` via the engine's
-    seed-spawning contract, so every cell is reproducible run to run.
-    """
-    if batch < 1:
-        raise InvalidParameterError(f"batch must be >= 1, got {batch}")
-    chosen_cases = cases if cases is not None else _default_cases()
-    chosen_delays = delays if delays is not None else [0, 1, 3]
-    chosen_probabilities = (
-        update_probabilities if update_probabilities is not None else [1.0, 0.75]
-    )
-    rows: list[AsynchronousRow] = []
-    for index, (label, graph, f) in enumerate(chosen_cases):
-        rule = TrimmedMeanRule(f)
-        faulty = random_fault_set(graph, f, rng=seed + index) if f > 0 else frozenset()
-        async_feasible = _async_feasibility_flag(graph, f)
-        config = SimulationConfig(
-            max_rounds=rounds, tolerance=tolerance, record_history=False
-        )
-        # One input matrix per case: every delay × probability cell runs the
-        # same B executions, so differences across cells are model effects.
-        matrix = random_input_matrix(
-            tuple(sorted(graph.nodes, key=repr)), batch, rng=seed + 7 * index
-        )
-        for delay in chosen_delays:
-            for probability in chosen_probabilities:
-                engine = VectorizedAsyncEngine(
-                    graph=graph,
-                    rule=rule,
-                    faulty=faulty,
-                    adversary=BatchExtremePushStrategy(1.0) if faulty else None,
-                    config=config,
-                    max_delay=delay,
-                    update_probability=probability,
-                )
-                outcome = engine.run_batch(
-                    matrix, rng=seed + 1000 * index + 10 * delay
-                )
-                rows.append(
-                    {
-                        "case": label,
-                        "f": f,
-                        "async_condition_holds": async_feasible,
-                        "max_delay_B": delay,
-                        "update_probability": probability,
-                        "batch": batch,
-                        "fraction_converged": outcome.fraction_converged,
-                        "mean_rounds": outcome.mean_rounds_to_convergence(),
-                        "all_hull_valid": outcome.all_valid,
-                        "mean_final_spread": float(outcome.final_spread.mean()),
-                    }
-                )
-    return rows
-
-
 @register_experiment(
     name="asynchronous",
     paper_section="Section 7 (E9)",
@@ -184,13 +106,52 @@ def asynchronous_cell(
     tolerance: float = 1e-5,
     seed: int = 23,
 ) -> list[AsynchronousRow]:
-    """Registry cell for E9: one Monte-Carlo cell of the asynchronous sweep."""
-    return async_sweep(
-        cases=select_labelled_case(case, _default_cases(), "asynchronous case"),
-        delays=[max_delay],
-        update_probabilities=[update_probability],
-        batch=batch,
-        rounds=rounds,
-        tolerance=tolerance,
-        seed=seed,
+    """Registry cell for E9: one Monte-Carlo cell of the asynchronous sweep.
+
+    Runs ``batch`` independent executions (i.i.d. uniform inputs) as one
+    vectorized pass and aggregates: fraction converged, mean rounds to
+    convergence, whether the initial-hull validity held in every execution,
+    and the mean final spread.  The input matrix depends only on the case
+    and ``seed``, so cells that share a seed (``--grid seed=...``) run the
+    same executions and differ only by model effects.  The per-row RNG
+    streams derive from ``seed`` and ``max_delay`` via the engine's
+    seed-spawning contract.
+    """
+    if batch < 1:
+        raise InvalidParameterError(f"batch must be >= 1, got {batch}")
+    label, graph, f = select_labelled_case(case, _default_cases(), "asynchronous case")
+    faulty = random_fault_set(graph, f, rng=seed) if f > 0 else frozenset()
+    try:
+        async_feasible: bool | None = check_async_feasibility(graph, f).satisfied
+    except GraphTooLargeError:
+        # Beyond the exact checker's node cap the simulation still runs.
+        async_feasible = None
+    engine = VectorizedAsyncEngine(
+        graph=graph,
+        rule=TrimmedMeanRule(f),
+        faulty=faulty,
+        adversary=BatchExtremePushStrategy(1.0) if faulty else None,
+        config=SimulationConfig(
+            max_rounds=rounds, tolerance=tolerance, record_history=False
+        ),
+        max_delay=max_delay,
+        update_probability=update_probability,
     )
+    matrix = random_input_matrix(
+        tuple(sorted(graph.nodes, key=repr)), batch, rng=seed
+    )
+    outcome = engine.run_batch(matrix, rng=seed + 10 * max_delay)
+    return [
+        {
+            "case": label,
+            "f": f,
+            "async_condition_holds": async_feasible,
+            "max_delay_B": max_delay,
+            "update_probability": update_probability,
+            "batch": batch,
+            "fraction_converged": outcome.fraction_converged,
+            "mean_rounds": outcome.mean_rounds_to_convergence(),
+            "all_hull_valid": outcome.all_valid,
+            "mean_final_spread": float(outcome.final_spread.mean()),
+        }
+    ]

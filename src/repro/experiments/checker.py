@@ -8,9 +8,11 @@ Two questions:
    necessary, not sufficient), and the heuristic searches may only produce
    false "pass" (they are sound when they report a witness); neither may ever
    contradict the exact checker in the other direction.
-2. *Cost* — how does the exhaustive checker's running time scale with ``n``
-   and ``f`` compared to the screens and heuristics?  (Timed by the
-   pytest-benchmark harness; this module only supplies the workloads.)
+2. *Cost* — how long does the exact bitset checker take on graphs at and
+   beyond the legacy pure-Python ceiling?  The ``checker_scaling`` sweep
+   (E10b) records the wall time per case, and the ``checker`` scenario of
+   ``benchmarks/harness.py`` times the legacy pure-Python search against
+   the bitset kernels.
 """
 
 from __future__ import annotations
@@ -138,82 +140,6 @@ def checker_test_battery(seed: int = 17) -> list[tuple[str, Digraph, int]]:
     return battery
 
 
-def checker_agreement_study(
-    battery: list[tuple[str, Digraph, int]] | None = None,
-    random_attempts: int = 300,
-    seed: int = 29,
-) -> list[CheckerRow]:
-    """Compare the exact checker against screens and heuristic searches.
-
-    Every row records the exact verdict, the screen verdicts and whether each
-    heuristic found a witness; the ``consistent`` column is true when no
-    method contradicts the exact verdict in the disallowed direction.
-    """
-    chosen = battery if battery is not None else checker_test_battery()
-    rows: list[CheckerRow] = []
-    for label, graph, f in chosen:
-        exact_witness = find_violating_partition(graph, f, method="bitset")
-        legacy_witness = find_violating_partition(graph, f, method="python")
-        methods_agree = exact_witness == legacy_witness
-        exact_holds = exact_witness is None
-        screens_pass = passes_count_screen(
-            graph.number_of_nodes, f
-        ) and passes_in_degree_screen(graph, f)
-        greedy = greedy_witness_search(graph, f)
-        randomized = random_witness_search(
-            graph, f, attempts=random_attempts, rng=seed
-        )
-        greedy_valid = greedy is None or verify_witness(graph, f, greedy)
-        randomized_valid = randomized is None or verify_witness(graph, f, randomized)
-        consistent = True
-        # The bitset fast path and the legacy enumeration are the same search
-        # in different arithmetic; any disagreement is an implementation bug.
-        if not methods_agree:
-            consistent = False
-        # Screens are necessary conditions: they may pass on infeasible graphs
-        # but must never fail on feasible ones.
-        if exact_holds and not screens_pass:
-            consistent = False
-        # Heuristic witnesses must be genuine (sound) and can only exist when
-        # the exact checker also finds the graph infeasible.
-        if greedy is not None and (exact_holds or not greedy_valid):
-            consistent = False
-        if randomized is not None and (exact_holds or not randomized_valid):
-            consistent = False
-        rows.append(
-            {
-                "case": label,
-                "n": graph.number_of_nodes,
-                "f": f,
-                "exact_condition_holds": exact_holds,
-                "methods_agree": methods_agree,
-                "screens_pass": screens_pass,
-                "greedy_found_witness": greedy is not None,
-                "random_found_witness": randomized is not None,
-                "consistent": consistent,
-            }
-        )
-    return rows
-
-
-def checker_scaling_cases() -> list[tuple[str, Digraph, int]]:
-    """Return cases of growing size for the checker-cost benchmark."""
-    return [
-        ("core n=7 f=2", core_network(7, 2), 2),
-        ("core n=10 f=3", core_network(10, 3), 3),
-        ("chord n=9 f=2", chord_network(9, 2), 2),
-        ("chord n=11 f=2", chord_network(11, 2), 2),
-        ("hypercube d=3 f=1", hypercube(3), 1),
-        ("hypercube d=4 f=1", hypercube(4), 1),
-    ]
-
-
-def exhaustive_checker_workload(case: tuple[str, Digraph, int]) -> bool:
-    """Benchmark payload: run the full feasibility pipeline on one case."""
-    _, graph, f = case
-    return check_feasibility(graph, f, use_structural_shortcuts=False).satisfied
-
-
 def checker_scaling_battery() -> list[tuple[str, Digraph, int]]:
     """Labelled cases at and beyond the legacy pure-Python ceiling (n = 16).
 
@@ -249,32 +175,25 @@ def checker_scaling_battery() -> list[tuple[str, Digraph, int]]:
 )
 def checker_scaling_cell(case: str) -> list[CheckerScalingRow]:
     """Registry cell for E10b: time the exact bitset check on one large case."""
-    matching = select_labelled_case(
+    label, graph, f = select_labelled_case(
         case, checker_scaling_battery(), "checker_scaling case"
     )
-    rows: list[CheckerScalingRow] = []
-    for label, graph, f in matching:
-        cap = max(graph.number_of_nodes, DEFAULT_MAX_EXACT_NODES)
-        start = time.perf_counter()
-        result = check_feasibility(
-            graph, f, max_nodes=cap, use_structural_shortcuts=False
-        )
-        elapsed = time.perf_counter() - start
-        witness_valid = result.witness is None or verify_witness(
-            graph, f, result.witness
-        )
-        rows.append(
-            {
-                "case": label,
-                "n": graph.number_of_nodes,
-                "f": f,
-                "satisfied": result.satisfied,
-                "decided_by": result.method,
-                "witness_valid": witness_valid,
-                "elapsed_seconds": elapsed,
-            }
-        )
-    return rows
+    cap = max(graph.number_of_nodes, DEFAULT_MAX_EXACT_NODES)
+    start = time.perf_counter()
+    result = check_feasibility(graph, f, max_nodes=cap, use_structural_shortcuts=False)
+    elapsed = time.perf_counter() - start
+    witness_valid = result.witness is None or verify_witness(graph, f, result.witness)
+    return [
+        {
+            "case": label,
+            "n": graph.number_of_nodes,
+            "f": f,
+            "satisfied": result.satisfied,
+            "decided_by": result.method,
+            "witness_valid": witness_valid,
+            "elapsed_seconds": elapsed,
+        }
+    ]
 
 
 @register_experiment(
@@ -294,8 +213,51 @@ def checker_scaling_cell(case: str) -> list[CheckerScalingRow]:
 def checker_cell(
     case: str, random_attempts: int = 300, seed: int = 29
 ) -> list[CheckerRow]:
-    """Registry cell for E10: the checker-agreement study on one battery graph."""
-    matching = select_labelled_case(case, checker_test_battery(), "checker case")
-    return checker_agreement_study(
-        battery=matching, random_attempts=random_attempts, seed=seed
+    """Registry cell for E10: the checker-agreement study on one battery graph.
+
+    The row records the exact verdict, the screen verdicts and whether each
+    heuristic found a witness; the ``consistent`` column is true when no
+    method contradicts the exact verdict in the disallowed direction.
+    """
+    label, graph, f = select_labelled_case(
+        case, checker_test_battery(), "checker case"
     )
+    exact_witness = find_violating_partition(graph, f, method="bitset")
+    legacy_witness = find_violating_partition(graph, f, method="python")
+    methods_agree = exact_witness == legacy_witness
+    exact_holds = exact_witness is None
+    screens_pass = passes_count_screen(
+        graph.number_of_nodes, f
+    ) and passes_in_degree_screen(graph, f)
+    greedy = greedy_witness_search(graph, f)
+    randomized = random_witness_search(graph, f, attempts=random_attempts, rng=seed)
+    greedy_valid = greedy is None or verify_witness(graph, f, greedy)
+    randomized_valid = randomized is None or verify_witness(graph, f, randomized)
+    consistent = True
+    # The bitset fast path and the legacy enumeration are the same search
+    # in different arithmetic; any disagreement is an implementation bug.
+    if not methods_agree:
+        consistent = False
+    # Screens are necessary conditions: they may pass on infeasible graphs
+    # but must never fail on feasible ones.
+    if exact_holds and not screens_pass:
+        consistent = False
+    # Heuristic witnesses must be genuine (sound) and can only exist when
+    # the exact checker also finds the graph infeasible.
+    if greedy is not None and (exact_holds or not greedy_valid):
+        consistent = False
+    if randomized is not None and (exact_holds or not randomized_valid):
+        consistent = False
+    return [
+        {
+            "case": label,
+            "n": graph.number_of_nodes,
+            "f": f,
+            "exact_condition_holds": exact_holds,
+            "methods_agree": methods_agree,
+            "screens_pass": screens_pass,
+            "greedy_found_witness": greedy is not None,
+            "random_found_witness": randomized is not None,
+            "consistent": consistent,
+        }
+    ]

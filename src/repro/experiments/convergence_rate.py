@@ -15,9 +15,9 @@ the gap so the benchmark can show the bound's conservatism quantitatively.
 
 Execution is vectorized: the per-case study runs on
 :func:`~repro.simulation.vectorized.run_vectorized` (bit-identical to the
-scalar engine), and :func:`convergence_rate_sweep` extends each case into a
-Monte-Carlo batch over many input draws via
-:class:`~repro.simulation.vectorized.BatchRunner`.
+scalar engine), and the registered cell (:func:`convergence_rate_cell`)
+extends each case into a Monte-Carlo batch over many input draws on one
+:class:`~repro.simulation.vectorized.VectorizedEngine`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ from repro.graphs.generators import chord_network, complete_graph, core_network
 from repro.simulation.engine import SimulationConfig
 from repro.simulation.inputs import bimodal_inputs
 from repro.simulation.trace import spreads_from_records
-from repro.simulation.vectorized import BatchRunner, run_vectorized
+from repro.simulation.vectorized import (
+    VectorizedEngine,
+    random_input_matrix,
+    run_vectorized,
+)
 from repro.sweeps.registry import register_experiment, select_labelled_case
 from repro.sweeps.schema import schema_from_typeddict
 from repro.types import NodeId
@@ -173,76 +177,6 @@ def convergence_rate_study(
     return rows
 
 
-def convergence_rate_sweep(
-    cases: list[tuple[str, Digraph, int]] | None = None,
-    batch: int = 64,
-    rounds: int = 300,
-    tolerance: float = 1e-7,
-    seed: int = 11,
-) -> list[ConvergenceRateRow]:
-    """Monte-Carlo extension of E7: ``batch`` random input draws per case.
-
-    Each case runs as one batched pass of the vectorized engine under the
-    extreme-pushing adversary; rows report the convergence fraction and the
-    distribution (mean / p50 / p90 / max) of rounds-to-tolerance across the
-    batch, plus how the mean compares to the analytical Lemma-5 round bound.
-    Deterministic for a fixed ``seed``.
-    """
-    chosen = cases if cases is not None else default_rate_cases()
-    rows: list[ConvergenceRateRow] = []
-    for index, (label, graph, f) in enumerate(chosen):
-        rule = TrimmedMeanRule(f)
-        faulty: frozenset[NodeId] = (
-            random_fault_set(graph, f, rng=seed + index) if f > 0 else frozenset()
-        )
-        fault_free = graph.nodes - faulty
-        alpha = alpha_for_rule(graph, rule, fault_free=fault_free)
-        window_bound = worst_case_window_length(graph.number_of_nodes, f)
-        runner = BatchRunner(
-            graph=graph,
-            rule=rule,
-            faulty=faulty,
-            adversary=BatchExtremePushStrategy(delta=1.0) if faulty else None,
-            config=SimulationConfig(
-                max_rounds=rounds,
-                tolerance=tolerance,
-                record_history=False,
-            ),
-        )
-        outcome = runner.run_uniform(batch, rng=seed + index)
-        converged_rounds = outcome.rounds_executed[outcome.converged]
-        bound_rounds = rounds_to_reach(1.0, tolerance, alpha, window_bound)
-        rows.append(
-            {
-                "case": label,
-                "n": graph.number_of_nodes,
-                "f": f,
-                "batch": batch,
-                "alpha": alpha,
-                "fraction_converged": outcome.fraction_converged,
-                "all_validity_ok": outcome.all_valid,
-                "mean_rounds": outcome.mean_rounds_to_convergence(),
-                "p50_rounds": (
-                    float(np.percentile(converged_rounds, 50))
-                    if converged_rounds.size
-                    else float("nan")
-                ),
-                "p90_rounds": (
-                    float(np.percentile(converged_rounds, 90))
-                    if converged_rounds.size
-                    else float("nan")
-                ),
-                "max_rounds": (
-                    int(converged_rounds.max())
-                    if converged_rounds.size
-                    else float("nan")
-                ),
-                "bound_rounds": bound_rounds,
-            }
-        )
-    return rows
-
-
 @register_experiment(
     name="convergence_rate",
     paper_section="Section 5, Theorem 3 / Lemma 5 (E7)",
@@ -266,13 +200,59 @@ def convergence_rate_cell(
     tolerance: float = 1e-7,
     seed: int = 11,
 ) -> list[ConvergenceRateRow]:
-    """Registry cell for E7: one Monte-Carlo case on the vectorized engine."""
-    return convergence_rate_sweep(
-        cases=select_labelled_case(
-            case, default_rate_cases(), "convergence-rate case"
-        ),
-        batch=batch,
-        rounds=rounds,
-        tolerance=tolerance,
-        seed=seed,
+    """Registry cell for E7: one Monte-Carlo case on the vectorized engine.
+
+    The case runs ``batch`` random input draws as one batched pass under the
+    extreme-pushing adversary; the row reports the convergence fraction and
+    the distribution (mean / p50 / p90 / max) of rounds-to-tolerance across
+    the batch, plus the analytical Lemma-5 round bound to compare the mean
+    against.  Deterministic for a fixed ``seed``.
+    """
+    label, graph, f = select_labelled_case(
+        case, default_rate_cases(), "convergence-rate case"
     )
+    rule = TrimmedMeanRule(f)
+    faulty: frozenset[NodeId] = (
+        random_fault_set(graph, f, rng=seed) if f > 0 else frozenset()
+    )
+    alpha = alpha_for_rule(graph, rule, fault_free=graph.nodes - faulty)
+    window_bound = worst_case_window_length(graph.number_of_nodes, f)
+    engine = VectorizedEngine(
+        graph=graph,
+        rule=rule,
+        faulty=faulty,
+        adversary=BatchExtremePushStrategy(delta=1.0) if faulty else None,
+        config=SimulationConfig(
+            max_rounds=rounds, tolerance=tolerance, record_history=False
+        ),
+    )
+    outcome = engine.run_batch(random_input_matrix(engine.nodes, batch, rng=seed))
+    converged_rounds = outcome.rounds_executed[outcome.converged]
+    return [
+        {
+            "case": label,
+            "n": graph.number_of_nodes,
+            "f": f,
+            "batch": batch,
+            "alpha": alpha,
+            "fraction_converged": outcome.fraction_converged,
+            "all_validity_ok": outcome.all_valid,
+            "mean_rounds": outcome.mean_rounds_to_convergence(),
+            "p50_rounds": (
+                float(np.percentile(converged_rounds, 50))
+                if converged_rounds.size
+                else float("nan")
+            ),
+            "p90_rounds": (
+                float(np.percentile(converged_rounds, 90))
+                if converged_rounds.size
+                else float("nan")
+            ),
+            "max_rounds": (
+                int(converged_rounds.max())
+                if converged_rounds.size
+                else float("nan")
+            ),
+            "bound_rounds": rounds_to_reach(1.0, tolerance, alpha, window_bound),
+        }
+    ]

@@ -83,7 +83,6 @@ COROLLARIES_SCHEMA = schema_from_typeddict(
 
 def corollary2_sweep(
     f: int,
-    n_values: list[int] | None = None,
     rounds: int = 200,
     tolerance: float = 1e-6,
 ) -> list[CorollariesRow]:
@@ -96,9 +95,8 @@ def corollary2_sweep(
     """
     if f < 0:
         raise InvalidParameterError(f"f must be >= 0, got {f}")
-    chosen_n = n_values if n_values is not None else list(range(2, 3 * f + 4))
     rows: list[CorollariesRow] = []
-    for n in chosen_n:
+    for n in range(2, 3 * f + 4):
         graph = complete_graph(n)
         screen = passes_count_screen(n, f)
         feasibility = check_feasibility(graph, f)

@@ -211,110 +211,6 @@ def _mean_masked_fraction(
     return edge_down / rounds, asleep / rounds
 
 
-def dynamic_topology_study(
-    cases: list[tuple[str, Digraph, int]] | None = None,
-    schedule_kind: str = "composed",
-    batch: int = 16,
-    rounds: int = 60,
-    p_up: float = 0.8,
-    p_awake: float = 0.85,
-    seed: int = 0,
-) -> list[DynamicTopologyRow]:
-    """Run one schedule kind over the graph cases with equivalence guards.
-
-    Per case: ``batch`` executions on the vectorized engine under the
-    schedule and the batch-native extreme-push adversary, a
-    scalar-vs-vectorized lockstep check of the first row (scalar adversary,
-    full trajectory), and a one-round bit-equality check of every row
-    against the scalar engine.  Any divergence raises
-    :class:`~repro.exceptions.SimulationError`.
-    """
-    chosen = cases if cases is not None else default_dynamic_cases()
-    rows: list[DynamicTopologyRow] = []
-    for index, (label, graph, f) in enumerate(chosen):
-        rule = TrimmedMeanRule(f)
-        faulty: frozenset[NodeId] = random_fault_set(graph, f, rng=seed + index)
-        schedule = make_dynamic_schedule(
-            schedule_kind, graph, seed=seed + index, p_up=p_up, p_awake=p_awake
-        )
-        config = SimulationConfig(
-            max_rounds=rounds,
-            tolerance=1e-9,
-            record_history=False,
-            stop_on_convergence=False,
-        )
-        engine = VectorizedEngine(
-            graph,
-            rule,
-            faulty=faulty,
-            adversary=BatchExtremePushStrategy(delta=1.5),
-            config=config,
-            schedule=schedule,
-        )
-        matrix = random_input_matrix(engine.nodes, batch, rng=seed + index)
-        outcome = engine.run_batch(matrix)
-
-        # Guard 1: the first batch row, replayed scalar-vs-vectorized in
-        # lockstep under the same schedule, must stay bit-identical every
-        # round.
-        row_inputs = dict(zip(engine.nodes, matrix[0].tolist()))
-        report = cross_check_engines(
-            graph=graph,
-            rule=rule,
-            inputs=row_inputs,
-            faulty=faulty,
-            adversary=ExtremePushStrategy(delta=1.5),
-            config=config,
-            rounds=min(rounds, 20),
-            schedule=schedule,
-        )
-        if not report.identical:
-            raise SimulationError(
-                f"scalar/vectorized divergence under {schedule.name!r} on "
-                f"{label} at round {report.first_divergence_round}"
-            )
-
-        # Guard 2: one masked round of every batch row, scalar vs batch.
-        scalar = SynchronousEngine(
-            graph,
-            rule,
-            faulty=faulty,
-            adversary=ExtremePushStrategy(delta=1.5),
-            config=config,
-            schedule=schedule,
-        )
-        stepped = engine.step_matrix(matrix, 1)
-        for row_values, row_stepped in zip(matrix.tolist(), stepped.tolist()):
-            expected = scalar.step(dict(zip(engine.nodes, row_values)), 1)
-            if row_stepped != [expected[node] for node in engine.nodes]:
-                raise SimulationError(
-                    f"scalar/batch divergence under {schedule.name!r} on {label}"
-                )
-
-        edge_down, asleep = _mean_masked_fraction(schedule, graph, rounds)
-        rows.append(
-            {
-                "case": label,
-                "schedule": schedule.name,
-                "n": graph.number_of_nodes,
-                "f": f,
-                "batch": batch,
-                "rounds": rounds,
-                "mean_edge_down_fraction": edge_down,
-                "mean_asleep_fraction": asleep,
-                "fraction_converged": outcome.fraction_converged,
-                "all_validity_ok": outcome.all_valid,
-                "mean_final_spread": float(outcome.final_spread.mean()),
-                "mean_contraction": float(
-                    (outcome.final_spread / outcome.initial_spread).mean()
-                ),
-                "scalar_guard": True,
-                "sparse_guard": True,
-            }
-        )
-    return rows
-
-
 @register_experiment(
     name="dynamic_topology",
     paper_section=(
@@ -342,35 +238,130 @@ def dynamic_topology_cell(
     rounds: int = 60,
     seed: int = 0,
 ) -> list[DynamicTopologyRow]:
-    """Registry cell for E16: one (case, schedule kind) guarded dynamic sweep."""
-    return dynamic_topology_study(
-        cases=select_labelled_case(
-            case, default_dynamic_cases(), "dynamic-topology case"
-        ),
-        schedule_kind=schedule_kind,
-        batch=batch,
-        rounds=rounds,
-        seed=seed,
+    """Registry cell for E16: one (case, schedule kind) guarded dynamic sweep.
+
+    Runs ``batch`` executions on the vectorized engine under the schedule
+    and the batch-native extreme-push adversary, a scalar-vs-vectorized
+    lockstep check of the first row (scalar adversary, full trajectory),
+    and a one-round bit-equality check of every row against the scalar
+    engine.  Any divergence raises :class:`~repro.exceptions.SimulationError`.
+    """
+    label, graph, f = select_labelled_case(
+        case, default_dynamic_cases(), "dynamic-topology case"
     )
+    rule = TrimmedMeanRule(f)
+    faulty: frozenset[NodeId] = random_fault_set(graph, f, rng=seed)
+    schedule = make_dynamic_schedule(schedule_kind, graph, seed=seed)
+    config = SimulationConfig(
+        max_rounds=rounds,
+        tolerance=1e-9,
+        record_history=False,
+        stop_on_convergence=False,
+    )
+    engine = VectorizedEngine(
+        graph,
+        rule,
+        faulty=faulty,
+        adversary=BatchExtremePushStrategy(delta=1.5),
+        config=config,
+        schedule=schedule,
+    )
+    matrix = random_input_matrix(engine.nodes, batch, rng=seed)
+    outcome = engine.run_batch(matrix)
+
+    # Guard 1: the first batch row, replayed scalar-vs-vectorized in
+    # lockstep under the same schedule, must stay bit-identical every round.
+    report = cross_check_engines(
+        graph=graph,
+        rule=rule,
+        inputs=dict(zip(engine.nodes, matrix[0].tolist())),
+        faulty=faulty,
+        adversary=ExtremePushStrategy(delta=1.5),
+        config=config,
+        rounds=min(rounds, 20),
+        schedule=schedule,
+    )
+    if not report.identical:
+        raise SimulationError(
+            f"scalar/vectorized divergence under {schedule.name!r} on "
+            f"{label} at round {report.first_divergence_round}"
+        )
+
+    # Guard 2: one masked round of every batch row, scalar vs batch.
+    scalar = SynchronousEngine(
+        graph,
+        rule,
+        faulty=faulty,
+        adversary=ExtremePushStrategy(delta=1.5),
+        config=config,
+        schedule=schedule,
+    )
+    stepped = engine.step_matrix(matrix, 1)
+    for row_values, row_stepped in zip(matrix.tolist(), stepped.tolist()):
+        expected = scalar.step(dict(zip(engine.nodes, row_values)), 1)
+        if row_stepped != [expected[node] for node in engine.nodes]:
+            raise SimulationError(
+                f"scalar/batch divergence under {schedule.name!r} on {label}"
+            )
+
+    edge_down, asleep = _mean_masked_fraction(schedule, graph, rounds)
+    return [
+        {
+            "case": label,
+            "schedule": schedule.name,
+            "n": graph.number_of_nodes,
+            "f": f,
+            "batch": batch,
+            "rounds": rounds,
+            "mean_edge_down_fraction": edge_down,
+            "mean_asleep_fraction": asleep,
+            "fraction_converged": outcome.fraction_converged,
+            "all_validity_ok": outcome.all_valid,
+            "mean_final_spread": float(outcome.final_spread.mean()),
+            "mean_contraction": float(
+                (outcome.final_spread / outcome.initial_spread).mean()
+            ),
+            "scalar_guard": True,
+            "sparse_guard": True,
+        }
+    ]
 
 
-def churn_sweep_study(
-    p_awake: float = 0.9,
-    n: int = 9,
-    f: int = 2,
+@register_experiment(
+    name="churn_sweep",
+    paper_section=(
+        "Participation/churn robustness of Algorithm 1 (roadmap dynamic "
+        "tier, E17)"
+    ),
+    claim=(
+        "Convergence slows gracefully as the per-round awake probability "
+        "drops, while validity and exact sleep-state consistency hold in "
+        "every execution."
+    ),
+    engine="vectorized",
+    grid={
+        "p_awake": CHURN_P_AWAKE,
+        "batch": (32,),
+        "rounds": (120,),
+    },
+    schema=CHURN_SWEEP_SCHEMA,
+)
+def churn_sweep_cell(
+    p_awake: float,
     batch: int = 32,
     rounds: int = 120,
-    tolerance: float = 1e-6,
     seed: int = 0,
 ) -> list[ChurnSweepRow]:
-    """Measure convergence degradation under one awake probability.
+    """Registry cell for E17: one awake-probability point of the churn sweep.
 
-    Runs ``batch`` executions on the vectorized engine over ``core_network(n, f)``
-    under a :class:`~repro.simulation.dynamic.RandomChurnSchedule`, then
-    replays the first row through the scalar engine, whose run-level verdict
-    includes the participation audit (asleep nodes must hold their state
-    exactly; the hull must never expand).
+    Runs ``batch`` executions on the vectorized engine over
+    ``core_network(9, 2)`` under a
+    :class:`~repro.simulation.dynamic.RandomChurnSchedule`, then replays the
+    first row through the scalar engine, whose run-level verdict includes
+    the participation audit (asleep nodes must hold their state exactly;
+    the hull must never expand).
     """
+    n, f = 9, 2
     graph = core_network(n, f)
     rule = TrimmedMeanRule(f)
     faulty: frozenset[NodeId] = random_fault_set(graph, f, rng=seed)
@@ -380,9 +371,7 @@ def churn_sweep_study(
         else RandomChurnSchedule(p_awake=p_awake, seed=seed)
     )
     config = SimulationConfig(
-        max_rounds=rounds,
-        tolerance=tolerance,
-        record_history=False,
+        max_rounds=rounds, tolerance=1e-6, record_history=False
     )
     engine = VectorizedEngine(
         graph,
@@ -429,34 +418,3 @@ def churn_sweep_study(
             "mean_final_spread": float(outcome.final_spread.mean()),
         }
     ]
-
-
-@register_experiment(
-    name="churn_sweep",
-    paper_section=(
-        "Participation/churn robustness of Algorithm 1 (roadmap dynamic "
-        "tier, E17)"
-    ),
-    claim=(
-        "Convergence slows gracefully as the per-round awake probability "
-        "drops, while validity and exact sleep-state consistency hold in "
-        "every execution."
-    ),
-    engine="vectorized",
-    grid={
-        "p_awake": CHURN_P_AWAKE,
-        "batch": (32,),
-        "rounds": (120,),
-    },
-    schema=CHURN_SWEEP_SCHEMA,
-)
-def churn_sweep_cell(
-    p_awake: float,
-    batch: int = 32,
-    rounds: int = 120,
-    seed: int = 0,
-) -> list[ChurnSweepRow]:
-    """Registry cell for E17: one awake-probability point of the churn sweep."""
-    return churn_sweep_study(
-        p_awake=p_awake, batch=batch, rounds=rounds, seed=seed
-    )

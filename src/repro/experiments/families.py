@@ -13,8 +13,8 @@
 Simulations run on the vectorized engine
 (:func:`~repro.simulation.vectorized.run_vectorized`, bit-identical to the
 scalar engine); :func:`core_network_batch_sweep` scales E4 into a Monte-Carlo
-study over many input draws per ``(n, f)`` via
-:class:`~repro.simulation.vectorized.BatchRunner`.
+study over many input draws per ``(n, f)`` as one
+:meth:`~repro.simulation.vectorized.VectorizedEngine.run_batch` pass.
 """
 
 from __future__ import annotations
@@ -45,7 +45,11 @@ from repro.graphs.properties import (
 )
 from repro.simulation.engine import SimulationConfig
 from repro.simulation.inputs import bimodal_inputs, uniform_random_inputs
-from repro.simulation.vectorized import BatchRunner, run_vectorized
+from repro.simulation.vectorized import (
+    VectorizedEngine,
+    random_input_matrix,
+    run_vectorized,
+)
 from repro.sweeps.registry import register_experiment
 from repro.sweeps.schema import schema_from_typeddict
 
@@ -136,7 +140,6 @@ FAMILIES_SCHEMA = schema_from_typeddict(
 # E4 — core networks (Section 6.1)
 # ---------------------------------------------------------------------------
 def core_network_study(
-    cases: list[tuple[int, int]] | None = None,
     rounds: int = 300,
     tolerance: float = 1e-6,
     seed: int = 7,
@@ -148,9 +151,8 @@ def core_network_study(
     of Algorithm 1 under an extreme-pushing adversary with ``f`` random
     faulty nodes.
     """
-    chosen = cases if cases is not None else [(4, 1), (7, 2), (7, 1), (10, 3), (13, 4)]
     rows: list[FamiliesRow] = []
-    for index, (n, f) in enumerate(chosen):
+    for index, (n, f) in enumerate([(4, 1), (7, 2), (7, 1), (10, 3), (13, 4)]):
         graph = core_network(n, f)
         feasibility = check_feasibility(graph, f)
         rule = TrimmedMeanRule(f)
@@ -181,7 +183,6 @@ def core_network_study(
 
 
 def core_network_batch_sweep(
-    cases: list[tuple[int, int]] | None = None,
     batch: int = 64,
     rounds: int = 300,
     tolerance: float = 1e-6,
@@ -195,12 +196,11 @@ def core_network_batch_sweep(
     them, and the mean rounds to convergence.  Deterministic for a fixed
     ``seed``.
     """
-    chosen = cases if cases is not None else [(4, 1), (7, 2), (10, 3), (13, 4)]
     rows: list[FamiliesRow] = []
-    for index, (n, f) in enumerate(chosen):
+    for index, (n, f) in enumerate([(4, 1), (7, 2), (10, 3), (13, 4)]):
         graph = core_network(n, f)
         faulty = random_fault_set(graph, f, rng=seed + index)
-        runner = BatchRunner(
+        engine = VectorizedEngine(
             graph=graph,
             rule=TrimmedMeanRule(f),
             faulty=faulty,
@@ -211,7 +211,9 @@ def core_network_batch_sweep(
                 record_history=False,
             ),
         )
-        outcome = runner.run_uniform(batch, rng=seed + index)
+        outcome = engine.run_batch(
+            random_input_matrix(engine.nodes, batch, rng=seed + index)
+        )
         rows.append(
             {
                 "n": n,
@@ -225,13 +227,12 @@ def core_network_batch_sweep(
     return rows
 
 
-def core_network_minimality_comparison(f_values: list[int] | None = None) -> list[FamiliesRow]:
+def core_network_minimality_comparison() -> list[FamiliesRow]:
     """Compare edge counts of the ``n = 3f + 1`` core network against the
     complete graph on the same nodes (the paper conjectures the core network
     is edge-minimal among feasible undirected graphs on ``3f + 1`` nodes)."""
-    chosen_f = f_values if f_values is not None else [1, 2, 3, 4]
     rows: list[FamiliesRow] = []
-    for f in chosen_f:
+    for f in (1, 2, 3, 4):
         n = 3 * f + 1
         core = core_network(n, f)
         complete = complete_graph(n)
@@ -252,49 +253,33 @@ def core_network_minimality_comparison(f_values: list[int] | None = None) -> lis
 # ---------------------------------------------------------------------------
 # E5 — hypercubes (Section 6.2 / Figure 3)
 # ---------------------------------------------------------------------------
-def hypercube_study(
-    dimensions: list[int] | None = None,
-    f_values: list[int] | None = None,
-    attack_rounds: int = 30,
-) -> list[FamiliesRow]:
-    """Reproduce the hypercube analysis of Section 6.2.
+def hypercube_study(attack_rounds: int = 30) -> list[FamiliesRow]:
+    """Reproduce the hypercube analysis of Section 6.2 on the 3-cube, ``f = 1``.
 
-    For each dimension ``d`` the rows report the vertex connectivity (equal to
-    ``d``), whether the Figure-3 dimension-cut partition violates the
-    condition for each requested ``f ≥ 1``, and (for the cube small enough to
-    simulate comfortably) whether the split-brain attack across the cut stalls
-    Algorithm 1.
+    The row reports the vertex connectivity (equal to ``d``), whether the
+    Figure-3 dimension-cut partition violates the condition, and whether
+    the split-brain attack across the cut stalls Algorithm 1 (the attack
+    needs in-degree ``d >= 2f`` at every fault-free node, which holds here).
     """
-    chosen_dimensions = dimensions if dimensions is not None else [3]
-    chosen_f = f_values if f_values is not None else [1]
-    rows: list[FamiliesRow] = []
-    for dimension in chosen_dimensions:
-        graph = hypercube(dimension)
-        connectivity = vertex_connectivity(graph)
-        for f in chosen_f:
-            if f < 1:
-                raise InvalidParameterError("hypercube study requires f >= 1")
-            witness = hypercube_dimension_cut_witness(dimension)
-            witness_valid = verify_witness(graph, f, witness)
-            row: FamiliesRow = {
-                "dimension": dimension,
-                "n": graph.number_of_nodes,
-                "f": f,
-                "vertex_connectivity": connectivity,
-                "connectivity_at_least_2f+1": connectivity >= 2 * f + 1,
-                "dimension_cut_is_witness": witness_valid,
-                "condition_holds": not witness_valid,
-            }
-            # The attack needs the rule to be defined at every fault-free node
-            # (in-degree d >= 2f); skip the simulation otherwise.
-            if graph.number_of_nodes <= 64 and dimension >= 2 * f:
-                demo = demonstrate_necessity(
-                    graph, f, witness=witness, rounds=attack_rounds
-                )
-                row["attack_stalls"] = demo.stalled
-                row["attack_validity_ok"] = demo.outcome.validity_ok
-            rows.append(row)
-    return rows
+    dimension, f = 3, 1
+    graph = hypercube(dimension)
+    connectivity = vertex_connectivity(graph)
+    witness = hypercube_dimension_cut_witness(dimension)
+    witness_valid = verify_witness(graph, f, witness)
+    demo = demonstrate_necessity(graph, f, witness=witness, rounds=attack_rounds)
+    return [
+        {
+            "dimension": dimension,
+            "n": graph.number_of_nodes,
+            "f": f,
+            "vertex_connectivity": connectivity,
+            "connectivity_at_least_2f+1": connectivity >= 2 * f + 1,
+            "dimension_cut_is_witness": witness_valid,
+            "condition_holds": not witness_valid,
+            "attack_stalls": demo.stalled,
+            "attack_validity_ok": demo.outcome.validity_ok,
+        }
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +347,15 @@ def chord_case_studies(rounds: int = 300, tolerance: float = 1e-6) -> list[Famil
     return rows
 
 
-def chord_feasibility_sweep(
-    n_values: list[int] | None = None,
-    f_values: list[int] | None = None,
-) -> list[FamiliesRow]:
+def chord_feasibility_sweep() -> list[FamiliesRow]:
     """Map the feasibility frontier of the chord family over ``(n, f)``.
 
     Extends the paper's three data points into a small sweep; each row records
     the exact condition verdict (and the screens) for one ``(n, f)`` pair.
     """
-    chosen_n = n_values if n_values is not None else list(range(4, 11))
-    chosen_f = f_values if f_values is not None else [1, 2]
     rows: list[FamiliesRow] = []
-    for f in chosen_f:
-        for n in chosen_n:
+    for f in (1, 2):
+        for n in range(4, 11):
             if n <= 3 * f:
                 continue
             graph = chord_network(n, f)

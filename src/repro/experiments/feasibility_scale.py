@@ -119,52 +119,6 @@ def feasibility_scale_cases(seed: int = 11) -> list[ScaleCase]:
     return cases
 
 
-def feasibility_scale_battery(seed: int = 11) -> list[tuple[str, Digraph, int]]:
-    """Return the labelled 100–1000-node battery for the verdict sweep, with
-    every graph of :func:`feasibility_scale_cases` built."""
-    return [(label, build(), f) for label, build, f in feasibility_scale_cases(seed)]
-
-
-def feasibility_scale_study(
-    battery: list[tuple[str, Digraph, int]] | None = None,
-    witness_attempts: int = 60,
-    seed: int = 23,
-) -> list[FeasibilityScaleRow]:
-    """Run the verdict stack over the battery and audit every certificate.
-
-    Each row records the verdict status, the deciding layer, the certificate
-    kind, whether the certificate re-verifies from scratch, and the
-    wall-clock split across layers.
-    """
-    chosen = battery if battery is not None else feasibility_scale_battery()
-    rows: list[FeasibilityScaleRow] = []
-    for label, graph, f in chosen:
-        start = time.perf_counter()
-        verdict = feasibility_verdict(
-            graph, f, witness_attempts=witness_attempts, rng=seed
-        )
-        elapsed = time.perf_counter() - start
-        layer_ms = {
-            timing.layer: timing.seconds * 1000 for timing in verdict.timings
-        }
-        rows.append(
-            {
-                "case": label,
-                "n": graph.number_of_nodes,
-                "f": f,
-                "status": verdict.status,
-                "decided": verdict.status != UNKNOWN,
-                "decided_by": verdict.decided_by or "-",
-                "certificate": getattr(verdict.certificate, "kind", "-"),
-                "certificate_ok": verify_certificate(graph, f, verdict),
-                "screens_ms": round(layer_ms.get("screens", 0.0), 3),
-                "witness_ms": round(layer_ms.get("witness-search", 0.0), 3),
-                "elapsed_seconds": elapsed,
-            }
-        )
-    return rows
-
-
 @register_experiment(
     name="feasibility_at_scale",
     paper_section="Theorem-1 feasibility beyond the exact cap (E15)",
@@ -183,10 +137,32 @@ def feasibility_scale_cell(
     case: str, witness_attempts: int = 60, seed: int = 23
 ) -> list[FeasibilityScaleRow]:
     """Registry cell for E15: the verdict stack on one battery graph, the
-    only one the cell builds."""
-    [(label, build, f)] = select_labelled_case(
+    only one the cell builds.
+
+    The row records the verdict status, the deciding layer, the certificate
+    kind, whether the certificate re-verifies from scratch, and the
+    wall-clock split across layers.
+    """
+    label, build, f = select_labelled_case(
         case, feasibility_scale_cases(), "feasibility_at_scale case"
     )
-    return feasibility_scale_study(
-        battery=[(label, build(), f)], witness_attempts=witness_attempts, seed=seed
-    )
+    graph = build()
+    start = time.perf_counter()
+    verdict = feasibility_verdict(graph, f, witness_attempts=witness_attempts, rng=seed)
+    elapsed = time.perf_counter() - start
+    layer_ms = {timing.layer: timing.seconds * 1000 for timing in verdict.timings}
+    return [
+        {
+            "case": label,
+            "n": graph.number_of_nodes,
+            "f": f,
+            "status": verdict.status,
+            "decided": verdict.status != UNKNOWN,
+            "decided_by": verdict.decided_by or "-",
+            "certificate": getattr(verdict.certificate, "kind", "-"),
+            "certificate_ok": verify_certificate(graph, f, verdict),
+            "screens_ms": round(layer_ms.get("screens", 0.0), 3),
+            "witness_ms": round(layer_ms.get("witness-search", 0.0), 3),
+            "elapsed_seconds": elapsed,
+        }
+    ]

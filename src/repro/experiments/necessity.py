@@ -37,12 +37,7 @@ from repro.graphs.digraph import Digraph
 from repro.graphs.generators import chord_network, hypercube, undirected_ring
 from repro.simulation.engine import SimulationConfig, run_synchronous
 from repro.simulation.inputs import split_inputs_from_witness
-from repro.simulation.vectorized import (
-    BatchOutcome,
-    BatchRunner,
-    VectorizedEngine,
-    run_vectorized,
-)
+from repro.simulation.vectorized import BatchOutcome, VectorizedEngine, run_vectorized
 from repro.sweeps.registry import register_experiment, select_labelled_case
 from repro.sweeps.schema import schema_from_typeddict
 from repro.types import ConsensusOutcome, PartitionWitness
@@ -204,13 +199,13 @@ def split_brain_stall_study(
     between, so the batch samples the attack over many legitimate input
     assignments.  Returns the batch outcome and the fraction of executions
     stalled at the full ``high_value − low_value`` gap — 1.0 whenever the
-    witness is genuine.  Shared by the robustness comparison and the
-    ``adversary_showdown`` sweep.
+    witness is genuine.  Shared by the E11 robustness and E13 showdown
+    cells.
     """
     strategy = BatchSplitBrainStrategy(
         witness, low_value=low_value, high_value=high_value, margin=1.0
     )
-    runner = BatchRunner(
+    engine = VectorizedEngine(
         graph=graph,
         rule=TrimmedMeanRule(f),
         faulty=witness.faulty,
@@ -233,37 +228,10 @@ def split_brain_stall_study(
         for node in drawn_nodes:
             row[node] = float(rng.uniform(low_value, high_value))
         inputs.append(row)
-    outcome = runner.run(inputs)
+    outcome = engine.run_batch(inputs)
     gap = high_value - low_value
     stalled = float((outcome.final_spread >= gap - 1e-9).mean())
     return outcome, stalled
-
-
-def necessity_rows(
-    cases: list[tuple[str, Digraph, int, PartitionWitness | None]],
-    rounds: int = 50,
-) -> list[NecessityRow]:
-    """Run :func:`demonstrate_necessity` over labelled cases and return table rows.
-
-    Each case is ``(label, graph, f, witness_or_None)``.
-    """
-    rows: list[NecessityRow] = []
-    for label, graph, f, witness in cases:
-        demo = demonstrate_necessity(graph, f, witness=witness, rounds=rounds)
-        rows.append(
-            {
-                "case": label,
-                "n": graph.number_of_nodes,
-                "f": f,
-                "witness": demo.witness.describe(),
-                "rounds": demo.outcome.rounds_executed,
-                "final_spread": demo.outcome.final_spread,
-                "converged": demo.outcome.converged,
-                "validity_ok": demo.outcome.validity_ok,
-                "stalled": demo.stalled,
-            }
-        )
-    return rows
 
 
 def default_necessity_cases() -> list[tuple[str, Digraph, int, PartitionWitness | None]]:
@@ -303,7 +271,20 @@ def default_necessity_cases() -> list[tuple[str, Digraph, int, PartitionWitness 
 )
 def necessity_cell(case: str, rounds: int = 50) -> list[NecessityRow]:
     """Registry cell for E1: mount the necessity attack on one violating graph."""
-    matching = select_labelled_case(
+    label, graph, f, witness = select_labelled_case(
         case, default_necessity_cases(), "necessity case"
     )
-    return necessity_rows(matching, rounds=rounds)
+    demo = demonstrate_necessity(graph, f, witness=witness, rounds=rounds)
+    return [
+        {
+            "case": label,
+            "n": graph.number_of_nodes,
+            "f": f,
+            "witness": demo.witness.describe(),
+            "rounds": demo.outcome.rounds_executed,
+            "final_spread": demo.outcome.final_spread,
+            "converged": demo.outcome.converged,
+            "validity_ok": demo.outcome.validity_ok,
+            "stalled": demo.stalled,
+        }
+    ]

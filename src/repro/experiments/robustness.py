@@ -35,7 +35,7 @@ from repro.graphs.generators import (
     undirected_ring,
 )
 from repro.simulation.engine import SimulationConfig
-from repro.simulation.vectorized import BatchRunner
+from repro.simulation.vectorized import VectorizedEngine, random_input_matrix
 from repro.sweeps.registry import register_experiment, select_labelled_case
 from repro.sweeps.schema import schema_from_typeddict
 from repro.types import FeasibilityResult
@@ -125,7 +125,7 @@ def _dynamic_check(
     report the fraction of executions stalled at the full input gap.
     """
     if feasibility.satisfied:
-        runner = BatchRunner(
+        engine = VectorizedEngine(
             graph=graph,
             rule=TrimmedMeanRule(f),
             faulty=highest_out_degree_fault_set(graph, f),
@@ -134,7 +134,9 @@ def _dynamic_check(
                 max_rounds=rounds, tolerance=1e-6, record_history=False
             ),
         )
-        outcome = runner.run_uniform(batch, rng=seed)
+        outcome = engine.run_batch(
+            random_input_matrix(engine.nodes, batch, rng=seed)
+        )
         return {
             "sim_adversary": "batch-extreme-push",
             "sim_fraction_converged": outcome.fraction_converged,
@@ -164,50 +166,6 @@ def _dynamic_check(
     }
 
 
-def robustness_comparison(
-    cases: list[tuple[str, Digraph, int]] | None = None,
-    batch: int = 16,
-    rounds: int = 120,
-    seed: int = 23,
-) -> list[RobustnessRow]:
-    """Evaluate Theorem 1, ``(2f+1)``-robustness and ``(f+1, f+1)``-robustness.
-
-    Each row records all three verdicts plus the graph's robustness degree;
-    the ``agrees`` column states whether the Theorem-1 verdict matches
-    ``(f+1, f+1)``-robustness on that case, and the ``sim_*`` columns report
-    the batched adversarial simulation backing the verdict (see
-    :func:`_dynamic_check`).
-    """
-    chosen = cases if cases is not None else default_robustness_cases()
-    rows: list[RobustnessRow] = []
-    for label, graph, f in chosen:
-        feasibility = check_feasibility(graph, f, use_structural_shortcuts=False)
-        theorem1 = feasibility.satisfied
-        r_plus = is_r_robust(graph, 2 * f + 1)
-        r_s = is_r_s_robust(graph, f + 1, f + 1)
-        degree = robustness_degree(graph)
-        sim = _dynamic_check(
-            graph, f, feasibility, batch=batch, rounds=rounds, seed=seed
-        )
-        rows.append(
-            {
-                "case": label,
-                "n": graph.number_of_nodes,
-                "f": f,
-                "theorem1_holds": theorem1,
-                "robust_2f+1": r_plus,
-                "robust_(f+1,f+1)": r_s,
-                "robustness_degree": degree,
-                "agrees": theorem1 == r_s,
-                "sim_adversary": sim["sim_adversary"],
-                "sim_fraction_converged": sim["sim_fraction_converged"],
-                "sim_all_validity_ok": sim["sim_all_validity_ok"],
-                "sim_stalled_fraction": sim["sim_stalled_fraction"],
-            }
-        )
-    return rows
-
-
 @register_experiment(
     name="robustness",
     paper_section="Related work: (r, s)-robustness (E11)",
@@ -226,8 +184,33 @@ def robustness_comparison(
 def robustness_cell(
     case: str, batch: int = 16, seed: int = 23
 ) -> list[RobustnessRow]:
-    """Registry cell for E11: Theorem 1 vs robustness notions on one graph."""
-    matching = select_labelled_case(
+    """Registry cell for E11: Theorem 1 vs robustness notions on one graph.
+
+    The row records all three verdicts plus the graph's robustness degree;
+    the ``agrees`` column states whether the Theorem-1 verdict matches
+    ``(f+1, f+1)``-robustness, and the ``sim_*`` columns report the batched
+    adversarial simulation backing the verdict (see :func:`_dynamic_check`).
+    """
+    label, graph, f = select_labelled_case(
         case, default_robustness_cases(), "robustness case"
     )
-    return robustness_comparison(cases=matching, batch=batch, seed=seed)
+    feasibility = check_feasibility(graph, f, use_structural_shortcuts=False)
+    theorem1 = feasibility.satisfied
+    r_s = is_r_s_robust(graph, f + 1, f + 1)
+    sim = _dynamic_check(graph, f, feasibility, batch=batch, rounds=120, seed=seed)
+    return [
+        {
+            "case": label,
+            "n": graph.number_of_nodes,
+            "f": f,
+            "theorem1_holds": theorem1,
+            "robust_2f+1": is_r_robust(graph, 2 * f + 1),
+            "robust_(f+1,f+1)": r_s,
+            "robustness_degree": robustness_degree(graph),
+            "agrees": theorem1 == r_s,
+            "sim_adversary": sim["sim_adversary"],
+            "sim_fraction_converged": sim["sim_fraction_converged"],
+            "sim_all_validity_ok": sim["sim_all_validity_ok"],
+            "sim_stalled_fraction": sim["sim_stalled_fraction"],
+        }
+    ]

@@ -93,26 +93,44 @@ def default_scale_sizes() -> tuple[int, ...]:
     return (200, 1000, 5000)
 
 
-def large_n_study(
+@register_experiment(
+    name="large_n",
+    paper_section=(
+        "Scale-out beyond the paper's n ~ 200 (roadmap large-n tier, E14)"
+    ),
+    claim=(
+        "The CSR batch engine runs Algorithm 1 on sparse heterogeneous graphs "
+        "up to n = 10^5 with validity intact in every execution, bit-exact "
+        "with the scalar engine at float64."
+    ),
+    engine="sparse",
+    grid={
+        "n": default_scale_sizes(),
+        "dtype": SCALE_DTYPES,
+        "batch": (8,),
+        "rounds": (30,),
+    },
+    schema=LARGE_N_SCHEMA,
+)
+def large_n_cell(
     n: int,
-    f: int = 2,
     dtype: str = "float64",
     batch: int = 8,
     rounds: int = 30,
-    extra_mean: float = 2.0,
-    max_plane_bytes: int | None = None,
     seed: int = 0,
 ) -> list[LargeNRow]:
-    """Run one batched large-``n`` cell on the heterogeneous ring lattice.
+    """Registry cell for E14: one (n, dtype) point of the scale sweep.
 
-    Builds the graph and a random ``f``-node fault set from ``seed``, runs
-    ``batch`` executions for ``rounds`` rounds under the batch-native
-    extreme-push adversary on the CSR batch engine, and returns a single row
-    with build/run timings, throughput, and the validity and contraction
-    summary.  For ``n <= EQUIVALENCE_GUARD_MAX_N`` at float64 the row also
-    records a one-round bit-equality check of the first batch row against
-    the scalar engine (with the scalar form of the adversary).
+    Builds the heterogeneous ring lattice (``f = 2``) and a random ``f``-node
+    fault set from ``seed``, runs ``batch`` executions for ``rounds`` rounds
+    under the batch-native extreme-push adversary on the CSR batch engine,
+    and returns a single row with build/run timings, throughput, and the
+    validity and contraction summary.  For ``n <= EQUIVALENCE_GUARD_MAX_N``
+    at float64 the row also records a one-round bit-equality check of the
+    first batch row against the scalar engine (with the scalar form of the
+    adversary).
     """
+    f = 2
     if dtype not in SCALE_DTYPES:
         raise InvalidParameterError(
             f"dtype must be one of {SCALE_DTYPES}, got {dtype!r}"
@@ -125,7 +143,7 @@ def large_n_study(
     ).spawn(3)
     build_start = time.perf_counter()
     graph = heterogeneous_ring_lattice(
-        n, f, extra_mean=extra_mean, rng=np.random.default_rng(graph_stream)
+        n, f, extra_mean=2.0, rng=np.random.default_rng(graph_stream)
     )
     faulty = random_fault_set(graph, f, rng=np.random.default_rng(fault_stream))
     engine = VectorizedEngine(
@@ -140,7 +158,6 @@ def large_n_study(
             stop_on_convergence=False,
         ),
         dtype=np.dtype(dtype),
-        max_plane_bytes=max_plane_bytes,
     )
     build_seconds = time.perf_counter() - build_start
 
@@ -193,33 +210,3 @@ def large_n_study(
     ]
 
 
-@register_experiment(
-    name="large_n",
-    paper_section=(
-        "Scale-out beyond the paper's n ~ 200 (roadmap large-n tier, E14)"
-    ),
-    claim=(
-        "The CSR batch engine runs Algorithm 1 on sparse heterogeneous graphs "
-        "up to n = 10^5 with validity intact in every execution, bit-exact "
-        "with the scalar engine at float64."
-    ),
-    engine="sparse",
-    grid={
-        "n": default_scale_sizes(),
-        "dtype": SCALE_DTYPES,
-        "batch": (8,),
-        "rounds": (30,),
-    },
-    schema=LARGE_N_SCHEMA,
-)
-def large_n_cell(
-    n: int,
-    dtype: str = "float64",
-    batch: int = 8,
-    rounds: int = 30,
-    seed: int = 0,
-) -> list[LargeNRow]:
-    """Registry cell for E14: one (n, dtype) point of the scale sweep."""
-    return large_n_study(
-        n=n, dtype=dtype, batch=batch, rounds=rounds, seed=seed
-    )

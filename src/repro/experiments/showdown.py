@@ -48,7 +48,7 @@ from repro.graphs.generators import (
     undirected_ring,
 )
 from repro.simulation.engine import SimulationConfig
-from repro.simulation.vectorized import BatchRunner, random_input_matrix
+from repro.simulation.vectorized import VectorizedEngine, random_input_matrix
 from repro.sweeps.registry import register_experiment, select_labelled_case
 from repro.sweeps.schema import schema_from_typeddict
 from repro.types import PartitionWitness
@@ -162,82 +162,6 @@ def _witness_for(label: str, graph: Digraph, f: int) -> PartitionWitness | None:
     return find_violating_partition(graph, f)
 
 
-def adversary_showdown(
-    cases: list[tuple[str, Digraph, int]] | None = None,
-    strategies: tuple[str, ...] = SHOWDOWN_STRATEGIES,
-    batch: int = 32,
-    rounds: int = 150,
-    seed: int = 0,
-) -> list[ShowdownRow]:
-    """Run the full strategy x case cross as batched Monte-Carlo passes.
-
-    Split-brain cells on feasible graphs report ``applicable=False`` (there
-    is no witness to attack through); split-brain on violating graphs pins
-    ``L`` at 0 and ``R`` at 1 with per-row random centre/faulty inputs and
-    reports the stalled fraction.  All other cells draw ``batch`` uniform
-    input rows and use the ``f`` highest-out-degree nodes as the fault set.
-    """
-    chosen = cases if cases is not None else default_showdown_cases()
-    rows: list[ShowdownRow] = []
-    for label, graph, f in chosen:
-        witness = _witness_for(label, graph, f)
-        for strategy_label in strategies:
-            if strategy_label == "split-brain" and witness is None:
-                rows.append(
-                    {
-                        "case": label,
-                        "strategy": strategy_label,
-                        "n": graph.number_of_nodes,
-                        "f": f,
-                        "batch": batch,
-                        "condition_holds": witness is None,
-                        "applicable": False,
-                        "fraction_converged": None,
-                        "all_validity_ok": None,
-                        "mean_rounds": None,
-                        "stalled_fraction": None,
-                    }
-                )
-                continue
-            stalled: float | None
-            if strategy_label == "split-brain":
-                assert witness is not None
-                outcome, stalled = split_brain_stall_study(
-                    graph, f, witness, batch=batch, rounds=rounds, seed=seed
-                )
-            else:
-                runner = BatchRunner(
-                    graph=graph,
-                    rule=TrimmedMeanRule(f),
-                    faulty=highest_out_degree_fault_set(graph, f),
-                    adversary=make_showdown_strategy(strategy_label, seed=seed),
-                    config=SimulationConfig(
-                        max_rounds=rounds, tolerance=1e-6, record_history=False
-                    ),
-                )
-                matrix = random_input_matrix(
-                    runner.engine.nodes, batch, rng=seed
-                )
-                outcome = runner.run(matrix)
-                stalled = None
-            rows.append(
-                {
-                    "case": label,
-                    "strategy": strategy_label,
-                    "n": graph.number_of_nodes,
-                    "f": f,
-                    "batch": batch,
-                    "condition_holds": witness is None,
-                    "applicable": True,
-                    "fraction_converged": outcome.fraction_converged,
-                    "all_validity_ok": outcome.all_valid,
-                    "mean_rounds": outcome.mean_rounds_to_convergence(),
-                    "stalled_fraction": stalled,
-                }
-            )
-    return rows
-
-
 @register_experiment(
     name="adversary_showdown",
     paper_section="Theorems 1-2 stress test across adversary families (E13)",
@@ -262,14 +186,63 @@ def adversary_showdown_cell(
     rounds: int = 150,
     seed: int = 0,
 ) -> list[ShowdownRow]:
-    """Registry cell for E13: one batch-native strategy on one graph family."""
-    matching = select_labelled_case(
+    """Registry cell for E13: one batch-native strategy on one graph family.
+
+    Split-brain on a feasible graph reports ``applicable=False`` (there is
+    no witness to attack through); split-brain on a violating graph pins
+    ``L`` at 0 and ``R`` at 1 with per-row random centre/faulty inputs and
+    reports the stalled fraction.  Every other strategy draws ``batch``
+    uniform input rows and uses the ``f`` highest-out-degree nodes as the
+    fault set.
+    """
+    label, graph, f = select_labelled_case(
         case, default_showdown_cases(), "showdown case"
     )
-    return adversary_showdown(
-        cases=matching,
-        strategies=(strategy,),
-        batch=batch,
-        rounds=rounds,
-        seed=seed,
-    )
+    witness = _witness_for(label, graph, f)
+    stalled: float | None = None
+    if strategy != "split-brain":
+        engine = VectorizedEngine(
+            graph=graph,
+            rule=TrimmedMeanRule(f),
+            faulty=highest_out_degree_fault_set(graph, f),
+            adversary=make_showdown_strategy(strategy, seed=seed),
+            config=SimulationConfig(
+                max_rounds=rounds, tolerance=1e-6, record_history=False
+            ),
+        )
+        outcome = engine.run_batch(random_input_matrix(engine.nodes, batch, rng=seed))
+    elif witness is not None:
+        outcome, stalled = split_brain_stall_study(
+            graph, f, witness, batch=batch, rounds=rounds, seed=seed
+        )
+    else:
+        return [
+            {
+                "case": label,
+                "strategy": strategy,
+                "n": graph.number_of_nodes,
+                "f": f,
+                "batch": batch,
+                "condition_holds": True,
+                "applicable": False,
+                "fraction_converged": None,
+                "all_validity_ok": None,
+                "mean_rounds": None,
+                "stalled_fraction": None,
+            }
+        ]
+    return [
+        {
+            "case": label,
+            "strategy": strategy,
+            "n": graph.number_of_nodes,
+            "f": f,
+            "batch": batch,
+            "condition_holds": witness is None,
+            "applicable": True,
+            "fraction_converged": outcome.fraction_converged,
+            "all_validity_ok": outcome.all_valid,
+            "mean_rounds": outcome.mean_rounds_to_convergence(),
+            "stalled_fraction": stalled,
+        }
+    ]

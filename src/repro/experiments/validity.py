@@ -31,7 +31,6 @@ from repro.simulation.engine import run_synchronous
 from repro.simulation.inputs import uniform_random_inputs
 from repro.sweeps.registry import register_experiment, select_labelled_case
 from repro.sweeps.schema import schema_from_typeddict
-from repro.types import NodeId
 
 
 class ValidityRow(TypedDict):
@@ -83,63 +82,6 @@ def adversary_zoo(seed: int = 5) -> list[ByzantineStrategy]:
     ]
 
 
-def validity_study(
-    graphs: list[tuple[str, Digraph, int]] | None = None,
-    rules: list[type[UpdateRule]] | None = None,
-    rounds: int = 80,
-    seed: int = 5,
-) -> list[ValidityRow]:
-    """Cross every (graph, rule, adversary) combination and record validity.
-
-    The fault set is the ``f`` highest-out-degree nodes (the most damaging
-    degree-based choice).  Rows record whether validity held and whether the
-    final fault-free values stayed inside the initial fault-free input hull.
-    """
-    chosen_graphs = graphs if graphs is not None else default_validity_graphs()
-    chosen_rules = (
-        rules if rules is not None else [TrimmedMeanRule, WMSRRule, LinearAverageRule]
-    )
-    rows: list[ValidityRow] = []
-    for label, graph, f in chosen_graphs:
-        faulty = highest_out_degree_fault_set(graph, f)
-        inputs = uniform_random_inputs(graph.nodes, rng=seed)
-        hull_low = min(
-            value for node, value in inputs.items() if node not in faulty
-        )
-        hull_high = max(
-            value for node, value in inputs.items() if node not in faulty
-        )
-        for rule_type in chosen_rules:
-            rule = rule_type(f)
-            for adversary in adversary_zoo(seed=seed):
-                outcome = run_synchronous(
-                    graph=graph,
-                    rule=rule,
-                    inputs=inputs,
-                    faulty=faulty,
-                    adversary=adversary,
-                    max_rounds=rounds,
-                    tolerance=1e-9,
-                )
-                final_within_hull = all(
-                    hull_low - 1e-9 <= value <= hull_high + 1e-9
-                    for value in outcome.final_values.values()
-                )
-                rows.append(
-                    {
-                        "graph": label,
-                        "f": f,
-                        "rule": rule.name,
-                        "adversary": adversary.name,
-                        "validity_ok": outcome.validity_ok,
-                        "final_within_input_hull": final_within_hull,
-                        "converged": outcome.converged,
-                        "final_spread": outcome.final_spread,
-                    }
-                )
-    return rows
-
-
 @register_experiment(
     name="validity",
     paper_section="Section 4, Theorem 2 (E8)",
@@ -157,8 +99,47 @@ def validity_study(
 def validity_cell(
     graph: str, rounds: int = 80, seed: int = 5
 ) -> list[ValidityRow]:
-    """Registry cell for E8: the full rule x adversary cross on one graph."""
-    matching = select_labelled_case(
+    """Registry cell for E8: the full rule x adversary cross on one graph.
+
+    The fault set is the ``f`` highest-out-degree nodes (the most damaging
+    degree-based choice).  Rows record whether validity held and whether the
+    final fault-free values stayed inside the initial fault-free input hull.
+    """
+    label, digraph, f = select_labelled_case(
         graph, default_validity_graphs(), "validity graph"
     )
-    return validity_study(graphs=matching, rounds=rounds, seed=seed)
+    faulty = highest_out_degree_fault_set(digraph, f)
+    inputs = uniform_random_inputs(digraph.nodes, rng=seed)
+    hull_low = min(value for node, value in inputs.items() if node not in faulty)
+    hull_high = max(value for node, value in inputs.items() if node not in faulty)
+    rule_types: list[type[UpdateRule]] = [TrimmedMeanRule, WMSRRule, LinearAverageRule]
+    rows: list[ValidityRow] = []
+    for rule_type in rule_types:
+        rule = rule_type(f)
+        for adversary in adversary_zoo(seed=seed):
+            outcome = run_synchronous(
+                graph=digraph,
+                rule=rule,
+                inputs=inputs,
+                faulty=faulty,
+                adversary=adversary,
+                max_rounds=rounds,
+                tolerance=1e-9,
+            )
+            final_within_hull = all(
+                hull_low - 1e-9 <= value <= hull_high + 1e-9
+                for value in outcome.final_values.values()
+            )
+            rows.append(
+                {
+                    "graph": label,
+                    "f": f,
+                    "rule": rule.name,
+                    "adversary": adversary.name,
+                    "validity_ok": outcome.validity_ok,
+                    "final_within_input_hull": final_within_hull,
+                    "converged": outcome.converged,
+                    "final_spread": outcome.final_spread,
+                }
+            )
+    return rows

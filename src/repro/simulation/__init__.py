@@ -41,7 +41,6 @@ from repro.simulation.run import run_consensus
 from repro.simulation.trace import ExecutionTrace, spreads_from_records
 from repro.simulation.vectorized import (
     BatchOutcome,
-    BatchRunner,
     EquivalenceReport,
     VectorizedEngine,
     cross_check_engines,
@@ -56,7 +55,6 @@ from repro.simulation.vectorized_async import (
 
 __all__ = [
     "BatchOutcome",
-    "BatchRunner",
     "EquivalenceReport",
     "VectorizedEngine",
     "VectorizedAsyncEngine",

@@ -1,4 +1,4 @@
-"""NumPy-vectorized synchronous engine and batched Monte-Carlo runner.
+"""NumPy-vectorized synchronous engine: one ``(B, n)`` batch per pass.
 
 :class:`~repro.simulation.engine.SynchronousEngine` walks Python dicts one
 node at a time, which is faithful but slow for the Monte-Carlo sweeps the
@@ -902,55 +902,6 @@ class VectorizedEngine:
             node: float(state[0, column])
             for column, node in enumerate(self._nodes)
         }
-
-
-class BatchRunner:
-    """Monte-Carlo front end: run many executions of one configuration.
-
-    Thin convenience wrapper over :meth:`VectorizedEngine.run_batch` that
-    owns the engine and adds input-matrix generation, so experiment drivers
-    can say "run B random executions of this scenario" in one call.
-    """
-
-    def __init__(
-        self,
-        graph: Digraph,
-        rule: UpdateRule,
-        faulty: frozenset[NodeId] | set[NodeId] = frozenset(),
-        adversary: BatchStrategy | ByzantineStrategy | None = None,
-        config: SimulationConfig | None = None,
-        schedule: TopologySchedule | None = None,
-    ) -> None:
-        self._engine = VectorizedEngine(
-            graph=graph,
-            rule=rule,
-            faulty=faulty,
-            adversary=adversary,
-            config=config,
-            schedule=schedule,
-        )
-
-    @property
-    def engine(self) -> VectorizedEngine:
-        """The underlying vectorized engine."""
-        return self._engine
-
-    def run(self, inputs: np.ndarray | Sequence[ValueMap]) -> BatchOutcome:
-        """Run the batch described by ``inputs`` (see :meth:`VectorizedEngine.pack_inputs`)."""
-        return self._engine.run_batch(inputs)
-
-    def run_uniform(
-        self,
-        batch: int,
-        low: float = 0.0,
-        high: float = 1.0,
-        rng: np.random.Generator | int | None = None,
-    ) -> BatchOutcome:
-        """Run ``batch`` executions with i.i.d. uniform inputs in ``[low, high]``."""
-        matrix = random_input_matrix(
-            self._engine.nodes, batch, low=low, high=high, rng=rng
-        )
-        return self._engine.run_batch(matrix)
 
 
 def random_input_matrix(

@@ -1,6 +1,6 @@
 """Declarative experiment registry and sweep orchestration.
 
-This subpackage turns the experiment driver modules under
+This subpackage turns the experiment modules under
 :mod:`repro.experiments` into named, rerunnable artifacts:
 
 * :mod:`repro.sweeps.registry` — the :func:`register_experiment` decorator and
@@ -12,7 +12,8 @@ This subpackage turns the experiment driver modules under
   :class:`~repro.sweeps.schema.RowSchema` runtime descriptor derived from
   it, validated at every shard boundary and persisted in run manifests.
 * :mod:`repro.sweeps.grid` — parameter-grid expansion into cells, CLI-style
-  ``key=v1,v2`` overrides and canonical fingerprints.
+  ``key=v1,v2`` overrides typed by each axis's kind, the seed check and
+  canonical fingerprints.
 * :mod:`repro.sweeps.orchestrator` — runs a grid's cells (per-cell seeds via
   ``numpy.random.SeedSequence.spawn``) across ``multiprocessing`` workers and
   aggregates bit-identically regardless of the worker count.

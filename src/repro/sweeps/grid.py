@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from typing import Mapping, Sequence
 
 from repro.exceptions import InvalidParameterError
@@ -30,12 +31,11 @@ def expand_grid(grid: Mapping[str, Sequence[object]]) -> list[dict[str, object]]
     return cells
 
 
-def parse_override(text: str) -> tuple[str, tuple]:
-    """Parse one CLI grid override ``key=v1,v2,...`` into ``(key, values)``.
+def parse_override(text: str) -> tuple[str, tuple[str, ...]]:
+    """Split one CLI grid override ``key=v1,v2,...`` into its key and tokens.
 
-    Each comma-separated token is parsed as JSON when possible (so ``8`` is an
-    int, ``0.5`` a float, ``true`` a bool, ``null`` is ``None``) and kept as a
-    plain string otherwise (case labels like ``complete n=4 f=1``).
+    The tokens stay text; :func:`apply_overrides` converts each one to the
+    kind of the axis it overrides.
     """
     key, sep, raw = text.partition("=")
     key = key.strip()
@@ -43,43 +43,63 @@ def parse_override(text: str) -> tuple[str, tuple]:
         raise InvalidParameterError(
             f"grid override {text!r} is not of the form key=value[,value...]"
         )
-    values: list[object] = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            raise InvalidParameterError(f"grid override {text!r} has an empty value")
-        try:
-            values.append(json.loads(token))
-        except json.JSONDecodeError:
-            values.append(token)
-    return key, tuple(values)
+    tokens = tuple(token.strip() for token in raw.split(","))
+    if not all(tokens):
+        raise InvalidParameterError(f"grid override {text!r} has an empty value")
+    return key, tokens
 
 
-def _coerce_to_base_type(
-    key: str, values: tuple, base: Sequence[object] | None
-) -> tuple:
-    """Align override value types with the declared grid values.
+def check_seed(seed: object, name: str = "seed") -> int:
+    """Return ``seed`` if it is a non-negative int; raise naming ``name`` if not."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InvalidParameterError(
+            f"{name} must be a non-negative integer, got {seed!r}"
+        )
+    return seed
 
-    JSON parsing cannot distinguish ``1e2`` from ``100``; when the declared
-    values for ``key`` are all ints (the ``seed`` parameter too), integral
-    floats are coerced to int and non-integral floats rejected, so a runner
-    expecting an int round count never receives a float.
+
+def _axis_kind(key: str, declared: Sequence[object]) -> type:
+    """The one type (``int``, ``float`` or ``str``) of a grid axis's values."""
+    kinds = {type(value) for value in declared}
+    if len(kinds) != 1 or not kinds <= {int, float, str}:
+        raise InvalidParameterError(
+            f"grid parameter {key!r} must declare values of one kind "
+            f"(int, float or str), got {sorted(kind.__name__ for kind in kinds)}"
+        )
+    return kinds.pop()
+
+
+def _typed_value(key: str, token: str, kind: type) -> object:
+    """Convert one override token to the axis kind ``kind``.
+
+    A str axis keeps the token as text.  An int axis takes an int or an
+    integral float (JSON cannot tell ``1e2`` from ``100``); a float axis
+    takes any finite number.  Anything else — ``true``, ``null``, a list,
+    a non-finite or non-numeric token — names the parameter in an
+    :class:`~repro.exceptions.InvalidParameterError`.
     """
-    int_typed = base is None or all(
-        isinstance(value, int) and not isinstance(value, bool) for value in base
+    if kind is str:
+        return token
+    try:
+        value = json.loads(token)
+    except (ValueError, RecursionError):
+        value = None
+    if isinstance(value, int) and not isinstance(value, bool):
+        if kind is int:
+            return value
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    elif isinstance(value, float) and math.isfinite(value):
+        if kind is float:
+            return value
+        if value.is_integer():
+            return int(value)
+    expected = "integer values" if kind is int else "finite numbers"
+    raise InvalidParameterError(
+        f"grid parameter {key!r} takes {expected}, got {token!r}"
     )
-    if not int_typed:
-        return values
-    coerced: list[object] = []
-    for value in values:
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise InvalidParameterError(
-                    f"grid parameter {key!r} takes integer values, got {value!r}"
-                )
-            value = int(value)
-        coerced.append(value)
-    return tuple(coerced)
 
 
 def apply_overrides(
@@ -92,19 +112,24 @@ def apply_overrides(
     Overrides may only touch parameters the grid declares (or names in
     ``extra_allowed``, used for the orchestrator-seeded ``seed`` parameter);
     an unknown name is an error rather than a silently ignored cell axis.
-    Values are type-aligned with the declared grid values
-    (:func:`_coerce_to_base_type`).
+    Each value takes the kind of the axis's declared values (an undeclared
+    axis, such as the injected ``seed``, takes ints; see
+    :func:`_typed_value`), and every ``seed`` must pass :func:`check_seed`.
     """
     merged = {str(key): tuple(values) for key, values in grid.items()}
     allowed = set(merged) | set(extra_allowed)
     for text in overrides:
-        key, values = parse_override(text)
+        key, tokens = parse_override(text)
         if key not in allowed:
             known = ", ".join(sorted(allowed)) or "(none)"
             raise InvalidParameterError(
                 f"unknown grid parameter {key!r}; this experiment accepts: {known}"
             )
-        merged[key] = _coerce_to_base_type(key, values, merged.get(key))
+        kind = _axis_kind(key, merged[key]) if key in merged else int
+        values = tuple(_typed_value(key, token, kind) for token in tokens)
+        if key == "seed":
+            values = tuple(check_seed(value) for value in values)
+        merged[key] = values
     return merged
 
 

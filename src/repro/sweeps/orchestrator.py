@@ -29,7 +29,12 @@ from typing import Callable, Mapping, Sequence, cast
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, SchemaViolationError
-from repro.sweeps.grid import apply_overrides, expand_grid, grid_fingerprint
+from repro.sweeps.grid import (
+    apply_overrides,
+    check_seed,
+    expand_grid,
+    grid_fingerprint,
+)
 from repro.sweeps.provenance import (
     RUN_SCHEMA_VERSION,
     machine_provenance,
@@ -87,6 +92,7 @@ def plan_from_grid(
 ) -> SweepPlan:
     """Build a :class:`SweepPlan` from an already-effective grid."""
     spec = get_experiment(name)
+    check_seed(seed)
     effective = {str(key): tuple(values) for key, values in grid.items()}
     cells = expand_grid(effective)
     fingerprint = grid_fingerprint(name, effective, seed)

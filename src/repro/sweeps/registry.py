@@ -44,6 +44,9 @@ RowFn = Callable[..., Sequence[Mapping[str, object]]]
 #: the runner unchanged, with its precise row type intact.
 F = TypeVar("F", bound=RowFn)
 
+#: A labelled case tuple: its first element is the label a grid sweeps.
+T = TypeVar("T", bound=tuple)
+
 #: Module whose import registers every experiment (its ``__init__`` pulls in
 #: all driver modules).
 EXPERIMENTS_MODULE = "repro.experiments"
@@ -197,14 +200,14 @@ def get_experiment(name: str) -> ExperimentSpec:
         ) from None
 
 
-def select_labelled_case(label: str, cases: Sequence[tuple], kind: str) -> list:
-    """Return the entries of ``cases`` whose label (first element) is ``label``.
+def select_labelled_case(label: str, cases: Sequence[T], kind: str) -> T:
+    """Return the entry of ``cases`` whose label (first element) is ``label``.
 
     The registry cells sweep over labelled case tuples; this is their shared
     label → case lookup, raising with the list of known labels on a miss.
     """
-    matching = [entry for entry in cases if entry[0] == label]
-    if not matching:
-        known = ", ".join(str(entry[0]) for entry in cases)
-        raise InvalidParameterError(f"unknown {kind} {label!r}; known: {known}")
-    return matching
+    for entry in cases:
+        if entry[0] == label:
+            return entry
+    known = ", ".join(str(entry[0]) for entry in cases)
+    raise InvalidParameterError(f"unknown {kind} {label!r}; known: {known}")

@@ -124,6 +124,36 @@ class TestRunAndReport:
         assert code == 2
         assert "unknown grid parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, parameter",
+        [
+            (["--grid", "rounds=true"], "rounds"),
+            (["--grid", "rounds=null"], "rounds"),
+            (["--grid", "rounds=[1]"], "rounds"),
+            (["--grid", "tolerance=abc"], "tolerance"),
+            (["--seed", "-1"], "seed"),
+            (["--grid", "seed=-1"], "seed"),
+        ],
+    )
+    def test_mistyped_override_or_seed_exits_2_naming_it(
+        self, tmp_path, capsys, args, parameter
+    ):
+        code = main(
+            [
+                "run",
+                "convergence_rate",
+                *SMOKE_ARGS,
+                *args,
+                "--results-dir",
+                str(tmp_path),
+                "--quiet",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and parameter in err
+        assert not any(tmp_path.iterdir())  # refused before planning a run
+
     def test_report_missing_run_exits_2(self, tmp_path, capsys):
         code = main(["report", "ghost", "--results-dir", str(tmp_path)])
         assert code == 2
@@ -215,6 +245,14 @@ class TestVerdict:
         out = capsys.readouterr().out
         assert "verdict:     INFEASIBLE" in out
         assert "certificate: in-degree-screen" in out
+
+    def test_negative_seed_exits_2_naming_it(self, capsys):
+        code = main(
+            ["verdict", "erdos-renyi", "--n", "20", "--f", "1", "--seed", "-1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--seed" in err
 
     def test_unknown_family_rejected_by_argparse(self, capsys):
         import pytest

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 from repro.conditions.necessary import check_feasibility
-from repro.experiments.checker import (
-    checker_agreement_study,
-    checker_scaling_cases,
-    checker_test_battery,
-    exhaustive_checker_workload,
-)
+from repro.experiments.checker import checker_cell, checker_test_battery
+
+
+def agreement_rows(labels, random_attempts):
+    """The checker-agreement rows of the battery cases named by ``labels``."""
+    return [
+        row
+        for label in labels
+        for row in checker_cell(label, random_attempts=random_attempts)
+    ]
 
 
 class TestBattery:
@@ -37,13 +41,10 @@ class TestBattery:
 class TestAgreementStudy:
     def test_every_method_consistent_with_exact_checker(self):
         # A feasible and an infeasible instance, plus a heuristic-friendly one.
-        battery = [
-            entry
-            for entry in checker_test_battery()
-            if entry[0]
-            in {"complete n=4 f=1", "chord n=7 f=2", "ring n=6 f=1"}
-        ]
-        rows = checker_agreement_study(battery=battery, random_attempts=50)
+        rows = agreement_rows(
+            ["complete n=4 f=1", "chord n=7 f=2", "ring n=6 f=1"],
+            random_attempts=50,
+        )
         assert len(rows) == 3
         assert all(row["consistent"] for row in rows)
         by_case = {row["case"]: row for row in rows}
@@ -53,12 +54,9 @@ class TestAgreementStudy:
         assert by_case["ring n=6 f=1"]["screens_pass"] is False
 
     def test_heuristic_witness_only_on_infeasible_graphs(self):
-        battery = [
-            entry
-            for entry in checker_test_battery()
-            if entry[0] in {"complete n=6 f=1", "hypercube d=3 f=1"}
-        ]
-        rows = checker_agreement_study(battery=battery, random_attempts=50)
+        rows = agreement_rows(
+            ["complete n=6 f=1", "hypercube d=3 f=1"], random_attempts=50
+        )
         by_case = {row["case"]: row for row in rows}
         feasible = by_case["complete n=6 f=1"]
         assert feasible["greedy_found_witness"] is False
@@ -66,28 +64,11 @@ class TestAgreementStudy:
         assert by_case["hypercube d=3 f=1"]["exact_condition_holds"] is False
 
 
-class TestScalingWorkload:
-    def test_scaling_cases_are_well_formed(self):
-        cases = checker_scaling_cases()
-        assert len(cases) >= 4
-        labels = [label for label, _, _ in cases]
-        assert len(labels) == len(set(labels))
-
-    def test_workload_matches_direct_feasibility_check(self):
-        for case in checker_scaling_cases()[:2]:
-            _, graph, f = case
-            expected = check_feasibility(
-                graph, f, use_structural_shortcuts=False
-            ).satisfied
-            assert exhaustive_checker_workload(case) is expected
-
-
 class TestFeasibilityAtScale:
     def test_battery_labels_are_unique_and_span_sizes(self):
-        from repro.experiments import DEFAULT_SCALE_SIZES, feasibility_scale_battery
+        from repro.experiments import DEFAULT_SCALE_SIZES, feasibility_scale_cases
 
-        battery = feasibility_scale_battery()
-        labels = [label for label, _, _ in battery]
+        labels = [label for label, _, _ in feasibility_scale_cases()]
         assert len(labels) == len(set(labels))
         for n in DEFAULT_SCALE_SIZES:
             assert any(f"n={n}" in label for label in labels)
@@ -135,22 +116,26 @@ class TestFeasibilityAtScale:
         assert get_experiment("feasibility_at_scale").grid["case"] == labels
 
     def test_a_case_built_alone_matches_the_battery(self):
-        from repro.experiments import feasibility_scale_battery, feasibility_scale_cases
+        from repro.experiments import feasibility_scale_cases
 
-        battery = {label: (graph, f) for label, graph, f in feasibility_scale_battery()}
+        battery = {
+            label: (build(), f) for label, build, f in feasibility_scale_cases()
+        }
         # Build in reverse so no case can lean on generator state an earlier
         # case left behind.
         for label, build, f in reversed(feasibility_scale_cases()):
             graph = build()
             assert battery[label] == (graph, f), label
 
-    def test_study_decides_majority_of_small_cases(self):
-        from repro.experiments import feasibility_scale_battery, feasibility_scale_study
+    def test_cells_decide_majority_of_small_cases(self):
+        from repro.experiments import feasibility_scale_cases, feasibility_scale_cell
 
-        battery = [
-            case for case in feasibility_scale_battery() if "n=100" in case[0]
+        rows = [
+            row
+            for label, _, _ in feasibility_scale_cases()
+            if "n=100" in label
+            for row in feasibility_scale_cell(label)
         ]
-        rows = feasibility_scale_study(battery=battery)
         assert all(row["certificate_ok"] for row in rows)
         decided = [row for row in rows if row["decided"]]
         assert len(decided) * 2 >= len(rows)

@@ -1,18 +1,16 @@
-"""Tests for the adversary_showdown sweep and the batch-rewired drivers."""
+"""Tests for the adversary-showdown cell and the batch-rewired cells."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.experiments.ablation import algorithm_ablation, default_ablation_graphs
+from repro.experiments.ablation import ablation_cell
 from repro.experiments.necessity import demonstrate_necessity
-from repro.experiments.robustness import robustness_comparison
+from repro.experiments.robustness import default_robustness_cases, robustness_cell
 from repro.experiments.showdown import (
     SHOWDOWN_STRATEGIES,
-    adversary_showdown,
     adversary_showdown_cell,
-    default_showdown_cases,
     make_showdown_strategy,
 )
 from repro.graphs.generators import chord_network
@@ -21,11 +19,8 @@ from repro.sweeps.registry import get_experiment
 
 class TestShowdown:
     def test_split_brain_stalls_violating_graph(self):
-        rows = adversary_showdown(
-            cases=[("chord n=7 f=2", chord_network(7, 2), 2)],
-            strategies=("split-brain",),
-            batch=4,
-            rounds=60,
+        rows = adversary_showdown_cell(
+            "chord n=7 f=2", "split-brain", batch=4, rounds=60
         )
         (row,) = rows
         assert row["applicable"] is True
@@ -35,22 +30,22 @@ class TestShowdown:
         assert row["all_validity_ok"] is True
 
     def test_feasible_graph_survives_generic_strategies(self):
-        cases = [case for case in default_showdown_cases() if case[0] == "core n=7 f=2"]
-        rows = adversary_showdown(
-            cases=cases,
-            strategies=("static", "frozen", "noise", "extreme-push", "broadcast-extreme"),
-            batch=4,
-            rounds=150,
-        )
+        rows = [
+            row
+            for strategy in SHOWDOWN_STRATEGIES
+            if strategy != "split-brain"
+            for row in adversary_showdown_cell(
+                "core n=7 f=2", strategy, batch=4, rounds=150
+            )
+        ]
         assert len(rows) == 5
         for row in rows:
             assert row["fraction_converged"] == 1.0, row["strategy"]
             assert row["all_validity_ok"] is True, row["strategy"]
 
     def test_split_brain_not_applicable_on_feasible_graph(self):
-        cases = [case for case in default_showdown_cases() if case[0] == "core n=7 f=2"]
-        (row,) = adversary_showdown(
-            cases=cases, strategies=("split-brain",), batch=2, rounds=10
+        (row,) = adversary_showdown_cell(
+            "core n=7 f=2", "split-brain", batch=2, rounds=10
         )
         assert row["applicable"] is False
         assert row["fraction_converged"] is None
@@ -80,9 +75,7 @@ class TestRewiredDrivers:
         assert demo.left_stuck and demo.right_stuck
 
     def test_ablation_reports_engine_per_rule(self):
-        rows = algorithm_ablation(
-            graphs=default_ablation_graphs()[:1], rounds=40
-        )
+        rows = ablation_cell("complete n=7 f=2", rounds=40)
         engines = {row["rule"]: row["engine"] for row in rows}
         assert engines["trimmed-mean (Algorithm 1)"] == "vectorized"
         assert engines["trimmed-midpoint"] == "vectorized"
@@ -94,7 +87,11 @@ class TestRewiredDrivers:
                 assert row["validity_ok"], row
 
     def test_robustness_dynamic_columns_match_verdicts(self):
-        rows = robustness_comparison(batch=4, rounds=80)
+        rows = [
+            row
+            for label, _, _ in default_robustness_cases()
+            for row in robustness_cell(label, batch=4)
+        ]
         for row in rows:
             if row["theorem1_holds"]:
                 assert row["sim_adversary"] == "batch-extreme-push"

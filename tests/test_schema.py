@@ -6,8 +6,8 @@ rules, the schema-driven NPZ extraction that fixed the first-row
 type-sniffing heuristic, and — parametrized over **every** registered
 experiment — JSON round-trip fidelity of schema-shaped rows, a tiny-grid
 runner smoke proving schema↔row agreement, pinned-seed bit-identity of two
-full sweeps, and the loud failure modes (schema drift on resume, corrupted
-shard/aggregate documents).
+full sweeps and of every experiment's tiny cell, and the loud failure modes
+(schema drift on resume, corrupted shard/aggregate documents).
 """
 
 from __future__ import annotations
@@ -79,22 +79,105 @@ TINY_CELLS: dict[str, dict[str, object]] = {
     "validity": {"graph": "complete n=7 f=2", "rounds": 30},
 }
 
+#: ``(digest, row count)`` of each experiment's :data:`TINY_CELLS` cell at
+#: seed 0, captured before the per-experiment drivers were folded into their
+#: registry cells.
+TINY_CELL_GOLDENS = {
+    "ablation": (
+        "c0aa5559b267d9cad72b134facd1a72e34bf52747682b00e9df61e9e8d975fe7",
+        10,
+    ),
+    "adversary_showdown": (
+        "845a2a41082c8d4b293ad6b5994c46eef06f585167593b128eb0ad9170f8cc38",
+        1,
+    ),
+    "asynchronous": (
+        "ed6abe4549db69b66850b2d7bcd44ff40c4dff9414bf30e20d4b26672c6ee8d8",
+        1,
+    ),
+    "checker": (
+        "d834c3ae142a100988af62847427aed35959afa9ab32a6b2bb61d026a0c4c9f9",
+        1,
+    ),
+    "checker_scaling": (
+        "4dc31b3014cc26b53dddc94456548fdf4626f5753eb9417f4abaa96c496aa426",
+        1,
+    ),
+    "churn_sweep": (
+        "73bf2a0f18a935b3ae6468aa9b8fb1285ade62d83a84f85a3fdbdbc4079e9803",
+        1,
+    ),
+    "convergence_rate": (
+        "c641780b9d5fab88f2600dd20947489d0adac1a9631e1a13ed236b471322cebb",
+        1,
+    ),
+    "corollaries": (
+        "7811a1a56baac653d58ae545eff44bfbebd5ca45bc6d7b2bb8cbffb9468c82ce",
+        5,
+    ),
+    "dynamic_topology": (
+        "813b214d0a4d9099ca52a65dc421086ef9295708815e214c2cd9800454c52c8a",
+        1,
+    ),
+    "families": (
+        "57e980ce9e7669b050a7c55d35525caa1efb43260e2c96002d23c5c92fc3b46a",
+        5,
+    ),
+    "feasibility_at_scale": (
+        "ce1ca11dd50fd27c34cbe8b3ca30471d8ec139e864bc9202f885672a4cfb4ec3",
+        1,
+    ),
+    "large_n": (
+        "2d4a366dda4a2403f96b65e7e8093ecc212b3741ba7fe886a21888db69a66783",
+        1,
+    ),
+    "necessity": (
+        "42fbd054be7fa21d0dbaa6dab3d7e4f5afaf2fd35841104b6f27aa0dcb66d715",
+        1,
+    ),
+    "robustness": (
+        "f994fd773ed0e2ce4aeb58d66584b245f89a678e6b173612c56ad9445f6b6ca6",
+        1,
+    ),
+    "validity": (
+        "08bcc91ce211d5a0a188266d453f6fe471317e9f66904790a7bb5d3226e6ca9e",
+        15,
+    ),
+}
+
 #: Pinned-seed sweeps whose aggregate rows must stay bit-identical across
-#: refactors (the hashes were captured from the pre-schema code path).
+#: refactors: two captured from the pre-schema code path, then every
+#: experiment's tiny cell.
 GOLDEN_SWEEPS = [
-    (
+    pytest.param(
         "convergence_rate",
         ("case=complete n=4 f=1,core n=7 f=2", "batch=4", "rounds=60"),
         "00307d051f6437d7cc66d0f120463f11b3d13ac3430c6b9421c3501ff747c266",
         2,
+        id="convergence_rate",
     ),
-    (
+    pytest.param(
         "necessity",
         ("case=ring n=6 f=1",),
         "d757e8683009b3da1b4a883a274978673cbd49fb717f87102c58854471d05033",
         1,
+        id="necessity",
+    ),
+    *(
+        pytest.param(
+            name,
+            tuple(f"{key}={value}" for key, value in TINY_CELLS[name].items()),
+            digest,
+            row_count,
+            id=f"tiny-{name}",
+        )
+        for name, (digest, row_count) in TINY_CELL_GOLDENS.items()
     ),
 ]
+
+#: Name endings of wall-clock metric columns, left out of golden digests
+#: (the same rule as ``perfbench/outputs.py``).
+TIMING_SUFFIXES = ("_seconds", "_second", "_ms")
 
 
 def rows_digest(rows: object) -> str:
@@ -102,6 +185,21 @@ def rows_digest(rows: object) -> str:
     return hashlib.sha256(
         json.dumps(rows, default=repr).encode()
     ).hexdigest()
+
+
+def deterministic_rows(
+    rows: list[dict[str, object]], schema: RowSchema
+) -> list[dict[str, object]]:
+    """``rows`` without their timing metric columns."""
+    timing = {
+        column.name
+        for column in schema.columns
+        if column.role == "metric" and column.name.endswith(TIMING_SUFFIXES)
+    }
+    return [
+        {key: value for key, value in row.items() if key not in timing}
+        for row in rows
+    ]
 
 
 class DemoRow(TypedDict):
@@ -373,9 +471,7 @@ class TestGoldenBitIdentity:
     """Pinned-seed sweeps reproduce their pre-refactor aggregates exactly."""
 
     @pytest.mark.parametrize(
-        "name, overrides, digest, row_count",
-        GOLDEN_SWEEPS,
-        ids=[entry[0] for entry in GOLDEN_SWEEPS],
+        "name, overrides, digest, row_count", GOLDEN_SWEEPS
     )
     def test_aggregate_rows_bit_identical(
         self, tmp_path, name, overrides, digest, row_count
@@ -388,10 +484,11 @@ class TestGoldenBitIdentity:
             results_root=tmp_path,
             run_id="golden",
         )
+        schema = get_experiment(name).schema
         assert len(result.rows) == row_count
-        assert rows_digest(result.rows) == digest
+        assert rows_digest(deterministic_rows(result.rows, schema)) == digest
         aggregate = RunStore(tmp_path / "golden").read_aggregate()
-        assert rows_digest(aggregate["rows"]) == digest
+        assert rows_digest(deterministic_rows(aggregate["rows"], schema)) == digest
 
 
 class TestSchemaDriftAndCorruption:

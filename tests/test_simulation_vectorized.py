@@ -1,4 +1,4 @@
-"""Tests for the vectorized engine, batch runner and batch adversary layer.
+"""Tests for the vectorized engine, its batch runs and the batch adversary layer.
 
 The central property: :class:`~repro.simulation.vectorized.VectorizedEngine`
 is *bit-for-bit* equivalent to
@@ -37,7 +37,6 @@ from repro.graphs.random_graphs import k_in_regular_digraph, random_core_like_ne
 from repro.simulation.engine import SimulationConfig, SynchronousEngine, run_synchronous
 from repro.simulation.inputs import uniform_random_inputs
 from repro.simulation.vectorized import (
-    BatchRunner,
     VectorizedEngine,
     cross_check_engines,
     random_input_matrix,
@@ -223,21 +222,26 @@ class TestScalarEquivalence:
         assert outcome.validity_ok
 
 
-class TestBatchRunner:
+def uniform_batch(engine: VectorizedEngine, batch: int, rng: int):
+    """Run ``batch`` executions with i.i.d. uniform inputs in ``[0, 1]``."""
+    return engine.run_batch(random_input_matrix(engine.nodes, batch, rng=rng))
+
+
+class TestBatchRuns:
     def test_determinism_under_fixed_seed(self):
         graph = core_network(10, 3)
         faulty = random_fault_set(graph, 3, rng=9)
 
-        def fresh() -> BatchRunner:
-            return BatchRunner(
+        def fresh() -> VectorizedEngine:
+            return VectorizedEngine(
                 graph,
                 TrimmedMeanRule(3),
                 faulty=faulty,
                 adversary=BatchExtremePushStrategy(1.0),
             )
 
-        first = fresh().run_uniform(24, rng=21)
-        second = fresh().run_uniform(24, rng=21)
+        first = uniform_batch(fresh(), 24, rng=21)
+        second = uniform_batch(fresh(), 24, rng=21)
         assert np.array_equal(first.final_states, second.final_states)
         assert np.array_equal(first.rounds_executed, second.rounds_executed)
         assert np.array_equal(first.converged, second.converged)
@@ -264,8 +268,7 @@ class TestBatchRunner:
 
     def test_outcome_summaries(self):
         graph = core_network(7, 2)
-        runner = BatchRunner(graph, TrimmedMeanRule(2))
-        outcome = runner.run_uniform(8, rng=3)
+        outcome = uniform_batch(VectorizedEngine(graph, TrimmedMeanRule(2)), 8, rng=3)
         assert outcome.batch_size == 8
         assert outcome.fraction_converged == 1.0
         assert outcome.all_valid
@@ -277,12 +280,12 @@ class TestBatchRunner:
 
     def test_no_history_when_disabled(self):
         graph = complete_graph(5)
-        runner = BatchRunner(
+        engine = VectorizedEngine(
             graph,
             TrimmedMeanRule(1),
             config=SimulationConfig(record_history=False),
         )
-        outcome = runner.run_uniform(4, rng=2)
+        outcome = uniform_batch(engine, 4, rng=2)
         assert outcome.spread_history is None
 
     def test_converged_rows_freeze(self):
@@ -300,32 +303,33 @@ class TestBatchRunner:
     def test_shared_stateful_strategy_rejected_for_batches(self):
         graph = core_network(7, 2)
         faulty = random_fault_set(graph, 2, rng=12)
-        runner = BatchRunner(
+        engine = VectorizedEngine(
             graph,
             TrimmedMeanRule(2),
             faulty=faulty,
             adversary=FrozenValueStrategy(),  # batch_safe = False
         )
         with pytest.raises(InvalidParameterError, match="per-execution state"):
-            runner.run_uniform(3, rng=13)
+            uniform_batch(engine, 3, rng=13)
         # B = 1 (the equivalence mode) stays allowed.
-        assert BatchRunner(
+        engine = VectorizedEngine(
             graph,
             TrimmedMeanRule(2),
             faulty=faulty,
             adversary=FrozenValueStrategy(),
-        ).run_uniform(1, rng=13).all_valid
+        )
+        assert uniform_batch(engine, 1, rng=13).all_valid
 
     def test_adapter_factory_gives_each_row_fresh_state(self):
         graph = core_network(7, 2)
         faulty = random_fault_set(graph, 2, rng=12)
-        runner = BatchRunner(
+        engine = VectorizedEngine(
             graph,
             TrimmedMeanRule(2),
             faulty=faulty,
             adversary=ScalarStrategyAdapter(factory=FrozenValueStrategy),
         )
-        outcome = runner.run_uniform(5, rng=13)
+        outcome = uniform_batch(engine, 5, rng=13)
         assert outcome.all_valid
 
     def test_passive_batch_matches_no_adversary(self):

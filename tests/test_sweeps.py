@@ -107,10 +107,10 @@ class TestGrid:
     def test_expand_empty_grid_is_one_empty_cell(self):
         assert expand_grid({}) == [{}]
 
-    def test_parse_override_json_types(self):
-        key, values = parse_override("batch=4,0.5,true,null,complete n=4 f=1")
+    def test_parse_override_splits_text_tokens(self):
+        key, values = parse_override("batch=4, 0.5,true,null,complete n=4 f=1")
         assert key == "batch"
-        assert values == (4, 0.5, True, None, "complete n=4 f=1")
+        assert values == ("4", "0.5", "true", "null", "complete n=4 f=1")
 
     def test_parse_override_rejects_malformed(self):
         with pytest.raises(InvalidParameterError):
@@ -140,6 +140,19 @@ class TestGrid:
             apply_overrides({"rounds": (50,)}, ["rounds=1.5"])
         merged = apply_overrides({"tolerance": (1e-7,)}, ["tolerance=1e-5"])
         assert merged["tolerance"] == (1e-5,)
+
+    def test_overrides_take_the_axis_kind_or_name_the_parameter(self):
+        # A float axis takes ints as floats; a str axis keeps tokens as text.
+        merged = apply_overrides({"tolerance": (1e-7,)}, ["tolerance=1"])
+        assert merged["tolerance"] == (1.0,)
+        assert type(merged["tolerance"][0]) is float
+        merged = apply_overrides({"case": ("a",)}, ["case=1,null,true"])
+        assert merged["case"] == ("1", "null", "true")
+        for bad in ("true", "null", "[1]", "NaN", "1e400", "abc"):
+            with pytest.raises(InvalidParameterError, match="'rounds'"):
+                apply_overrides({"rounds": (50,)}, [f"rounds={bad}"])
+            with pytest.raises(InvalidParameterError, match="'tolerance'"):
+                apply_overrides({"tolerance": (1e-7,)}, [f"tolerance={bad}"])
 
     def test_fingerprint_changes_with_inputs(self):
         base = grid_fingerprint("e", {"a": (1,)}, 0)
