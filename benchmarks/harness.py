@@ -13,8 +13,8 @@ Each entry of :data:`SCENARIOS` times one piece of the reproduction:
 * ``scale`` — float64 and float32 batch throughput up to ``n = 10^5``
   (node-rounds per second);
 * ``verdict`` — the layered feasibility verdict stack on the
-  ``feasibility_at_scale`` battery, and the core screen against the
-  exhaustive checker;
+  ``feasibility_at_scale`` battery, the core screen against the exhaustive
+  checker, and the DPLL backend's search and ``exact`` certificate re-check;
 * ``dynamic`` — the per-round masking cost of each topology-schedule kind
   and of the 1-lookahead adaptive adversary.
 
@@ -623,12 +623,23 @@ def battery_verdict(graph: Digraph, f: int, p: Params) -> Any:
     )
 
 
+def dpll_case(p: Params) -> tuple[Digraph, Any]:
+    """The graph ``repro-paper`` decides with the DPLL layer, and its verdict.
+
+    The exhaustive layer is switched off so that the smoke size reaches the
+    exact layer too; at ``n = 30`` it is past that layer's cap anyway.
+    """
+    graph = erdos_renyi_digraph(p["dpll_n"], 0.4, rng=0)
+    return graph, feasibility_verdict(graph, 1, max_exhaustive_nodes=0)
+
+
 def verdict_guard(p: Params) -> None:
     """Parity with the exact checker, then every certificate and the headline.
 
     On the parity cases the stack must agree with the bitset checker, the
     DPLL backend with both, and every witness must re-verify.  Every
     battery verdict must carry a certificate that re-checks from scratch,
+    the DPLL case must be decided by an ``exact`` certificate that re-checks,
     and both headline paths must call the core network feasible.
     """
     for label, graph, f in parity_cases():
@@ -648,6 +659,12 @@ def verdict_guard(p: Params) -> None:
     for label, graph, f in battery(p):
         if not verify_certificate(graph, f, battery_verdict(graph, f, p)):
             refuse(f"the certificate failed re-verification on {label}")
+    graph, verdict = dpll_case(p)
+    label = f"erdos-renyi n={p['dpll_n']} p=0.4"
+    if getattr(verdict.certificate, "kind", None) != "exact":
+        refuse(f"the DPLL layer did not decide {label}: {verdict.describe()}")
+    if not verify_certificate(graph, 1, verdict):
+        refuse(f"the exact certificate failed re-verification on {label}")
     core = core_network(p["headline_n"], 2)
     exhaustive = check_feasibility(core, 2, use_structural_shortcuts=False)
     if not exhaustive.satisfied or feasibility_verdict(core, 2).status != "FEASIBLE":
@@ -679,6 +696,19 @@ def verdict_paths(p: Params) -> Timed:
             "layer_seconds": layers,
         }
     decided = sum(entry["status"] != UNKNOWN for entry in results.values())
+    graph, verdict = dpll_case(p)
+    search = exact_violation_search(graph, 1, backend="dpll")
+    results["dpll"] = {
+        "n": graph.number_of_nodes,
+        "f": 1,
+        "status": search.status,
+        "decisions": search.decisions,
+        "fault_sets_examined": search.fault_sets_examined,
+        "search_seconds": clock(
+            lambda: exact_violation_search(graph, 1, backend="dpll")
+        ),
+        "recheck_seconds": clock(lambda: verify_certificate(graph, 1, verdict)),
+    }
     results["parity_guard"] = {"cases": len(parity_cases()), "all_agree": True}
     results["coverage"] = {
         "battery_cases": len(cases),
@@ -701,6 +731,10 @@ def verdict_paths(p: Params) -> Timed:
         "witness_attempts": p["witness_attempts"],
         "parity_cases": len(parity_cases()),
         "headline": f"core_network(n={p['headline_n']}, f=2) screens vs exhaustive",
+        "dpll": (
+            f"exact_violation_search and the exact certificate's re-check on "
+            f"erdos_renyi_digraph({p['dpll_n']}, 0.4, rng=0), f=1"
+        ),
     }
     speedups = {
         "core_screens_vs_exhaustive": results["headline"]["speedup"],
@@ -781,8 +815,10 @@ SCENARIOS: dict[str, Scenario] = {
         "verdict-stack",
         verdict_guard,
         verdict_paths,
-        full=dict(sizes=(100, 300, 1_000), witness_attempts=60, headline_n=20),
-        smoke=dict(sizes=(100,), witness_attempts=20, headline_n=10),
+        full=dict(
+            sizes=(100, 300, 1_000), witness_attempts=60, headline_n=20, dpll_n=30
+        ),
+        smoke=dict(sizes=(100,), witness_attempts=20, headline_n=10, dpll_n=16),
     ),
     "dynamic": Scenario(
         "engine-dynamic",

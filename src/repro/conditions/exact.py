@@ -31,6 +31,20 @@ set unchanged while shrinking the other side's — so insulation is preserved
 as long as each side keeps one member, and ``|C| + |L| - 1 + |R| - 1 =
 (n - s) - 2 ≥ k - s`` nodes are movable.
 
+Seeding on one trail
+--------------------
+Per fault set, the DPLL backend breaks the ``L ↔ R`` swap symmetry by
+seeding pairs ``(i, j)``: nodes below ``i`` are ``C``, ``i`` is ``L``, nodes
+between ``i`` and ``j`` are barred from ``R`` and ``j`` is ``R``.  The
+seeding state stays on the trail from one pair to the next instead of being
+rebuilt from an empty trail: only ``j := R`` is undone between two ``j``,
+and only ``i := L`` between two ``i``, so seeding costs O(m²) propagation
+per fault set instead of O(m³).  Unit propagation is monotone and
+reaches one fixpoint whatever the order of its assignments, so each DFS
+starts from the state a fresh seeding would build, and the decisions, the
+fault sets examined and the first witness are those of a re-seeding loop.
+``tests/test_conditions_exact.py`` keeps that loop as its oracle.
+
 All backends are parity-tested against the bitset checker on graphs within
 its cap; any witness a backend produces is re-verified with
 :func:`repro.conditions.necessary.verify_witness` before being returned, so
@@ -92,6 +106,20 @@ class ExactSearchResult:
     reason: str = ""
 
 
+def is_count(value: object, minimum: int) -> bool:
+    """Whether ``value`` is an int ``>= minimum``; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def check_count(value: object, name: str, minimum: int) -> None:
+    """Raise :class:`~repro.exceptions.InvalidParameterError` naming ``name``
+    unless :func:`is_count` holds for ``value``."""
+    if not is_count(value, minimum):
+        raise InvalidParameterError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
 def available_backends() -> tuple[str, ...]:
     """Return the usable backend names in ``auto``-preference order.
 
@@ -109,7 +137,7 @@ def available_backends() -> tuple[str, ...]:
     return tuple(names)
 
 
-def _resolve_backend(backend: str) -> str:
+def resolve_backend(backend: str) -> str:
     """Map ``backend`` (possibly ``"auto"``) to a concrete usable backend."""
     if backend == "auto":
         return available_backends()[0]
@@ -258,35 +286,34 @@ class _UniverseSolver:
         placed in ``L``), ``j > i`` over the smallest index in ``R``; nodes
         below ``i`` are ``C`` and nodes between ``i`` and ``j`` are barred
         from ``R``.
+
+        The seeds share one trail (see "Seeding on one trail" above):
+        ``i := L`` once per ``i``; each ``j := R`` undone to its own mark,
+        then ``j`` barred from ``R``; and after the ``j`` loop, ``i := L``
+        undone and ``i := C`` to grow the prefix.  Each ``_dfs`` call starts
+        from the fixpoint a fresh seeding of ``(i, j)`` reaches.  A conflict
+        while barring ``j`` rules out every larger ``j``, and one while
+        growing the prefix every larger ``i``.
         """
         if self.m < 2 or self.tau <= 0:
             return None
+        trail: list[tuple[int, int, int]] = []
         for i in range(self.m - 1):
-            for j in range(i + 1, self.m):
-                trail: list[tuple[int, int, int]] = []
-                ok = True
-                for prefix in range(i):
-                    if not self.assign(prefix, _LABEL_C, trail):
-                        ok = False
-                        break
-                if ok:
-                    ok = self.assign(i, _LABEL_L, trail)
-                if ok:
+            before_left = len(trail)
+            if self.assign(i, _LABEL_L, trail):
+                for j in range(i + 1, self.m):
+                    before_right = len(trail)
+                    if self.assign(j, _LABEL_R, trail) and self._dfs(trail):
+                        return tuple(self.assigned)
+                    self._undo(trail, before_right)
                     queue: list[tuple[int, int]] = []
-                    for middle in range(i + 1, j):
-                        if not self._restrict(middle, 2, trail, queue):
-                            ok = False
-                            break
-                    if ok:
-                        for node, label in queue:
-                            if not self.assign(node, label, trail):
-                                ok = False
-                                break
-                if ok:
-                    ok = self.assign(j, _LABEL_R, trail)
-                if ok and self._dfs(trail):
-                    return tuple(self.assigned)
-                self._undo(trail, 0)
+                    if not self._restrict(j, 2, trail, queue) or (
+                        queue and not self.assign(j, _LABEL_C, trail)
+                    ):
+                        break
+            self._undo(trail, before_left)
+            if not self.assign(i, _LABEL_C, trail):
+                return None
         return None
 
 
@@ -584,14 +611,19 @@ def exact_violation_search(
     re-verified by :func:`~repro.conditions.necessary.verify_witness`; a
     backend producing an invalid witness raises
     :class:`~repro.exceptions.ConditionCheckError` instead of returning.
+    ``f``, ``decision_budget`` and a ``threshold`` other than ``None`` must
+    be ints; anything else raises
+    :class:`~repro.exceptions.InvalidParameterError`.
     """
-    if f < 0:
-        raise InvalidParameterError(f"f must be >= 0, got {f}")
-    if decision_budget < 1:
+    check_count(f, "f", 0)
+    check_count(decision_budget, "decision_budget", 1)
+    if threshold is not None and (
+        isinstance(threshold, bool) or not isinstance(threshold, int)
+    ):
         raise InvalidParameterError(
-            f"decision_budget must be >= 1, got {decision_budget}"
+            f"threshold must be an integer or None, got {threshold!r}"
         )
-    resolved = _resolve_backend(backend)
+    resolved = resolve_backend(backend)
     n = graph.number_of_nodes
     if n > max_nodes:
         raise GraphTooLargeError(n, max_nodes, checker="exact_violation_search")

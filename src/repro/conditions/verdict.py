@@ -40,7 +40,10 @@ from typing import Any, Callable
 from repro.conditions.exact import (
     DEFAULT_DECISION_BUDGET,
     DEFAULT_MAX_EXACT_BACKEND_NODES,
+    check_count,
     exact_violation_search,
+    is_count,
+    resolve_backend,
 )
 from repro.conditions.necessary import (
     DEFAULT_MAX_EXACT_NODES,
@@ -54,7 +57,6 @@ from repro.conditions.witnesses import (
     random_witness_search,
     verify_witness_fast,
 )
-from repro.exceptions import InvalidParameterError
 from repro.graphs.digraph import Digraph
 from repro.graphs.properties import (
     is_complete,
@@ -274,9 +276,23 @@ def feasibility_verdict(
     node up to :data:`DEFAULT_GREEDY_SEED_CAP`, evenly strided beyond);
     ``exact_backend`` and ``decision_budget`` are forwarded to
     :func:`repro.conditions.exact.exact_violation_search`.
+
+    Every parameter is checked up front, whichever layer would decide: a
+    negative ``f``, cap or ``rng``, a budget, attempt or seed count below 1,
+    a non-int count, or — when ``use_exact`` is set — an unknown or
+    uninstalled ``exact_backend`` raises
+    :class:`~repro.exceptions.InvalidParameterError` naming the parameter.
     """
-    if f < 0:
-        raise InvalidParameterError(f"f must be >= 0, got {f}")
+    check_count(f, "f", 0)
+    check_count(max_exhaustive_nodes, "max_exhaustive_nodes", 0)
+    check_count(max_exact_nodes, "max_exact_nodes", 0)
+    check_count(witness_attempts, "witness_attempts", 1)
+    if greedy_seeds is not None:
+        check_count(greedy_seeds, "greedy_seeds", 1)
+    check_count(rng, "rng", 0)
+    check_count(decision_budget, "decision_budget", 1)
+    if use_exact:
+        resolve_backend(exact_backend)
     n = graph.number_of_nodes
     timings: list[LayerTiming] = []
 
@@ -448,14 +464,14 @@ def _verify_feasibility(
             if other != hub
         )
     if certificate.kind == "exhaustive":
-        cap = int(certificate.details.get("max_nodes", DEFAULT_MAX_EXACT_NODES))
-        if n > cap:
+        cap = certificate.details.get("max_nodes", DEFAULT_MAX_EXACT_NODES)
+        if not is_count(cap, n):
             return False
         return find_violating_partition(graph, f, max_nodes=cap) is None
     if certificate.kind == "exact":
-        budget = int(
-            certificate.details.get("decision_budget", DEFAULT_DECISION_BUDGET)
-        )
+        budget = certificate.details.get("decision_budget", DEFAULT_DECISION_BUDGET)
+        if not is_count(budget, 1):
+            return False
         result = exact_violation_search(
             graph, f, backend="dpll", max_nodes=n, decision_budget=budget
         )
@@ -472,10 +488,11 @@ def verify_certificate(graph: Digraph, f: int, verdict: FeasibilityVerdict) -> b
     graph (screen inequalities recomputed, witnesses re-verified through the
     deletion-closure fixed point), and a ``FEASIBLE`` verdict carries a
     :class:`FeasibilityCertificate` whose structure re-checks (or whose
-    bounded search, re-run, still finds no violation).
+    bounded search, re-run, still finds no violation).  A malformed
+    certificate — a search bound in ``details`` that is not a usable int,
+    say — is unsound, so it returns ``False`` rather than raising.
     """
-    if f < 0:
-        raise InvalidParameterError(f"f must be >= 0, got {f}")
+    check_count(f, "f", 0)
     if verdict.status == UNKNOWN:
         return verdict.certificate is None
     if verdict.status == INFEASIBLE:

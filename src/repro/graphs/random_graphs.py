@@ -136,16 +136,21 @@ def heterogeneous_ring_lattice(
     bucket-major plane across many degree buckets) while the edge count
     stays ``O(n)``, so ``n = 10^5`` is cheap to build.  Construction is
     vectorized — the ring offsets and the extra-edge endpoints are drawn as
-    flat NumPy arrays, not per-node Python loops.
+    flat NumPy arrays, not per-node Python loops.  ``extra_mean`` must lie
+    in ``[0, n − 1]``, which refuses NaN and infinity too: a node has only
+    ``n − 1`` possible in-neighbours, so a larger mean only adds duplicate
+    draws.
     """
     if f < 0:
         raise InvalidParameterError(f"f must be >= 0, got {f}")
-    if extra_mean < 0:
-        raise InvalidParameterError(f"extra_mean must be >= 0, got {extra_mean}")
     k = f + 1
     if 2 * k >= n:
         raise InvalidParameterError(
             f"heterogeneous ring lattice requires n > 2(f + 1); got n={n}, f={f}"
+        )
+    if not 0 <= extra_mean <= n - 1:
+        raise InvalidParameterError(
+            f"extra_mean must lie in [0, n - 1] = [0, {n - 1}], got {extra_mean}"
         )
     generator = _as_rng(rng)
     targets = np.arange(n, dtype=np.int64)

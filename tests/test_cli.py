@@ -246,6 +246,19 @@ class TestVerdict:
         assert "verdict:     INFEASIBLE" in out
         assert "certificate: in-degree-screen" in out
 
+    def test_verdict_erdos_renyi_30_is_feasible_via_exact(self, capsys):
+        # n = 30 is past the enumeration cap, so the DPLL layer decides and
+        # its certificate is re-checked by running the search again.
+        code = main(
+            ["verdict", "erdos-renyi", "--n", "30", "--p", "0.4", "--f", "1"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "verdict:     FEASIBLE" in out
+        assert "decided by exact" in out
+        assert "certificate: exact" in out
+        assert "re-verified: yes" in out
+
     def test_negative_seed_exits_2_naming_it(self, capsys):
         code = main(
             ["verdict", "erdos-renyi", "--n", "20", "--f", "1", "--seed", "-1"]
@@ -253,6 +266,29 @@ class TestVerdict:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--seed" in err
+
+    @pytest.mark.parametrize("extra_mean", ["nan", "inf", "1e300", "-1"])
+    def test_out_of_range_extra_mean_exits_2_naming_it(self, capsys, extra_mean):
+        code = main(
+            [
+                "verdict",
+                "heterogeneous-ring-lattice",
+                "--n",
+                "10",
+                "--f",
+                "1",
+                f"--extra-mean={extra_mean}",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "extra_mean" in err
+
+    def test_zero_attempts_exits_2_even_when_the_screens_decide(self, capsys):
+        code = main(["verdict", "complete", "--n", "5", "--f", "1", "--attempts", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "witness_attempts" in err
 
     def test_unknown_family_rejected_by_argparse(self, capsys):
         import pytest

@@ -6,7 +6,7 @@ from importlib import util as importlib_util
 
 import pytest
 
-from repro.conditions import find_violating_partition, verify_witness
+from repro.conditions import exact, find_violating_partition, verify_witness
 from repro.conditions.exact import (
     DEFAULT_MAX_EXACT_BACKEND_NODES,
     EXACT_BACKENDS,
@@ -128,6 +128,23 @@ class TestDpllBackend:
                 complete_graph(DEFAULT_MAX_EXACT_BACKEND_NODES + 1), 1
             )
 
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("threshold", 1.5),
+            ("threshold", True),
+            ("decision_budget", "abc"),
+            ("decision_budget", None),
+        ],
+    )
+    def test_non_integer_parameters_are_refused(self, keyword, value):
+        # A float threshold must not reach the DPLL counters, which test for
+        # crossing it with ==.
+        with pytest.raises(InvalidParameterError, match=keyword):
+            exact_violation_search(
+                hypercube(3), 1, backend="dpll", **{keyword: value}
+            )
+
     def test_result_records_search_statistics(self):
         result = exact_violation_search(core_network(7, 2), 2, backend="dpll")
         assert isinstance(result, ExactSearchResult)
@@ -168,3 +185,77 @@ class TestOptionalSolverBackends:
             ), f"{name} disagreement at seed={seed}, n={n}, f={f}"
             if result.witness is not None:
                 assert verify_witness(graph, f, result.witness)
+
+
+class _ReseedingSolver(exact._UniverseSolver):
+    """The oracle: a solver that seeds every ``(i, j)`` from an empty trail.
+
+    It re-assigns the whole ``C`` prefix ``0 … i − 1``, ``i := L``, bars
+    ``i + 1 … j − 1`` from ``R`` and assigns ``j := R`` for each pair, then
+    undoes everything — the search the trail-keeping ``solve`` must repeat
+    decision for decision.
+    """
+
+    def solve(self):
+        if self.m < 2 or self.tau <= 0:
+            return None
+        for i in range(self.m - 1):
+            for j in range(i + 1, self.m):
+                trail = []
+                ok = True
+                for prefix in range(i):
+                    if not self.assign(prefix, exact._LABEL_C, trail):
+                        ok = False
+                        break
+                if ok:
+                    ok = self.assign(i, exact._LABEL_L, trail)
+                if ok:
+                    queue = []
+                    for middle in range(i + 1, j):
+                        if not self._restrict(middle, 2, trail, queue):
+                            ok = False
+                            break
+                    if ok:
+                        for node, label in queue:
+                            if not self.assign(node, label, trail):
+                                ok = False
+                                break
+                if ok:
+                    ok = self.assign(j, exact._LABEL_R, trail)
+                if ok and self._dfs(trail):
+                    return tuple(self.assigned)
+                self._undo(trail, 0)
+        return None
+
+
+class TestSeedingKeepsTheSearch:
+    """Keeping the seeding prefix on the trail leaves every search as it was."""
+
+    def test_matches_the_reseeding_oracle(self, monkeypatch):
+        import random
+
+        # backend="dpll" explicitly: "auto" picks pysat where it is installed.
+        # The fault-set count C(n, f) grows fast, so n shrinks as f grows.
+        outcomes = []
+        for seed in range(220):
+            rng = random.Random(seed)
+            f = rng.randint(0, 3)
+            n = rng.randint(2, 20 - 3 * f)
+            threshold = rng.choice([None, *range(6)])
+            graph = erdos_renyi_digraph(n, rng.uniform(0.1, 0.9), rng=seed)
+            for budget in (exact.DEFAULT_DECISION_BUDGET, 37):
+                kept = exact_violation_search(
+                    graph, f, threshold, backend="dpll", decision_budget=budget
+                )
+                with monkeypatch.context() as patched:
+                    patched.setattr(exact, "_UniverseSolver", _ReseedingSolver)
+                    oracle = exact_violation_search(
+                        graph, f, threshold, backend="dpll", decision_budget=budget
+                    )
+                assert kept == oracle, (
+                    f"search changed at seed={seed}, n={n}, f={f}, "
+                    f"threshold={threshold}, budget={budget}"
+                )
+                outcomes.append(kept.status)
+        # Every outcome, the budget-exhausted one included, is compared.
+        assert {"violation", "satisfied", "unknown"} <= set(outcomes)

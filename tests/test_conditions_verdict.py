@@ -81,6 +81,36 @@ class TestVerdictParity:
         with pytest.raises(InvalidParameterError):
             feasibility_verdict(complete_graph(4), -1)
 
+    @pytest.mark.parametrize(
+        "graph",
+        [complete_graph(5), erdos_renyi_digraph(26, 0.5, rng=0)],
+        ids=["screens-decide", "later-layers-decide"],
+    )
+    @pytest.mark.parametrize(
+        "parameter, value, named",
+        [
+            ("witness_attempts", 0, "witness_attempts"),
+            ("greedy_seeds", 0, "greedy_seeds"),
+            ("decision_budget", 0, "decision_budget"),
+            ("exact_backend", "z3", "exact backend"),
+            ("rng", -1, "rng"),
+            ("rng", 1.5, "rng"),
+            ("max_exhaustive_nodes", -1, "max_exhaustive_nodes"),
+            ("max_exact_nodes", "32", "max_exact_nodes"),
+        ],
+    )
+    def test_out_of_range_parameter_raises_whichever_layer_decides(
+        self, graph, parameter, value, named
+    ):
+        with pytest.raises(InvalidParameterError, match=named):
+            feasibility_verdict(graph, 1, **{parameter: value})
+
+    def test_exact_backend_is_checked_only_with_the_exact_layer(self):
+        verdict = feasibility_verdict(
+            complete_graph(5), 1, use_exact=False, exact_backend="z3"
+        )
+        assert verdict.status == FEASIBLE
+
 
 class TestVerdictSoundness:
     """Property: a decided verdict always carries a re-checkable certificate."""
@@ -124,6 +154,33 @@ class TestVerdictSoundness:
             reason="tampered",
         )
         assert not verify_certificate(graph, 1, tampered)
+
+    @pytest.mark.parametrize("budget", ["abc", None, 0, -5, True, 2.5])
+    def test_malformed_exact_budget_is_rejected(self, budget):
+        graph = complete_graph(7)
+        sound = self._search_verdict("exact", decision_budget=1000)
+        assert verify_certificate(graph, 2, sound)
+        malformed = self._search_verdict("exact", decision_budget=budget)
+        assert verify_certificate(graph, 2, malformed) is False
+
+    @pytest.mark.parametrize("cap", ["abc", None, 6])
+    def test_malformed_exhaustive_cap_is_rejected(self, cap):
+        graph = complete_graph(7)
+        assert verify_certificate(graph, 2, self._search_verdict("exhaustive"))
+        malformed = self._search_verdict("exhaustive", max_nodes=cap)
+        assert verify_certificate(graph, 2, malformed) is False
+
+    @staticmethod
+    def _search_verdict(kind, **details):
+        """A FEASIBLE verdict at f = 2 carrying a search certificate."""
+        return FeasibilityVerdict(
+            status=FEASIBLE,
+            f=2,
+            certificate=FeasibilityCertificate(kind=kind, details=details),
+            timings=(),
+            decided_by=kind,
+            reason="search certificate",
+        )
 
     def test_mismatched_certificate_type_rejected(self):
         graph = complete_graph(7)
@@ -208,6 +265,28 @@ class TestVerdictLayers:
         text = verdict.describe()
         assert "INFEASIBLE" in text
         assert "exhaustive" in text
+
+
+class TestExactCertificatePath:
+    """Past the enumeration cap the DPLL layer decides with a certificate
+    that re-checks by running the same search again."""
+
+    def test_erdos_renyi_30_is_feasible_and_its_certificate_rechecks(self):
+        graph = erdos_renyi_digraph(30, 0.4, rng=0)
+        verdict = feasibility_verdict(graph, 1)
+        assert verdict.status == FEASIBLE
+        assert verdict.decided_by == "exact"
+        assert verdict.certificate.kind == "exact"
+        assert verdict.certificate.details["fault_sets_examined"] == 30
+        assert verify_certificate(graph, 1, verdict)
+
+    def test_hypercube_5_is_infeasible_via_dpll(self):
+        graph = hypercube(5)
+        verdict = feasibility_verdict(graph, 1)
+        assert verdict.status == INFEASIBLE
+        assert verdict.decided_by == "exact"
+        assert verdict.certificate.details["source"] == "dpll"
+        assert verify_certificate(graph, 1, verdict)
 
 
 class TestSourceComponentScreen:
