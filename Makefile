@@ -30,7 +30,8 @@ DOCSTRING_GATE = $(PYTHON) tools/check_docstrings.py \
 	--require repro.conditions.bitset --require repro.conditions.verdict \
 	--require repro.adversary.vectorized \
 	--require repro.simulation.sparse \
-	--require repro.simulation.dynamic
+	--require repro.simulation.dynamic \
+	--require repro.simulation.native
 
 # The two-cell sweep that sweep-smoke runs, interrupts and resumes.
 SMOKE_RUN = $(PYTHON) -m repro run convergence_rate \

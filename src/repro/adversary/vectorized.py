@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -46,6 +46,9 @@ from repro.adversary.strategies import split_brain_recommended_inputs
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.graphs.digraph import Digraph
 from repro.types import NodeId, PartitionWitness
+
+if TYPE_CHECKING:
+    from repro.simulation.vectorized import PlaneLayout
 
 
 @dataclass(frozen=True)
@@ -543,14 +546,15 @@ class _ProbePlane:
 
     The batch engines' bucket-major message plane over **all** fault-free
     receivers (the probe simulates the full round, not just the faulty
-    channels), built by :func:`repro.simulation.vectorized.bucket_plane`:
-    ``plane_indices`` gathers the received values from the state matrix,
-    and candidate channel ``channels[k]`` is scattered into plane slot
-    ``channel_slots[k]``, whose receiver is column ``channel_receivers[k]``.
+    channels), built by :func:`repro.simulation.vectorized.bucket_plane`.
+    The probe's source joins the candidate fill after the ``n`` state
+    columns: plane slot ``k`` reads source column ``slots[k]``, so candidate
+    channel ``channels[k]`` is read by plane slot ``channel_slots[k]``,
+    whose receiver is column ``channel_receivers[k]``.
     """
 
-    buckets: tuple
-    plane_indices: np.ndarray
+    layout: PlaneLayout
+    slots: np.ndarray
     channels: np.ndarray
     channel_slots: np.ndarray
     channel_receivers: np.ndarray
@@ -643,7 +647,7 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
         from repro.simulation.vectorized import bucket_plane
 
         receivers = np.asarray(context.fault_free_columns)
-        indptr, indices, buckets, plane_order = bucket_plane(
+        indptr, indices, plane, plane_order = bucket_plane(
             context.graph, context.nodes, receivers
         )
         plane_indices = indices[plane_order]
@@ -662,10 +666,13 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
                 channels.append(channel)
                 slots.append(slot)
         channel_slots = np.array(slots, dtype=np.int64)
+        channel_order = np.array(channels, dtype=np.int64)
+        joined = plane_indices.copy()
+        joined[channel_slots] = len(nodes) + channel_order
         return _ProbePlane(
-            buckets=buckets,
-            plane_indices=plane_indices,
-            channels=np.array(channels, dtype=np.int64),
+            layout=plane,
+            slots=joined,
+            channels=channel_order,
             channel_slots=channel_slots,
             channel_receivers=plane_receivers[channel_slots],
         )
@@ -681,18 +688,17 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
         from repro.simulation.vectorized import reduce_plane
 
         state = context.state
-        plane = state[:, layout.plane_indices]
-        plane[:, layout.channel_slots] = fill[:, layout.channels]
+        slots = layout.slots
         mask = context.active_edge_mask
         if mask is not None:
             down = ~mask[layout.channels]
             if down.any():
-                plane[:, layout.channel_slots[down]] = state[
-                    :, layout.channel_receivers[down]
-                ]
+                slots = slots.copy()
+                slots[layout.channel_slots[down]] = layout.channel_receivers[down]
+        source = np.concatenate([state, fill], axis=1, dtype=state.dtype)
         new_state = np.empty_like(state)
         reduce_plane(
-            plane, state, new_state, layout.buckets, context.f, self._rule_mode
+            source, slots, state, new_state, layout.layout, context.f, self._rule_mode
         )
         values = new_state[:, context.fault_free_columns]
         return values.max(axis=1) - values.min(axis=1)

@@ -129,3 +129,17 @@ def sort_received(received: Sequence[ReceivedValue]) -> list[ReceivedValue]:
     tests and benchmarks rely on.
     """
     return sorted(received, key=lambda item: (item.value, repr(item.sender)))
+
+
+def mean_in_order(values: Sequence[float]) -> float:
+    """Return the mean of ``values`` summed left to right from the first.
+
+    This is ``np.cumsum``'s order, which the batch kernels share, so the
+    scalar rules stay bit-exact with them.  Builtin ``sum`` is not: since
+    CPython 3.12 it sums floats with compensation (Neumaier), and it starts
+    from the integer ``0``.
+    """
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return total / len(values)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.algorithms.base import UpdateRule, sort_received
+from repro.algorithms.base import UpdateRule, mean_in_order, sort_received
 from repro.types import NodeId, ReceivedValue
 
 
@@ -36,7 +36,7 @@ class LinearAverageRule(UpdateRule):
         received: Sequence[ReceivedValue],
     ) -> float:
         values = [own_value] + [item.value for item in received]
-        return sum(values) / len(values)
+        return mean_in_order(values)
 
 
 class MedianRule(UpdateRule):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.algorithms.base import UpdateRule, sort_received
+from repro.algorithms.base import UpdateRule, mean_in_order, sort_received
 from repro.exceptions import AlgorithmPreconditionError
 from repro.types import NodeId, ReceivedValue
 
@@ -84,7 +84,7 @@ class TrimmedMeanRule(UpdateRule):
         values = [own_value] + [item.value for item in survivors]
         # Equal weights a_i = 1 / (|N⁻_i| + 1 − 2f); len(values) equals that
         # denominator exactly, so the plain mean implements eq. (2).
-        return sum(values) / len(values)
+        return mean_in_order(values)
 
 
 class TrimmedMidpointRule(UpdateRule):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.algorithms.base import UpdateRule, sort_received
+from repro.algorithms.base import UpdateRule, mean_in_order, sort_received
 from repro.types import NodeId, ReceivedValue
 
 
@@ -59,4 +59,4 @@ class WMSRRule(UpdateRule):
     ) -> float:
         survivors = self.surviving_values(node, own_value, received)
         values = [own_value] + [item.value for item in survivors]
-        return sum(values) / len(values)
+        return mean_in_order(values)

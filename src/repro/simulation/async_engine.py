@@ -63,6 +63,7 @@ from repro.simulation.engine import (
     SimulationConfig,
     checked_fault_free,
     initial_state,
+    refuse_nan_channels,
 )
 from repro.simulation.metrics import ValidityMonitor
 from repro.simulation.trace import ExecutionTrace
@@ -251,6 +252,12 @@ class PartiallyAsynchronousEngine:
                         outgoing.items(), key=lambda item: repr(item[0])
                     )
                 }
+                refuse_nan_channels(
+                    self._adversary.name,
+                    node,
+                    faulty_messages[node],
+                    graph.out_neighbors(node) - self._faulty,
+                )
 
             # 2. Every node emits its messages for this round; delays come
             #    from one canonical-order array draw (the RNG contract).

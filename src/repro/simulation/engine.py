@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -222,6 +223,12 @@ class SynchronousEngine:
                     outgoing.items(), key=lambda item: repr(item[0])
                 )
             }
+            refuse_nan_channels(
+                self._adversary.name,
+                node,
+                faulty_messages[node],
+                graph.out_neighbors(node) - self._faulty,
+            )
 
         new_state: dict[NodeId, float] = {}
         for node in graph.nodes:
@@ -320,6 +327,30 @@ class SynchronousEngine:
         # returns the exact mask ``step`` just applied.
         awake = resolve_activity(self._schedule, round_index, self._sched_layout).awake
         return None if awake is None else awake[self._ff_positions]
+
+
+def refuse_nan_channels(
+    strategy: str,
+    sender: NodeId,
+    messages: Mapping[NodeId, float],
+    receivers: Iterable[NodeId],
+) -> None:
+    """Raise :class:`~repro.exceptions.SimulationError` if a faulty
+    ``sender`` puts NaN on its channel to one of the fault-free
+    ``receivers``.
+
+    The trim sorts the received values, and NaN has no place in that order
+    (NumPy sorts it last, Python's ``sorted`` anywhere), so no tier could
+    agree on it.  ±inf is ordered, and the trim removes it like any extreme.
+    """
+    for target in sorted(receivers, key=repr):
+        value = messages[target]
+        if value != value:
+            raise SimulationError(
+                f"adversary strategy {strategy!r} sent NaN on channel "
+                f"{sender!r} -> {target!r}; Byzantine values must be numbers "
+                "(±inf is allowed)"
+            )
 
 
 def checked_fault_free(

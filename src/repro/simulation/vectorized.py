@@ -13,19 +13,23 @@ flat segment arithmetic over a compressed-sparse-row message plane:
   the repr-sorted canonical order (receiver-major, senders sorted by
   ``repr`` within a receiver — exactly the scalar engine's tie-break and the
   batch adversary layer's canonical channel order);
-* each round performs **one** gather ``plane = state[:, plane_indices]``
-  into a flat ``(B, nnz)`` message plane whose receiver segments are laid
-  out *bucket-major* (receivers grouped by exact in-degree, canonical order
-  within a bucket).  Every degree bucket is therefore a contiguous slab that
-  reshapes to a ``(B, m_d, d)`` view for free;
-* Byzantine channel values are scattered once into precomputed flat plane
-  positions, then each slab is sorted **in place** and trimmed via the
-  contiguous ``[f : d − f]`` slice;
-* the equal-weight average prepends the receiver's own value and reduces
-  with ``cumsum`` along the segment, reproducing the scalar engine's
-  left-to-right floating-point summation order, so a vectorized execution is
-  **bit-for-bit identical** to the scalar one — enforced by
-  :func:`cross_check_engines` and the property tests.
+* a round reads a flat ``(B, nnz)`` message plane whose receiver segments
+  are laid out *bucket-major* (receivers grouped by exact in-degree,
+  canonical order within a bucket): plane slot ``k`` reads column
+  ``slots[k]`` of the state tile joined with the round's Byzantine channel
+  values, so the channel values need no scatter and the plane itself is
+  never built by the compiled kernel;
+* each receiver sorts its received values, trims ``f`` from each end and
+  averages the survivors with its own value, summed left to right starting
+  from the own value — the scalar engine's floating-point summation order —
+  so a vectorized execution is **bit-for-bit identical** to the scalar one,
+  enforced by :func:`cross_check_engines` and the property tests.
+  :func:`reduce_plane` runs this round in compiled C
+  (:mod:`repro.simulation.native`) where this machine can build it, else in
+  NumPy (:func:`reduce_plane_numpy`: one ``np.take`` gather, then every
+  degree bucket is a contiguous slab that reshapes to a ``(B, m_d, d)``
+  view, is sorted in place, trimmed via the ``[f : d − f]`` slice and
+  summed with ``cumsum``); both give equal outputs.
   (``np.add.reduceat`` was evaluated for the segment sums and rejected: its
   unrolled/pairwise accumulation is **not** sequential, so it is not
   bit-exact with the scalar reference — see ``docs/architecture.md``.)
@@ -46,8 +50,8 @@ flat segment arithmetic over a compressed-sparse-row message plane:
 
 The partially asynchronous
 :class:`~repro.simulation.vectorized_async.VectorizedAsyncEngine` feeds the
-same slab kernel from its delivery buffers, whose channel axis is the
-canonical CSR order.
+same kernel from its delivery buffers, whose channel axis is the canonical
+CSR order.
 
 The speedup is the point: the transition-matrix view of the update (the
 Lemma 5 machinery in :mod:`repro.analysis.markov`) says a round is a gather
@@ -83,6 +87,7 @@ from repro.simulation.engine import (
     SynchronousEngine,
     checked_fault_free,
 )
+from repro.simulation import native
 from repro.simulation.metrics import ValidityMonitor
 from repro.simulation.trace import ExecutionTrace
 from repro.types import ConsensusOutcome, NodeId, RoundRecord, ValueMap
@@ -113,27 +118,55 @@ class _DegreeBucket:
     plane_stop: int
 
 
-def bucket_plane(
-    graph: Digraph, nodes: Sequence[NodeId], receiver_columns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[_DegreeBucket, ...], np.ndarray]:
-    """Build the CSR in-neighbour lists and the bucket-major plane layout.
+@dataclass(frozen=True)
+class PlaneLayout:
+    """The bucket-major plane layout both plane kernels read.
 
-    Returns ``(csr_indptr, csr_indices, buckets, plane_order)``.  The CSR
-    keeps the receivers (state columns over ``nodes``) in the given order
-    and each receiver's senders sorted by ``repr``.  The plane permutes the
-    receiver segments bucket-major (grouped by exact in-degree, given order
-    within a bucket) so each bucket is one contiguous slab;
-    ``plane_order`` maps each plane slot to its CSR position.
+    ``buckets`` are the slabs of the NumPy kernel.  The compiled kernel
+    walks the same plane one receiver at a time: receiver ``i`` (in plane
+    order) owns plane slots ``starts[i]`` to ``starts[i + 1]`` and writes
+    state column ``receivers[i]``.  ``width`` is the number of state
+    columns, ``max_degree`` the largest segment.
     """
-    column = {node: index for index, node in enumerate(nodes)}
-    indptr = [0]
-    indices: list[int] = []
-    for receiver_column in receiver_columns.tolist():
-        senders = graph.in_neighbors(nodes[receiver_column])
-        indices.extend(column[sender] for sender in sorted(senders, key=repr))
-        indptr.append(len(indices))
-    csr_indptr = np.array(indptr, dtype=np.int64)
-    degrees = np.diff(csr_indptr)
+
+    buckets: tuple[_DegreeBucket, ...]
+    receivers: np.ndarray
+    starts: np.ndarray
+    width: int
+    max_degree: int
+
+    def __post_init__(self) -> None:
+        # The compiled kernel indexes with these arrays unchecked.
+        receivers, starts = self.receivers, self.starts
+        degrees = np.diff(starts)
+        if not (
+            receivers.dtype == starts.dtype == np.int64
+            and receivers.ndim == starts.ndim == 1
+            and receivers.flags.c_contiguous
+            and starts.flags.c_contiguous
+            and starts.size == receivers.size + 1
+            and starts[0] == 0
+            and (degrees >= 0).all()
+            and int(degrees.max(initial=0)) <= self.max_degree
+            and (receivers.size == 0 or 0 <= receivers.min() <= receivers.max() < self.width)
+        ):
+            raise InvalidParameterError(
+                "PlaneLayout needs int64 receivers inside [0, width) and "
+                "int64 segment starts from 0, non-decreasing, with no "
+                "segment longer than max_degree"
+            )
+
+
+def plane_layout(
+    degrees: np.ndarray, receiver_columns: np.ndarray, width: int
+) -> tuple[PlaneLayout, np.ndarray]:
+    """Lay receivers out bucket-major by degree.
+
+    ``degrees[i]`` is the in-degree of receiver ``receiver_columns[i]``, in
+    the receiver-major order of a CSR list.  Returns the layout and
+    ``plane_order``, the CSR position of each plane slot.
+    """
+    csr_indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
     chunks: list[np.ndarray] = []
     buckets: list[_DegreeBucket] = []
     cursor = 0
@@ -149,38 +182,147 @@ def bucket_plane(
             )
         )
         cursor += members.size * degree
-    return (
-        csr_indptr,
-        np.array(indices, dtype=np.int64),
-        tuple(buckets),
-        np.concatenate(chunks),
+    segments = np.concatenate(
+        [np.full(bucket.columns.size, bucket.degree) for bucket in buckets]
     )
+    layout = PlaneLayout(
+        buckets=tuple(buckets),
+        receivers=np.concatenate([bucket.columns for bucket in buckets]).astype(
+            np.int64
+        ),
+        starts=np.concatenate([[0], np.cumsum(segments)]).astype(np.int64),
+        width=int(width),
+        max_degree=int(segments.max()),
+    )
+    return layout, np.concatenate(chunks).astype(np.int64)
+
+
+def bucket_plane(
+    graph: Digraph, nodes: Sequence[NodeId], receiver_columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, PlaneLayout, np.ndarray]:
+    """Build the CSR in-neighbour lists and the bucket-major plane layout.
+
+    Returns ``(csr_indptr, csr_indices, layout, plane_order)``.  The CSR
+    keeps the receivers (state columns over ``nodes``) in the given order
+    and each receiver's senders sorted by ``repr``.  The plane permutes the
+    receiver segments bucket-major (grouped by exact in-degree, given order
+    within a bucket) so each bucket is one contiguous slab;
+    ``plane_order`` maps each plane slot to its CSR position.
+    """
+    column = {node: index for index, node in enumerate(nodes)}
+    indptr = [0]
+    indices: list[int] = []
+    for receiver_column in receiver_columns.tolist():
+        senders = graph.in_neighbors(nodes[receiver_column])
+        indices.extend(column[sender] for sender in sorted(senders, key=repr))
+        indptr.append(len(indices))
+    csr_indptr = np.array(indptr, dtype=np.int64)
+    layout, plane_order = plane_layout(
+        np.diff(csr_indptr), receiver_columns, len(nodes)
+    )
+    return csr_indptr, np.array(indices, dtype=np.int64), layout, plane_order
 
 
 def reduce_plane(
-    plane: np.ndarray,
+    source: np.ndarray,
+    slots: np.ndarray,
     state: np.ndarray,
     out: np.ndarray,
-    buckets: Sequence[_DegreeBucket],
+    layout: PlaneLayout,
     f: int,
     mode: str,
 ) -> None:
-    """Apply the trimmed update to a bucket-major received-value plane.
+    """Apply the trimmed update to one tile of batch rows.
 
-    ``plane`` is ``(b, nnz)`` in the layout of ``buckets`` and is sorted in
-    place, ``state`` holds the same rows' previous states and ``out``
-    receives the new values in the buckets' receiver columns.  Each bucket
-    slab reshapes to ``(b, m_d, d)``; after the sort the trim window is the
-    contiguous slice ``[f : d − f]``.  ``mode="mean"`` prepends the
-    receiver's own value and sums left to right with one ``cumsum``, the
-    scalar engine's summation order; ``mode="midpoint"`` averages the
-    extremes of own ∪ survivors.  A float32 plane gets the hull clamp of the
-    documented float32 contract.
+    Plane slot ``k`` reads ``source[:, slots[k]]``; ``state`` holds the
+    same rows' previous states and ``out`` receives the new values in the
+    layout's receiver columns.  Each receiver sorts its received values
+    (NaN last, as ``np.sort`` does), drops the ``f`` smallest and the ``f``
+    largest, and then, for ``mode="mean"``, sums its own value and the
+    survivors left to right (the scalar engine's summation order) and
+    divides; ``mode="midpoint"`` averages the extremes of own ∪ survivors.
+    A float32 mean gets the hull clamp of the documented float32 contract.
+
+    The operands are checked here, before either kernel runs.  The compiled
+    kernel (:mod:`repro.simulation.native`) runs when this machine could
+    build it, else :func:`reduce_plane_numpy`; both give equal outputs
+    (``np.array_equal(..., equal_nan=True)``; only the sign of a zero
+    result may differ, as ``np.sort`` leaves the order of ``-0.0`` and
+    ``0.0`` open).
+    """
+    _check_operands(source, slots, state, out, layout, f, mode)
+    kernel: Callable[..., None] | None = native.kernel()
+    if kernel is None or not out.flags.c_contiguous:
+        kernel = reduce_plane_numpy
+    kernel(source, slots, state, out, layout, f, mode)
+
+
+def _check_operands(
+    source: np.ndarray,
+    slots: np.ndarray,
+    state: np.ndarray,
+    out: np.ndarray,
+    layout: PlaneLayout,
+    f: int,
+    mode: str,
+) -> None:
+    """Refuse operands either plane kernel would misread."""
+    dtype = source.dtype
+    if dtype not in SUPPORTED_DTYPES or not dtype == state.dtype == out.dtype:
+        raise InvalidParameterError(
+            f"reduce_plane needs source, state and out of one dtype in "
+            f"{tuple(str(d) for d in SUPPORTED_DTYPES)}, got {source.dtype}, "
+            f"{state.dtype} and {out.dtype}"
+        )
+    rows = source.shape[0]
+    if (
+        source.ndim != 2
+        or state.shape != (rows, layout.width)
+        or out.shape != state.shape
+        or not out.flags.writeable
+    ):
+        raise InvalidParameterError(
+            f"reduce_plane needs a (B, W) source and (B, {layout.width}) "
+            f"state and writable out, got {source.shape}, {state.shape} and "
+            f"{out.shape}"
+        )
+    if slots.shape != (layout.starts[-1],) or slots.dtype.kind not in "iu":
+        raise InvalidParameterError(
+            f"reduce_plane needs {layout.starts[-1]} integer plane slots, got "
+            f"{slots.dtype} of shape {slots.shape}"
+        )
+    if slots.size and (slots.min() < 0 or slots.max() >= source.shape[1]):
+        raise InvalidParameterError(
+            f"a plane slot lies outside the {source.shape[1]} source columns"
+        )
+    if f < 0 or mode not in ("mean", "midpoint"):
+        raise InvalidParameterError(
+            f"reduce_plane needs f >= 0 and mode 'mean' or 'midpoint', got "
+            f"f={f}, mode={mode!r}"
+        )
+
+
+def reduce_plane_numpy(
+    source: np.ndarray,
+    slots: np.ndarray,
+    state: np.ndarray,
+    out: np.ndarray,
+    layout: PlaneLayout,
+    f: int,
+    mode: str,
+) -> None:
+    """The NumPy plane kernel, for operands :func:`reduce_plane` checked.
+
+    One ``np.take`` gathers the C-ordered ``(b, nnz)`` plane; each bucket
+    slab is a ``(b, m_d, d)`` view of it, sorted in place, whose trim window
+    is the contiguous slice ``[f : d − f]``.  The mean prepends the own
+    value and sums with one ``cumsum``.
     """
     # reprolint: disable=EXA003 -- float32 clamp gate of the documented dtype= plumbing
-    clamp32 = plane.dtype == np.dtype(np.float32)
+    clamp32 = source.dtype == np.dtype(np.float32)
+    plane = np.take(source, slots, axis=1)
     rows = plane.shape[0]
-    for bucket in buckets:
+    for bucket in layout.buckets:
         d = bucket.degree
         block = plane[:, bucket.plane_start : bucket.plane_stop].reshape(
             rows, bucket.columns.size, d
@@ -386,10 +528,11 @@ class VectorizedEngine:
           delivery buffers use it as their channel axis;
         * the **plane layout** permutes receiver segments bucket-major
           (grouped by exact in-degree) so each bucket is one contiguous
-          slab.  ``_plane_order`` maps each plane slot to its CSR position,
-          ``_plane_indices`` is the single per-round gather from the state
-          matrix and ``_edge_plane_pos`` maps canonical channel ``j`` to its
-          plane slot.
+          slab.  ``_plane_order`` maps each plane slot to its CSR position
+          and ``_plane_indices`` to the state column it reads.
+          ``_channel_slots`` is the same map for a source that joins the
+          round's ``E_f`` channel values after the ``n`` state columns:
+          canonical channel ``j`` is read from column ``n + j``.
         """
         graph = self._graph
         self._nodes: tuple[NodeId, ...] = tuple(sorted(graph.nodes, key=repr))
@@ -405,7 +548,7 @@ class VectorizedEngine:
         (
             self._csr_indptr,
             self._csr_indices,
-            self._buckets,
+            self._layout,
             self._plane_order,
         ) = bucket_plane(graph, self._nodes, self._ff_cols)
 
@@ -426,15 +569,19 @@ class VectorizedEngine:
         self._plane_indices = self._csr_indices[self._plane_order]
         plane_slot = np.empty_like(self._plane_order)
         plane_slot[self._plane_order] = np.arange(self._plane_order.size)
-        self._edge_plane_pos = plane_slot[self._edge_csr_pos]
+        self._channel_slots = self._plane_indices.copy()
+        self._channel_slots[plane_slot[self._edge_csr_pos]] = len(
+            self._nodes
+        ) + np.arange(self._edge_csr_pos.size)
 
-        # Per-row working-set estimate for the tiling budget: the flat plane
-        # plus the largest bucket's own+survivors block and its cumsum
-        # output (the two big per-bucket temporaries).
+        # Per-row working-set estimate of the NumPy kernel for the tiling
+        # budget: the flat plane plus the largest bucket's own+survivors
+        # block and its cumsum output (the two big per-bucket temporaries).
+        # The compiled kernel builds no plane and needs less.
         f = self._rule.f
         max_trim_block = max(
             bucket.columns.size * (max(bucket.degree - 2 * f, 0) + 1)
-            for bucket in self._buckets
+            for bucket in self._layout.buckets
         )
         self._plane_row_elements = self._plane_indices.size + 2 * max_trim_block
 
@@ -671,6 +818,16 @@ class VectorizedEngine:
                 f"batch adversary {self._adversary.name!r} returned edge "
                 f"values of shape {values.shape}; expected {expected}"
             )
+        # np.max propagates NaN without a (B, E_f) temporary; ±inf is legal
+        # (see refuse_nan_channels).
+        if values.size and np.isnan(values.max()):
+            row, channel = np.argwhere(np.isnan(values))[0].tolist()
+            sender, receiver = self._edge_nodes[channel]
+            raise SimulationError(
+                f"adversary strategy {self._adversary.name!r} sent NaN on "
+                f"channel {sender!r} -> {receiver!r} (row {row}); Byzantine "
+                "values must be numbers (±inf is allowed)"
+            )
         return context, values
 
     def _write_nominal(
@@ -712,36 +869,36 @@ class VectorizedEngine:
         activity = self._round_activity(round_index)
         context, channel_values = self._adversary_fill(state, round_index, activity)
 
-        down_slots: np.ndarray | None = None
-        down_recv: np.ndarray | None = None
+        # Plane slot k reads column slots[k] of the state tile joined with
+        # the round's channel values.  Down slots are re-pointed to their
+        # receiver after the channel pointers are set, so a down faulty
+        # channel is substituted too: a dead slot carries the receiver's own
+        # previous value, keeping the trim window width d.
+        slots = self._plane_indices if channel_values is None else self._channel_slots
         if activity is not None:
-            up = np.ones(self._plane_indices.shape, dtype=bool)
+            up = np.ones(slots.shape, dtype=bool)
             if activity.edge_up is not None:
                 up &= activity.edge_up[self._plane_edge_pos]
             if activity.awake is not None:
                 up &= activity.awake[self._plane_indices]
             if not up.all():
-                down_slots = np.flatnonzero(~up)
-                down_recv = self._plane_recv_cols[down_slots]
+                down = np.flatnonzero(~up)
+                slots = slots.copy()
+                slots[down] = self._plane_recv_cols[down]
 
         new_state = np.array(state)
         tile = self.plane_tile_rows(batch)
         for start in range(0, batch, tile):
             rows = slice(start, start + tile)
-            plane = state[rows][:, self._plane_indices]
+            source = state[rows]
             if channel_values is not None:
-                plane[:, self._edge_plane_pos] = channel_values[rows]
-            if down_slots is not None:
-                # Self-substitution, after the adversary scatter so down
-                # faulty channels are substituted too: a dead slot carries
-                # the receiver's own previous value, keeping the trim window
-                # width d.
-                plane[:, down_slots] = state[rows][:, down_recv]
+                source = np.concatenate([source, channel_values[rows]], axis=1)
             reduce_plane(
-                plane,
+                source,
+                slots,
                 state[rows],
                 new_state[rows],
-                self._buckets,
+                self._layout,
                 self._rule.f,
                 self._mode,
             )

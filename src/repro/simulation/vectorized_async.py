@@ -22,10 +22,11 @@ The channel axis ``E`` is the synchronous engine's canonical CSR order
 (channel ``k`` carries sender ``csr_indices[k]`` into its receiver), so each
 round is: adversary-scatter into the sent-value plane → ring write → masked
 "freshest send wins" delivery sweep (oldest slot first, exactly the scalar
-engine's ``send_round >= stored_round`` rule) → one gather of the delivered
-values into the bucket-major plane → the same sort → trim → cumsum slab
-kernel as :class:`~repro.simulation.vectorized.VectorizedEngine` →
-activation mask → faulty-column overwrite.  Because the delivered floats are
+engine's ``send_round >= stored_round`` rule) → the same gather → sort →
+trim → sum plane kernel as
+:class:`~repro.simulation.vectorized.VectorizedEngine`, reading the
+delivered values in plane order → activation mask → faulty-column
+overwrite.  Because the delivered floats are
 bit-identical to the scalar buffers and the reduction is the synchronous
 kernel, a vectorized execution is **bit-for-bit identical** to the scalar
 asynchronous engine under the shared RNG-stream contract — enforced by
@@ -318,14 +319,15 @@ class VectorizedAsyncEngine(VectorizedEngine):
                     due, buffers.ring_values[:, :, slot_index], buffers.buffer_values
                 )
 
-        # 4. The synchronous slab kernel, fed from the delivery buffers (one
-        #    gather into plane layout) instead of the raw state matrix.
+        # 4. The synchronous plane kernel, reading the delivery buffers
+        #    (whose channel axis is the CSR order) instead of the state.
         new_state = np.array(state)
         reduce_plane(
-            buffers.buffer_values[:, self._plane_order],
+            buffers.buffer_values,
+            self._plane_order,
             state,
             new_state,
-            self._buckets,
+            self._layout,
             self._rule.f,
             self._mode,
         )

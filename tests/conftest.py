@@ -13,10 +13,16 @@ be copy-pasted across ``test_engine_parity.py`` / ``test_adversary_batch.py``
   tile budget, or the vectorized async engine degenerated to
   ``max_delay=0, p=1.0``), and :func:`make_batch_engine` builds a batch
   engine for the vectorized/tiled/async tiers with one shared
-  configuration.
+  configuration.  The ``tiled`` tier runs the NumPy plane kernel
+  (:func:`numpy_kernel`), the others the compiled one where this machine
+  can build it, so every parity and fuzz suite covers both kernels.
 """
 
 from __future__ import annotations
+
+import contextlib
+from typing import Iterator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +40,7 @@ from repro.simulation import (
     SimulationConfig,
     VectorizedAsyncEngine,
     VectorizedEngine,
+    native,
     run_synchronous,
     run_vectorized,
     run_vectorized_async,
@@ -153,6 +160,22 @@ BATCH_ENGINE_KINDS = ("vectorized", "tiled", "async-degenerate")
 TILED_PLANE_BYTES = 1
 
 
+@contextlib.contextmanager
+def numpy_kernel() -> Iterator[None]:
+    """Run the batch engines as on a machine that cannot build the compiled
+    plane kernel: ``reduce_plane`` falls back to the NumPy kernel."""
+    with mock.patch.object(native, "kernel", lambda: None):
+        yield
+
+
+class NumpyKernelEngine(VectorizedEngine):
+    """A :class:`VectorizedEngine` whose rounds run the NumPy plane kernel."""
+
+    def step_matrix(self, state, round_index):
+        with numpy_kernel():
+            return super().step_matrix(state, round_index)
+
+
 def run_sync_engine(
     engine_kind: str,
     graph,
@@ -174,12 +197,21 @@ def run_sync_engine(
         return run_synchronous(
             graph, rule, inputs, faulty=faulty, adversary=adversary, **kwargs
         )
-    if engine_kind in ("vectorized", "tiled"):
-        if engine_kind == "tiled":
-            kwargs["max_plane_bytes"] = TILED_PLANE_BYTES
+    if engine_kind == "vectorized":
         return run_vectorized(
             graph, rule, inputs, faulty=faulty, adversary=adversary, **kwargs
         )
+    if engine_kind == "tiled":
+        with numpy_kernel():
+            return run_vectorized(
+                graph,
+                rule,
+                inputs,
+                faulty=faulty,
+                adversary=adversary,
+                max_plane_bytes=TILED_PLANE_BYTES,
+                **kwargs,
+            )
     if engine_kind == "async-degenerate":
         return run_vectorized_async(
             graph,
@@ -209,14 +241,16 @@ def make_batch_engine(
     """Build a batch engine of the requested tier with one shared config.
 
     The vectorized tier honours ``dtype`` / ``max_plane_bytes``, the tiled
-    tier ``dtype`` (its budget is :data:`TILED_PLANE_BYTES`); the
-    async-degenerate tier ignores both (it is float64-only).  Note that
+    tier ``dtype`` (its budget is :data:`TILED_PLANE_BYTES`, and it runs the
+    NumPy plane kernel); the async-degenerate tier ignores both (it is
+    float64-only).  Note that
     under a schedule that actually masks something the async-degenerate tier
     intentionally leaves the synchronous equality set (never-delivered
     semantics instead of self-substitution).
     """
     if engine_kind in ("vectorized", "tiled"):
-        return VectorizedEngine(
+        engine_class = NumpyKernelEngine if engine_kind == "tiled" else VectorizedEngine
+        return engine_class(
             graph,
             rule,
             faulty=faulty,

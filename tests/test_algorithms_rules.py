@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms import (
@@ -181,3 +182,28 @@ class TestBaselines:
 
     def test_repr_contains_f(self):
         assert "f=2" in repr(TrimmedMeanRule(2))
+
+
+class TestSummationOrder:
+    """Every mean rule sums left to right from the own value, ``np.cumsum``'s
+    order, on every CPython (builtin ``sum`` compensates since 3.12)."""
+
+    def test_trimmed_mean_cancels_in_order(self):
+        # Left to right: 1 + -1e100 + 1 + 1e100 == 0; a compensated sum
+        # gives 2 and a mean of 0.5.
+        rule = TrimmedMeanRule(0)
+        assert rule.compute(0, 1.0, received(1e100, 1.0, -1e100)) == 0.0
+
+    @pytest.mark.parametrize(
+        "rule,sorts",
+        [(TrimmedMeanRule(0), True), (WMSRRule(0), True), (LinearAverageRule(0), False)],
+        ids=["trimmed-mean", "wmsr", "linear"],
+    )
+    def test_matches_cumsum_on_random_draws(self, rule, sorts):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            values = rng.normal(scale=10.0 ** rng.integers(0, 12), size=8)
+            own, others = float(values[0]), values[1:].tolist()
+            ordered = [own] + (sorted(others) if sorts else others)
+            expected = np.cumsum(ordered)[-1] / len(ordered)
+            assert rule.compute(0, own, received(*others)) == expected

@@ -50,8 +50,8 @@ def test_smoke_runs_every_scenario_and_writes_nothing(tmp_path, monkeypatch):
 def _trim_one_too_few(monkeypatch):
     original = vectorized.reduce_plane
 
-    def trim(plane, state, out, buckets, f, mode):
-        original(plane, state, out, buckets, f - 1, mode)
+    def trim(source, slots, state, out, layout, f, mode):
+        original(source, slots, state, out, layout, f - 1, mode)
 
     monkeypatch.setattr(vectorized, "reduce_plane", trim)
     monkeypatch.setattr(vectorized_async, "reduce_plane", trim)

@@ -6,10 +6,12 @@ schedule** (periodic edge outages, seeded random edge up/down, periodic or
 random churn, or their AND-composition) — from a single integer seed, then:
 
 1. runs the same batch through the
-   :class:`~repro.simulation.vectorized.VectorizedEngine` untiled and in
-   tiles of one to three rows (deep copies of the same schedule; every
-   ``B > 1`` draw really tiles) and requires every :class:`BatchOutcome`
-   array to match exactly (``np.array_equal``, never ``allclose``);
+   :class:`~repro.simulation.vectorized.VectorizedEngine` untiled on the
+   compiled plane kernel (where this machine builds it) and on the NumPy
+   kernel in tiles of one to three rows (deep copies of the same schedule;
+   every ``B > 1`` draw really tiles) and requires every
+   :class:`BatchOutcome` array to match exactly (``np.array_equal``, never
+   ``allclose``);
 2. replays batch row 0 through the scalar
    :class:`~repro.simulation.engine.SynchronousEngine` under the same
    schedule, with the adversary's scalar form (a batch-native strategy is
@@ -36,6 +38,8 @@ import copy
 
 import numpy as np
 import pytest
+
+from conftest import NumpyKernelEngine
 
 from repro.adversary import (
     BatchAdaptiveStrategy,
@@ -232,7 +236,9 @@ def _fuzz_one(seed: int) -> None:
         config=config,
         schedule=copy.deepcopy(schedule),
     )
-    tiled = VectorizedEngine(
+    # The tiled run takes the NumPy plane kernel, the untiled one the
+    # compiled kernel where this machine builds it.
+    tiled = NumpyKernelEngine(
         graph,
         rule_factory(f),
         faulty=faulty,

@@ -32,8 +32,9 @@ from conftest import (
     make_scalar_adversary,
     run_sync_engine,
 )
-from repro.adversary import ExtremePushStrategy
+from repro.adversary import ExtremePushStrategy, StaticValueStrategy
 from repro.algorithms import TrimmedMeanRule, TrimmedMidpointRule
+from repro.exceptions import SimulationError
 from repro.graphs import chord_network, complete_graph, core_network
 from repro.simulation import (
     PartiallyAsynchronousEngine,
@@ -41,6 +42,7 @@ from repro.simulation import (
     VectorizedAsyncEngine,
     cross_check_engines,
     linear_ramp_inputs,
+    run_partially_asynchronous,
     run_vectorized_async,
     spawn_row_generators,
     uniform_random_inputs,
@@ -273,3 +275,55 @@ def test_single_run_seed_matches_scalar_seed_directly():
         )
         assert scalar.final_values == vector.final_values
         assert scalar.rounds_executed == vector.rounds_executed
+
+
+#: The four tiers of the NaN / ±inf pins: both synchronous and both
+#: partially asynchronous engines.
+ALL_TIERS = ("scalar", "vectorized", "scalar-async", "vectorized-async")
+
+
+def _run_tier(tier, value, rounds=20):
+    graph = core_network(7, 1)
+    inputs = linear_ramp_inputs(graph.nodes)
+    options = dict(
+        faulty={6}, adversary=StaticValueStrategy(value), max_rounds=rounds
+    )
+    if tier in ("scalar", "vectorized"):
+        return run_sync_engine(tier, graph, TrimmedMeanRule(1), inputs, **options)
+    if tier == "scalar-async":
+        return run_partially_asynchronous(
+            graph, TrimmedMeanRule(1), inputs, max_delay=1, rng=3, **options
+        )
+    return run_vectorized_async(
+        graph, TrimmedMeanRule(1), inputs, max_delay=1, rng=3, **options
+    )
+
+
+@pytest.mark.parametrize("tier", ALL_TIERS)
+def test_every_tier_refuses_a_nan_from_a_byzantine_strategy(tier):
+    """NumPy sorts NaN last and Python's ``sorted`` anywhere, so no two
+    tiers could agree on it: each refuses, naming strategy and channel."""
+    with pytest.raises(SimulationError, match=r"static-value.*NaN on channel 6 -> 0"):
+        _run_tier(tier, float("nan"))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")], ids=["inf", "-inf"])
+def test_every_tier_agrees_on_an_infinite_byzantine_value(value):
+    """±inf is ordered, so the trim removes it on every tier alike."""
+    synchronous = [_run_tier(tier, value) for tier in ALL_TIERS[:2]]
+    asynchronous = [_run_tier(tier, value) for tier in ALL_TIERS[2:]]
+    for pair in (synchronous, asynchronous):
+        reference, candidate = pair
+        assert reference.final_values == candidate.final_values
+        assert reference.history == candidate.history
+        assert all(np.isfinite(list(reference.final_values.values())))
+    graph = core_network(7, 1)
+    report = cross_check_engines(
+        graph,
+        TrimmedMeanRule(1),
+        linear_ramp_inputs(graph.nodes),
+        {6},
+        StaticValueStrategy(value),
+        rounds=20,
+    )
+    assert report.identical

@@ -9,6 +9,7 @@ unexplained suppressions.
 
 from __future__ import annotations
 
+import ast
 import configparser
 import json
 import subprocess
@@ -35,6 +36,15 @@ CANONICAL_PATH = "src/repro/conditions/fixture_mod.py"
 EXPERIMENTS_PATH = "src/repro/experiments/fixture_mod.py"
 GENERIC_PATH = "src/repro/analysis/fixture_mod.py"
 PROVENANCE_PATH = "src/repro/sweeps/provenance.py"
+
+
+def _package_data() -> dict[str, list[str]]:
+    """The ``package_data`` literal of ``setup.py``'s ``setup()`` call."""
+    tree = ast.parse((REPO_ROOT / "setup.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "package_data":
+            return ast.literal_eval(node.value)
+    raise AssertionError("setup.py passes no package_data")
 
 
 def rules_fired(source: str, path: str, *rule_ids: str) -> list[str]:
@@ -172,11 +182,17 @@ RULE_FIXTURES = [
     (
         "EXA002",
         KERNEL_PATH,
-        """
-        import math
-        def total(values):
-            return math.fsum(values)
-        """,
+        (
+            """
+            import math
+            def total(values):
+                return math.fsum(values)
+            """,
+            """
+            def mean(values):
+                return sum(values) / len(values)
+            """,
+        ),
         """
         def total(values):
             acc = 0.0
@@ -349,10 +365,11 @@ class TestRuleFixtures:
         ids=[fixture[0] for fixture in RULE_FIXTURES],
     )
     def test_bad_fixture_fires(
-        self, rule_id: str, path: str, bad: str, good: str
+        self, rule_id: str, path: str, bad: str | tuple[str, ...], good: str
     ) -> None:
-        fired = rules_fired(bad, path, rule_id)
-        assert rule_id in fired, f"{rule_id} did not fire on its bad fixture"
+        for snippet in (bad,) if isinstance(bad, str) else bad:
+            fired = rules_fired(snippet, path, rule_id)
+            assert rule_id in fired, f"{rule_id} did not fire on {snippet}"
 
     @pytest.mark.parametrize(
         "rule_id, path, bad, good",
@@ -386,6 +403,7 @@ class TestRuleScoping:
         import math
         x = np.zeros(4, dtype=np.float32)
         y = math.fsum([1.0, 2.0])
+        w = sum([1.0, 2.0])
         z = np.add.reduceat(np.arange(6.0), [0, 3])
         """
         assert (
@@ -689,6 +707,9 @@ class TestSelfCheck:
 
     def test_py_typed_marker_ships(self) -> None:
         assert (REPO_ROOT / "src" / "repro" / "py.typed").exists()
-        assert 'package_data={"repro": ["py.typed"]}' in (
-            REPO_ROOT / "setup.py"
-        ).read_text()
+        assert "py.typed" in _package_data()["repro"]
+
+    def test_plane_kernel_source_ships(self) -> None:
+        # Without it an installed copy would always run the NumPy kernel.
+        assert (REPO_ROOT / "src" / "repro" / "simulation" / "plane_kernel.c").exists()
+        assert "plane_kernel.c" in _package_data()["repro.simulation"]

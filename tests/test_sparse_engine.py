@@ -34,10 +34,11 @@ from repro.simulation import (
     run_vectorized,
     uniform_random_inputs,
 )
+from repro.simulation import native
 from repro.simulation.sparse import SparseEngine
 from repro.simulation.vectorized import random_input_matrix
 
-from conftest import BATCH_ENGINE_KINDS, make_batch_engine
+from conftest import BATCH_ENGINE_KINDS, make_batch_engine, numpy_kernel
 
 
 class TestCSRLayout:
@@ -89,13 +90,22 @@ class TestCSRLayout:
         assert engine._plane_indices.size == engine.nnz
         # Bucket slabs partition [0, nnz) without gaps or overlap.
         spans = sorted(
-            (b.plane_start, b.plane_stop) for b in engine._buckets
+            (b.plane_start, b.plane_stop) for b in engine._layout.buckets
         )
         cursor = 0
         for start, stop in spans:
             assert start == cursor
             cursor = stop
         assert cursor == engine.nnz
+        # The per-receiver segments of the compiled kernel walk the same
+        # slabs: receiver i owns starts[i]:starts[i + 1].
+        layout = engine._layout
+        for bucket in layout.buckets:
+            first = int(np.searchsorted(layout.starts, bucket.plane_start))
+            members = slice(first, first + bucket.columns.size)
+            assert layout.receivers[members].tolist() == bucket.columns.tolist()
+            assert set(np.diff(layout.starts)[members].tolist()) == {bucket.degree}
+        assert layout.starts[-1] == engine.nnz
 
 
 class TestValidation:
@@ -208,8 +218,9 @@ class TestTilingRegression:
         )
 
     def test_tiling_caps_peak_kernel_allocations(self):
-        """The tiled kernel's peak traced allocation is a fraction of the
-        untiled one on a plane that is large relative to the budget."""
+        """The tiled NumPy kernel's peak traced allocation is a fraction of
+        the untiled one on a plane that is large relative to the budget,
+        and the compiled kernel, which builds no plane, stays below both."""
         graph = k_in_regular_digraph(1500, 8, rng=3)
         rule = TrimmedMeanRule(2)
         batch = 48
@@ -225,13 +236,22 @@ class TestTilingRegression:
             tracemalloc.stop()
             return peak, stepped
 
-        untiled_peak, untiled_state = peak_bytes(None)
         budget = VectorizedEngine(graph, rule).plane_bytes_per_row * 4
-        tiled_peak, tiled_state = peak_bytes(budget)
+        with numpy_kernel():
+            untiled_peak, untiled_state = peak_bytes(None)
+            tiled_peak, tiled_state = peak_bytes(budget)
         assert np.array_equal(untiled_state, tiled_state)
         assert tiled_peak < untiled_peak * 0.5, (
             f"tiled peak {tiled_peak} not below half of untiled "
             f"{untiled_peak}"
+        )
+        if native.kernel() is None:
+            pytest.skip(native.status())
+        native_peak, native_state = peak_bytes(None)
+        assert np.array_equal(native_state, untiled_state)
+        assert native_peak < tiled_peak, (
+            f"compiled untiled peak {native_peak} not below the NumPy tiled "
+            f"peak {tiled_peak}"
         )
 
 

@@ -3,9 +3,11 @@
 Each case derives an entire scenario — graph family, size, fault budget,
 fault set, rule, adversary, batch size, tile size, round count — from a
 single integer seed and runs the same batch through the
-:class:`~repro.simulation.vectorized.VectorizedEngine` twice: untiled and in
-tiles of one to three rows (so every ``B > 1`` draw really tiles).  Every
-output array must match exactly (``np.array_equal``, never ``allclose``).
+:class:`~repro.simulation.vectorized.VectorizedEngine` twice: untiled on the
+compiled plane kernel (where this machine builds it) and on the NumPy
+kernel in tiles of one to three rows (so every ``B > 1`` draw really
+tiles).  Every output array must match exactly (``np.array_equal``, never
+``allclose``).
 Batch row 0 is also replayed through the scalar
 :class:`~repro.simulation.engine.SynchronousEngine`, the independent
 reference, with the drawn adversary's scalar form (a batch-native strategy
@@ -29,6 +31,8 @@ import copy
 
 import numpy as np
 import pytest
+
+from conftest import NumpyKernelEngine
 
 from repro.adversary import (
     BatchBroadcastConsistentWrapper,
@@ -173,7 +177,9 @@ def _fuzz_one(seed: int) -> None:
         adversary=copy.deepcopy(adversary),
         config=config,
     )
-    tiled = VectorizedEngine(
+    # The tiled run takes the NumPy plane kernel, the untiled one the
+    # compiled kernel where this machine builds it.
+    tiled = NumpyKernelEngine(
         graph,
         rule_factory(f),
         faulty=faulty,

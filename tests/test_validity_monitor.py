@@ -330,8 +330,8 @@ def test_kernel_trimming_one_value_too_few_is_flagged_within_two_rounds(
     assert run(strict=False).all_valid  # the intact kernel keeps validity
     original = vectorized.reduce_plane
 
-    def trim_one_too_few(plane, state, out, buckets, f, mode):
-        original(plane, state, out, buckets, f - 1, mode)
+    def trim_one_too_few(source, slots, state, out, layout, f, mode):
+        original(source, slots, state, out, layout, f - 1, mode)
 
     monkeypatch.setattr(vectorized, "reduce_plane", trim_one_too_few)
     monkeypatch.setattr(vectorized_async, "reduce_plane", trim_one_too_few)

@@ -1,13 +1,14 @@
 """Bit-exactness rules for the numeric kernels (``EXA*``).
 
 The kernels (``repro/simulation/``, ``repro/algorithms/``) promise that the
-scalar reference, the dense batch engine and the sparse CSR engine produce
-``np.array_equal`` outputs.  That only holds under strictly sequential
-float summation in one canonical order — which is why ``np.add.reduceat``
-was evaluated and rejected (pairwise reduction blocks change the rounding
-path, ``docs/architecture.md``) and why ``math.fsum`` (exact but
-*different*) is equally banned.  Narrowed dtypes may enter only through
-the documented ``dtype=`` plumbing (``repro/simulation/sparse.py``), never
+scalar reference engines and the batch engines (both plane kernels, NumPy
+and compiled) produce ``np.array_equal`` outputs.  That only holds under
+strictly sequential float summation in one canonical order — which is why
+``np.add.reduceat`` was evaluated and rejected (pairwise reduction blocks
+change the rounding path, ``docs/architecture.md``) and why ``math.fsum``
+(exact but *different*) and builtin ``sum`` (compensated since CPython
+3.12) are equally banned.  Narrowed dtypes may enter only through the
+documented ``dtype=`` plumbing (``repro/simulation/vectorized.py``), never
 as ad-hoc literals inside a kernel.
 """
 
@@ -58,12 +59,14 @@ class ReduceatUse(Rule):
 
 @register_rule
 class FsumUse(Rule):
-    """``math.fsum`` is exact, which makes it *differently* rounded."""
+    """``math.fsum`` is exact and builtin ``sum`` compensated (CPython
+    3.12+), which makes both *differently* rounded."""
 
     rule_id = "EXA002"
     summary = (
-        "math.fsum in a kernel module; exact summation diverges from the "
-        "sequential-summation contract the engines share"
+        "math.fsum or builtin sum in a kernel module; exact or compensated "
+        "summation diverges from the sequential-summation contract the "
+        "engines share"
     )
     node_types = (ast.Call, ast.ImportFrom)
 
@@ -79,6 +82,14 @@ class FsumUse(Rule):
                     node,
                     "fsum rounds differently from the sequential summation "
                     "every engine tier implements; use plain ordered sums",
+                )
+            elif name == "sum":
+                yield self.finding(
+                    module,
+                    node,
+                    "builtin sum compensates float rounding since CPython "
+                    "3.12, unlike the sequential summation every engine "
+                    "tier implements; sum in an explicit loop",
                 )
         elif isinstance(node, ast.ImportFrom):
             if node.module == "math" and any(
@@ -115,7 +126,7 @@ class NarrowDtypeLiteral(Rule):
                         node,
                         f"np.{node.attr} literal in a kernel; route narrow "
                         "dtypes through the documented dtype= parameter "
-                        "(see repro/simulation/sparse.py) or pragma the "
+                        "(see repro/simulation/vectorized.py) or pragma the "
                         "plumbing site",
                     )
         elif isinstance(node, ast.Constant):
