@@ -28,7 +28,7 @@ DOCSTRING_GATE = $(PYTHON) tools/check_docstrings.py \
 	--require repro.sweeps.orchestrator --require repro.sweeps.store \
 	--require repro.sweeps.schema \
 	--require repro.conditions.bitset --require repro.conditions.verdict \
-	--require repro.adversary.vectorized \
+	--require repro.adversary.vectorized --require repro.graphs.digraph \
 	--require repro.simulation.sparse \
 	--require repro.simulation.dynamic \
 	--require repro.simulation.native
@@ -112,5 +112,13 @@ sweep-smoke:
 		--grid "case=core-like n=100 f=3,hetring n=100 f=2 extra=0.5" \
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-scale
 	$(PYTHON) -m repro report smoke-scale --results-dir .sweep-smoke
+	# E14 through the CLI: the n = 2000 float64 cell runs the scalar
+	# guard (which builds the lattice's neighbour sets), the others read
+	# only its edge arrays.
+	$(PYTHON) -m repro run large_n \
+		--grid n=2000,5000 --grid dtype=float64,float32 \
+		--grid batch=2 --grid rounds=3 \
+		--workers 2 --results-dir .sweep-smoke --run-id smoke-large-n
+	$(PYTHON) -m repro report smoke-large-n --results-dir .sweep-smoke
 	rm -rf .sweep-smoke
 	@echo "sweep smoke OK"

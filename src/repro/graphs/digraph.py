@@ -13,18 +13,147 @@ the condition checkers and simulation engines have a stable, minimal API that
 is easy to reason about and fast for the set-intersection-heavy queries they
 perform (``|N⁻_v ∩ A|`` appears in the inner loop of every checker).
 Conversion helpers to and from :mod:`networkx` live in :mod:`repro.graphs.io`.
+
+A graph has one of two construction forms.  The per-edge form
+(``Digraph(nodes, edges)`` and the ``add_*`` methods) fills the two
+dict-of-sets adjacency maps directly.  The array form
+(:meth:`Digraph.from_edge_arrays`, used by ``heterogeneous_ring_lattice``)
+keeps the graph's integer edge arrays over nodes ``0 … n − 1`` and answers
+the node and degree queries and :meth:`Digraph.edge_arrays` from them.  Its
+adjacency sets are built, in the per-edge form's insertion order, the first
+time a set-valued query needs them, and from then on the graph is in the
+per-edge form.  Both forms answer every query alike; the adjacency sets stay the only
+representation the condition checkers read.
+
+The array form is a private subclass whose instances become plain
+:class:`Digraph` objects when their sets are built.  Its ``__getattr__``
+cannot live on :class:`Digraph` itself: a class with ``__getattr__`` routes
+every attribute read through a slower hook, which made building and checking
+per-edge graphs about twice as slow.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.exceptions import (
     EdgeNotFoundError,
+    InvalidParameterError,
     NodeNotFoundError,
     SelfLoopError,
 )
 from repro.types import Edge, NodeId
+
+
+@dataclass(frozen=True, eq=False)
+class _EdgeArrays:
+    """The edges of an array-built graph on nodes ``0 … n − 1``.
+
+    ``sources`` and ``targets`` are read-only int64 arrays of the distinct
+    edges in first-occurrence order; the degree lists are indexed by node.
+    """
+
+    n: int
+    sources: np.ndarray
+    targets: np.ndarray
+    in_degrees: list[int]
+    out_degrees: list[int]
+
+    def __post_init__(self) -> None:
+        # Digraph.edge_arrays hands these out: nobody may change them.
+        self.sources.flags.writeable = False
+        self.targets.flags.writeable = False
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        # Copies and unpickled graphs rebuild through __init__, so their
+        # arrays are read-only too.
+        return type(self), (
+            self.n,
+            self.sources,
+            self.targets,
+            self.in_degrees,
+            self.out_degrees,
+        )
+
+    def index(self, node: NodeId) -> int | None:
+        """Return the int equal to ``node`` if it is a node, else ``None``.
+
+        A dict lookup finds a key by hash and equality, and every number
+        equal to an int ``k`` hashes to ``k``, so this answers membership
+        exactly as the per-edge form's adjacency dict does.
+        """
+        key = hash(node)
+        return key if 0 <= key < self.n and key == node else None
+
+    def require(self, node: NodeId) -> int:
+        """Return :meth:`index` of ``node`` or raise
+        :class:`~repro.exceptions.NodeNotFoundError`."""
+        key = self.index(node)
+        if key is None:
+            raise NodeNotFoundError(node)
+        return key
+
+
+def _checked_edge_arrays(n: int, sources: object, targets: object) -> _EdgeArrays:
+    """Check :meth:`Digraph.from_edge_arrays`'s operands and drop duplicate
+    edges, keeping each edge's first occurrence in order."""
+    if (
+        isinstance(n, (bool, np.bool_))
+        or not isinstance(n, (int, np.integer))
+        or not 0 <= n < 2**31
+    ):
+        raise InvalidParameterError(
+            f"n must be an int in [0, 2**31), got {n!r}"
+        )
+    n = int(n)
+    columns: list[np.ndarray] = []
+    for name, values in (("sources", sources), ("targets", targets)):
+        try:
+            array = np.asarray(values)
+        except (TypeError, ValueError) as error:
+            raise InvalidParameterError(f"{name} is not an array: {error}") from None
+        if array.ndim != 1:
+            raise InvalidParameterError(
+                f"{name} must be a 1-D array, got shape {array.shape}"
+            )
+        if array.size and array.dtype.kind not in "iu":
+            raise InvalidParameterError(
+                f"{name} must hold integers, got dtype {array.dtype}"
+            )
+        if array.size and not (0 <= array.min() and array.max() < n):
+            raise InvalidParameterError(
+                f"{name} must lie in [0, n) = [0, {n}), got values from "
+                f"{array.min()} to {array.max()}"
+            )
+        columns.append(np.array(array, dtype=np.int64))
+    source, target = columns
+    if source.size != target.size:
+        raise InvalidParameterError(
+            f"sources and targets must have equal lengths, got {source.size} "
+            f"and {target.size}"
+        )
+    loops = source == target
+    if loops.any():
+        raise SelfLoopError(int(source[np.argmax(loops)]))
+    # One int64 key per edge (n < 2**31, so it cannot overflow).  A stable
+    # sort keeps equal edges in input order, so the first of each run is
+    # that edge's first occurrence.
+    keys = source * n + target
+    order = np.argsort(keys, kind="stable")
+    fresh = np.concatenate([[True], np.diff(keys[order]) != 0])
+    if not fresh.all():
+        first = np.sort(order[fresh])
+        source, target = source[first], target[first]
+    return _EdgeArrays(
+        n=n,
+        sources=source,
+        targets=target,
+        in_degrees=np.bincount(target, minlength=n).tolist(),
+        out_degrees=np.bincount(source, minlength=n).tolist(),
+    )
 
 
 class Digraph:
@@ -49,7 +178,10 @@ class Digraph:
     1
     """
 
-    __slots__ = ("_succ", "_pred")
+    # ``_arrays`` is set only on an array-built graph (_ArrayDigraph),
+    # which leaves ``_succ`` and ``_pred`` unset until it builds them.
+    __slots__ = ("_succ", "_pred", "_arrays")
+    _arrays: _EdgeArrays
 
     def __init__(
         self,
@@ -62,6 +194,33 @@ class Digraph:
             self.add_node(node)
         for source, target in edges:
             self.add_edge(source, target)
+
+    @staticmethod
+    def from_edge_arrays(n: int, sources: np.ndarray, targets: np.ndarray) -> "Digraph":
+        """Return the graph on nodes ``0 … n − 1`` with the edges
+        ``(sources[k], targets[k])``, built from the arrays.
+
+        The result answers every query as
+        ``Digraph(nodes=range(n), edges=zip(sources.tolist(),
+        targets.tolist()))`` does, and once built its adjacency sets iterate
+        in the same order.  It answers :attr:`nodes`,
+        :attr:`number_of_nodes`, :attr:`number_of_edges`, the degree and
+        node-membership queries and :meth:`edge_arrays` from the arrays, and
+        builds the sets only when a set-valued query first needs them.
+
+        ``sources`` and ``targets`` must be equal-length 1-D integer arrays
+        with values in ``[0, n)``; anything else raises
+        :class:`~repro.exceptions.InvalidParameterError`.  A self-loop raises
+        :class:`~repro.exceptions.SelfLoopError` naming the node, and
+        duplicate edges are collapsed.  The arrays are copied.
+
+        >>> g = Digraph.from_edge_arrays(3, np.array([0, 1, 1]), np.array([1, 2, 2]))
+        >>> g.number_of_edges, g.in_degree(2)
+        (2, 1)
+        """
+        graph = _ArrayDigraph.__new__(_ArrayDigraph)
+        graph._arrays = _checked_edge_arrays(n, sources, targets)
+        return graph
 
     # ------------------------------------------------------------------
     # Construction
@@ -128,7 +287,8 @@ class Digraph:
         del self._pred[node]
 
     def copy(self) -> "Digraph":
-        """Return an independent copy of the graph."""
+        """Return an independent copy of the graph (an array-built graph's
+        copy shares its read-only arrays and stays array-built)."""
         clone = Digraph()
         clone._succ = {node: set(targets) for node, targets in self._succ.items()}
         clone._pred = {node: set(sources) for node, sources in self._pred.items()}
@@ -160,6 +320,28 @@ class Digraph:
     def number_of_edges(self) -> int:
         """``|E|``."""
         return sum(len(targets) for targets in self._succ.values())
+
+    def edge_arrays(self) -> tuple[Sequence[NodeId], np.ndarray, np.ndarray]:
+        """Return ``(nodes, sources, targets)``: the node order and, for
+        every edge, the positions of its source and its target in that order
+        (two int64 arrays, in no particular edge order).
+
+        An array-built graph returns ``range(n)`` and its own read-only
+        arrays without building its sets; a per-edge graph builds the
+        arrays from its sets on every call.
+        """
+        nodes = tuple(self._succ)
+        position = {node: index for index, node in enumerate(nodes)}
+        in_sets = [self._pred[node] for node in nodes]
+        sources = np.array(
+            [position[source] for senders in in_sets for source in senders],
+            dtype=np.int64,
+        )
+        targets = np.repeat(
+            np.arange(len(nodes), dtype=np.int64),
+            np.array([len(senders) for senders in in_sets], dtype=np.int64),
+        )
+        return nodes, sources, targets
 
     def has_node(self, node: NodeId) -> bool:
         """Return whether ``node`` is in the graph."""
@@ -278,3 +460,80 @@ class Digraph:
     def _require_node(self, node: NodeId) -> None:
         if node not in self._succ:
             raise NodeNotFoundError(node)
+
+
+class _ArrayDigraph(Digraph):
+    """A :class:`Digraph` built by :meth:`Digraph.from_edge_arrays` whose
+    adjacency sets are not built yet.
+
+    It answers the node, count and degree queries and :meth:`edge_arrays`
+    from its ``_arrays``.  Every other query reads ``_succ`` or ``_pred``,
+    which are unset, so Python calls :meth:`__getattr__`: that builds the
+    sets and turns the object into a plain :class:`Digraph`.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> object:
+        if name not in ("_succ", "_pred"):
+            raise AttributeError(f"'Digraph' object has no attribute {name!r}")
+        self._build_sets()
+        return getattr(self, name)
+
+    def _build_sets(self) -> None:
+        """Fill the adjacency sets from the arrays and become a plain
+        :class:`Digraph`.
+
+        Each set receives its members in the per-edge build's insertion
+        order, so it iterates as it would there.  The arrays are dropped, so
+        mutations cannot leave them stale.
+        """
+        arrays = self._arrays
+        succ: dict[NodeId, set[NodeId]] = {node: set() for node in range(arrays.n)}
+        pred: dict[NodeId, set[NodeId]] = {node: set() for node in range(arrays.n)}
+        for source, target in zip(arrays.sources.tolist(), arrays.targets.tolist()):
+            succ[source].add(target)
+            pred[target].add(source)
+        self._succ, self._pred = succ, pred
+        del self._arrays
+        object.__setattr__(self, "__class__", Digraph)
+
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        # Pickle and deepcopy keep the arrays only: the default slot state
+        # would read, and so build, the sets.
+        return None, {"_arrays": self._arrays}
+
+    def copy(self) -> Digraph:
+        clone = _ArrayDigraph.__new__(_ArrayDigraph)
+        clone._arrays = self._arrays
+        return clone
+
+    @property
+    def nodes(self) -> frozenset[NodeId]:
+        return frozenset(range(self._arrays.n))
+
+    @property
+    def number_of_nodes(self) -> int:
+        return self._arrays.n
+
+    @property
+    def number_of_edges(self) -> int:
+        return int(self._arrays.sources.size)
+
+    def edge_arrays(self) -> tuple[Sequence[NodeId], np.ndarray, np.ndarray]:
+        return range(self._arrays.n), self._arrays.sources, self._arrays.targets
+
+    def has_node(self, node: NodeId) -> bool:
+        return self._arrays.index(node) is not None
+
+    def in_degree(self, node: NodeId) -> int:
+        return self._arrays.in_degrees[self._arrays.require(node)]
+
+    def out_degree(self, node: NodeId) -> int:
+        return self._arrays.out_degrees[self._arrays.require(node)]
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(range(self._arrays.n))
+
+    def __len__(self) -> int:
+        return self._arrays.n

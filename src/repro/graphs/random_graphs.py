@@ -136,7 +136,10 @@ def heterogeneous_ring_lattice(
     bucket-major plane across many degree buckets) while the edge count
     stays ``O(n)``, so ``n = 10^5`` is cheap to build.  Construction is
     vectorized — the ring offsets and the extra-edge endpoints are drawn as
-    flat NumPy arrays, not per-node Python loops.  ``extra_mean`` must lie
+    flat NumPy arrays, not per-node Python loops — and the graph is
+    array-built (:meth:`~repro.graphs.digraph.Digraph.from_edge_arrays`), so
+    its neighbour sets are built only if a set-valued query needs them; the
+    batch engine reads the arrays.  ``extra_mean`` must lie
     in ``[0, n − 1]``, which refuses NaN and infinity too: a node has only
     ``n − 1`` possible in-neighbours, so a larger mean only adds duplicate
     draws.
@@ -169,10 +172,7 @@ def heterogeneous_ring_lattice(
     )
     sources = np.concatenate(ring_sources + [extra_sources])
     all_targets = np.concatenate(ring_targets + [extra_targets])
-    return Digraph(
-        nodes=range(n),
-        edges=zip(sources.tolist(), all_targets.tolist()),
-    )
+    return Digraph.from_edge_arrays(n, sources, all_targets)
 
 
 def random_core_like_network(

@@ -202,25 +202,36 @@ def bucket_plane(
 ) -> tuple[np.ndarray, np.ndarray, PlaneLayout, np.ndarray]:
     """Build the CSR in-neighbour lists and the bucket-major plane layout.
 
-    Returns ``(csr_indptr, csr_indices, layout, plane_order)``.  The CSR
-    keeps the receivers (state columns over ``nodes``) in the given order
-    and each receiver's senders sorted by ``repr``.  The plane permutes the
-    receiver segments bucket-major (grouped by exact in-degree, given order
-    within a bucket) so each bucket is one contiguous slab;
-    ``plane_order`` maps each plane slot to its CSR position.
+    ``nodes`` lists every node of ``graph`` in state-column order, sorted by
+    ``repr`` as both batch engines' columns are.  Returns ``(csr_indptr,
+    csr_indices, layout, plane_order)``.  The CSR keeps the receivers (state
+    columns) in the given order and each receiver's senders in column order,
+    which is ``repr`` order; two distinct nodes with the same ``repr`` keep
+    their column order.  The plane permutes the receiver segments
+    bucket-major (grouped by exact in-degree, given order within a bucket)
+    so each bucket is one contiguous slab; ``plane_order`` maps each plane
+    slot to its CSR position.
+
+    The CSR comes from :meth:`~repro.graphs.digraph.Digraph.edge_arrays`
+    with one sort on the (receiver, sender column) key, so an array-built
+    graph never builds its neighbour sets here.
     """
     column = {node: index for index, node in enumerate(nodes)}
-    indptr = [0]
-    indices: list[int] = []
-    for receiver_column in receiver_columns.tolist():
-        senders = graph.in_neighbors(nodes[receiver_column])
-        indices.extend(column[sender] for sender in sorted(senders, key=repr))
-        indptr.append(len(indices))
-    csr_indptr = np.array(indptr, dtype=np.int64)
-    layout, plane_order = plane_layout(
-        np.diff(csr_indptr), receiver_columns, len(nodes)
-    )
-    return csr_indptr, np.array(indices, dtype=np.int64), layout, plane_order
+    graph_nodes, sources, targets = graph.edge_arrays()
+    column_of = np.array([column[node] for node in graph_nodes], dtype=np.int64)
+    # Each edge's receiver as its rank in receiver_columns (-1: no receiver).
+    rank = np.full(len(nodes), -1, dtype=np.int64)
+    rank[receiver_columns] = np.arange(receiver_columns.size)
+    receivers = rank[column_of[targets]]
+    kept = receivers >= 0
+    receivers = receivers[kept]
+    senders = column_of[sources[kept]]
+    # A graph has no parallel edges, so the keys are distinct.
+    csr_indices = senders[np.argsort(receivers * len(nodes) + senders)]
+    degrees = np.bincount(receivers, minlength=receiver_columns.size)
+    csr_indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    layout, plane_order = plane_layout(degrees, receiver_columns, len(nodes))
+    return csr_indptr, csr_indices, layout, plane_order
 
 
 def reduce_plane(
@@ -905,11 +916,11 @@ class VectorizedEngine:
 
         if activity is not None and activity.awake is not None:
             # Asleep receivers skip their update (state frozen); their state
-            # stays visible on out-edges next round.
+            # stays visible on out-edges next round.  Only their columns are
+            # copied back: O(B · asleep), not O(B · n).
             ff = self._ff_cols
-            new_state[:, ff] = np.where(
-                activity.awake[ff][None, :], new_state[:, ff], state[:, ff]
-            )
+            asleep = ff[~activity.awake[ff]]
+            new_state[:, asleep] = state[:, asleep]
         self._write_nominal(context, new_state)
         return new_state
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from repro.conditions import (
     find_violating_partition,
     verify_certificate,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, SelfLoopError
 from repro.graphs import Digraph
 from repro.sweeps.grid import apply_overrides
 from repro.sweeps.registry import all_experiments
@@ -109,7 +110,11 @@ VERDICT_PARAMETERS = {
     "max_exhaustive_nodes": (st.integers(10, 24), NEGATIVE),
     "max_exact_nodes": (st.integers(0, 32), NEGATIVE),
     "witness_attempts": (st.integers(1, 30), NOT_POSITIVE),
-    "greedy_seeds": (st.none() | st.integers(1, 12), NOT_POSITIVE),
+    # None is greedy_seeds' default ("every seed"), so it is not refused.
+    "greedy_seeds": (
+        st.none() | st.integers(1, 12),
+        NOT_POSITIVE.filter(lambda value: value is not None),
+    ),
     "rng": (st.integers(0, 2**64), NEGATIVE),
     "decision_budget": (st.integers(1, 10**6), NOT_POSITIVE),
 }
@@ -219,3 +224,62 @@ def test_exact_search_agrees_with_enumeration_or_refuses(graph, f, threshold, bu
     if result.status != "unknown":
         expected = find_violating_partition(graph, f, threshold=threshold)
         assert (result.status == "violation") == (expected is not None)
+
+
+#: Element types of the edge-array fuzzer: only the integer ones are legal.
+EDGE_DTYPES = (np.int64, np.int32, np.uint8, np.uint64, np.float64, np.bool_)
+
+
+@st.composite
+def edge_arrays(draw):
+    """A 1-D or 2-D array of small values (negative ones wrap for uints)."""
+    dtype = draw(st.sampled_from(EDGE_DTYPES), label="dtype")
+    length = draw(st.integers(0, 8), label="length")
+    values = draw(st.lists(st.integers(-2, 9), min_size=length, max_size=length))
+    array = np.array(values, dtype=np.int64).astype(dtype)
+    if draw(st.booleans()) and length % 2 == 0:
+        array = array.reshape(2, -1)
+    return array
+
+
+def edge_array_defect(n, sources, targets):
+    """Why ``from_edge_arrays`` must refuse the operands, or ``None``."""
+    if type(n) is not int or n < 0:
+        return "n"
+    for array in (sources, targets):
+        if array.ndim != 1:
+            return "shape"
+        if array.size and array.dtype.kind not in "iu":
+            return "dtype"
+        if array.size and not (array.min() >= 0 and array.max() < n):
+            return "range"
+    if sources.size != targets.size:
+        return "length"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(-1, 9) | st.sampled_from([True, 3.0, None, "4"]),
+    sources=edge_arrays(),
+    targets=edge_arrays(),
+)
+def test_edge_arrays_build_the_per_edge_graph_or_are_refused(n, sources, targets):
+    defect = edge_array_defect(n, sources, targets)
+    loops = [s for s, t in zip(sources.tolist(), targets.tolist()) if s == t]
+    try:
+        graph = Digraph.from_edge_arrays(n, sources, targets)
+    except InvalidParameterError:
+        assert defect is not None
+        return
+    except SelfLoopError as error:
+        assert defect is None and loops
+        assert f"node {loops[0]!r} " in str(error)
+        return
+    assert defect is None and not loops
+    expected = Digraph(nodes=range(n), edges=zip(sources.tolist(), targets.tolist()))
+    assert graph.number_of_edges == expected.number_of_edges
+    assert [graph.in_degree(v) for v in range(n)] == [
+        expected.in_degree(v) for v in range(n)
+    ]
+    assert graph == expected

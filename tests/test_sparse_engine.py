@@ -1,7 +1,9 @@
 """Unit tests for the CSR message plane of the batch engines.
 
-Covers what the differential suites don't: the CSR layout itself (and the
-asynchronous engine's channel axis, which must be the CSR order), parameter
+Covers what the differential suites don't: the CSR layout itself (pinned
+against the per-receiver build it replaced, the asynchronous engine's channel
+axis, which must be the CSR order, and the large-``n`` path, which must
+never build the graph's neighbour sets), parameter
 validation, the rejection of empty batches, the ``plane_tile_rows`` budget
 arithmetic, the memory-tiling regression (tiled == untiled bit-for-bit, and
 the tiled kernel actually allocates less), the ``run_consensus`` engine
@@ -17,13 +19,22 @@ import numpy as np
 import pytest
 
 from repro.adversary import (
+    BatchAdaptiveStrategy,
     BatchExtremePushStrategy,
     BatchRandomNoiseStrategy,
     ExtremePushStrategy,
 )
+from repro.adversary.selection import random_fault_set
 from repro.algorithms import TrimmedMeanRule, TrimmedMidpointRule
 from repro.exceptions import InvalidParameterError
-from repro.graphs import complete_graph, core_network, k_in_regular_digraph
+from repro.experiments import scale
+from repro.graphs import (
+    Digraph,
+    complete_graph,
+    core_network,
+    heterogeneous_ring_lattice,
+    k_in_regular_digraph,
+)
 from repro.simulation import (
     SimulationConfig,
     VectorizedAsyncEngine,
@@ -34,9 +45,13 @@ from repro.simulation import (
     run_vectorized,
     uniform_random_inputs,
 )
-from repro.simulation import native
+from repro.simulation import native, vectorized
 from repro.simulation.sparse import SparseEngine
-from repro.simulation.vectorized import random_input_matrix
+from repro.simulation.vectorized import (
+    bucket_plane,
+    plane_layout,
+    random_input_matrix,
+)
 
 from conftest import BATCH_ENGINE_KINDS, make_batch_engine, numpy_kernel
 
@@ -106,6 +121,162 @@ class TestCSRLayout:
             assert layout.receivers[members].tolist() == bucket.columns.tolist()
             assert set(np.diff(layout.starts)[members].tolist()) == {bucket.degree}
         assert layout.starts[-1] == engine.nnz
+
+
+def per_receiver_bucket_plane(graph, nodes, receiver_columns):
+    """:func:`bucket_plane` as it was built before the sort: one
+    ``sorted(in_neighbors, key=repr)`` per receiver."""
+    column = {node: index for index, node in enumerate(nodes)}
+    indptr = [0]
+    indices = []
+    for receiver_column in receiver_columns.tolist():
+        senders = graph.in_neighbors(nodes[receiver_column])
+        indices.extend(column[sender] for sender in sorted(senders, key=repr))
+        indptr.append(len(indices))
+    csr_indptr = np.array(indptr, dtype=np.int64)
+    layout, plane_order = plane_layout(
+        np.diff(csr_indptr), receiver_columns, len(nodes)
+    )
+    return csr_indptr, np.array(indices, dtype=np.int64), layout, plane_order
+
+
+def assert_same_planes(built, expected):
+    """All four :func:`bucket_plane` outputs are equal, dtypes included."""
+    indptr, indices, layout, plane_order = built
+    want_indptr, want_indices, want_layout, want_order = expected
+    for got, want in (
+        (indptr, want_indptr),
+        (indices, want_indices),
+        (plane_order, want_order),
+        (layout.receivers, want_layout.receivers),
+        (layout.starts, want_layout.starts),
+    ):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (layout.width, layout.max_degree) == (
+        want_layout.width,
+        want_layout.max_degree,
+    )
+    assert len(layout.buckets) == len(want_layout.buckets)
+    for bucket, want in zip(layout.buckets, want_layout.buckets):
+        assert (bucket.degree, bucket.plane_start, bucket.plane_stop) == (
+            want.degree,
+            want.plane_start,
+            want.plane_stop,
+        )
+        assert np.array_equal(bucket.columns, want.columns)
+
+
+def random_edge_graph(seed, label):
+    """A random graph on 5 … 40 nodes named by ``label``, built per edge,
+    and its int edge arrays."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    m = int(rng.integers(n, 6 * n))
+    sources = rng.integers(0, n, size=m)
+    targets = (sources + rng.integers(1, n, size=m)) % n
+    names = [label(i) for i in range(n)]
+    graph = Digraph(
+        nodes=names,
+        edges=zip([names[i] for i in sources], [names[i] for i in targets]),
+    )
+    return graph, n, sources, targets
+
+
+#: Node namings whose repr order differs from their int order.
+NODE_LABELS = {
+    "int": lambda i: i,
+    "str": lambda i: f"n{i * 7 % 13}-{i}",
+    "tuple": lambda i: (i % 3, str(i)),
+}
+
+
+class TestCSRMatchesThePerReceiverBuild:
+    """The sort-built CSR equals the per-receiver loop on every graph whose
+    nodes have distinct ``repr``s, however the graph was built."""
+
+    @pytest.mark.parametrize("label", sorted(NODE_LABELS))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_all_four_outputs_match(self, label, seed):
+        graph, n, sources, targets = random_edge_graph(seed, NODE_LABELS[label])
+        graphs = [graph]
+        if label == "int":
+            graphs.append(Digraph.from_edge_arrays(n, sources, targets))
+        rng = np.random.default_rng(1000 + seed)
+        nodes = tuple(sorted(graph.nodes, key=repr))
+        for receiver_columns in (
+            np.arange(n),
+            np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False)),
+        ):
+            expected = per_receiver_bucket_plane(graph, nodes, receiver_columns)
+            for candidate in graphs:
+                built = bucket_plane(candidate, nodes, receiver_columns)
+                assert_same_planes(built, expected)
+        if label == "int":  # the array-built graph never built its sets
+            assert type(graphs[-1]) is not Digraph
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_the_adaptive_probe_plane_matches(self, seed, monkeypatch):
+        graph = heterogeneous_ring_lattice(40 + seed, 2, rng=seed)
+        faulty = random_fault_set(graph, 2, rng=seed)
+        strategy = BatchAdaptiveStrategy(mode="lookahead")
+        engine = VectorizedEngine(
+            graph, TrimmedMeanRule(2), faulty=faulty, adversary=strategy
+        )
+        state = engine.pack_inputs(random_input_matrix(engine.nodes, 2, rng=seed))
+        context = engine._context(state, 1)
+        probe = strategy._build_layout(context)
+        monkeypatch.setattr(vectorized, "bucket_plane", per_receiver_bucket_plane)
+        expected = strategy._build_layout(context)
+        for name in ("slots", "channels", "channel_slots", "channel_receivers"):
+            assert np.array_equal(getattr(probe, name), getattr(expected, name))
+        assert np.array_equal(probe.layout.starts, expected.layout.starts)
+        assert np.array_equal(probe.layout.receivers, expected.layout.receivers)
+
+    def test_senders_sharing_a_repr_fall_in_column_order(self):
+        class Named:
+            """A node whose repr is not unique."""
+
+            def __repr__(self):
+                return "same"
+
+        first, second, receiver = Named(), Named(), "receiver"
+        graph = Digraph(edges=[(second, receiver), (first, receiver)])
+        nodes = (first, second, receiver)
+        indptr, indices, _, _ = bucket_plane(graph, nodes, np.array([2]))
+        assert indptr.tolist() == [0, 2]
+        assert indices.tolist() == [0, 1]
+
+
+class TestLargeNPathBuildsNoSets:
+    """E14's path reads the lattice's edge arrays only: building its
+    neighbour sets at n = 10^5 would cost as much as the rounds."""
+
+    def test_generator_to_run_batch(self):
+        graph = heterogeneous_ring_lattice(3000, 2, rng=5)
+        faulty = random_fault_set(graph, 2, rng=6)
+        engine = VectorizedEngine(
+            graph,
+            TrimmedMeanRule(2),
+            faulty=faulty,
+            adversary=BatchExtremePushStrategy(delta=1.5),
+            config=SimulationConfig(max_rounds=3, record_history=False),
+        )
+        outcome = engine.run_batch(random_input_matrix(engine.nodes, 2, rng=7))
+        assert outcome.all_valid
+        assert type(graph) is not Digraph, "the neighbour sets were built"
+
+    @pytest.mark.parametrize("n, dtype", [(2001, "float64"), (2500, "float32")])
+    def test_large_n_cell(self, monkeypatch, n, dtype):
+        graphs = []
+
+        def capture(*args, **kwargs):
+            graphs.append(heterogeneous_ring_lattice(*args, **kwargs))
+            return graphs[-1]
+
+        monkeypatch.setattr(scale, "heterogeneous_ring_lattice", capture)
+        [row] = scale.large_n_cell(n, dtype, batch=2, rounds=3)
+        assert not row["equivalence_checked"] and row["all_validity_ok"]
+        assert type(graphs[0]) is not Digraph, "the neighbour sets were built"
 
 
 class TestValidation:
