@@ -114,9 +114,11 @@ sweep-smoke:
 	$(PYTHON) -m repro report smoke-scale --results-dir .sweep-smoke
 	# E14 through the CLI: the n = 2000 float64 cell runs the scalar
 	# guard (which builds the lattice's neighbour sets), the others read
-	# only its edge arrays.
+	# only its edge arrays.  The n = 20000 cells (2 rows x 1.6e5 plane
+	# slots) are above the compiled kernel's split threshold, so the
+	# forked workers split their rounds across threads.
 	$(PYTHON) -m repro run large_n \
-		--grid n=2000,5000 --grid dtype=float64,float32 \
+		--grid n=2000,5000,20000 --grid dtype=float64,float32 \
 		--grid batch=2 --grid rounds=3 \
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-large-n
 	$(PYTHON) -m repro report smoke-large-n --results-dir .sweep-smoke

@@ -359,7 +359,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     provenance = manifest.get("provenance", {})
     print(
         f"provenance:     python {provenance.get('python')}, "
-        f"numpy {provenance.get('numpy')}, git {provenance.get('git_sha')}"
+        f"numpy {provenance.get('numpy')}, cpus {provenance.get('cpus')}, "
+        f"git {provenance.get('git_sha')}"
     )
     aggregate = store.read_aggregate()
     print()

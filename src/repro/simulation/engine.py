@@ -354,18 +354,26 @@ def refuse_nan_channels(
 
 
 def checked_fault_free(
-    graph: Digraph, rule: UpdateRule, faulty: frozenset[NodeId]
+    graph: Digraph,
+    rule: UpdateRule,
+    faulty: frozenset[NodeId],
+    fault_free: tuple[NodeId, ...] | None = None,
 ) -> tuple[NodeId, ...]:
     """Check an engine's fault set and rule; return the fault-free nodes
     sorted by ``repr``.  An all-faulty set fails before the budget (it is
     malformed whatever ``f`` is), and the rule's structural precondition
-    only needs to hold where the rule runs: at the fault-free nodes."""
-    unknown = faulty - graph.nodes
+    only needs to hold where the rule runs: at the fault-free nodes.
+
+    A caller that has the fault-free nodes in ``repr`` order already (the
+    batch engines read them off their state columns) passes them as
+    ``fault_free`` and they are not sorted again."""
+    unknown = [node for node in faulty if not graph.has_node(node)]
     if unknown:
         raise InvalidParameterError(
             f"faulty nodes {sorted(unknown, key=repr)!r} are not in the graph"
         )
-    fault_free = tuple(sorted(graph.nodes - faulty, key=repr))
+    if fault_free is None:
+        fault_free = tuple(sorted(graph.nodes - faulty, key=repr))
     if not fault_free:
         raise InvalidParameterError("at least one node must be fault-free")
     if len(faulty) > rule.f:

@@ -22,6 +22,11 @@ The first :func:`kernel` call:
 If any step fails, :func:`kernel` returns ``None`` and the NumPy kernel
 stays in use; :func:`status` says which kernel runs and why.  What the
 machine can do is the only thing that selects the kernel.
+
+``reduce_plane`` splits a call of at least :data:`SPLIT_SLOT_READS` slot
+reads into row chunks that run at once (:func:`split_parts`,
+:func:`run_split`) on threads that live only for that call, so a forked
+worker starts with none; every row's output is the same bits.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -55,6 +61,12 @@ COMPILERS = ("cc", "gcc", "clang")
 #: Directory of the library cache.
 CACHE_DIR = Path(__file__).with_name("__pycache__")
 
+#: Fewest slot reads (rows × plane slots) a call splits across CPUs at.
+#: Starting and joining a thread costs ~50 µs on a 2-vCPU VM, where a
+#: two-way split of 2**17 reads runs 1.38× faster and one of 2**16 reads
+#: about breaks even (docs/performance.md).
+SPLIT_SLOT_READS = 2**17
+
 #: The loaded kernel (``None`` when unavailable) and the reason, once known.
 _state: dict[str, Any] = {}
 
@@ -71,7 +83,8 @@ class NativeKernel:
     with NumPy 2.4, ndpointer's per-array checks cost ~30 µs per call,
     more than the whole NumPy kernel takes for a round at n = 7.
     ``reduce_plane`` checks the operands once instead, and
-    :class:`~repro.simulation.vectorized.PlaneLayout` its own arrays.
+    :class:`~repro.simulation.vectorized.PlaneLayout` its own arrays, whose
+    addresses it keeps.
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
@@ -107,13 +120,14 @@ class NativeKernel:
         source = np.ascontiguousarray(source)
         slots = np.ascontiguousarray(slots, dtype=np.int64)
         state = np.ascontiguousarray(state)
+        receivers, starts = layout.addresses
         failed = self._functions[source.dtype](
             source.ctypes.data,
             source.shape[1],
             source.shape[0],
             slots.ctypes.data,
-            layout.receivers.ctypes.data,
-            layout.starts.ctypes.data,
+            receivers,
+            starts,
             layout.receivers.size,
             layout.max_degree,
             state.ctypes.data,
@@ -124,6 +138,57 @@ class NativeKernel:
         )
         if failed:
             raise MemoryError("the compiled plane kernel could not allocate its buffer")
+
+
+def cpu_count() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one, else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def split_parts(rows: int, slots: int) -> int:
+    """How many row chunks a call over ``rows`` rows and ``slots`` plane
+    slots runs in: one below :data:`SPLIT_SLOT_READS` reads, else one per
+    :data:`SPLIT_SLOT_READS` reads, capped at the CPUs and the rows."""
+    reads = rows * slots
+    if reads < SPLIT_SLOT_READS:
+        return 1
+    return min(cpu_count(), rows, reads // SPLIT_SLOT_READS)
+
+
+def run_split(chunk: Callable[[int, int], None], rows: int, parts: int) -> None:
+    """Run ``chunk(start, stop)`` on ``parts`` contiguous row ranges at once.
+
+    Range 0 runs on the calling thread, every other range on a thread
+    started and joined here, so no thread outlives the call.  An exception
+    of any range is re-raised (the first in range order) only after every
+    thread has joined.
+    """
+    bounds = [rows * part // parts for part in range(parts + 1)]
+    errors: list[BaseException | None] = [None] * parts
+
+    def guarded(part: int) -> None:
+        try:
+            chunk(bounds[part], bounds[part + 1])
+        except BaseException as exc:  # re-raised by the caller after the join
+            errors[part] = exc
+
+    threads: list[threading.Thread] = []
+    try:
+        for part in range(1, parts):
+            thread = threading.Thread(target=guarded, args=(part,))
+            thread.start()
+            threads.append(thread)
+        guarded(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def kernel() -> NativeKernel | None:
@@ -142,9 +207,17 @@ def kernel() -> NativeKernel | None:
 
 
 def status() -> str:
-    """Say which plane kernel runs on this machine and why."""
-    kernel()
-    return str(_state["status"])
+    """Say which plane kernel runs on this machine and why, and how the
+    compiled one splits a round."""
+    if kernel() is None:
+        return str(_state["status"])
+    cpus = cpu_count()
+    split = (
+        f"splits rounds of >= {SPLIT_SLOT_READS} slot reads over {cpus} CPUs"
+        if cpus > 1
+        else "runs every round on the one CPU this process may use"
+    )
+    return f"{_state['status']}; {split}"
 
 
 def _cache_key() -> str:

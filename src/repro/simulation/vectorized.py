@@ -61,7 +61,8 @@ plus a row-stochastic reduction, and that is exactly what the arrays do.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -71,6 +72,7 @@ from repro.adversary.vectorized import (
     BatchAdversaryContext,
     BatchStrategy,
     as_batch_strategy,
+    fault_free_block,
 )
 from repro.algorithms.base import UpdateRule
 from repro.algorithms.trimmed_mean import TrimmedMeanRule, TrimmedMidpointRule
@@ -126,7 +128,10 @@ class PlaneLayout:
     walks the same plane one receiver at a time: receiver ``i`` (in plane
     order) owns plane slots ``starts[i]`` to ``starts[i + 1]`` and writes
     state column ``receivers[i]``.  ``width`` is the number of state
-    columns, ``max_degree`` the largest segment.
+    columns, ``max_degree`` the largest segment.  ``addresses`` holds the
+    addresses of ``receivers`` and ``starts`` for the compiled kernel,
+    read once: each ``ndarray.ctypes`` lookup costs ~0.85 µs, a twentieth
+    of a whole kernel call at ``n = 11``.
     """
 
     buckets: tuple[_DegreeBucket, ...]
@@ -134,6 +139,7 @@ class PlaneLayout:
     starts: np.ndarray
     width: int
     max_degree: int
+    addresses: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The compiled kernel indexes with these arrays unchecked.
@@ -155,6 +161,20 @@ class PlaneLayout:
                 "int64 segment starts from 0, non-decreasing, with no "
                 "segment longer than max_degree"
             )
+        object.__setattr__(
+            self, "addresses", (receivers.ctypes.data, starts.ctypes.data)
+        )
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        # Copies and unpickled layouts rebuild through __init__, so their
+        # addresses are those of their own arrays.
+        return type(self), (
+            self.buckets,
+            self.receivers,
+            self.starts,
+            self.width,
+            self.max_degree,
+        )
 
 
 def plane_layout(
@@ -259,13 +279,26 @@ def reduce_plane(
     build it, else :func:`reduce_plane_numpy`; both give equal outputs
     (``np.array_equal(..., equal_nan=True)``; only the sign of a zero
     result may differ, as ``np.sort`` leaves the order of ``-0.0`` and
-    ``0.0`` open).
+    ``0.0`` open).  A large call runs the compiled kernel on contiguous row
+    chunks at once, one per CPU (:func:`repro.simulation.native.split_parts`);
+    each row's output is the same bits as in one serial call.
     """
     _check_operands(source, slots, state, out, layout, f, mode)
-    kernel: Callable[..., None] | None = native.kernel()
+    kernel = native.kernel()
     if kernel is None or not out.flags.c_contiguous:
-        kernel = reduce_plane_numpy
-    kernel(source, slots, state, out, layout, f, mode)
+        reduce_plane_numpy(source, slots, state, out, layout, f, mode)
+        return
+    rows = source.shape[0]
+    parts = native.split_parts(rows, slots.size)
+    if parts == 1:
+        kernel(source, slots, state, out, layout, f, mode)
+        return
+
+    def chunk(start: int, stop: int) -> None:
+        part = slice(start, stop)
+        kernel(source[part], slots, state[part], out[part], layout, f, mode)
+
+    native.run_split(chunk, rows, parts)
 
 
 def _check_operands(
@@ -513,7 +546,22 @@ class VectorizedEngine:
                 "(use SynchronousEngine for other rules)"
             )
 
-        self._ff_nodes = checked_fault_free(graph, rule, self._faulty)
+        # One repr sort and one membership scan give the state columns and
+        # both column sets; the checks reuse the fault-free nodes they give.
+        self._nodes: tuple[NodeId, ...] = tuple(sorted(graph.nodes, key=repr))
+        is_faulty = np.fromiter(
+            map(self._faulty.__contains__, self._nodes),
+            dtype=bool,
+            count=len(self._nodes),
+        )
+        self._faulty_cols = np.flatnonzero(is_faulty)
+        self._ff_cols = np.flatnonzero(~is_faulty)
+        self._ff_nodes = checked_fault_free(
+            graph,
+            rule,
+            self._faulty,
+            fault_free=tuple(itertools.compress(self._nodes, (~is_faulty).tolist())),
+        )
         self._build_index_arrays()
         if schedule is not None:
             self._build_edge_arrays()
@@ -527,9 +575,9 @@ class VectorizedEngine:
         """Build the CSR lists, the bucket-major plane layout and the flat
         channel scatter positions.
 
-        Nodes are sorted by ``repr`` (the scalar engine's deterministic
-        tie-break) into state columns.  Two layouts coexist over them, both
-        built by :func:`bucket_plane`:
+        The state columns are the nodes sorted by ``repr`` (the scalar
+        engine's deterministic tie-break).  Two layouts coexist over them,
+        both built by :func:`bucket_plane`:
 
         * the **canonical CSR** (:attr:`csr_indptr` / :attr:`csr_indices`)
           keeps fault-free receivers in column order, senders by ``repr``
@@ -545,23 +593,12 @@ class VectorizedEngine:
           round's ``E_f`` channel values after the ``n`` state columns:
           canonical channel ``j`` is read from column ``n + j``.
         """
-        graph = self._graph
-        self._nodes: tuple[NodeId, ...] = tuple(sorted(graph.nodes, key=repr))
-        self._column = {node: index for index, node in enumerate(self._nodes)}
-        self._faulty_cols = np.array(
-            [i for i, node in enumerate(self._nodes) if node in self._faulty],
-            dtype=int,
-        )
-        self._ff_cols = np.array(
-            [i for i, node in enumerate(self._nodes) if node not in self._faulty],
-            dtype=int,
-        )
         (
             self._csr_indptr,
             self._csr_indices,
             self._layout,
             self._plane_order,
-        ) = bucket_plane(graph, self._nodes, self._ff_cols)
+        ) = bucket_plane(self._graph, self._nodes, self._ff_cols)
 
         # The faulty-sender CSR slots, in order, are the canonical channels.
         sender_is_faulty = np.zeros(len(self._nodes), dtype=bool)
@@ -981,11 +1018,7 @@ class VectorizedEngine:
             final_spread=float(outcome.final_spread[0]),
             initial_spread=float(outcome.initial_spread[0]),
             validity_ok=bool(outcome.validity_ok[0]),
-            final_values={
-                node: float(final[self._column[node]])
-                for node in self._nodes
-                if node not in self._faulty
-            },
+            final_values=dict(zip(self._ff_nodes, final[self._ff_cols].tolist())),
             history=trace.as_records() if trace is not None else tuple(),
         )
 
@@ -1008,7 +1041,7 @@ class VectorizedEngine:
         ff = self._ff_cols
         batch = state.shape[0]
         monitor = ValidityMonitor(
-            state[:, ff],
+            fault_free_block(state, ff),
             self._ff_nodes,
             initial_hull=self._initial_hull_validity,
             track_sleep=self._schedule is not None,
@@ -1036,7 +1069,9 @@ class VectorizedEngine:
             activity = self._round_activity(round_index)
             awake = None if activity is None else activity.awake
             lows, highs = monitor.observe(
-                state[:, ff], active, None if awake is None else awake[ff]
+                fault_free_block(state, ff),
+                active,
+                None if awake is None else awake[ff],
             )
             spread = highs - lows
             if trace is not None:

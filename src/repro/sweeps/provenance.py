@@ -1,8 +1,10 @@
 """Machine and repository provenance for run manifests and benchmark files.
 
 Every sweep manifest and every ``BENCH_*.json`` records where its numbers
-came from: interpreter and NumPy versions, machine architecture, and the git
-revision of the working tree (when available).
+came from: interpreter and NumPy versions, machine architecture, the CPUs
+the process may use (the compiled plane kernel splits large rounds across
+them, so timings depend on it), and the git revision of the working tree
+(when available).
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import subprocess
 from pathlib import Path
 
 import numpy as np
+
+from repro.simulation.native import cpu_count
 
 
 def utc_now_iso() -> str:
@@ -56,5 +60,6 @@ def machine_provenance() -> dict[str, object]:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "system": platform.system(),
+        "cpus": cpu_count(),
         "git_sha": git_revision(Path(__file__).resolve().parent),
     }

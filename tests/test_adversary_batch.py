@@ -17,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.adversary.vectorized as batch_adversary
 from repro.adversary import (
+    BatchAdaptiveStrategy,
     BatchBroadcastConsistentWrapper,
     BatchExtremePushStrategy,
     BatchFrozenValueStrategy,
@@ -318,3 +320,62 @@ class TestNativeStrategyUnits:
             assert (column == column[:, :1]).all()
         assert wrapper.name == "broadcast(batch-extreme-push)"
         assert wrapper.inner.name == "batch-extreme-push"
+
+
+class TestFaultFreeGather:
+    """``fault_free_block`` gathers C-ordered (``np.take``) when rows are
+    wide (``m >= 2B``) and by fancy indexing otherwise; both equal
+    ``state[:, columns]``."""
+
+    @pytest.mark.parametrize(
+        "batch,width,columns",
+        [
+            (64, 12, [0, 3, 4, 11]),  # B >> m: fancy indexing
+            (2, 400, list(range(0, 400, 3))),  # m >> B: np.take
+            (5, 30, list(range(10))),  # m = 2B: np.take
+            (5, 30, list(range(9))),  # m = 2B - 1: fancy indexing
+            (3, 50, [49, 0, 7, 7, 20, 21, 22, 48]),  # unsorted, repeated
+        ],
+    )
+    def test_equals_fancy_indexing_on_both_sides_of_the_switch(
+        self, batch, width, columns
+    ):
+        state = np.random.default_rng(width).normal(size=(batch, width))
+        columns = np.array(columns)
+        block = batch_adversary.fault_free_block(state, columns)
+        assert block.tobytes() == np.ascontiguousarray(state[:, columns]).tobytes()
+        assert block.shape == (batch, columns.size)
+        if columns.size >= 2 * batch:
+            assert block.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [BatchExtremePushStrategy(1.0), BatchAdaptiveStrategy(), BatchAdaptiveStrategy("greedy")],
+        ids=["extreme-push", "adaptive", "adaptive-greedy"],
+    )
+    def test_edge_values_gathers_the_round_state_once(self, monkeypatch, strategy):
+        engine = VectorizedEngine(
+            core_network(9, 2), TrimmedMeanRule(2), faulty={7, 8}, adversary=strategy
+        )
+        state = random_input_matrix(engine.nodes, 4, rng=1)
+        context = engine._context(state, 1)
+        gathers = []
+        gather = batch_adversary.fault_free_block
+
+        def counting(values, columns):
+            gathers.append(values is state)
+            return gather(values, columns)
+
+        expected = strategy.edge_values(context)
+        monkeypatch.setattr(batch_adversary, "fault_free_block", counting)
+        observed = strategy.edge_values(context)
+        # The lookahead probe gathers its three post-round states too.
+        assert gathers.count(True) == 1
+        assert np.array_equal(observed, expected)
+        lower, upper = context.fault_free_extremes
+        ff = state[:, engine._ff_cols]
+        assert np.array_equal(lower, ff.min(axis=1))
+        assert np.array_equal(upper, ff.max(axis=1))
+        assert np.array_equal(context.fault_free_max, upper)
+        assert np.array_equal(context.fault_free_min, lower)
+

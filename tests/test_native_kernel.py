@@ -15,7 +15,12 @@ pin:
   or an unknown mode raises before either kernel runs;
 * **Loader** — the cache is written through a temp name and reused, an
   unwritable cache directory falls back to a temp directory, and a library
-  that fails the self-check is not used.
+  that fails the self-check is not used;
+* **Split** — with the split threshold at one slot read and 2, 3 or 4 CPUs,
+  every call equals one serial call byte for byte, no thread outlives a
+  call, a chunk's exception reaches the caller only after every thread has
+  joined, the NumPy kernel never splits, and the fast fuzz seeds pass with
+  every round split.
 
 The parity and fuzz suites cover the engines on both kernels: the conftest
 ``tiled`` tier runs the NumPy kernel, the other tiers the compiled one.
@@ -23,7 +28,13 @@ The parity and fuzz suites cover the engines on both kernels: the conftest
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import shutil
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -62,8 +73,9 @@ def _compiled():
     return compiled
 
 
-def _random_case(rng, f, dtype, specials):
-    """A random layout, source, slots and state for one kernel call."""
+def _random_case(rng, f, dtype, specials, rows=None):
+    """A random layout, source, slots and state for one kernel call; the
+    state has ``rows + 2`` rows (1 to 5 rows when ``rows`` is None)."""
     width = int(rng.integers(2, 40))
     count = int(rng.integers(1, min(width, 12) + 1))
     low = 2 * f
@@ -72,7 +84,7 @@ def _random_case(rng, f, dtype, specials):
     degrees[rng.integers(count)] = int(rng.integers(65, 100))
     receivers = rng.permutation(width)[:count]
     layout, _ = plane_layout(degrees, receivers, width)
-    rows = int(rng.integers(1, 6))
+    rows = int(rng.integers(1, 6)) if rows is None else rows
     channels = int(rng.integers(0, 6))
     pool = np.concatenate([rng.normal(size=16), np.array(specials if specials else [])])
     # Few distinct values, so duplicates are common.
@@ -260,6 +272,26 @@ def test_layout_refuses_arrays_the_compiled_kernel_would_misread(
         )
 
 
+def test_layout_copies_keep_the_addresses_of_their_own_arrays():
+    """The compiled kernel reads ``addresses`` unchecked, so a copy must
+    never carry the addresses of the arrays it was copied from."""
+    layout, _ = plane_layout(np.array([2, 3, 0]), np.array([4, 0, 2]), 5)
+    copies = [
+        copy.copy(layout),
+        copy.deepcopy(layout),
+        pickle.loads(pickle.dumps(layout)),
+        dataclasses.replace(layout, width=6),
+    ]
+    for candidate in [layout, *copies]:
+        assert candidate.addresses == (
+            candidate.receivers.ctypes.data,
+            candidate.starts.ctypes.data,
+        )
+        assert np.array_equal(candidate.receivers, layout.receivers)
+        assert np.array_equal(candidate.starts, layout.starts)
+    assert copies[1].addresses != layout.addresses
+
+
 def test_cache_is_written_through_a_temp_name_and_reused(monkeypatch, tmp_path):
     _compiled()
     monkeypatch.setattr(native, "_state", {})
@@ -299,3 +331,175 @@ def test_library_failing_its_self_check_is_not_used(monkeypatch, tmp_path):
     monkeypatch.setattr(vectorized, "reduce_plane_numpy", off_by_one_ulp)
     assert native.kernel() is None
     assert "self-check failed" in native.status()
+
+
+# ---------------------------------------------------------------------------
+# Split across CPUs
+# ---------------------------------------------------------------------------
+
+
+def _split_everything(monkeypatch, cpus):
+    """Split every call of two or more rows over ``cpus`` CPUs, and return
+    the list each call's part count is appended to."""
+    monkeypatch.setattr(native, "SPLIT_SLOT_READS", 1)
+    monkeypatch.setattr(native, "cpu_count", lambda: cpus)
+    parts_seen = []
+    split_parts = native.split_parts
+
+    def recording(rows, slots):
+        parts_seen.append(split_parts(rows, slots))
+        return parts_seen[-1]
+
+    monkeypatch.setattr(native, "split_parts", recording)
+    return parts_seen
+
+
+@pytest.mark.parametrize(
+    "rows,slots,cpus,parts",
+    [
+        (8, 800_000, 2, 2),  # large-n: n = 10^5, B = 8
+        (8, 800_000, 4, 4),
+        (3, 10**6, 4, 3),  # no more parts than rows
+        (1, 10**7, 4, 1),
+        (8, 800_000, 1, 1),  # one CPU
+        (8, 2**14 - 1, 4, 1),  # below the threshold
+        (8, 2**14, 4, 1),  # at it: one threshold's worth per part
+        (8, 2**15, 4, 2),
+        (32, 90, 2, 1),  # mc-seeds' largest rounds
+    ],
+)
+def test_split_rule(monkeypatch, rows, slots, cpus, parts):
+    monkeypatch.setattr(native, "cpu_count", lambda: cpus)
+    assert native.split_parts(rows, slots) == parts
+
+
+def test_cpu_count_is_the_affinity_set_where_there_is_one(monkeypatch):
+    assert native.cpu_count() >= 1
+    monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    assert native.cpu_count() == 3
+    monkeypatch.delattr(native.os, "sched_getaffinity")
+    monkeypatch.setattr(native.os, "cpu_count", lambda: 6)
+    assert native.cpu_count() == 6
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_split_equals_one_serial_call_byte_for_byte(monkeypatch, cpus):
+    """More parts than this machine may have CPUs, and a short switch
+    interval, so chunks interleave: a row written twice or not at all
+    would show in the bytes."""
+    compiled = _compiled()
+    parts_seen = _split_everything(monkeypatch, cpus)
+    rng = np.random.default_rng([cpus, 11])
+    threads = threading.active_count()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _check_every_split(compiled, rng, parts_seen, cpus, threads)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def _check_every_split(compiled, rng, parts_seen, cpus, threads):
+    for rows in range(1, 10):
+        for dtype in DTYPES:
+            for mode in ("mean", "midpoint"):
+                for f in range(4):
+                    layout, source, slots, state = _random_case(
+                        rng, f, dtype, SPECIALS, rows=rows
+                    )
+                    source, state = source[:rows], state[:rows]
+                    expected = np.full_like(state, 9.0)
+                    observed = expected.copy()
+                    compiled(source, slots, state, expected, layout, f, mode)
+                    reduce_plane(source, slots, state, observed, layout, f, mode)
+                    assert parts_seen[-1] == min(cpus, rows)
+                    assert observed.tobytes() == expected.tobytes(), (rows, f)
+                    assert threading.active_count() == threads
+
+
+def test_a_chunks_exception_arrives_after_every_thread_joined(monkeypatch):
+    """A worker chunk fails its allocation while another is still running:
+    the MemoryError reaches the caller only once that one has finished."""
+    compiled = _compiled()
+    _split_everything(monkeypatch, 3)
+    layout, source, slots, state = _random_case(
+        np.random.default_rng(5), 1, np.float64, SPECIALS, rows=1
+    )
+    real = compiled._functions[np.dtype(np.float64)]
+    row_bytes = source.shape[1] * source.itemsize
+    finished = []
+
+    def failing(address, *args):
+        start = (address - source.ctypes.data) // row_bytes
+        if start == 2:
+            return -1
+        if start == 1:
+            time.sleep(0.2)
+        result = real(address, *args)
+        finished.append(start)
+        return result
+
+    monkeypatch.setitem(compiled._functions, np.dtype(np.float64), failing)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="could not allocate"):
+        reduce_plane(source, slots, state, np.zeros_like(state), layout, 1, "mean")
+    assert sorted(finished) == [0, 1]
+    assert threading.active_count() == threads
+
+
+def test_the_callers_exception_waits_for_the_workers():
+    finished = []
+
+    def chunk(start, stop):
+        if start == 0:
+            raise ValueError("chunk 0")
+        time.sleep(0.1)
+        finished.append(start)
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="chunk 0"):
+        native.run_split(chunk, 9, 3)
+    assert sorted(finished) == [3, 6]
+    assert threading.active_count() == threads
+
+
+def test_numpy_kernel_never_splits(monkeypatch):
+    _compiled()
+    parts_seen = _split_everything(monkeypatch, 4)
+    layout, source, slots, state = _random_case(
+        np.random.default_rng(6), 1, np.float64, (), rows=7
+    )
+    expected, observed = np.zeros_like(state), np.zeros_like(state)
+    reduce_plane(source, slots, state, expected, layout, 1, "mean")
+    assert parts_seen == [4]
+    threads = threading.active_count()
+    monkeypatch.setattr(native, "run_split", None)
+    with numpy_kernel():
+        reduce_plane(source, slots, state, observed, layout, 1, "mean")
+    assert parts_seen == [4]
+    assert threading.active_count() == threads
+    assert observed.tobytes() == expected.tobytes()
+
+
+def test_status_names_the_split(monkeypatch):
+    _compiled()
+    monkeypatch.setattr(native, "cpu_count", lambda: 2)
+    assert native.status().endswith(
+        "splits rounds of >= 131072 slot reads over 2 CPUs"
+    )
+    monkeypatch.setattr(native, "cpu_count", lambda: 1)
+    assert native.status().endswith("runs every round on the one CPU this process may use")
+
+
+def test_fast_fuzz_seeds_pass_with_every_round_split(monkeypatch):
+    """Engine-level parity (untiled compiled against tiled NumPy, and row 0
+    against the scalar engine) with every compiled round split."""
+    _compiled()
+    parts_seen = _split_everything(monkeypatch, 3)
+    import test_dynamic_fuzz
+    import test_sparse_fuzz
+
+    for suite in (test_sparse_fuzz, test_dynamic_fuzz):
+        for seed in range(suite.FAST_CASES):
+            suite._fuzz_one(seed)
+    assert max(parts_seen) == 3
