@@ -13,7 +13,9 @@
 #   make docs-check  docs exist, examples in them import, docstrings covered
 #   make sweep-smoke end-to-end CLI sweep: run tiny grids with two workers,
 #                    re-open them with `repro report`, and resume one after
-#                    deleting one cell's shard file
+#                    deleting one cell's shard file; then the Theorem-1
+#                    search through `repro run checker_scaling` and
+#                    `repro verdict chord --n 28 --f 1`
 
 PYTHON ?= python
 export PYTHONPATH := src:tools$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -31,7 +33,8 @@ DOCSTRING_GATE = $(PYTHON) tools/check_docstrings.py \
 	--require repro.adversary.vectorized --require repro.graphs.digraph \
 	--require repro.simulation.sparse \
 	--require repro.simulation.dynamic \
-	--require repro.simulation.native
+	--require repro.simulation.native \
+	--require repro.native --require repro.conditions.search_kernel
 
 # The two-cell sweep that sweep-smoke runs, interrupts and resumes.
 SMOKE_RUN = $(PYTHON) -m repro run convergence_rate \
@@ -122,5 +125,13 @@ sweep-smoke:
 		--grid batch=2 --grid rounds=3 \
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-large-n
 	$(PYTHON) -m repro report smoke-large-n --results-dir .sweep-smoke
+	# The Theorem-1 search end to end: E10b sweeps every candidate L of
+	# graphs up to n = 24, and chord n = 28 spends the DPLL solver's whole
+	# decision budget; both run compiled where a C compiler exists.
+	$(PYTHON) -c "from repro.conditions import search_kernel; print(search_kernel.status())"
+	$(PYTHON) -m repro run checker_scaling \
+		--workers 2 --results-dir .sweep-smoke --run-id smoke-checker
+	$(PYTHON) -m repro report smoke-checker --results-dir .sweep-smoke
+	$(PYTHON) -m repro verdict chord --n 28 --f 1
 	rm -rf .sweep-smoke
 	@echo "sweep smoke OK"

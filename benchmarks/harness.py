@@ -7,14 +7,16 @@ Each entry of :data:`SCENARIOS` times one piece of the reproduction:
   batch, in the synchronous and in the Section-7 partially asynchronous
   model (run-rounds per second);
 * ``checker`` — the exact Theorem-1 search and ``robustness_degree``, the
-  legacy pure-Python path against the bitset kernels;
+  legacy pure-Python path against the bitset kernels, and the search's
+  NumPy sweep against the compiled one;
 * ``adversary`` — every batch-native Byzantine strategy against its scalar
   adapter on the split-brain barbell of the necessity proof;
 * ``scale`` — float64 and float32 batch throughput up to ``n = 10^5``
   (node-rounds per second);
 * ``verdict`` — the layered feasibility verdict stack on the
   ``feasibility_at_scale`` battery, the core screen against the exhaustive
-  checker, and the DPLL backend's search and ``exact`` certificate re-check;
+  checker, and the DPLL backend's search (Python and compiled solver) and
+  ``exact`` certificate re-check;
 * ``dynamic`` — the per-round masking cost of each topology-schedule kind
   and of the 1-lookahead adaptive adversary.
 
@@ -37,11 +39,13 @@ smoke parameters and opens no output file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, NoReturn, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, NoReturn, Sequence
+from unittest import mock
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from repro.adversary.vectorized import (
     ScalarStrategyAdapter,
 )
 from repro.algorithms.trimmed_mean import TrimmedMeanRule
+from repro.conditions import search_kernel
 from repro.conditions.exact import exact_violation_search
 from repro.conditions.necessary import (
     check_feasibility,
@@ -276,17 +281,44 @@ def async_paths(p: Params) -> Timed:
 
 
 # -- checker: legacy pure Python vs bitset kernels ---------------------------
-Check = tuple[str, Digraph, int, Callable[[str], object]]
+@contextlib.contextmanager
+def search_path(path: str) -> Iterator[None]:
+    """Run the Theorem-1 search on ``path``: ``"compiled"`` as this machine
+    builds it, any other path on the NumPy sweep and the Python solver (the
+    compiled search switched off, as on a machine without a C compiler)."""
+    if path == "compiled":
+        yield
+        return
+    with mock.patch.object(search_kernel, "kernel", lambda: None):
+        yield
+
+
+def search_in_use() -> str:
+    """Which Theorem-1 search the ``compiled`` path runs on this machine."""
+    return "compiled" if search_kernel.kernel() is not None else "interpreted"
+
+
+#: ``(label, graph, f, paths, check)``: ``check(path)`` answers the case on
+#: one of its ``paths``.
+Check = tuple[str, Digraph, int, tuple[str, ...], Callable[[str], object]]
+
+#: The exact cases' paths: the legacy set enumeration, the bitset checker
+#: with its NumPy sweep, and the bitset checker with the compiled sweep.
+EXACT_PATHS = ("python", "numpy", "compiled")
 
 
 def checker_cases(p: Params) -> list[Check]:
-    """``(label, graph, f, check)`` per case; ``check(method)`` answers it."""
+    """One :data:`Check` per case."""
 
     def exact(graph: Digraph) -> Callable[[str], object]:
         cap = graph.number_of_nodes
-        return lambda method: find_violating_partition(
-            graph, 1, max_nodes=cap, method=method
-        )
+
+        def check(path: str) -> object:
+            method = "python" if path == "python" else "bitset"
+            with search_path(path):
+                return find_violating_partition(graph, 1, max_nodes=cap, method=method)
+
+        return check
 
     robust = core_network(p["robustness_n"], 2)
 
@@ -295,31 +327,35 @@ def checker_cases(p: Params) -> list[Check]:
         return robustness_degree(robust, max_nodes=cap, method=method)
 
     cases: list[Check] = [
-        (f"exact_{label}", graph, 1, exact(graph))
+        (f"exact_{label}", graph, 1, EXACT_PATHS, exact(graph))
         for label, graph in (
             ("chord", chord_network(p["n"], 1)),
             ("hypercube", hypercube(p["hypercube_dimension"])),
             ("core", core_network(p["n"], 1)),
         )
     ]
-    return cases + [("robustness_degree_core", robust, 2, degree)]
+    return cases + [
+        ("robustness_degree_core", robust, 2, ("python", "bitset"), degree)
+    ]
 
 
 def checker_guard(p: Params) -> None:
-    """Both paths must give identical witnesses and degrees on every case."""
-    for label, _, _, check in checker_cases(p):
-        if check("python") != check("bitset"):
-            refuse(f"the bitset checker diverged from the legacy one on {label}")
+    """Every path must give the legacy path's witness or degree on every case."""
+    for label, _, _, paths, check in checker_cases(p):
+        legacy = check(paths[0])
+        for path in paths[1:]:
+            if check(path) != legacy:
+                refuse(f"the {path} checker diverged from the legacy one on {label}")
 
 
 def checker_paths(p: Params) -> Timed:
-    """Time every checker case through both methods."""
+    """Time every checker case through each of its paths."""
     cases = checker_cases(p)
     results: Payload = {}
-    for label, graph, f, check in cases:
-        python = clock(lambda: check("python"))
-        bitset = clock(lambda: check("bitset"))
-        answer = check("bitset")
+    speedups: dict[str, float] = {}
+    for label, graph, f, paths, check in cases:
+        seconds = {path: clock(lambda: check(path)) for path in paths}
+        answer = check(paths[-1])
         results[label] = {
             "n": graph.number_of_nodes,
             "f": f,
@@ -328,21 +364,23 @@ def checker_paths(p: Params) -> Timed:
                 if label.startswith("robustness")
                 else {"condition_holds": answer is None}
             ),
-            "python_seconds": python,
-            "bitset_seconds": bitset,
-            "speedup": ratio(python, bitset),
+            **{f"{path}_seconds": timing for path, timing in seconds.items()},
         }
+        bitset = seconds.get("bitset", seconds.get("numpy"))
+        speedups[f"{label}_bitset_vs_python"] = ratio(seconds["python"], bitset)
+        if "compiled" in seconds:
+            speedups[f"{label}_compiled_vs_numpy"] = ratio(
+                seconds["numpy"], seconds["compiled"]
+            )
     scenario = {
         "exact_cases": [
             f"{label[len('exact_'):]}(n={graph.number_of_nodes}, f={f})"
-            for label, graph, f, _ in cases[:-1]
+            for label, graph, f, _, _ in cases[:-1]
         ],
+        "exact_paths": list(EXACT_PATHS),
         "robustness_case": f"core_network(n={p['robustness_n']}, f=2)",
+        "search": search_in_use(),
         **p,
-    }
-    speedups = {
-        f"{label}_bitset_vs_python": entry["speedup"]
-        for label, entry in results.items()
     }
     return scenario, results, speedups
 
@@ -637,7 +675,8 @@ def verdict_guard(p: Params) -> None:
     """Parity with the exact checker, then every certificate and the headline.
 
     On the parity cases the stack must agree with the bitset checker, the
-    DPLL backend with both, and every witness must re-verify.  Every
+    DPLL backend with both, the compiled solver's whole result with the
+    Python solver's, and every witness must re-verify.  Every
     battery verdict must carry a certificate that re-checks from scratch,
     the DPLL case must be decided by an ``exact`` certificate that re-checks,
     and both headline paths must call the core network feasible.
@@ -653,6 +692,9 @@ def verdict_guard(p: Params) -> None:
         dpll = exact_violation_search(graph, f, backend="dpll")
         if (dpll.status == "violation") != infeasible:
             refuse(f"the DPLL backend diverged from the exact checker on {label}")
+        with search_path("python"):
+            if exact_violation_search(graph, f, backend="dpll") != dpll:
+                refuse(f"the compiled solver diverged from the Python one on {label}")
         for found in (witness, dpll.witness):
             if found is not None and not verify_witness(graph, f, found):
                 refuse(f"a witness failed re-verification on {label}")
@@ -661,6 +703,10 @@ def verdict_guard(p: Params) -> None:
             refuse(f"the certificate failed re-verification on {label}")
     graph, verdict = dpll_case(p)
     label = f"erdos-renyi n={p['dpll_n']} p=0.4"
+    with search_path("python"):
+        python = exact_violation_search(graph, 1, backend="dpll")
+    if exact_violation_search(graph, 1, backend="dpll") != python:
+        refuse(f"the compiled solver diverged from the Python one on {label}")
     if getattr(verdict.certificate, "kind", None) != "exact":
         refuse(f"the DPLL layer did not decide {label}: {verdict.describe()}")
     if not verify_certificate(graph, 1, verdict):
@@ -698,15 +744,23 @@ def verdict_paths(p: Params) -> Timed:
     decided = sum(entry["status"] != UNKNOWN for entry in results.values())
     graph, verdict = dpll_case(p)
     search = exact_violation_search(graph, 1, backend="dpll")
+
+    def dpll_search(path: str) -> Callable[[], object]:
+        def call() -> object:
+            with search_path(path):
+                return exact_violation_search(graph, 1, backend="dpll")
+
+        return call
+
+    solvers = {path: clock(dpll_search(path)) for path in ("python", "compiled")}
     results["dpll"] = {
         "n": graph.number_of_nodes,
         "f": 1,
         "status": search.status,
         "decisions": search.decisions,
         "fault_sets_examined": search.fault_sets_examined,
-        "search_seconds": clock(
-            lambda: exact_violation_search(graph, 1, backend="dpll")
-        ),
+        "python_search_seconds": solvers["python"],
+        "compiled_search_seconds": solvers["compiled"],
         "recheck_seconds": clock(lambda: verify_certificate(graph, 1, verdict)),
     }
     results["parity_guard"] = {"cases": len(parity_cases()), "all_agree": True}
@@ -732,12 +786,15 @@ def verdict_paths(p: Params) -> Timed:
         "parity_cases": len(parity_cases()),
         "headline": f"core_network(n={p['headline_n']}, f=2) screens vs exhaustive",
         "dpll": (
-            f"exact_violation_search and the exact certificate's re-check on "
+            f"exact_violation_search on the Python and the compiled solver, "
+            f"and the exact certificate's re-check, on "
             f"erdos_renyi_digraph({p['dpll_n']}, 0.4, rng=0), f=1"
         ),
+        "search": search_in_use(),
     }
     speedups = {
         "core_screens_vs_exhaustive": results["headline"]["speedup"],
+        "dpll_compiled_vs_python": ratio(solvers["python"], solvers["compiled"]),
         "decided_fraction": decided / len(cases),
     }
     return scenario, results, speedups

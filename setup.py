@@ -20,10 +20,15 @@ setup(
     packages=find_packages("src"),
     # PEP 561: ship the py.typed marker so downstream type checkers consume
     # the package's inline annotations (gated by mypy.ini + reprolint TYP001).
-    # The plane kernel's C source is compiled on first use when a C compiler
-    # is present (repro.simulation.native); without it an installed copy
-    # would always run the NumPy kernel.
-    package_data={"repro": ["py.typed"], "repro.simulation": ["plane_kernel.c"]},
+    # The C sources of the plane kernel and of the Theorem-1 search are
+    # compiled on first use when a C compiler is present (repro.native);
+    # without them an installed copy would always run the NumPy kernel, the
+    # NumPy sweep and the Python solver.
+    package_data={
+        "repro": ["py.typed"],
+        "repro.conditions": ["search_kernel.c"],
+        "repro.simulation": ["plane_kernel.c"],
+    },
     python_requires=">=3.10",
     install_requires=["numpy"],
     # The test suite's own needs: ``pip install -e .[test]``.

@@ -13,13 +13,15 @@ interpreter speed:
   caps are far below 64 nodes, so a single word per node suffices; the same
   layout generalises to ``ceil(n / 64)`` words should the caps ever pass 64.
 * ``|N⁻_v ∩ A|`` — the primitive of every checker — becomes
-  ``popcount(in_masks[v] & mask(A))``: one AND plus one population count,
-  vectorized across whole blocks of candidate sets with
-  :func:`numpy.bitwise_count`.
+  ``popcount(in_masks[v] & mask(A))``: one AND plus one population count.
+  The Theorem-1 sweep evaluates it per candidate set in C
+  (:mod:`repro.conditions.search_kernel`) where this machine can build
+  it, and otherwise across whole blocks of candidate sets with
+  :func:`numpy.bitwise_count` (:func:`_search_fault_set`).
 * The deletion closure behind :func:`maximal_insulated_subset` becomes
   :func:`maximal_insulated_subset_mask` (single candidate, incremental
-  ``outside`` mask) and a batched fixed point over a vector of candidate
-  pools inside :func:`find_violating_partition_bitset`.
+  ``outside`` mask) and, in the NumPy sweep, a batched fixed point over a
+  vector of candidate pools.
 * The ``3^n`` disjoint-pair enumeration behind the robustness checkers is
   replaced by full ``2^n`` per-subset tables (:func:`r_reachable_counts`)
   combined through a subset-sum (SOS) dynamic program, turning the pair
@@ -38,6 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.conditions import search_kernel
 from repro.exceptions import InvalidParameterError
 from repro.graphs.digraph import Digraph
 from repro.types import NodeId, PartitionWitness
@@ -45,9 +48,10 @@ from repro.types import NodeId, PartitionWitness
 #: Largest node count representable by the single-word mask layout.
 MAX_BITSET_NODES = 64
 
-#: Block size (log2) for the vectorized candidate-``L`` enumeration: subsets
-#: are evaluated 2^16 at a time, bounding peak memory to a few MB per block.
-DEFAULT_BLOCK_BITS = 16
+#: Block size (log2) of the NumPy sweep (:func:`_search_fault_set`):
+#: candidate ``L`` masks are evaluated 2^16 at a time, bounding peak memory
+#: to a few MB per block.  The compiled sweep has no blocks.
+BLOCK_BITS = 16
 
 _U64_ONE = np.uint64(1)
 _U64_ZERO = np.uint64(0)
@@ -210,19 +214,20 @@ def _search_fault_set(
     compact_in: np.ndarray,
     count: int,
     threshold: int,
-    block_bits: int,
 ) -> tuple[int, int] | None:
     """Search one fault set's ``2^count`` candidate ``L`` masks for a witness.
 
     Candidate masks are evaluated in ascending order in blocks of
-    ``2^block_bits``: a block-wide insulation test (one masked popcount per
+    ``2^BLOCK_BITS``: a block-wide insulation test (one masked popcount per
     node), then the batched closure on the survivors' complements.  Returns
     the first ``(left_mask, right_mask)`` pair (matching the legacy search
-    order exactly) or ``None``.
+    order exactly) or ``None``.  This is the NumPy sweep: the fallback where
+    the compiled one (:mod:`repro.conditions.search_kernel`) cannot be
+    built, and the oracle it is tested against.
     """
     full = (1 << count) - 1
     full_word = np.uint64(full)
-    block = 1 << min(block_bits, count)
+    block = 1 << min(BLOCK_BITS, count)
     for start in range(1, full, block):
         stop = min(start + block, full)
         masks = np.arange(start, stop, dtype=np.uint64)
@@ -250,17 +255,19 @@ def find_violating_partition_bitset(
     graph: Digraph | BitsetDigraphView,
     f: int,
     threshold: int | None = None,
-    block_bits: int = DEFAULT_BLOCK_BITS,
 ) -> PartitionWitness | None:
     """Bitset fast path of :func:`repro.conditions.necessary.find_violating_partition`.
 
     Enumerates fault sets in the legacy order (sizes ``0 … f``, nodes sorted
     by ``repr``) and, per fault set, sweeps the ``2^{n−|F|}`` candidate ``L``
-    masks with :func:`_search_fault_set`.  Returns the same witness the
-    legacy search would return (the search order and the uniqueness of the
-    closure fixed point make the two paths pick identical partitions), or
-    ``None`` when the condition holds.  Node-count caps are enforced by the
-    public wrapper; this function only requires ``n ≤ MAX_BITSET_NODES``.
+    masks: in C (``sweep_fault_set`` of :mod:`repro.conditions.search_kernel`)
+    where this machine can build it, else with the NumPy sweep
+    :func:`_search_fault_set`.  Both return the same first pair.  Returns
+    the same witness the legacy search would return (the search order and
+    the uniqueness of the closure fixed point make the two paths pick
+    identical partitions), or ``None`` when the condition holds.
+    Node-count caps are enforced by the public wrapper; this function only
+    requires ``n ≤ MAX_BITSET_NODES``.
     """
     if f < 0:
         raise InvalidParameterError(f"f must be >= 0, got {f}")
@@ -269,6 +276,7 @@ def find_violating_partition_bitset(
     if n < 2:
         return None
     effective_threshold = f + 1 if threshold is None else threshold
+    compiled = search_kernel.kernel()
     for size in range(min(f, n) + 1):
         for combo in combinations(range(n), size):
             fault_mask = 0
@@ -285,17 +293,20 @@ def find_violating_partition_bitset(
             # Re-index the surviving nodes' in-masks onto compact bits
             # 0 … count−1 (in-neighbours inside F never count towards the
             # threshold because the universe is V − F).
-            compact_in = np.empty(count, dtype=np.uint64)
-            for compact_pos, global_pos in enumerate(remaining):
+            compact_in = []
+            for global_pos in remaining:
                 source_mask = view.in_mask_ints[global_pos] & ~fault_mask
                 compact = 0
                 for other_pos, other_global in enumerate(remaining):
                     if (source_mask >> other_global) & 1:
                         compact |= 1 << other_pos
-                compact_in[compact_pos] = compact
-            found = _search_fault_set(
-                compact_in, count, effective_threshold, block_bits
-            )
+                compact_in.append(compact)
+            if compiled is not None:
+                found = compiled.sweep(compact_in, effective_threshold)
+            else:
+                found = _search_fault_set(
+                    np.array(compact_in, dtype=np.uint64), count, effective_threshold
+                )
             if found is None:
                 continue
             left_mask, right_mask = found

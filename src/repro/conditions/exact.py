@@ -13,7 +13,10 @@ prune instead of enumerating:
   verdict, or ``unknown`` when the decision budget runs out.
 * A built-in DPLL-style solver (``backend="dpll"``) with unit propagation on
   per-node outside-degree counters, label-domain pruning, swap-symmetry
-  breaking, and a trail-based undo stack.  Pure Python, always available.
+  breaking, and a trail-based undo stack.  Always available: it runs in C
+  (``solve_universe`` of :mod:`repro.conditions.search_kernel`) where this
+  machine can build it, else in Python (:class:`_UniverseSolver`, also the
+  oracle the C form is tested against); both make the same decisions.
 * Optional SAT (``backend="pysat"``) and MILP (``backend="pulp"``) backends
   that encode the whole problem — fault selection included — as one solver
   call.  Both are gated on their third-party imports and skipped cleanly
@@ -58,7 +61,9 @@ from dataclasses import dataclass
 from importlib import util as _importlib_util
 from itertools import combinations
 
+from repro.conditions import search_kernel
 from repro.conditions.necessary import verify_witness
+from repro.conditions.search_kernel import BudgetExceeded
 from repro.exceptions import (
     ConditionCheckError,
     GraphTooLargeError,
@@ -152,10 +157,6 @@ def resolve_backend(backend: str) -> str:
             f"{backend!r}, which is not installed"
         )
     return backend
-
-
-class _BudgetExceeded(Exception):
-    """Internal signal: the DPLL decision budget ran out."""
 
 
 class _UniverseSolver:
@@ -268,7 +269,7 @@ class _UniverseSolver:
             return True
         self.budget["decisions"] += 1
         if self.budget["decisions"] > self.budget["limit"]:
-            raise _BudgetExceeded
+            raise BudgetExceeded
         for label in (_LABEL_L, _LABEL_R, _LABEL_C):
             if not self.allowed[pivot] & _DOMAIN_BIT[label]:
                 continue
@@ -341,6 +342,7 @@ def _dpll_search(
     ]
     fault_size = min(f, n - 2)
     budget = {"decisions": 0, "limit": decision_budget}
+    compiled = search_kernel.kernel()
     examined = 0
     try:
         for combo in combinations(range(n), fault_size):
@@ -362,10 +364,12 @@ def _dpll_search(
                 in_nbrs.append(members)
                 for member in members:
                     out_nbrs[member].append(local)
-            solver = _UniverseSolver(
-                in_nbrs, [tuple(outs) for outs in out_nbrs], tau, budget
-            )
-            labels = solver.solve()
+            if compiled is not None:
+                labels = compiled.solve(out_nbrs, tau, budget)
+            else:
+                labels = _UniverseSolver(
+                    in_nbrs, [tuple(outs) for outs in out_nbrs], tau, budget
+                ).solve()
             examined += 1
             if labels is not None:
                 faulty = frozenset(nodes[position] for position in combo)
@@ -395,7 +399,7 @@ def _dpll_search(
                     fault_sets_examined=examined,
                     reason=f"violating partition found: {witness.describe()}",
                 )
-    except _BudgetExceeded:
+    except BudgetExceeded:
         return ExactSearchResult(
             status="unknown",
             backend="dpll",

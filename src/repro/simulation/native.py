@@ -1,27 +1,17 @@
-"""The compiled plane kernel: built, cached, loaded and checked on first use.
+"""The compiled plane kernel: its bindings, its self-check and the CPU split.
 
 :func:`~repro.simulation.vectorized.reduce_plane` runs one round of
 Algorithm 1 for a tile of batch rows.  Its NumPy form gathers a ``(B, nnz)``
 plane and sorts, trims and sums it slab by slab;
 ``plane_kernel.c`` does the same per receiver in one pass (gather, sort,
-trim, sum) without building the plane.  Importing this module does nothing.
-The first :func:`kernel` call:
-
-1. looks for the library in a cache keyed by a hash of the C source, the
-   compiler flags and the machine.  The cache is the package's
-   ``__pycache__/`` (where CPython keeps bytecode), or a per-process temp
-   directory when that cannot be written;
-2. on a miss, compiles the source with the system C compiler (``cc``,
-   ``gcc`` or ``clang``, with :data:`FLAGS`: no fast-math, no ``-march``)
-   into a temp name and moves it into place with ``os.replace``, so
-   workers racing to build it are safe;
-3. loads it with :mod:`ctypes`;
-4. checks it against the NumPy kernel on a fixed plane of random layouts
-   with duplicates, ±0, ±inf and NaN, at both dtypes and in both modes.
-
-If any step fails, :func:`kernel` returns ``None`` and the NumPy kernel
-stays in use; :func:`status` says which kernel runs and why.  What the
-machine can do is the only thing that selects the kernel.
+trim, sum) without building the plane.  :data:`LIBRARY` builds, caches,
+loads and checks it through the shared loader of :mod:`repro.native`, on
+the first :func:`kernel` call and never at import.  The self-check compares
+it with the NumPy kernel on a fixed plane of random layouts with
+duplicates, ±0, ±inf and NaN, at both dtypes and in both modes.  If any
+step fails, :func:`kernel` returns ``None`` and the NumPy kernel stays in
+use; :func:`status` says which kernel runs and why.  What the machine can
+do is the only thing that selects the kernel.
 
 ``reduce_plane`` splits a call of at least :data:`SPLIT_SLOT_READS` slot
 reads into row chunks that run at once (:func:`split_parts`,
@@ -32,18 +22,13 @@ worker starts with none; every row's output is the same bits.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import sys
-import tempfile
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
+
+from repro.native import NativeLibrary, NativeUnavailableError, cpu_count
 
 if TYPE_CHECKING:
     from repro.simulation.vectorized import PlaneLayout
@@ -51,28 +36,11 @@ if TYPE_CHECKING:
 #: The C source, shipped as package data next to this module.
 SOURCE = Path(__file__).with_name("plane_kernel.c")
 
-#: Compiler flags.  ``-ffp-contract=off`` keeps ``a * b + c`` from fusing;
-#: no fast-math and no ``-march``, so every operation rounds as NumPy's do.
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-#: C compilers tried in order, by name on ``PATH``.
-COMPILERS = ("cc", "gcc", "clang")
-
-#: Directory of the library cache.
-CACHE_DIR = Path(__file__).with_name("__pycache__")
-
 #: Fewest slot reads (rows × plane slots) a call splits across CPUs at.
 #: Starting and joining a thread costs ~50 µs on a 2-vCPU VM, where a
 #: two-way split of 2**17 reads runs 1.38× faster and one of 2**16 reads
 #: about breaks even (docs/performance.md).
 SPLIT_SLOT_READS = 2**17
-
-#: The loaded kernel (``None`` when unavailable) and the reason, once known.
-_state: dict[str, Any] = {}
-
-
-class NativeUnavailableError(Exception):
-    """One step of building, loading or checking the library failed."""
 
 
 class NativeKernel:
@@ -140,15 +108,6 @@ class NativeKernel:
             raise MemoryError("the compiled plane kernel could not allocate its buffer")
 
 
-def cpu_count() -> int:
-    """The number of CPUs this process may run on: its affinity set where
-    the platform has one, else every CPU of the machine."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def split_parts(rows: int, slots: int) -> int:
     """How many row chunks a call over ``rows`` rows and ``slots`` plane
     slots runs in: one below :data:`SPLIT_SLOT_READS` reads, else one per
@@ -197,97 +156,21 @@ def kernel() -> NativeKernel | None:
     ``None`` means this machine cannot build, load or trust it, and the
     NumPy kernel runs instead.
     """
-    if "kernel" not in _state:
-        try:
-            compiled, where = _load()
-            _state.update(kernel=compiled, status=f"compiled kernel {where}")
-        except (NativeUnavailableError, OSError) as exc:
-            _state.update(kernel=None, status=f"NumPy kernel: {exc}")
-    return _state["kernel"]
+    return LIBRARY.load()
 
 
 def status() -> str:
     """Say which plane kernel runs on this machine and why, and how the
     compiled one splits a round."""
     if kernel() is None:
-        return str(_state["status"])
+        return LIBRARY.status()
     cpus = cpu_count()
     split = (
         f"splits rounds of >= {SPLIT_SLOT_READS} slot reads over {cpus} CPUs"
         if cpus > 1
         else "runs every round on the one CPU this process may use"
     )
-    return f"{_state['status']}; {split}"
-
-
-def _cache_key() -> str:
-    digest = hashlib.sha256(SOURCE.read_bytes())
-    digest.update(repr((FLAGS, sys.platform, platform.machine())).encode())
-    return digest.hexdigest()[:16]
-
-
-def _load() -> tuple[NativeKernel, Path]:
-    """Find or build the library, load it and check it."""
-    try:
-        name = f"plane_kernel-{_cache_key()}.so"
-    except OSError as exc:
-        raise NativeUnavailableError(f"cannot read {SOURCE.name}: {exc}") from exc
-    path = CACHE_DIR / name
-    if not path.is_file():
-        try:
-            CACHE_DIR.mkdir(exist_ok=True)
-            _compile(path)
-        except OSError:
-            path = Path(_temp_dir()) / name
-            _compile(path)
-    try:
-        compiled = NativeKernel(ctypes.CDLL(str(path)))
-    except (OSError, AttributeError) as exc:
-        raise NativeUnavailableError(f"cannot load {path}: {exc}") from exc
-    _self_check(compiled)
-    return compiled, path
-
-
-def _temp_dir() -> str:
-    """A directory of this process, removed when it exits."""
-    if "temp_dir" not in _state:
-        _state["temp_dir"] = tempfile.TemporaryDirectory(prefix="repro-native-")
-    return str(_state["temp_dir"].name)
-
-
-def _compile(path: Path) -> None:
-    """Compile the source to ``path`` through a temp name in its directory."""
-    compiler = next(
-        (found for name in COMPILERS if (found := shutil.which(name))), None
-    )
-    if compiler is None:
-        raise NativeUnavailableError(
-            f"no C compiler found (looked for {', '.join(COMPILERS)})"
-        )
-    descriptor, temp = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.stem}-", suffix=".tmp"
-    )
-    os.close(descriptor)
-    try:
-        try:
-            result = subprocess.run(
-                [compiler, *FLAGS, "-o", temp, str(SOURCE)],
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
-        except (OSError, subprocess.SubprocessError) as exc:
-            raise NativeUnavailableError(f"{compiler} did not run: {exc}") from exc
-        if result.returncode != 0:
-            raise NativeUnavailableError(
-                f"{compiler} failed ({result.returncode}): "
-                f"{result.stderr.strip()[:500]}"
-            )
-        os.chmod(temp, 0o755)  # mkstemp made it private; share it like a .pyc
-        os.replace(temp, path)
-    finally:
-        if os.path.exists(temp):
-            os.unlink(temp)
+    return f"{LIBRARY.status()}; {split}"
 
 
 def _self_check(compiled: NativeKernel) -> None:
@@ -323,3 +206,12 @@ def _self_check(compiled: NativeKernel) -> None:
                         f"self-check failed ({np.dtype(dtype)}, f={f}, {mode})"
                     )
 
+
+#: The plane kernel's library: one cache file and one status of its own.
+LIBRARY: NativeLibrary[NativeKernel] = NativeLibrary(
+    SOURCE,
+    NativeKernel,
+    _self_check,
+    "compiled kernel",
+    "NumPy kernel",
+)

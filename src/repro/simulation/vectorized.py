@@ -234,11 +234,19 @@ def bucket_plane(
 
     The CSR comes from :meth:`~repro.graphs.digraph.Digraph.edge_arrays`
     with one sort on the (receiver, sender column) key, so an array-built
-    graph never builds its neighbour sets here.
+    graph never builds its neighbour sets here, nor a node → column dict.
     """
-    column = {node: index for index, node in enumerate(nodes)}
     graph_nodes, sources, targets = graph.edge_arrays()
-    column_of = np.array([column[node] for node in graph_nodes], dtype=np.int64)
+    if isinstance(graph_nodes, range) and graph_nodes == range(len(nodes)):
+        # An array-built graph's nodes are 0 … n − 1, so each node's column
+        # is the inverse permutation of the column order.
+        column_of = np.empty(len(nodes), dtype=np.int64)
+        column_of[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = np.arange(
+            len(nodes)
+        )
+    else:
+        column = {node: index for index, node in enumerate(nodes)}
+        column_of = np.array([column[node] for node in graph_nodes], dtype=np.int64)
     # Each edge's receiver as its rank in receiver_columns (-1: no receiver).
     rank = np.full(len(nodes), -1, dtype=np.int64)
     rank[receiver_columns] = np.arange(receiver_columns.size)
@@ -1064,7 +1072,13 @@ class VectorizedEngine:
             if config.stop_on_convergence and not active.any():
                 break
             new_state = advance(state, round_index, active)
-            state = np.where(active[:, None], new_state, state)
+            # Both advances return a fresh matrix, so when every row is
+            # active it is the new state as it is.
+            state = (
+                new_state
+                if active.all()
+                else np.where(active[:, None], new_state, state)
+            )
             rounds_executed = np.where(active, round_index, rounds_executed)
             activity = self._round_activity(round_index)
             awake = None if activity is None else activity.awake

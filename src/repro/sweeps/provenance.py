@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.simulation.native import cpu_count
+from repro.native import cpu_count
 
 
 def utc_now_iso() -> str:

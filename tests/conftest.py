@@ -16,6 +16,10 @@ be copy-pasted across ``test_engine_parity.py`` / ``test_adversary_batch.py``
   configuration.  The ``tiled`` tier runs the NumPy plane kernel
   (:func:`numpy_kernel`), the others the compiled one where this machine
   can build it, so every parity and fuzz suite covers both kernels.
+* the **search axis**: :func:`numpy_search` (and the ``fallback_search``
+  fixture) runs the Theorem-1 search on the NumPy sweep and the Python
+  solver, as on a machine that cannot build the compiled search; the
+  exact, bitset and verdict parity suites run once on each path.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import pytest
 
 from repro.adversary import ExtremePushStrategy, StaticValueStrategy
 from repro.algorithms import TrimmedMeanRule, TrimmedMidpointRule
+from repro.conditions import search_kernel
 from repro.graphs import (
     Digraph,
     chord_network,
@@ -165,6 +170,22 @@ def numpy_kernel() -> Iterator[None]:
     """Run the batch engines as on a machine that cannot build the compiled
     plane kernel: ``reduce_plane`` falls back to the NumPy kernel."""
     with mock.patch.object(native, "kernel", lambda: None):
+        yield
+
+
+@contextlib.contextmanager
+def numpy_search() -> Iterator[None]:
+    """Run the Theorem-1 search as on a machine that cannot build the
+    compiled one: the bitset checker sweeps with NumPy and the ``dpll``
+    backend solves with ``_UniverseSolver``."""
+    with mock.patch.object(search_kernel, "kernel", lambda: None):
+        yield
+
+
+@pytest.fixture
+def fallback_search() -> Iterator[None]:
+    """Run the test inside :func:`numpy_search`."""
+    with numpy_search():
         yield
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.adversary.vectorized import BatchFrozenValueStrategy
-from repro.conditions import necessary
+from repro.conditions import necessary, search_kernel
 from repro.simulation import vectorized, vectorized_async
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -104,3 +104,41 @@ def test_guard_refuses_its_mutant_and_passes_without_it(name, monkeypatch):
     assert names in str(refused.value)
     monkeypatch.undo()
     scenario.guard(scenario.smoke)
+
+
+class _DriftingSearch:
+    """The compiled search with one drifted entry point: a sweep that never
+    finds a witness, or a solver that counts one decision too many."""
+
+    def __init__(self, compiled, drift):
+        self._compiled = compiled
+        self._drift = drift
+
+    def sweep(self, in_masks, threshold):
+        if self._drift == "sweep":
+            return None
+        return self._compiled.sweep(in_masks, threshold)
+
+    def solve(self, out_nbrs, tau, budget):
+        labels = self._compiled.solve(out_nbrs, tau, budget)
+        if self._drift == "solve":
+            budget["decisions"] += 1
+        return labels
+
+
+@pytest.mark.parametrize(
+    "name, drift, names",
+    [
+        ("checker", "sweep", "the compiled checker diverged from the legacy one"),
+        ("verdict", "solve", "the compiled solver diverged from the Python one"),
+    ],
+)
+def test_guard_refuses_a_drifted_compiled_search(name, drift, names, monkeypatch):
+    compiled = search_kernel.kernel()
+    if compiled is None:
+        pytest.skip(search_kernel.status())
+    drifting = _DriftingSearch(compiled, drift)
+    monkeypatch.setattr(search_kernel, "kernel", lambda: drifting)
+    with pytest.raises(SystemExit, match="refusing to benchmark") as refused:
+        harness.run(name, smoke=True)
+    assert names in str(refused.value)

@@ -25,8 +25,12 @@ from repro.conditions import (
     exact_violation_search,
     feasibility_verdict,
     find_violating_partition,
+    search_kernel,
     verify_certificate,
 )
+from repro.conditions.bitset import _search_fault_set
+from repro.conditions.exact import _UniverseSolver
+from repro.conditions.search_kernel import BudgetExceeded
 from repro.exceptions import InvalidParameterError, SelfLoopError
 from repro.graphs import Digraph
 from repro.sweeps.grid import apply_overrides
@@ -224,6 +228,72 @@ def test_exact_search_agrees_with_enumeration_or_refuses(graph, f, threshold, bu
     if result.status != "unknown":
         expected = find_violating_partition(graph, f, threshold=threshold)
         assert (result.status == "violation") == (expected is not None)
+
+
+def compiled_search():
+    """The compiled Theorem-1 search, or a skip naming why there is none."""
+    compiled = search_kernel.kernel()
+    if compiled is None:
+        pytest.skip(search_kernel.status())
+    return compiled
+
+
+@st.composite
+def sweep_cases(draw):
+    """In-neighbour words of 1–16 surviving nodes (each word empty, full or
+    any subset) and a threshold from −1 to 70."""
+    count = draw(st.integers(1, 16), label="count")
+    full = (1 << count) - 1
+    word = st.sampled_from([0, full]) | st.integers(0, full)
+    words = draw(st.lists(word, min_size=count, max_size=count), label="words")
+    return words, draw(st.integers(-1, 70), label="threshold")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sweep_cases())
+def test_compiled_sweep_returns_the_numpy_sweeps_pair(case):
+    compiled = compiled_search()
+    words, threshold = case
+    expected = _search_fault_set(np.array(words, dtype=np.uint64), len(words), threshold)
+    assert compiled.sweep(words, threshold) == expected
+
+
+@st.composite
+def universes(draw):
+    """Out-neighbour lists of 0–9 nodes, each list in a drawn order."""
+    m = draw(st.integers(0, 9), label="m")
+    out_nbrs = []
+    for node in range(m):
+        others = [other for other in range(m) if other != node]
+        kept = draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
+        out_nbrs.append(kept)
+    return out_nbrs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    out_nbrs=universes(),
+    tau=st.integers(-1, 11) | st.just(2**64),
+    limit=st.integers(1, 10**4) | st.sampled_from([2**63, 2**64 + 7]),
+    made=st.integers(0, 40),
+)
+def test_compiled_solver_makes_the_python_solvers_search(out_nbrs, tau, limit, made):
+    compiled = compiled_search()
+    m = len(out_nbrs)
+    in_nbrs = [tuple(x for x in range(m) if y in out_nbrs[x]) for y in range(m)]
+    outcomes = []
+    for solve in (
+        lambda budget: _UniverseSolver(
+            in_nbrs, [tuple(outs) for outs in out_nbrs], tau, budget
+        ).solve(),
+        lambda budget: compiled.solve(out_nbrs, tau, budget),
+    ):
+        budget = {"decisions": made, "limit": limit}
+        try:
+            outcomes.append((solve(budget), budget["decisions"], False))
+        except BudgetExceeded:
+            outcomes.append((None, budget["decisions"], True))
+    assert outcomes[1] == outcomes[0]
 
 
 #: Element types of the edge-array fuzzer: only the integer ones are legal.

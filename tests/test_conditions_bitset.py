@@ -9,6 +9,10 @@ graph families across seeds and on the hand-built witness digraphs, plus
 regression tests for the condition-checker bugfixes that rode along
 (incremental closure counters, canonical disjoint-pair enumeration,
 consistent ``GraphTooLargeError`` handling).
+
+The Theorem-1 parity suites run twice: as collected, on the compiled sweep
+where this machine can build it, and again as ``...OnTheFallback`` on the
+NumPy sweep.
 """
 
 from __future__ import annotations
@@ -354,3 +358,13 @@ class TestRaisedCeilings:
         # n = 16 exceeded the legacy robustness cap of 14.
         assert robustness_degree(hypercube(4)) == 1
         assert is_r_s_robust(hypercube(4), 2, 2) is False
+
+
+@pytest.mark.usefixtures("fallback_search")
+class TestFeasibilityParityOnTheFallback(TestFeasibilityParity):
+    """The Theorem-1 parity suite on the NumPy sweep."""
+
+
+@pytest.mark.usefixtures("fallback_search")
+class TestRaisedCeilingsOnTheFallback(TestRaisedCeilings):
+    """The n = 18 and n = 24 searches on the NumPy sweep."""

@@ -1,4 +1,10 @@
-"""Unit tests for the exact constraint-solving backends."""
+"""Unit tests for the exact constraint-solving backends.
+
+The ``dpll`` suites run twice: as collected, on the compiled solver where
+this machine can build it, and again as ``...OnTheFallback`` with the
+compiled search off (the conftest ``fallback_search`` fixture), on
+``_UniverseSolver``.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ from importlib import util as importlib_util
 
 import pytest
 
+from conftest import numpy_search
 from repro.conditions import exact, find_violating_partition, verify_witness
 from repro.conditions.exact import (
     DEFAULT_MAX_EXACT_BACKEND_NODES,
@@ -196,7 +203,11 @@ class _ReseedingSolver(exact._UniverseSolver):
     decision for decision.
     """
 
+    #: Universes the oracle has searched, so a test can show that it ran.
+    searched = 0
+
     def solve(self):
+        _ReseedingSolver.searched += 1
         if self.m < 2 or self.tau <= 0:
             return None
         for i in range(self.m - 1):
@@ -228,8 +239,18 @@ class _ReseedingSolver(exact._UniverseSolver):
         return None
 
 
+@pytest.mark.usefixtures("fallback_search")
+class TestDpllBackendOnTheFallback(TestDpllBackend):
+    """The same suite on the Python solver."""
+
+
 class TestSeedingKeepsTheSearch:
-    """Keeping the seeding prefix on the trail leaves every search as it was."""
+    """Keeping the seeding prefix on the trail leaves every search as it was.
+
+    The oracle runs with the compiled search off, so that the patched
+    ``_UniverseSolver`` is the one that runs; the searched side runs the
+    compiled solver here and the Python one in the fallback subclass.
+    """
 
     def test_matches_the_reseeding_oracle(self, monkeypatch):
         import random
@@ -237,6 +258,7 @@ class TestSeedingKeepsTheSearch:
         # backend="dpll" explicitly: "auto" picks pysat where it is installed.
         # The fault-set count C(n, f) grows fast, so n shrinks as f grows.
         outcomes = []
+        searched = _ReseedingSolver.searched
         for seed in range(220):
             rng = random.Random(seed)
             f = rng.randint(0, 3)
@@ -247,7 +269,7 @@ class TestSeedingKeepsTheSearch:
                 kept = exact_violation_search(
                     graph, f, threshold, backend="dpll", decision_budget=budget
                 )
-                with monkeypatch.context() as patched:
+                with monkeypatch.context() as patched, numpy_search():
                     patched.setattr(exact, "_UniverseSolver", _ReseedingSolver)
                     oracle = exact_violation_search(
                         graph, f, threshold, backend="dpll", decision_budget=budget
@@ -257,5 +279,12 @@ class TestSeedingKeepsTheSearch:
                     f"threshold={threshold}, budget={budget}"
                 )
                 outcomes.append(kept.status)
-        # Every outcome, the budget-exhausted one included, is compared.
+        # Every outcome, the budget-exhausted one included, is compared, and
+        # against the oracle itself, not the solver under test.
         assert {"violation", "satisfied", "unknown"} <= set(outcomes)
+        assert _ReseedingSolver.searched > searched
+
+
+@pytest.mark.usefixtures("fallback_search")
+class TestSeedingKeepsTheSearchOnTheFallback(TestSeedingKeepsTheSearch):
+    """The same differential test with the Python solver on the searched side."""

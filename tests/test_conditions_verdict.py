@@ -1,4 +1,9 @@
-"""Unit and property tests for the layered feasibility verdict stack."""
+"""Unit and property tests for the layered feasibility verdict stack.
+
+The suites whose verdicts run the Theorem-1 search run twice: as
+collected, on the compiled search where this machine can build it, and
+again as ``...OnTheFallback`` on the NumPy sweep and the Python solver.
+"""
 
 from __future__ import annotations
 
@@ -382,3 +387,23 @@ class TestClosureParityAcrossBitsetCap:
                 if witness is not None:
                     assert verify_witness(graph, f, witness)
                     assert verify_witness_fast(graph, f, witness)
+
+
+@pytest.mark.usefixtures("fallback_search")
+class TestVerdictParityOnTheFallback(TestVerdictParity):
+    """The parity suite on the NumPy sweep and the Python solver."""
+
+
+@pytest.mark.usefixtures("fallback_search")
+class TestVerdictSoundnessOnTheFallback(TestVerdictSoundness):
+    """The soundness suite on the NumPy sweep and the Python solver."""
+
+
+@pytest.mark.usefixtures("fallback_search")
+class TestVerdictLayersOnTheFallback(TestVerdictLayers):
+    """The layer suite on the NumPy sweep and the Python solver."""
+
+
+@pytest.mark.usefixtures("fallback_search")
+class TestExactCertificatePathOnTheFallback(TestExactCertificatePath):
+    """The DPLL certificate path on the Python solver."""

@@ -39,6 +39,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.native
 import repro.simulation.vectorized as vectorized
 from conftest import numpy_kernel
 from repro.adversary import BatchAdaptiveStrategy, BatchExtremePushStrategy
@@ -137,7 +138,7 @@ def test_compiled_equals_numpy_bit_for_bit_on_nonzero_values(dtype, mode):
 
 
 def test_compiled_kernel_builds_where_a_compiler_exists():
-    if not any(shutil.which(name) for name in native.COMPILERS):
+    if not any(shutil.which(name) for name in repro.native.COMPILERS):
         pytest.skip("no C compiler on this machine")
     assert native.kernel() is not None, native.status()
     assert native.status().startswith("compiled kernel")
@@ -179,12 +180,19 @@ def _engine_outputs():
     return outputs
 
 
+def _unloaded(monkeypatch, cache_dir):
+    """Stand in a copy of the plane kernel's library that has loaded
+    nothing yet and caches in ``cache_dir``."""
+    monkeypatch.setattr(
+        native, "LIBRARY", dataclasses.replace(native.LIBRARY, cache_dir=cache_dir)
+    )
+
+
 def test_engines_fall_back_to_numpy_without_a_compiler(monkeypatch, tmp_path):
     _compiled()
     compiled_outputs = _engine_outputs()
-    monkeypatch.setattr(native, "_state", {})
-    monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
-    monkeypatch.setattr(native, "COMPILERS", ("repro-no-such-cc",))
+    _unloaded(monkeypatch, tmp_path)
+    monkeypatch.setattr(repro.native, "COMPILERS", ("repro-no-such-cc",))
     assert native.kernel() is None
     assert "no C compiler found" in native.status()
     fallback_outputs = _engine_outputs()
@@ -294,15 +302,14 @@ def test_layout_copies_keep_the_addresses_of_their_own_arrays():
 
 def test_cache_is_written_through_a_temp_name_and_reused(monkeypatch, tmp_path):
     _compiled()
-    monkeypatch.setattr(native, "_state", {})
-    monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
+    _unloaded(monkeypatch, tmp_path)
     assert native.kernel() is not None
     built = sorted(path.name for path in tmp_path.iterdir())
     assert len(built) == 1 and built[0].startswith("plane_kernel-")
     assert built[0].endswith(".so")
     # A second process finds the library without a compiler.
-    monkeypatch.setattr(native, "_state", {})
-    monkeypatch.setattr(native, "COMPILERS", ("repro-no-such-cc",))
+    _unloaded(monkeypatch, tmp_path)
+    monkeypatch.setattr(repro.native, "COMPILERS", ("repro-no-such-cc",))
     assert native.kernel() is not None
     assert str(tmp_path) in native.status()
 
@@ -311,8 +318,7 @@ def test_unwritable_cache_falls_back_to_a_temp_directory(monkeypatch, tmp_path):
     _compiled()
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
-    monkeypatch.setattr(native, "_state", {})
-    monkeypatch.setattr(native, "CACHE_DIR", blocker / "__pycache__")
+    _unloaded(monkeypatch, blocker / "__pycache__")
     assert native.kernel() is not None
     assert "repro-native-" in native.status()
     assert list(tmp_path.iterdir()) == [blocker]
@@ -326,8 +332,7 @@ def test_library_failing_its_self_check_is_not_used(monkeypatch, tmp_path):
         original(source, slots, state, out, layout, f, mode)
         out[:] = np.nextafter(out, np.inf)
 
-    monkeypatch.setattr(native, "_state", {})
-    monkeypatch.setattr(native, "CACHE_DIR", tmp_path)
+    _unloaded(monkeypatch, tmp_path)
     monkeypatch.setattr(vectorized, "reduce_plane_numpy", off_by_one_ulp)
     assert native.kernel() is None
     assert "self-check failed" in native.status()
@@ -375,10 +380,10 @@ def test_split_rule(monkeypatch, rows, slots, cpus, parts):
 
 def test_cpu_count_is_the_affinity_set_where_there_is_one(monkeypatch):
     assert native.cpu_count() >= 1
-    monkeypatch.setattr(native.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+    monkeypatch.setattr(repro.native.os, "sched_getaffinity", lambda pid: {0, 3, 5})
     assert native.cpu_count() == 3
-    monkeypatch.delattr(native.os, "sched_getaffinity")
-    monkeypatch.setattr(native.os, "cpu_count", lambda: 6)
+    monkeypatch.delattr(repro.native.os, "sched_getaffinity")
+    monkeypatch.setattr(repro.native.os, "cpu_count", lambda: 6)
     assert native.cpu_count() == 6
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import make_batch_engine
 from repro.adversary.selection import random_fault_set
 from repro.adversary.strategies import (
     ExtremePushStrategy,
@@ -22,6 +23,7 @@ from repro.adversary.strategies import (
 from repro.adversary.vectorized import (
     BatchExtremePushStrategy,
     BatchPassiveStrategy,
+    BatchStaticValueStrategy,
     ScalarStrategyAdapter,
     as_batch_strategy,
 )
@@ -245,6 +247,42 @@ class TestBatchRuns:
         assert np.array_equal(first.final_states, second.final_states)
         assert np.array_equal(first.rounds_executed, second.rounds_executed)
         assert np.array_equal(first.converged, second.converged)
+
+    @pytest.mark.parametrize("engine_kind", ["vectorized", "tiled"])
+    def test_rows_freezing_at_different_rounds_match_the_scalar_engine(
+        self, engine_kind
+    ):
+        # Row r starts with a spread of 10**-r, so the rows reach the
+        # tolerance, and freeze, at different rounds; before the first
+        # freeze every row is active.
+        graph = core_network(9, 2)
+        faulty = {7, 8}
+        config = SimulationConfig(max_rounds=200, tolerance=1e-9)
+        engine = make_batch_engine(
+            engine_kind,
+            graph,
+            TrimmedMeanRule(2),
+            faulty=faulty,
+            adversary=BatchStaticValueStrategy(0.25),
+            config=config,
+        )
+        matrix = random_input_matrix(engine.nodes, 6, rng=4)
+        matrix *= 10.0 ** -np.arange(6)[:, None]
+        outcome = engine.run_batch(matrix)
+        assert len(set(outcome.rounds_executed.tolist())) == 6
+        assert outcome.converged.all()
+        for row in range(6):
+            scalar = SynchronousEngine(
+                graph,
+                TrimmedMeanRule(2),
+                faulty=faulty,
+                adversary=StaticValueStrategy(0.25),
+                config=config,
+            ).run(dict(zip(engine.nodes, matrix[row].tolist())))
+            assert scalar.rounds_executed == outcome.rounds_executed[row]
+            for column, node in enumerate(engine.nodes):
+                if node not in faulty:
+                    assert scalar.final_values[node] == outcome.final_states[row, column]
 
     def test_batch_rows_match_independent_runs(self):
         graph = core_network(7, 2)

@@ -214,6 +214,23 @@ class TestCSRMatchesThePerReceiverBuild:
         if label == "int":  # the array-built graph never built its sets
             assert type(graphs[-1]) is not Digraph
 
+    @pytest.mark.parametrize("n", [101, 1200])
+    def test_an_array_built_lattice_matches(self, n):
+        # Its node columns are the inverse of the repr order, a permutation
+        # of 0 … n − 1 that is far from the identity past 100 nodes.
+        graph = heterogeneous_ring_lattice(n, 2, rng=n)
+        nodes = tuple(sorted(range(n), key=repr))
+        rng = np.random.default_rng(n)
+        for receiver_columns in (
+            np.arange(n),
+            np.sort(rng.choice(n, size=n // 3, replace=False)),
+        ):
+            expected = per_receiver_bucket_plane(
+                heterogeneous_ring_lattice(n, 2, rng=n), nodes, receiver_columns
+            )
+            assert_same_planes(bucket_plane(graph, nodes, receiver_columns), expected)
+        assert type(graph) is not Digraph
+
     @pytest.mark.parametrize("seed", range(6))
     def test_the_adaptive_probe_plane_matches(self, seed, monkeypatch):
         graph = heterogeneous_ring_lattice(40 + seed, 2, rng=seed)
