@@ -11,7 +11,9 @@
 #   make bench-smoke every scenario's refusal guard and timed paths at smoke
 #                    size; writes no file (CI runs this on every push)
 #   make docs-check  docs exist, examples in them import, docstrings covered
-#   make sweep-smoke end-to-end CLI sweep: run tiny grids with two workers,
+#   make sweep-smoke end-to-end CLI sweep: run tiny grids with two workers
+#                    (the dynamic, churn, asynchronous, adversary-zoo,
+#                    feasibility and large-n experiments among them),
 #                    re-open them with `repro report`, and resume one after
 #                    deleting one cell's shard file; then the Theorem-1
 #                    search through `repro run checker_scaling` and
@@ -111,6 +113,17 @@ sweep-smoke:
 		--grid "p_awake=1.0,0.75" --grid batch=8 --grid rounds=60 \
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-churn
 	$(PYTHON) -m repro report smoke-churn --results-dir .sweep-smoke
+	# The asynchronous engines' canonical edge positions and the strategy
+	# zoo's channel layouts, built in forked workers.
+	$(PYTHON) -m repro run asynchronous \
+		--grid "case=core n=8 f=1" --grid max_delay=0,3 \
+		--grid update_probability=1.0,0.75 --grid batch=4 --grid rounds=60 \
+		--workers 2 --results-dir .sweep-smoke --run-id smoke-async
+	$(PYTHON) -m repro report smoke-async --results-dir .sweep-smoke
+	$(PYTHON) -m repro run adversary_showdown \
+		--grid "case=chord n=7 f=2" --grid batch=4 --grid rounds=30 \
+		--workers 2 --results-dir .sweep-smoke --run-id smoke-showdown
+	$(PYTHON) -m repro report smoke-showdown --results-dir .sweep-smoke
 	$(PYTHON) -m repro run feasibility_at_scale \
 		--grid "case=core-like n=100 f=3,hetring n=100 f=2 extra=0.5" \
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-scale

@@ -67,6 +67,27 @@ def fault_free_block(state: np.ndarray, columns: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ChannelPlane:
+    """The batch engine's message plane, as a strategy may replay it.
+
+    A round reads every fault-free receiver's messages from one flat
+    bucket-major plane (``layout``, built by
+    :func:`repro.simulation.vectorized.bucket_plane`).  For a source that
+    joins the round's ``E_f`` channel values after the ``n`` state columns,
+    plane slot ``k`` reads source column ``slots[k]``, and channel ``j`` is
+    read by plane slot ``channel_slots[j]``.  ``mode`` is the engine's
+    update rule in :func:`~repro.simulation.vectorized.reduce_plane`'s
+    terms, ``"mean"`` or ``"midpoint"``.  The arrays are the engine's own:
+    treat them as read-only.
+    """
+
+    layout: PlaneLayout
+    slots: np.ndarray
+    channel_slots: np.ndarray
+    mode: str
+
+
+@dataclass(frozen=True)
 class BatchAdversaryContext:
     """Complete system knowledge handed to a batch strategy each round.
 
@@ -97,6 +118,9 @@ class BatchAdversaryContext:
         must fill, in the order the returned value matrix is interpreted.
     edge_source_columns / edge_target_columns:
         The same channels as column indices into ``state``.
+    plane:
+        The engine's message plane (:class:`ChannelPlane`), for strategies
+        that simulate a round before choosing their values.
     active_edge_mask:
         ``(E_f,)`` bool, or ``None``.  Populated by schedule-aware engines
         (:mod:`repro.simulation.dynamic`): ``False`` marks channels that are
@@ -117,6 +141,7 @@ class BatchAdversaryContext:
     edge_nodes: tuple[tuple[NodeId, NodeId], ...]
     edge_source_columns: np.ndarray
     edge_target_columns: np.ndarray
+    plane: ChannelPlane
     active_edge_mask: np.ndarray | None = None
 
     @property
@@ -241,24 +266,14 @@ class _ChannelLayoutStrategy(BatchStrategy):
     column masks, draw positions, sender ranks — is computed once on first
     use and reused for the whole run.  Driving one instance against a
     different engine (different channel order or graph) transparently
-    rebuilds the layout.
-
-    Under a dynamic topology schedule the channel *order* is still static,
-    but ``context.active_edge_mask`` varies per round.  A strategy whose
-    layout depends on the mask must set ``mask_sensitive = True``: the cache
-    is then additionally keyed on the mask bytes and rebuilt whenever the
-    round's mask differs from the cached one.  The shipped strategies all
-    derive mask-independent layouts and keep the default (``False``), so a
-    static-schedule run pays no extra cache churn.
+    rebuilds the layout.  Under a dynamic topology schedule the channel
+    order stays static while ``context.active_edge_mask`` varies per round,
+    so a layout must not read the mask.
     """
-
-    #: Whether :meth:`_build_layout` reads ``context.active_edge_mask``.
-    mask_sensitive: bool = False
 
     def __init__(self) -> None:
         self._layout_graph: Digraph | None = None
         self._layout_key: tuple[tuple[NodeId, NodeId], ...] | None = None
-        self._layout_mask_key: bytes | None = None
         self._layout: object = None
 
     def _build_layout(self, context: BatchAdversaryContext) -> object:
@@ -266,21 +281,13 @@ class _ChannelLayoutStrategy(BatchStrategy):
         raise NotImplementedError
 
     def _layout_for(self, context: BatchAdversaryContext) -> object:
-        mask_key: bytes | None = None
-        if self.mask_sensitive and context.active_edge_mask is not None:
-            mask_key = np.asarray(context.active_edge_mask, dtype=bool).tobytes()
-        if (
-            self._layout_graph is not context.graph
-            or (
-                self._layout_key is not context.edge_nodes
-                and self._layout_key != context.edge_nodes
-            )
-            or self._layout_mask_key != mask_key
+        if self._layout_graph is not context.graph or (
+            self._layout_key is not context.edge_nodes
+            and self._layout_key != context.edge_nodes
         ):
             self._layout = self._build_layout(context)
             self._layout_graph = context.graph
             self._layout_key = context.edge_nodes
-            self._layout_mask_key = mask_key
         return self._layout
 
 
@@ -562,27 +569,7 @@ class BatchBroadcastConsistentWrapper(_ChannelLayoutStrategy):
         return self._inner.nominal_values(context)
 
 
-@dataclass(frozen=True)
-class _ProbePlane:
-    """The adaptive strategy's lookahead probe layout.
-
-    The batch engines' bucket-major message plane over **all** fault-free
-    receivers (the probe simulates the full round, not just the faulty
-    channels), built by :func:`repro.simulation.vectorized.bucket_plane`.
-    The probe's source joins the candidate fill after the ``n`` state
-    columns: plane slot ``k`` reads source column ``slots[k]``, so candidate
-    channel ``channels[k]`` is read by plane slot ``channel_slots[k]``,
-    whose receiver is column ``channel_receivers[k]``.
-    """
-
-    layout: PlaneLayout
-    slots: np.ndarray
-    channels: np.ndarray
-    channel_slots: np.ndarray
-    channel_receivers: np.ndarray
-
-
-class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
+class BatchAdaptiveStrategy(BatchStrategy):
     """Adaptive worst-case adversary: observe the batch state, pick the push
     that keeps the fault-free spread widest.
 
@@ -603,11 +590,12 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
     ``mode="lookahead"`` (default) simulates one full trimmed round per
     candidate — the 1-lookahead — and keeps, per batch row, the candidate
     whose post-round fault-free spread is largest (ties break toward
-    ``split``, then ``high``).  The probe runs the engines' own plane kernel
+    ``split``, then ``high``).  The probe runs the engine's own plane
+    (``context.plane``) through the engines' kernel
     (:func:`~repro.simulation.vectorized.reduce_plane`: sort, trim
-    ``[f : d − f]``, own-first sequential mean or midpoint, per
-    ``rule_mode``) and honours ``context.active_edge_mask`` on faulty
-    channels (a down channel self-substitutes, exactly as the engine will).
+    ``[f : d − f]``, own-first sequential mean or midpoint, as the engine's
+    rule does) and honours ``context.active_edge_mask`` on faulty channels
+    (a down channel self-substitutes, exactly as the engine will).
     Fault-free-sender edges are assumed up and all receivers awake in the
     probe — a documented approximation: under heavy churn the lookahead
     scores are estimates, but every returned fill is still applied by the
@@ -623,36 +611,17 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
         ``"lookahead"`` (default) or ``"greedy"``.
     delta:
         How far beyond the fault-free extremes to push (``>= 0``).
-    rule_mode:
-        ``"mean"`` (default) or ``"midpoint"`` — must match the engine's
-        update rule for the lookahead to replay the kernel faithfully.
     """
 
-    #: The probe layout derives only from the channel order, never from the
-    #: round's mask (the mask is applied per probe call), so the inherited
-    #: mask-insensitive cache key is correct.
-    mask_sensitive = False
-
-    def __init__(
-        self,
-        mode: str = "lookahead",
-        delta: float = 1.0,
-        rule_mode: str = "mean",
-    ) -> None:
-        super().__init__()
+    def __init__(self, mode: str = "lookahead", delta: float = 1.0) -> None:
         if mode not in ("greedy", "lookahead"):
             raise InvalidParameterError(
                 f"mode must be 'greedy' or 'lookahead', got {mode!r}"
-            )
-        if rule_mode not in ("mean", "midpoint"):
-            raise InvalidParameterError(
-                f"rule_mode must be 'mean' or 'midpoint', got {rule_mode!r}"
             )
         if delta < 0:
             raise InvalidParameterError(f"delta must be >= 0, got {delta}")
         self._mode = mode
         self._delta = float(delta)
-        self._rule_mode = rule_mode
         self.name = f"batch-adaptive({mode})"
 
     @property
@@ -665,62 +634,20 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
         """How far beyond the fault-free extremes the adversary pushes."""
         return self._delta
 
-    def _build_layout(self, context: BatchAdversaryContext) -> _ProbePlane:
-        from repro.simulation.vectorized import bucket_plane
-
-        receivers = np.asarray(context.fault_free_columns)
-        indptr, indices, plane, plane_order = bucket_plane(
-            context.graph, context.nodes, receivers
-        )
-        plane_indices = indices[plane_order]
-        plane_receivers = np.repeat(receivers, np.diff(indptr))[plane_order]
-        channel_index = {
-            edge: position for position, edge in enumerate(context.edge_nodes)
-        }
-        nodes = context.nodes
-        channels: list[int] = []
-        slots: list[int] = []
-        for slot, (sender, receiver) in enumerate(
-            zip(plane_indices.tolist(), plane_receivers.tolist())
-        ):
-            channel = channel_index.get((nodes[sender], nodes[receiver]))
-            if channel is not None:
-                channels.append(channel)
-                slots.append(slot)
-        channel_slots = np.array(slots, dtype=np.int64)
-        channel_order = np.array(channels, dtype=np.int64)
-        joined = plane_indices.copy()
-        joined[channel_slots] = len(nodes) + channel_order
-        return _ProbePlane(
-            layout=plane,
-            slots=joined,
-            channels=channel_order,
-            channel_slots=channel_slots,
-            channel_receivers=plane_receivers[channel_slots],
-        )
-
     def _probe(
-        self,
-        context: BatchAdversaryContext,
-        fill: np.ndarray,
-        layout: _ProbePlane,
+        self, context: BatchAdversaryContext, fill: np.ndarray, slots: np.ndarray
     ) -> np.ndarray:
-        """Simulate one trimmed round under ``fill``; return the ``(B,)``
-        post-round fault-free spread."""
+        """Simulate one trimmed round under ``fill``, reading the plane
+        through ``slots``; return the ``(B,)`` post-round fault-free
+        spread."""
         from repro.simulation.vectorized import reduce_plane
 
         state = context.state
-        slots = layout.slots
-        mask = context.active_edge_mask
-        if mask is not None:
-            down = ~mask[layout.channels]
-            if down.any():
-                slots = slots.copy()
-                slots[layout.channel_slots[down]] = layout.channel_receivers[down]
         source = np.concatenate([state, fill], axis=1, dtype=state.dtype)
         new_state = np.empty_like(state)
+        plane = context.plane
         reduce_plane(
-            source, slots, state, new_state, layout.layout, context.f, self._rule_mode
+            source, slots, state, new_state, plane.layout, context.f, plane.mode
         )
         values = fault_free_block(new_state, context.fault_free_columns)
         return values.max(axis=1) - values.min(axis=1)
@@ -753,10 +680,16 @@ class BatchAdaptiveStrategy(_ChannelLayoutStrategy):
             high_value[:, None],
             low_value[:, None],
         )
-        layout = self._layout_for(context)
+        # A down channel's plane slot reads its receiver's own value.
+        slots = context.plane.slots
+        mask = context.active_edge_mask
+        if mask is not None and not mask.all():
+            down = ~mask
+            slots = slots.copy()
+            slots[context.plane.channel_slots[down]] = context.edge_target_columns[down]
         spreads = np.stack(
             [
-                self._probe(context, fill, layout)
+                self._probe(context, fill, slots)
                 for fill in (split_fill, high_fill, low_fill)
             ]
         )

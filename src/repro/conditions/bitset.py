@@ -291,16 +291,16 @@ def find_violating_partition_bitset(
             if count < 2:
                 continue
             # Re-index the surviving nodes' in-masks onto compact bits
-            # 0 … count−1 (in-neighbours inside F never count towards the
-            # threshold because the universe is V − F).
+            # 0 … count−1 by deleting the fault bits, highest first, so the
+            # lower fault positions stay put (in-neighbours inside F never
+            # count towards the threshold because the universe is V − F).
             compact_in = []
             for global_pos in remaining:
-                source_mask = view.in_mask_ints[global_pos] & ~fault_mask
-                compact = 0
-                for other_pos, other_global in enumerate(remaining):
-                    if (source_mask >> other_global) & 1:
-                        compact |= 1 << other_pos
-                compact_in.append(compact)
+                word = view.in_mask_ints[global_pos]
+                for position in reversed(combo):
+                    low = word & ((1 << position) - 1)
+                    word = low | ((word >> (position + 1)) << position)
+                compact_in.append(word)
             if compiled is not None:
                 found = compiled.sweep(compact_in, effective_threshold)
             else:

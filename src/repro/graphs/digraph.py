@@ -343,6 +343,25 @@ class Digraph:
         )
         return nodes, sources, targets
 
+    def edge_arrays_in(
+        self, nodes: Sequence[NodeId]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(column_of, sources, targets)``: :meth:`edge_arrays` in
+        the order ``nodes``, which lists every node once (the batch engines
+        pass their state columns).  Edge ``e`` runs from
+        ``nodes[column_of[sources[e]]]`` to ``nodes[column_of[targets[e]]]``;
+        an array-built graph's ``column_of`` is the inverse permutation of
+        ``nodes``, built without a node → position dict."""
+        graph_nodes, sources, targets = self.edge_arrays()
+        n = len(nodes)
+        if isinstance(graph_nodes, range) and graph_nodes == range(n):
+            column_of = np.empty(n, dtype=np.int64)
+            column_of[np.fromiter(nodes, dtype=np.int64, count=n)] = np.arange(n)
+        else:
+            column = {node: index for index, node in enumerate(nodes)}
+            column_of = np.array([column[node] for node in graph_nodes], dtype=np.int64)
+        return column_of, sources, targets
+
     def has_node(self, node: NodeId) -> bool:
         """Return whether ``node`` is in the graph."""
         return node in self._succ

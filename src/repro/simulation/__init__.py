@@ -3,7 +3,6 @@ generators, metrics, traces and the high-level :func:`run_consensus` API."""
 
 from repro.simulation.async_engine import (
     PartiallyAsynchronousEngine,
-    canonical_edge_order,
     run_partially_asynchronous,
 )
 from repro.simulation.dynamic import (
@@ -58,7 +57,6 @@ __all__ = [
     "EquivalenceReport",
     "VectorizedEngine",
     "VectorizedAsyncEngine",
-    "canonical_edge_order",
     "cross_check_engines",
     "random_input_matrix",
     "run_vectorized",

@@ -32,7 +32,8 @@ executed round ``t``, in this order:
 1. iff ``max_delay > 0``: one call ``rng.integers(0, max_delay + 1, size=E)``
    where ``E`` is the number of directed edges and position ``k`` is the
    ``k``-th edge in *canonical edge order* — senders sorted by ``repr``, and
-   within each sender its targets sorted by ``repr``;
+   within each sender its targets sorted by ``repr``
+   (:attr:`~repro.simulation.dynamic.ScheduleLayout.edges`);
 2. iff ``update_probability < 1.0``: one call ``rng.random(m)`` over the
    ``m`` fault-free nodes sorted by ``repr``; a node recomputes exactly when
    its coin is ``< update_probability``.
@@ -68,20 +69,6 @@ from repro.simulation.engine import (
 from repro.simulation.metrics import ValidityMonitor
 from repro.simulation.trace import ExecutionTrace
 from repro.types import ConsensusOutcome, NodeId, ReceivedValue, ValueMap
-
-
-def canonical_edge_order(graph: Digraph) -> tuple[tuple[NodeId, NodeId], ...]:
-    """Return every directed edge in the RNG contract's canonical order.
-
-    Sender-major: senders sorted by ``repr``, and within each sender its
-    targets sorted by ``repr``.  Both asynchronous engines interpret the
-    per-round delay array in exactly this order.
-    """
-    return tuple(
-        (sender, target)
-        for sender in sorted(graph.nodes, key=repr)
-        for target in sorted(graph.out_neighbors(sender), key=repr)
-    )
 
 
 class PartiallyAsynchronousEngine:
@@ -144,12 +131,10 @@ class PartiallyAsynchronousEngine:
         )
 
         self._ff_sorted = checked_fault_free(graph, rule, self._faulty)
-        self._canonical_edges = canonical_edge_order(graph)
+        # The delay draw and the schedule's edge masks share one edge order.
+        self._sched_layout = ScheduleLayout.for_graph(graph)
         self._schedule = schedule
-        self._sched_layout = (
-            ScheduleLayout.for_graph(graph) if schedule is not None else None
-        )
-        if self._sched_layout is not None:
+        if schedule is not None:
             self._ff_positions = np.array(
                 [self._sched_layout.node_index[node] for node in self._ff_sorted]
             )
@@ -262,11 +247,11 @@ class PartiallyAsynchronousEngine:
             # 2. Every node emits its messages for this round; delays come
             #    from one canonical-order array draw (the RNG contract).
             delays = (
-                self._rng.integers(0, self._max_delay + 1, size=len(self._canonical_edges))
+                self._rng.integers(0, self._max_delay + 1, size=layout.edge_count)
                 if self._max_delay > 0
                 else None
             )
-            for position, (sender, target) in enumerate(self._canonical_edges):
+            for position, (sender, target) in enumerate(layout.edges):
                 # The delay is drawn for every edge, but a masked channel's
                 # message (edge down, or sender asleep) is never delivered.
                 channel_up = True

@@ -54,7 +54,7 @@ identical mask without replaying rounds ``1 … t − 1``, converged rows cost
 nothing, and :meth:`TopologySchedule.activity` may be queried any number of
 times per round.  Edge masks are interpreted over
 :attr:`ScheduleLayout.edges` (canonical sender-major edge order, the same
-order as :func:`repro.simulation.async_engine.canonical_edge_order`) and
+order as the asynchronous engines' per-round delay draw) and
 awake masks over :attr:`ScheduleLayout.node_order` (nodes sorted by
 ``repr`` — the engines' state-column order).  Distinct ``stream_key`` values
 decorrelate edge and churn streams sharing one seed (the defaults are 0 for
@@ -65,6 +65,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -79,55 +80,82 @@ EDGE_STREAM_KEY = 0
 CHURN_STREAM_KEY = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleLayout:
     """Canonical orders a schedule's masks are expressed in.
 
-    Built once per graph by every engine that consumes a schedule, so a
-    schedule never needs engine-specific knowledge: edge masks are indexed
-    by :attr:`edges` (canonical sender-major directed-edge order) and awake
-    masks by :attr:`node_order` (nodes sorted by ``repr``, i.e. the batch
-    engines' state-column order).
+    Built once per graph by every engine that consumes a schedule (and by
+    both asynchronous engines, whose delay draw follows the same edge
+    order), so a schedule never needs engine-specific knowledge: edge masks
+    are indexed by :attr:`edges` (canonical sender-major directed-edge
+    order) and awake masks by :attr:`node_order` (nodes sorted by ``repr``,
+    i.e. the batch engines' state-column order).  ``edge_keys`` holds the
+    edge order as ascending ``sender column · n + target column`` keys;
+    :attr:`edges`, :attr:`node_index` and :attr:`edge_index` are built from
+    it only when first read.
     """
 
     graph: Digraph
     node_order: tuple[NodeId, ...]
-    edges: tuple[tuple[NodeId, NodeId], ...]
-    node_index: Mapping[NodeId, int]
-    edge_index: Mapping[tuple[NodeId, NodeId], int]
+    edge_keys: np.ndarray
 
     @classmethod
     def for_graph(cls, graph: Digraph) -> "ScheduleLayout":
-        """Build the layout for ``graph``.
-
-        ``edges`` reproduces
-        :func:`repro.simulation.async_engine.canonical_edge_order` (senders
-        sorted by ``repr``, targets sorted by ``repr`` within a sender);
-        the equality is pinned by ``tests/test_dynamic_schedules.py``.
-        """
+        """Build the layout for ``graph``: senders sorted by ``repr``, and
+        targets by ``repr`` within a sender, by one sort of the keys (two
+        nodes that share a ``repr`` fall in column order, as in the CSR)."""
         node_order = tuple(sorted(graph.nodes, key=repr))
-        edges = tuple(
-            (sender, target)
-            for sender in node_order
-            for target in sorted(graph.out_neighbors(sender), key=repr)
-        )
-        return cls(
-            graph=graph,
-            node_order=node_order,
-            edges=edges,
-            node_index={node: i for i, node in enumerate(node_order)},
-            edge_index={edge: i for i, edge in enumerate(edges)},
-        )
+        column_of, sources, targets = graph.edge_arrays_in(node_order)
+        keys = column_of[sources] * len(node_order) + column_of[targets]
+        keys.sort()
+        return cls(graph=graph, node_order=node_order, edge_keys=keys)
 
     @property
     def edge_count(self) -> int:
         """Number of directed edges ``E``."""
-        return len(self.edges)
+        return int(self.edge_keys.size)
 
     @property
     def node_count(self) -> int:
         """Number of nodes ``n``."""
         return len(self.node_order)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[NodeId, NodeId], ...]:
+        """Every directed edge ``(sender, target)``, in canonical order."""
+        senders, targets = np.divmod(self.edge_keys, self.node_count)
+        nodes = self.node_order
+        return tuple(
+            zip(
+                map(nodes.__getitem__, senders.tolist()),
+                map(nodes.__getitem__, targets.tolist()),
+            )
+        )
+
+    @cached_property
+    def node_index(self) -> Mapping[NodeId, int]:
+        """Each node's position in :attr:`node_order`."""
+        return {node: i for i, node in enumerate(self.node_order)}
+
+    @cached_property
+    def edge_index(self) -> Mapping[tuple[NodeId, NodeId], int]:
+        """Each edge's position in :attr:`edges`."""
+        return {edge: i for i, edge in enumerate(self.edges)}
+
+    def edge_positions(
+        self, source_columns: np.ndarray, target_columns: np.ndarray
+    ) -> np.ndarray:
+        """Return each edge's position in :attr:`edges`, given its sender and
+        target columns in :attr:`node_order`, by one bulk search; raise
+        :class:`~repro.exceptions.InvalidParameterError` for a non-edge."""
+        keys = source_columns * self.node_count + target_columns
+        positions = np.searchsorted(self.edge_keys, keys)
+        if positions.size and not (
+            positions.max() < self.edge_count
+            and np.array_equal(self.edge_keys[positions], keys)
+        ):
+            raise InvalidParameterError("a (sender, target) column pair is not an edge")
+        return positions
 
 
 @dataclass(frozen=True)

@@ -382,16 +382,30 @@ def checked_fault_free(
     return fault_free
 
 
+def input_value(node: NodeId, value: float) -> float:
+    """Return ``value`` as a float, or raise
+    :class:`~repro.exceptions.InvalidParameterError` naming ``node`` when
+    ``float()`` refuses it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"input for node {node!r} is not a number: {value!r}"
+        ) from None
+
+
 def initial_state(graph: Digraph, inputs: ValueMap) -> dict[NodeId, float]:
-    """Return every node's input as a float, rejecting missing or non-finite
-    values with :class:`~repro.exceptions.InvalidParameterError`."""
+    """Return every node's input as a float, rejecting missing, non-numeric
+    or non-finite values with :class:`~repro.exceptions.InvalidParameterError`
+    (the ``repr``-smallest offending node is named)."""
     missing = graph.nodes - inputs.keys()
     if missing:
         raise InvalidParameterError(
             f"inputs missing for nodes {sorted(missing, key=repr)!r}"
         )
-    state = {node: float(inputs[node]) for node in graph.nodes}
+    state = {node: inputs[node] for node in graph.nodes}
     for node in sorted(state, key=repr):
+        state[node] = input_value(node, state[node])
         if not math.isfinite(state[node]):
             raise InvalidParameterError(
                 f"input for node {node!r} is not finite: {state[node]!r}"

@@ -8,6 +8,8 @@ callers override any piece.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.adversary.base import ByzantineStrategy
@@ -15,6 +17,7 @@ from repro.adversary.selection import random_fault_set
 from repro.adversary.strategies import ExtremePushStrategy
 from repro.algorithms.base import UpdateRule
 from repro.algorithms.trimmed_mean import TrimmedMeanRule
+from repro.conditions.exact import check_count
 from repro.exceptions import InvalidParameterError
 from repro.graphs.digraph import Digraph
 from repro.simulation.async_engine import run_partially_asynchronous
@@ -88,12 +91,39 @@ def run_consensus(
     ConsensusOutcome
         Convergence/validity verdicts, the final fault-free values, and (when
         ``record_history`` is true) the full per-round trace.
+
+    Raises
+    ------
+    InvalidParameterError
+        Before any work, naming the parameter that is out of range or of
+        the wrong type; or naming the node whose input is missing, not a
+        number or not finite.
     """
-    if f < 0:
-        raise InvalidParameterError(f"f must be >= 0, got {f}")
+    check_count(f, "f", 0)
+    check_count(max_rounds, "max_rounds", 0)
+    check_count(0 if seed is None else seed, "seed", 0)
+    check_count(0 if synchronous else max_delay, "max_delay", 0)
+    if isinstance(tolerance, bool) or not (
+        isinstance(tolerance, (int, float)) and tolerance >= 0
+    ):
+        raise InvalidParameterError(
+            f"tolerance must be a number >= 0, got {tolerance!r}"
+        )
     if engine not in ENGINE_CHOICES:
         raise InvalidParameterError(
             f"engine must be one of {ENGINE_CHOICES}, got {engine!r}"
+        )
+    if rule is not None and not isinstance(rule, UpdateRule):
+        raise InvalidParameterError(f"rule must be an UpdateRule, got {rule!r}")
+    if engine == "scalar" and not (
+        adversary is None or isinstance(adversary, ByzantineStrategy)
+    ):
+        raise InvalidParameterError(
+            f"the scalar engines need a ByzantineStrategy, got {adversary!r}"
+        )
+    if inputs is not None and not isinstance(inputs, Mapping):
+        raise InvalidParameterError(
+            f"inputs must map every node to its value, got {inputs!r}"
         )
     rng = np.random.default_rng(seed)
     chosen_rule = rule if rule is not None else TrimmedMeanRule(f)

@@ -71,6 +71,7 @@ from repro.adversary.base import ByzantineStrategy
 from repro.adversary.vectorized import (
     BatchAdversaryContext,
     BatchStrategy,
+    ChannelPlane,
     as_batch_strategy,
     fault_free_block,
 )
@@ -88,6 +89,7 @@ from repro.simulation.engine import (
     SimulationConfig,
     SynchronousEngine,
     checked_fault_free,
+    input_value,
 )
 from repro.simulation import native
 from repro.simulation.metrics import ValidityMonitor
@@ -232,21 +234,11 @@ def bucket_plane(
     so each bucket is one contiguous slab; ``plane_order`` maps each plane
     slot to its CSR position.
 
-    The CSR comes from :meth:`~repro.graphs.digraph.Digraph.edge_arrays`
+    The CSR comes from :meth:`~repro.graphs.digraph.Digraph.edge_arrays_in`
     with one sort on the (receiver, sender column) key, so an array-built
     graph never builds its neighbour sets here, nor a node → column dict.
     """
-    graph_nodes, sources, targets = graph.edge_arrays()
-    if isinstance(graph_nodes, range) and graph_nodes == range(len(nodes)):
-        # An array-built graph's nodes are 0 … n − 1, so each node's column
-        # is the inverse permutation of the column order.
-        column_of = np.empty(len(nodes), dtype=np.int64)
-        column_of[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = np.arange(
-            len(nodes)
-        )
-    else:
-        column = {node: index for index, node in enumerate(nodes)}
-        column_of = np.array([column[node] for node in graph_nodes], dtype=np.int64)
+    column_of, sources, targets = graph.edge_arrays_in(nodes)
     # Each edge's receiver as its rank in receiver_columns (-1: no receiver).
     rank = np.full(len(nodes), -1, dtype=np.int64)
     rank[receiver_columns] = np.arange(receiver_columns.size)
@@ -597,9 +589,11 @@ class VectorizedEngine:
           (grouped by exact in-degree) so each bucket is one contiguous
           slab.  ``_plane_order`` maps each plane slot to its CSR position
           and ``_plane_indices`` to the state column it reads.
-          ``_channel_slots`` is the same map for a source that joins the
-          round's ``E_f`` channel values after the ``n`` state columns:
-          canonical channel ``j`` is read from column ``n + j``.
+          ``_plane`` (a :class:`~repro.adversary.vectorized.ChannelPlane`,
+          which every strategy's context carries) holds the same map for a
+          source that joins the round's ``E_f`` channel values after the
+          ``n`` state columns: canonical channel ``j`` is read from column
+          ``n + j`` by plane slot ``_plane.channel_slots[j]``.
         """
         (
             self._csr_indptr,
@@ -625,10 +619,10 @@ class VectorizedEngine:
         self._plane_indices = self._csr_indices[self._plane_order]
         plane_slot = np.empty_like(self._plane_order)
         plane_slot[self._plane_order] = np.arange(self._plane_order.size)
-        self._channel_slots = self._plane_indices.copy()
-        self._channel_slots[plane_slot[self._edge_csr_pos]] = len(
-            self._nodes
-        ) + np.arange(self._edge_csr_pos.size)
+        channel_slots = plane_slot[self._edge_csr_pos]
+        slots = self._plane_indices.copy()
+        slots[channel_slots] = len(self._nodes) + np.arange(channel_slots.size)
+        self._plane = ChannelPlane(self._layout, slots, channel_slots, self._mode)
 
         # Per-row working-set estimate of the NumPy kernel for the tiling
         # budget: the flat plane plus the largest bucket's own+survivors
@@ -647,25 +641,17 @@ class VectorizedEngine:
         Schedule masks (and the asynchronous engine's per-round delay draw)
         are indexed by :class:`~repro.simulation.dynamic.ScheduleLayout`'s
         edge order.  ``_csr_edge_pos`` gives every CSR slot its edge
-        position; ``_chan_edge_pos``, ``_plane_edge_pos`` and
-        ``_plane_recv_cols`` are its views for the faulty channels and the
-        plane slots plus each plane slot's receiver column, so a round's
-        ``(E,)`` edge mask becomes a flat list of down plane slots and their
-        self-substitution sources by pure fancy indexing.
+        position (one bulk lookup of its column pair); ``_chan_edge_pos``,
+        ``_plane_edge_pos`` and ``_plane_recv_cols`` are its views for the
+        faulty channels and the plane slots plus each plane slot's receiver
+        column, so a round's ``(E,)`` edge mask becomes a flat list of down
+        plane slots and their self-substitution sources by pure fancy
+        indexing.
         """
         layout = ScheduleLayout.for_graph(self._graph)
         self._sched_layout = layout
         receivers = np.repeat(self._ff_cols, np.diff(self._csr_indptr))
-        nodes = self._nodes
-        self._csr_edge_pos = np.array(
-            [
-                layout.edge_index[(nodes[sender], nodes[receiver])]
-                for sender, receiver in zip(
-                    self._csr_indices.tolist(), receivers.tolist()
-                )
-            ],
-            dtype=np.int64,
-        )
+        self._csr_edge_pos = layout.edge_positions(self._csr_indices, receivers)
         self._chan_edge_pos = self._csr_edge_pos[self._edge_csr_pos]
         self._plane_edge_pos = self._csr_edge_pos[self._plane_order]
         self._plane_recv_cols = receivers[self._plane_order]
@@ -790,8 +776,9 @@ class VectorizedEngine:
 
         Accepts a single value map (``B = 1``), a sequence of value maps
         (one per row), or an already-packed array (validated and copied).
-        An empty batch (``B = 0``) and non-finite inputs (NaN, ±inf) are
-        rejected with :class:`~repro.exceptions.InvalidParameterError`.
+        An empty batch (``B = 0``), a value ``float()`` refuses and
+        non-finite inputs (NaN, ±inf) are rejected with
+        :class:`~repro.exceptions.InvalidParameterError`.
         """
         if isinstance(inputs, np.ndarray):
             matrix = np.array(inputs, dtype=self._dtype)
@@ -812,7 +799,9 @@ class VectorizedEngine:
                     raise InvalidParameterError(
                         f"inputs missing for nodes {sorted(missing, key=repr)!r}"
                     )
-                rows.append([float(value_map[node]) for node in self._nodes])
+                rows.append(
+                    [input_value(node, value_map[node]) for node in self._nodes]
+                )
             matrix = np.array(rows, dtype=self._dtype)
         if matrix.shape[0] == 0:
             raise InvalidParameterError("at least one input assignment is required")
@@ -843,6 +832,7 @@ class VectorizedEngine:
             edge_nodes=self._edge_nodes,
             edge_source_columns=self._edge_src_cols,
             edge_target_columns=self._edge_dst_cols,
+            plane=self._plane,
             active_edge_mask=active_edge_mask,
         )
 
@@ -930,7 +920,7 @@ class VectorizedEngine:
         # receiver after the channel pointers are set, so a down faulty
         # channel is substituted too: a dead slot carries the receiver's own
         # previous value, keeping the trim window width d.
-        slots = self._plane_indices if channel_values is None else self._channel_slots
+        slots = self._plane_indices if channel_values is None else self._plane.slots
         if activity is not None:
             up = np.ones(slots.shape, dtype=bool)
             if activity.edge_up is not None:

@@ -160,16 +160,19 @@ class RowSchema:
         )
 
     # -- validation ----------------------------------------------------------
-    def validate_row(
-        self, row: Mapping[str, object], context: str = ""
-    ) -> None:
-        """Raise :class:`SchemaViolationError` unless ``row`` matches.
+    def validate_row(self, row: object, context: str = "") -> None:
+        """Raise :class:`SchemaViolationError` unless ``row`` is a mapping
+        that matches.
 
         ``context`` carries the cell coordinates (experiment, cell and
         row index) the orchestrator prepends to every message, so a
         violation in a thousand-cell sweep names the offending cell.
         """
         where = f"{context}: " if context else ""
+        if not isinstance(row, Mapping):
+            raise SchemaViolationError(
+                f"{where}expected a mapping, got {type(row).__name__}"
+            )
         by_name = {column.name: column for column in self.columns}
         for key in row:
             if key not in by_name:
@@ -211,11 +214,6 @@ class RowSchema:
                 f"got {type(rows).__name__}"
             )
         for row_index, row in enumerate(rows):
-            if not isinstance(row, Mapping):
-                raise SchemaViolationError(
-                    f"{context + ', ' if context else ''}row {row_index}: "
-                    f"expected a mapping, got {type(row).__name__}"
-                )
             suffix = f"row {row_index}"
             self.validate_row(
                 row, context=f"{context}, {suffix}" if context else suffix

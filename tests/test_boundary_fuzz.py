@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import ExtremePushStrategy
 from repro.conditions import (
     FEASIBLE,
     INFEASIBLE,
@@ -31,10 +32,17 @@ from repro.conditions import (
 from repro.conditions.bitset import _search_fault_set
 from repro.conditions.exact import _UniverseSolver
 from repro.conditions.search_kernel import BudgetExceeded
-from repro.exceptions import InvalidParameterError, SelfLoopError
-from repro.graphs import Digraph
+from repro.exceptions import (
+    InvalidParameterError,
+    ReproError,
+    SchemaViolationError,
+    SelfLoopError,
+)
+from repro.graphs import Digraph, core_network
+from repro.simulation import run_consensus
 from repro.sweeps.grid import apply_overrides
 from repro.sweeps.registry import all_experiments
+from repro.types import ConsensusOutcome
 
 EXPERIMENTS = all_experiments()
 
@@ -353,3 +361,127 @@ def test_edge_arrays_build_the_per_edge_graph_or_are_refused(n, sources, targets
         expected.in_degree(v) for v in range(n)
     ]
     assert graph == expected
+
+
+#: ``run_consensus`` parameter -> (in-range values, out-of-range values).
+#: ``max_delay`` is read only when ``synchronous`` is false.
+CONSENSUS_PARAMETERS = {
+    "f": (st.integers(0, 3), NEGATIVE),
+    "seed": (
+        st.none() | st.integers(0, 2**70),
+        NEGATIVE.filter(lambda value: value is not None),
+    ),
+    "max_rounds": (st.integers(0, 6), NEGATIVE),
+    "max_delay": (st.integers(0, 3), NEGATIVE),
+    "tolerance": (
+        st.floats(0.0, 1.0) | st.just(math.inf) | st.integers(0, 2),
+        st.floats(max_value=-1e-9)
+        | st.sampled_from([math.nan, "0.1", None, True, [0.1]]),
+    ),
+    "rule": (st.none(), st.sampled_from(["trimmed-mean", 3, object()])),
+    "engine": (st.sampled_from(["scalar", "vectorized"]), st.text(max_size=4)),
+    "adversary": (
+        st.sampled_from([None, ExtremePushStrategy(delta=1.0)]),
+        st.just("push"),
+    ),
+}
+
+#: One draw in six is out of range, so that most calls get past the
+#: up-front checks to the inputs and the run itself.
+OUT_OF_RANGE = st.integers(0, 5).map(lambda draw: draw == 0)
+
+#: Input values ``float()`` accepts (strings that spell a finite number
+#: included) and values it refuses or that are not finite.
+GOOD_INPUTS = st.floats(-10.0, 10.0) | st.integers(-5, 5) | st.just("1.5")
+BAD_INPUTS = st.sampled_from(["x", None, [1], {}, 1 + 2j, math.nan, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(synchronous=st.booleans(), data=st.data())
+def test_run_consensus_returns_an_outcome_or_a_documented_error(synchronous, data):
+    keywords = {}
+    bad = False
+    for name, (in_range, out_of_range) in CONSENSUS_PARAMETERS.items():
+        out = data.draw(OUT_OF_RANGE, label=f"{name} out of range")
+        keywords[name] = data.draw(out_of_range if out else in_range, label=name)
+        bad = bad or (out and (name != "max_delay" or not synchronous))
+    bad_input = False
+    if data.draw(st.booleans(), label="explicit inputs"):
+        values = data.draw(st.lists(GOOD_INPUTS, min_size=7, max_size=7))
+        if data.draw(OUT_OF_RANGE, label="one bad input"):
+            node = data.draw(st.integers(0, 6), label="bad node")
+            values[node] = data.draw(BAD_INPUTS, label="bad input")
+            bad_input = True
+        keywords["inputs"] = dict(enumerate(values))
+    try:
+        outcome = run_consensus(core_network(7, 2), synchronous=synchronous, **keywords)
+    except InvalidParameterError as error:
+        assert bad or (bad_input and f"input for node {node!r} " in str(error))
+        return
+    except ReproError:
+        # A rule precondition the graph fails (f = 3) is found when the
+        # engine is built, before it reads the inputs.
+        assert not bad
+        return
+    assert not (bad or bad_input)
+    assert isinstance(outcome, ConsensusOutcome)
+    assert outcome.rounds_executed <= keywords["max_rounds"]
+
+
+#: The Python types a JSON value of each column kind decodes to.
+KIND_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+#: Values a JSON document can hold, of the kind each schema column expects.
+KIND_VALUES = {
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats() | st.integers(),
+    "str": st.text(max_size=5),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(EXPERIMENTS)), data=st.data())
+def test_validate_row_passes_a_matching_json_row_or_raises(name, data):
+    schema = EXPERIMENTS[name].schema
+    if data.draw(st.booleans(), label="any JSON value"):
+        row = data.draw(JSON_VALUES, label="row")
+        matches = None
+    else:
+        row, matches = {}, True
+        for column in schema.columns:
+            how = data.draw(
+                st.sampled_from(["kind", "null", "absent", "any"]), label=column.name
+            )
+            if how == "kind":
+                row[column.name] = data.draw(KIND_VALUES[column.kind])
+            elif how == "null":
+                row[column.name] = None
+                matches = matches and column.optional
+            elif how == "absent":
+                matches = matches and not column.required
+            else:
+                row[column.name] = data.draw(JSON_VALUES)
+                matches = None
+        extra = data.draw(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=2))
+        for key, value in extra.items():
+            if key not in row:
+                row[key] = value
+                matches = None if key in schema.names else matches and False
+    row = json.loads(json.dumps(row))  # exactly what a stored shard holds
+    try:
+        schema.validate_row(row)
+    except SchemaViolationError:
+        assert matches is not True
+        return
+    assert matches is not False
+    assert isinstance(row, dict) and set(row) <= set(schema.names)
+    for column in schema.columns:
+        if column.name not in row:
+            assert not column.required
+        elif row[column.name] is None:
+            assert column.optional
+        else:
+            value = row[column.name]
+            assert isinstance(value, KIND_TYPES[column.kind])
+            assert column.kind == "bool" or not isinstance(value, bool)

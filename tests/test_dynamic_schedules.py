@@ -8,18 +8,14 @@ Four groups of pins:
 * **Masking identities** — under the trimmed-*midpoint* rule (whose
   all-equal update is exact in floating point, unlike the mean's cumsum) a
   node asleep for the whole run is bit-equivalent to masking down every
-  edge incident to it; the canonical edge order of
-  :class:`~repro.simulation.dynamic.ScheduleLayout` is pinned to
-  :func:`~repro.simulation.async_engine.canonical_edge_order`.
+  edge incident to it.
 * **Participation-aware validity** — the monitor must flag cumulative
   drift a naive per-round-slack check would wave through (the PR 5 drift
   bug, now on the churn axis), must require *exact* state freezing of
   asleep nodes, and must keep sleeping extremes inside the hull so a
   wake-up never counts as a violation.
-* **Layout-cache staleness** — a mask-sensitive channel-layout strategy
-  must rebuild its layout whenever the round's ``active_edge_mask``
-  changes (before the mask keying this returned a stale layout), while the
-  shipped mask-insensitive strategies build exactly once per run.
+* **Layout cache** — a channel-layout strategy builds its layout exactly
+  once per run, however the round's ``active_edge_mask`` changes.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import pytest
 from repro.adversary import BatchAdversaryContext, ExtremePushStrategy
 from repro.adversary.vectorized import _ChannelLayoutStrategy
 from repro.algorithms import TrimmedMeanRule, TrimmedMidpointRule
-from repro.graphs import chord_network, complete_graph, core_network
+from repro.graphs import complete_graph, core_network
 from repro.simulation import (
     ComposedSchedule,
     PartiallyAsynchronousEngine,
@@ -44,7 +40,6 @@ from repro.simulation import (
     ValidityMonitor,
     VectorizedAsyncEngine,
     VectorizedEngine,
-    canonical_edge_order,
     cross_check_engines,
 )
 from repro.simulation.metrics import VALIDITY_TOLERANCE
@@ -195,11 +190,6 @@ def test_async_engines_stay_bit_identical_under_masks():
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_layout_edges_match_canonical_edge_order():
-    for graph in (complete_graph(5), core_network(9, 2), chord_network(8, 1)):
-        assert ScheduleLayout.for_graph(graph).edges == canonical_edge_order(graph)
-
-
 @pytest.mark.parametrize("engine_kind", SYNC_ENGINE_KINDS[:3])
 def test_asleep_forever_equals_all_incident_edges_down(engine_kind):
     """Sleeping z for the whole run == masking every edge incident to z.
@@ -213,7 +203,7 @@ def test_asleep_forever_equals_all_incident_edges_down(engine_kind):
     graph = core_network(8, 1)
     z = 3
     incident = tuple(
-        edge for edge in canonical_edge_order(graph) if z in edge
+        edge for edge in ScheduleLayout.for_graph(graph).edges if z in edge
     )
     inputs = _inputs_for(graph)
     kwargs = dict(
@@ -367,15 +357,14 @@ def test_engine_run_folds_participation_audit_into_validity(engine_kind):
 
 
 # ---------------------------------------------------------------------------
-# Layout-cache staleness under per-round masks
+# Layout cache under per-round masks
 # ---------------------------------------------------------------------------
 
 
-class _MaskEchoStrategy(_ChannelLayoutStrategy):
-    """Toy mask-sensitive strategy: its layout *is* the round's mask."""
+class _CountingLayoutStrategy(_ChannelLayoutStrategy):
+    """Toy channel-layout strategy that counts its layout builds."""
 
-    name = "mask-echo"
-    mask_sensitive = True
+    name = "counting-layout"
 
     def __init__(self) -> None:
         super().__init__()
@@ -383,10 +372,7 @@ class _MaskEchoStrategy(_ChannelLayoutStrategy):
 
     def _build_layout(self, context: BatchAdversaryContext) -> np.ndarray:
         self.builds += 1
-        mask = context.active_edge_mask
-        if mask is None:
-            return np.ones(len(context.edge_nodes), dtype=float)
-        return np.asarray(mask, dtype=float)
+        return np.ones(len(context.edge_nodes), dtype=float)
 
     def edge_values(self, context: BatchAdversaryContext) -> np.ndarray:
         row = np.asarray(self._layout_for(context), dtype=float)
@@ -394,13 +380,6 @@ class _MaskEchoStrategy(_ChannelLayoutStrategy):
 
     def nominal_values(self, context: BatchAdversaryContext) -> np.ndarray:
         return np.zeros((context.batch_size, context.faulty_columns.shape[0]))
-
-
-class _CountingInsensitiveStrategy(_MaskEchoStrategy):
-    """Same strategy with the default mask-insensitive cache key."""
-
-    name = "mask-blind"
-    mask_sensitive = False
 
 
 def _drive_rounds(strategy, schedule, rounds=4):
@@ -422,28 +401,8 @@ def _drive_rounds(strategy, schedule, rounds=4):
     return engine
 
 
-def test_mask_sensitive_layout_rebuilds_when_the_mask_changes():
-    """Failing-first pin for the cache-staleness audit.
-
-    ``RandomEdgeSchedule(p_up=0.5)`` produces a different mask nearly every
-    round; before the cache was keyed on the mask bytes, a mask-sensitive
-    strategy would keep serving round 1's layout (``builds == 1`` and stale
-    values).  The layout must now track every distinct mask.
-    """
-    strategy = _MaskEchoStrategy()
-    schedule = RandomEdgeSchedule(p_up=0.5, seed=13)
-    _drive_rounds(strategy, schedule, rounds=4)
-    assert strategy.builds >= 2, "stale layout served across differing masks"
-
-
 def test_mask_insensitive_layout_builds_once_despite_changing_masks():
-    strategy = _CountingInsensitiveStrategy()
+    strategy = _CountingLayoutStrategy()
     schedule = RandomEdgeSchedule(p_up=0.5, seed=13)
     _drive_rounds(strategy, schedule, rounds=4)
-    assert strategy.builds == 1
-
-
-def test_mask_sensitive_layout_is_stable_under_a_static_schedule():
-    strategy = _MaskEchoStrategy()
-    _drive_rounds(strategy, StaticSchedule(), rounds=4)
     assert strategy.builds == 1

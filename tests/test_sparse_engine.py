@@ -3,7 +3,10 @@
 Covers what the differential suites don't: the CSR layout itself (pinned
 against the per-receiver build it replaced, the asynchronous engine's channel
 axis, which must be the CSR order, and the large-``n`` path, which must
-never build the graph's neighbour sets), parameter
+never build the graph's neighbour sets), the canonical edge order and the
+CSR slots' edge positions (pinned against the ``repr`` sort and dict lookup
+they replaced), the adaptive lookahead on the engine's plane (against the
+probe plane it used to build), parameter
 validation, the rejection of empty batches, the ``plane_tile_rows`` budget
 arithmetic, the memory-tiling regression (tiled == untiled bit-for-bit, and
 the tiled kernel actually allocates less), the ``run_consensus`` engine
@@ -14,6 +17,8 @@ plumbing.
 from __future__ import annotations
 
 import tracemalloc
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from repro.adversary import (
     BatchAdaptiveStrategy,
     BatchExtremePushStrategy,
     BatchRandomNoiseStrategy,
+    BatchStrategy,
     ExtremePushStrategy,
 )
 from repro.adversary.selection import random_fault_set
@@ -30,27 +36,35 @@ from repro.exceptions import InvalidParameterError
 from repro.experiments import scale
 from repro.graphs import (
     Digraph,
+    chord_network,
     complete_graph,
     core_network,
     heterogeneous_ring_lattice,
     k_in_regular_digraph,
 )
 from repro.simulation import (
+    ComposedSchedule,
+    PeriodicEdgeSchedule,
+    RandomChurnSchedule,
+    RandomEdgeSchedule,
+    ScheduleLayout,
     SimulationConfig,
+    StaticSchedule,
     VectorizedAsyncEngine,
     VectorizedEngine,
-    canonical_edge_order,
     cross_check_engines,
     run_consensus,
     run_vectorized,
     uniform_random_inputs,
 )
-from repro.simulation import native, vectorized
+from repro.adversary.vectorized import fault_free_block
+from repro.simulation import native
 from repro.simulation.sparse import SparseEngine
 from repro.simulation.vectorized import (
     bucket_plane,
     plane_layout,
     random_input_matrix,
+    reduce_plane,
 )
 
 from conftest import BATCH_ENGINE_KINDS, make_batch_engine, numpy_kernel
@@ -88,7 +102,7 @@ class TestCSRLayout:
             for ff_index, receiver in enumerate(ff_nodes)
             for sender in indices[indptr[ff_index] : indptr[ff_index + 1]]
         ]
-        rng_edges = canonical_edge_order(graph)
+        rng_edges = repr_sorted_edges(graph)
         assert [rng_edges[k] for k in engine._csr_edge_pos] == csr_edges
         state = engine.pack_inputs(random_input_matrix(engine.nodes, 3, rng=4))
         buffers = engine._init_buffers(state)
@@ -231,24 +245,6 @@ class TestCSRMatchesThePerReceiverBuild:
             assert_same_planes(bucket_plane(graph, nodes, receiver_columns), expected)
         assert type(graph) is not Digraph
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_the_adaptive_probe_plane_matches(self, seed, monkeypatch):
-        graph = heterogeneous_ring_lattice(40 + seed, 2, rng=seed)
-        faulty = random_fault_set(graph, 2, rng=seed)
-        strategy = BatchAdaptiveStrategy(mode="lookahead")
-        engine = VectorizedEngine(
-            graph, TrimmedMeanRule(2), faulty=faulty, adversary=strategy
-        )
-        state = engine.pack_inputs(random_input_matrix(engine.nodes, 2, rng=seed))
-        context = engine._context(state, 1)
-        probe = strategy._build_layout(context)
-        monkeypatch.setattr(vectorized, "bucket_plane", per_receiver_bucket_plane)
-        expected = strategy._build_layout(context)
-        for name in ("slots", "channels", "channel_slots", "channel_receivers"):
-            assert np.array_equal(getattr(probe, name), getattr(expected, name))
-        assert np.array_equal(probe.layout.starts, expected.layout.starts)
-        assert np.array_equal(probe.layout.receivers, expected.layout.receivers)
-
     def test_senders_sharing_a_repr_fall_in_column_order(self):
         class Named:
             """A node whose repr is not unique."""
@@ -262,6 +258,305 @@ class TestCSRMatchesThePerReceiverBuild:
         indptr, indices, _, _ = bucket_plane(graph, nodes, np.array([2]))
         assert indptr.tolist() == [0, 2]
         assert indices.tolist() == [0, 1]
+
+
+def repr_sorted_edges(graph):
+    """Every edge in canonical sender-major order, built as before the
+    array sort: senders, and each sender's out-neighbours, sorted by
+    ``repr``."""
+    return tuple(
+        (sender, target)
+        for sender in sorted(graph.nodes, key=repr)
+        for target in sorted(graph.out_neighbors(sender), key=repr)
+    )
+
+
+def dict_csr_edge_pos(engine, edges):
+    """Each CSR slot's position in ``edges``, found as before the bulk
+    lookup: one dict lookup of the slot's node pair."""
+    edge_index = {edge: position for position, edge in enumerate(edges)}
+    receivers = np.repeat(engine._ff_cols, np.diff(engine.csr_indptr))
+    nodes = engine.nodes
+    return np.array(
+        [
+            edge_index[(nodes[sender], nodes[receiver])]
+            for sender, receiver in zip(
+                engine.csr_indices.tolist(), receivers.tolist()
+            )
+        ],
+        dtype=np.int64,
+    )
+
+
+class TestEdgeOrderMatchesTheReprSort:
+    """``ScheduleLayout``'s one array sort and the engines' bulk edge
+    lookup equal the per-sender ``repr`` sort and the per-slot dict lookup
+    they replaced, on every graph whose nodes have distinct ``repr``s."""
+
+    @pytest.mark.parametrize("label", sorted(NODE_LABELS))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_set_built_graphs(self, label, seed):
+        graph, n, _, _ = random_edge_graph(seed, NODE_LABELS[label])
+        edges = repr_sorted_edges(graph)
+        layout = ScheduleLayout.for_graph(graph)
+        assert layout.edges == edges
+        assert layout.edge_count == len(edges)
+        assert layout.edge_index == {edge: i for i, edge in enumerate(edges)}
+        assert layout.node_order == tuple(sorted(graph.nodes, key=repr))
+        for engine in (
+            VectorizedEngine(graph, TrimmedMeanRule(0), schedule=StaticSchedule()),
+            VectorizedAsyncEngine(graph, TrimmedMeanRule(0), max_delay=1),
+        ):
+            assert engine._csr_edge_pos.dtype == np.int64
+            assert np.array_equal(
+                engine._csr_edge_pos, dict_csr_edge_pos(engine, edges)
+            )
+
+    @pytest.mark.parametrize("n", [101, 1200])
+    def test_an_array_built_lattice(self, n):
+        graph = heterogeneous_ring_lattice(n, 2, rng=n)
+        edges = repr_sorted_edges(heterogeneous_ring_lattice(n, 2, rng=n))
+        assert ScheduleLayout.for_graph(graph).edges == edges
+        engine = VectorizedEngine(
+            graph,
+            TrimmedMeanRule(2),
+            faulty=random_fault_set(graph, 2, rng=n),
+            schedule=StaticSchedule(),
+        )
+        assert np.array_equal(engine._csr_edge_pos, dict_csr_edge_pos(engine, edges))
+        assert type(graph) is not Digraph, "the neighbour sets were built"
+
+    def test_nodes_sharing_a_repr_fall_in_column_order(self):
+        class Named:
+            """A node whose repr is not unique."""
+
+            def __repr__(self):
+                return "same"
+
+        receiver = "receiver"
+        graph = Digraph(edges=[(Named(), receiver), (Named(), receiver)])
+        layout = ScheduleLayout.for_graph(graph)
+        assert layout.node_order[0] == receiver
+        assert layout.edges == tuple(
+            (sender, receiver) for sender in layout.node_order[1:]
+        )
+
+    def test_a_pair_that_is_no_edge_is_refused(self):
+        layout = ScheduleLayout.for_graph(core_network(7, 2))
+        with pytest.raises(InvalidParameterError, match="not an edge"):
+            layout.edge_positions(np.array([0]), np.array([0]))
+        with pytest.raises(InvalidParameterError, match="not an edge"):
+            layout.edge_positions(np.array([6]), np.array([7]))
+
+
+class LegacyAdaptiveStrategy(BatchStrategy):
+    """:class:`BatchAdaptiveStrategy` as it was before it read the engine's
+    plane: it built its own probe plane (a second :func:`bucket_plane` call
+    and a node-pair dict lookup per plane slot) and replayed the update rule
+    its ``rule_mode`` named."""
+
+    def __init__(self, mode, delta, rule_mode):
+        self._mode = mode
+        self._delta = float(delta)
+        self._rule_mode = rule_mode
+        self._plane = None
+        self.name = f"legacy-adaptive({mode})"
+
+    @staticmethod
+    def build_plane(context):
+        receivers = np.asarray(context.fault_free_columns)
+        indptr, indices, plane, plane_order = bucket_plane(
+            context.graph, context.nodes, receivers
+        )
+        plane_indices = indices[plane_order]
+        plane_receivers = np.repeat(receivers, np.diff(indptr))[plane_order]
+        channel_index = {
+            edge: position for position, edge in enumerate(context.edge_nodes)
+        }
+        nodes = context.nodes
+        channels, slots = [], []
+        for slot, (sender, receiver) in enumerate(
+            zip(plane_indices.tolist(), plane_receivers.tolist())
+        ):
+            channel = channel_index.get((nodes[sender], nodes[receiver]))
+            if channel is not None:
+                channels.append(channel)
+                slots.append(slot)
+        channel_slots = np.array(slots, dtype=np.int64)
+        channel_order = np.array(channels, dtype=np.int64)
+        joined = plane_indices.copy()
+        joined[channel_slots] = len(nodes) + channel_order
+        return SimpleNamespace(
+            layout=plane,
+            slots=joined,
+            channels=channel_order,
+            channel_slots=channel_slots,
+            channel_receivers=plane_receivers[channel_slots],
+        )
+
+    def _probe(self, context, fill, layout):
+        state = context.state
+        slots = layout.slots
+        mask = context.active_edge_mask
+        if mask is not None:
+            down = ~mask[layout.channels]
+            if down.any():
+                slots = slots.copy()
+                slots[layout.channel_slots[down]] = layout.channel_receivers[down]
+        source = np.concatenate([state, fill], axis=1, dtype=state.dtype)
+        new_state = np.empty_like(state)
+        reduce_plane(
+            source, slots, state, new_state, layout.layout, context.f, self._rule_mode
+        )
+        values = fault_free_block(new_state, context.fault_free_columns)
+        return values.max(axis=1) - values.min(axis=1)
+
+    def edge_values(self, context):
+        batch = context.batch_size
+        channels = len(context.edge_nodes)
+        if channels == 0:
+            return np.zeros((batch, 0))
+        fault_free = context.fault_free_states
+        lower, upper = fault_free.min(axis=1), fault_free.max(axis=1)
+        midpoint = (upper + lower) / 2.0
+        high_value = upper + self._delta
+        low_value = lower - self._delta
+        high_fill = np.broadcast_to(high_value[:, None], (batch, channels))
+        low_fill = np.broadcast_to(low_value[:, None], (batch, channels))
+        if self._mode == "greedy":
+            above = (fault_free >= midpoint[:, None]).sum(axis=1)
+            below = fault_free.shape[1] - above
+            return np.where((above >= below)[:, None], high_fill, low_fill)
+        receiver_state = context.state[:, context.edge_target_columns]
+        split_fill = np.where(
+            receiver_state >= midpoint[:, None],
+            high_value[:, None],
+            low_value[:, None],
+        )
+        if self._plane is None:
+            self._plane = self.build_plane(context)
+        spreads = np.stack(
+            [
+                self._probe(context, fill, self._plane)
+                for fill in (split_fill, high_fill, low_fill)
+            ]
+        )
+        best = np.argmax(spreads, axis=0)
+        out = split_fill.copy()
+        out[best == 1] = high_fill[best == 1]
+        out[best == 2] = low_fill[best == 2]
+        return out
+
+
+def relabelled(graph, label):
+    """``graph`` with node ``i`` renamed ``label(i)``, built per edge."""
+    return Digraph(
+        nodes=[label(node) for node in graph.nodes],
+        edges=[(label(source), label(target)) for source, target in graph.edges],
+    )
+
+
+def adaptive_case(seed):
+    """Graph ``seed`` of the adaptive differential and its fault budget:
+    eight families, with int, str and tuple node names, set-built and
+    array-built, each at six sizes."""
+    family, size = seed % 8, seed // 8
+    if family == 0:
+        return core_network(7 + size, 2), 2
+    if family == 1:
+        return chord_network(11 + size, 2), 2
+    if family == 2:
+        return k_in_regular_digraph(12 + size, 5, rng=seed), 2
+    if family == 3:
+        return relabelled(core_network(6 + size, 1), NODE_LABELS["str"]), 1
+    if family == 4:
+        graph = k_in_regular_digraph(10 + size, 5, rng=seed)
+        return relabelled(graph, NODE_LABELS["tuple"]), 2
+    if family == 5:
+        return heterogeneous_ring_lattice(30 + 5 * size, 2, rng=seed), 2
+    if family == 6:
+        return complete_graph(4 + size), 1
+    return k_in_regular_digraph(15 + size, 3, rng=seed), 1
+
+
+ADAPTIVE_CASES = tuple(adaptive_case(seed) for seed in range(48))
+
+
+def adaptive_schedule(kind, graph, seed):
+    if kind == "static":
+        return StaticSchedule()
+    if kind == "periodic":
+        edges = ScheduleLayout.for_graph(graph).edges
+        return PeriodicEdgeSchedule([edges[::3], (), edges[1::4]])
+    return ComposedSchedule(
+        RandomEdgeSchedule(p_up=0.8, seed=seed),
+        RandomChurnSchedule(p_awake=0.85, seed=seed),
+    )
+
+
+class TestAdaptiveProbeReadsTheEnginePlane:
+    """The lookahead probe reads the engine's plane, which holds exactly the
+    arrays it used to build, so every run equals one driven by the legacy
+    builder replaying the engine's rule."""
+
+    @pytest.mark.parametrize("mode", ["greedy", "lookahead"])
+    @pytest.mark.parametrize("rule_mode", ["mean", "midpoint"])
+    @pytest.mark.parametrize("schedule_kind", ["static", "periodic", "composed"])
+    @pytest.mark.parametrize("engine_kind", ["sync", "async"])
+    def test_runs_match_the_legacy_probe(
+        self, engine_kind, schedule_kind, rule_mode, mode
+    ):
+        rule_class = TrimmedMeanRule if rule_mode == "mean" else TrimmedMidpointRule
+        config = SimulationConfig(
+            max_rounds=12, tolerance=0.0, stop_on_convergence=False
+        )
+        for seed, (graph, f) in enumerate(ADAPTIVE_CASES):
+            faulty = random_fault_set(graph, f, rng=seed)
+            outcomes = []
+            for adversary in (
+                BatchAdaptiveStrategy(mode=mode, delta=0.75),
+                LegacyAdaptiveStrategy(mode, 0.75, rule_mode),
+            ):
+                schedule = adaptive_schedule(schedule_kind, graph, seed)
+                if engine_kind == "sync":
+                    engine = VectorizedEngine(
+                        graph, rule_class(f), faulty, adversary, config, schedule
+                    )
+                    run = engine.run_batch
+                else:
+                    engine = VectorizedAsyncEngine(
+                        graph, rule_class(f), faulty, adversary, config,
+                        max_delay=2, update_probability=0.85, schedule=schedule,
+                    )
+                    run = partial(engine.run_batch, rng=seed)
+                outcomes.append(run(random_input_matrix(engine.nodes, 3, rng=seed)))
+            new, legacy = outcomes
+            label = f"case {seed}"
+            assert new.final_states.tobytes() == legacy.final_states.tobytes(), label
+            assert new.spread_history.tobytes() == legacy.spread_history.tobytes()
+            assert new.validity_ok.tolist() == legacy.validity_ok.tolist()
+
+    @pytest.mark.parametrize("engine_class", [VectorizedEngine, VectorizedAsyncEngine])
+    @pytest.mark.parametrize("rule_class", [TrimmedMeanRule, TrimmedMidpointRule])
+    def test_the_context_plane_holds_the_legacy_arrays(self, engine_class, rule_class):
+        for seed, (graph, f) in enumerate(ADAPTIVE_CASES):
+            engine = engine_class(
+                graph, rule_class(f), faulty=random_fault_set(graph, f, rng=seed)
+            )
+            state = engine.pack_inputs(random_input_matrix(engine.nodes, 2, rng=seed))
+            context = engine._context(state, 1)
+            plane, legacy = context.plane, LegacyAdaptiveStrategy.build_plane(context)
+            mode = "mean" if rule_class is TrimmedMeanRule else "midpoint"
+            assert plane.mode == mode
+            assert np.array_equal(plane.slots, legacy.slots)
+            channel_slots = plane.channel_slots[legacy.channels]
+            assert np.array_equal(channel_slots, legacy.channel_slots)
+            assert np.array_equal(np.sort(plane.channel_slots), legacy.channel_slots)
+            assert np.array_equal(
+                context.edge_target_columns[legacy.channels], legacy.channel_receivers
+            )
+            assert np.array_equal(plane.layout.starts, legacy.layout.starts)
+            assert np.array_equal(plane.layout.receivers, legacy.layout.receivers)
 
 
 class TestLargeNPathBuildsNoSets:
