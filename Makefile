@@ -13,7 +13,8 @@
 #   make docs-check  docs exist, examples in them import, docstrings covered
 #   make sweep-smoke end-to-end CLI sweep: run tiny grids with two workers
 #                    (the dynamic, churn, asynchronous, adversary-zoo,
-#                    feasibility and large-n experiments among them),
+#                    corollaries, feasibility and large-n experiments among
+#                    them),
 #                    re-open them with `repro report`, and resume one after
 #                    deleting one cell's shard file; then the Theorem-1
 #                    search through `repro run checker_scaling` and
@@ -124,6 +125,12 @@ sweep-smoke:
 		--grid "case=chord n=7 f=2" --grid batch=4 --grid rounds=30 \
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-showdown
 	$(PYTHON) -m repro report smoke-showdown --results-dir .sweep-smoke
+	# A row TypedDict declared as a class chain keeps its column order:
+	# n, f, n_gt_3f, then the required condition_holds, then the rest.
+	$(PYTHON) -m repro run corollaries \
+		--workers 2 --results-dir .sweep-smoke --run-id smoke-corollaries
+	$(PYTHON) -m repro report smoke-corollaries --results-dir .sweep-smoke > .sweep-smoke/out.txt
+	grep -E "n_gt_3f +condition_holds +method" .sweep-smoke/out.txt
 	$(PYTHON) -m repro run feasibility_at_scale \
 		--grid "case=core-like n=100 f=3,hetring n=100 f=2 extra=0.5" \
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-scale

@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.exceptions import SimulationError
 from repro.graphs.digraph import Digraph
 from repro.types import NodeId
 
@@ -114,6 +115,33 @@ class ByzantineStrategy(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+def faulty_messages(
+    strategy: ByzantineStrategy, context: AdversaryContext
+) -> dict[NodeId, dict[NodeId, float]]:
+    """Ask ``strategy`` what every faulty node sends on each out-edge.
+
+    The faulty senders are interrogated in canonical (``repr``-sorted)
+    order, the RNG-stream contract every engine shares, so RNG-backed
+    strategies consume their draws identically everywhere.  Returns each
+    sender's values converted to ``float``, keyed by target; a strategy that
+    omits an out-edge raises :class:`~repro.exceptions.SimulationError`
+    naming the sender, since no model has omissions.
+    """
+    messages: dict[NodeId, dict[NodeId, float]] = {}
+    for node in sorted(context.faulty, key=repr):
+        outgoing = strategy.outgoing_values(node, context)
+        missing = context.graph.out_neighbors(node) - outgoing.keys()
+        if missing:
+            raise SimulationError(
+                f"adversary strategy {strategy.name!r} did not provide values "
+                f"for edges {sorted(missing, key=repr)!r} out of faulty node "
+                f"{node!r}; the model has no omissions"
+            )
+        # reprolint: disable=ORD002 -- a lookup table: every consumer indexes it by target
+        messages[node] = {target: float(value) for target, value in outgoing.items()}
+    return messages
 
 
 class PassiveStrategy(ByzantineStrategy):

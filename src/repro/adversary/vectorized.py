@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
-from repro.adversary.base import AdversaryContext, ByzantineStrategy
+from repro.adversary.base import AdversaryContext, ByzantineStrategy, faulty_messages
 from repro.adversary.strategies import split_brain_recommended_inputs
 from repro.exceptions import InvalidParameterError, SimulationError
 from repro.graphs.digraph import Digraph
@@ -494,21 +494,27 @@ class BatchRandomNoiseStrategy(_ChannelLayoutStrategy):
         The draw vector of one row concatenates, per faulty sender in
         repr-sorted order, one uniform block over that sender's repr-sorted
         out-neighbours; ``positions[e]`` locates channel ``e``'s value in it.
+        Both come from the faulty senders' out-edges as sorted ``sender
+        column · n + target column`` keys (``context.nodes`` is the ``repr``
+        order), read from the graph's edge arrays, so an array-built graph
+        never builds its neighbour sets.
         """
-        channel_index = {
-            edge: position for position, edge in enumerate(context.edge_nodes)
-        }
-        spans: list[tuple[int, int]] = []
-        positions = np.zeros(len(context.edge_nodes), dtype=int)
-        offset = 0
-        for sender in sorted(context.faulty, key=repr):
-            neighbors = sorted(context.graph.out_neighbors(sender), key=repr)
-            spans.append((offset, len(neighbors)))
-            for rank, receiver in enumerate(neighbors):
-                channel = channel_index.get((sender, receiver))
-                if channel is not None:
-                    positions[channel] = offset + rank
-            offset += len(neighbors)
+        n = len(context.nodes)
+        column_of, sources, targets = context.graph.edge_arrays_in(context.nodes)
+        senders = column_of[sources]
+        is_faulty = np.zeros(n, dtype=bool)
+        is_faulty[context.faulty_columns] = True
+        out_of_faulty = is_faulty[senders]
+        keys = np.sort(
+            senders[out_of_faulty] * n + column_of[targets[out_of_faulty]]
+        )
+        faulty_columns = np.flatnonzero(is_faulty)
+        starts = np.searchsorted(keys, faulty_columns * n)
+        ends = np.searchsorted(keys, (faulty_columns + 1) * n)
+        spans = list(zip(starts.tolist(), (ends - starts).tolist()))
+        positions = np.searchsorted(
+            keys, context.edge_source_columns * n + context.edge_target_columns
+        )
         return spans, positions
 
     def edge_values(self, context: BatchAdversaryContext) -> np.ndarray:
@@ -785,29 +791,14 @@ class ScalarStrategyAdapter(BatchStrategy):
         batch = context.batch_size
         self._check_batch_safety(batch)
         out = np.empty((batch, len(context.edge_nodes)), dtype=float)
-        # Channel columns grouped by sender so one outgoing_values call per
-        # faulty node fills all of that node's channels.
-        by_sender: dict[NodeId, list[int]] = {}
-        for index, (sender, _target) in enumerate(context.edge_nodes):
-            by_sender.setdefault(sender, []).append(index)
         for row in range(batch):
-            scalar_context = self._scalar_context(context, row)
-            strategy = self._strategy_for_row(row)
-            # Canonical (repr-sorted) sender order — the scalar engines'
-            # call order (relevant for RNG-consuming strategies).
-            for sender in sorted(context.faulty, key=repr):
-                outgoing = strategy.outgoing_values(sender, scalar_context)
-                missing = context.graph.out_neighbors(sender) - outgoing.keys()
-                if missing:
-                    raise SimulationError(
-                        f"adversary strategy {strategy.name!r} did not provide "
-                        f"values for edges {sorted(missing, key=repr)!r} out of "
-                        f"faulty node {sender!r}; the synchronous model has no "
-                        "omissions"
-                    )
-                for index in by_sender.get(sender, ()):
-                    _source, target = context.edge_nodes[index]
-                    out[row, index] = float(outgoing[target])
+            # The scalar engines' interrogation (relevant for RNG-consuming
+            # strategies) and checks.
+            messages = faulty_messages(
+                self._strategy_for_row(row), self._scalar_context(context, row)
+            )
+            for index, (sender, target) in enumerate(context.edge_nodes):
+                out[row, index] = messages[sender][target]
         return out
 
     def nominal_values(self, context: BatchAdversaryContext) -> np.ndarray:

@@ -33,40 +33,22 @@ from repro.simulation.engine import run_synchronous
 from repro.simulation.inputs import linear_ramp_inputs
 from repro.simulation.vectorized import VectorizedEngine, run_vectorized
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 
 
 class AblationRow(TypedDict):
     """One row of the E12 rule ablation (one graph x rule x adversary)."""
 
-    graph: str
-    f: int
-    rule: str
-    adversary: str
-    engine: str
-    converged: bool
-    validity_ok: bool
-    final_within_input_hull: bool
-    rounds: int
-    final_spread: float
-
-
-#: Runtime half of :class:`AblationRow`; validated at shard boundaries.
-ABLATION_SCHEMA = schema_from_typeddict(
-    AblationRow,
-    roles={
-        "graph": "label",
-        "f": "parameter",
-        "rule": "label",
-        "adversary": "label",
-        "engine": "label",
-        "converged": "verdict",
-        "validity_ok": "verdict",
-        "final_within_input_hull": "verdict",
-        "rounds": "metric",
-        "final_spread": "metric",
-    },
-)
+    graph: Label[str]
+    f: Parameter[int]
+    rule: Label[str]
+    adversary: Label[str]
+    engine: Label[str]
+    converged: Verdict[bool]
+    validity_ok: Verdict[bool]
+    final_within_input_hull: Verdict[bool]
+    rounds: Metric[int]
+    final_spread: Metric[float]
 
 
 def default_ablation_graphs() -> list[tuple[str, Digraph, int]]:
@@ -123,7 +105,6 @@ def adversaries_for_ablation() -> list[tuple[str, ByzantineStrategy, BatchStrate
         "rounds": (150,),
         "tolerance": (1e-6,),
     },
-    schema=ABLATION_SCHEMA,
 )
 def ablation_cell(
     graph: str, rounds: int = 150, tolerance: float = 1e-6

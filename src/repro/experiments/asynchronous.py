@@ -30,7 +30,7 @@ from repro.simulation.engine import SimulationConfig
 from repro.simulation.vectorized import random_input_matrix
 from repro.simulation.vectorized_async import VectorizedAsyncEngine
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 
 
 class AsynchronousRow(TypedDict):
@@ -40,34 +40,16 @@ class AsynchronousRow(TypedDict):
     checker's node cap (the simulation still runs).
     """
 
-    case: str
-    f: int
-    async_condition_holds: bool | None
-    max_delay_B: int
-    update_probability: float
-    batch: int
-    fraction_converged: float
-    mean_rounds: float
-    all_hull_valid: bool
-    mean_final_spread: float
-
-
-#: Runtime half of :class:`AsynchronousRow`; validated at shard boundaries.
-ASYNCHRONOUS_SCHEMA = schema_from_typeddict(
-    AsynchronousRow,
-    roles={
-        "case": "label",
-        "f": "parameter",
-        "async_condition_holds": "verdict",
-        "max_delay_B": "parameter",
-        "update_probability": "parameter",
-        "batch": "parameter",
-        "fraction_converged": "metric",
-        "mean_rounds": "metric",
-        "all_hull_valid": "verdict",
-        "mean_final_spread": "metric",
-    },
-)
+    case: Label[str]
+    f: Parameter[int]
+    async_condition_holds: Verdict[bool | None]
+    max_delay_B: Parameter[int]
+    update_probability: Parameter[float]
+    batch: Parameter[int]
+    fraction_converged: Metric[float]
+    mean_rounds: Metric[float]
+    all_hull_valid: Verdict[bool]
+    mean_final_spread: Metric[float]
 
 
 def _default_cases() -> list[tuple[str, Digraph, int]]:
@@ -95,7 +77,6 @@ def _default_cases() -> list[tuple[str, Digraph, int]]:
         "rounds": (600,),
         "tolerance": (1e-5,),
     },
-    schema=ASYNCHRONOUS_SCHEMA,
 )
 def asynchronous_cell(
     case: str,

@@ -43,65 +43,33 @@ from repro.graphs.generators import (
 )
 from repro.graphs.random_graphs import erdos_renyi_digraph, k_in_regular_digraph
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 
 
 class CheckerRow(TypedDict):
     """One row of the E10 checker-agreement study (one battery graph)."""
 
-    case: str
-    n: int
-    f: int
-    exact_condition_holds: bool
-    methods_agree: bool
-    screens_pass: bool
-    greedy_found_witness: bool
-    random_found_witness: bool
-    consistent: bool
-
-
-#: Runtime half of :class:`CheckerRow`; validated at shard boundaries.
-CHECKER_SCHEMA = schema_from_typeddict(
-    CheckerRow,
-    roles={
-        "case": "label",
-        "n": "parameter",
-        "f": "parameter",
-        "exact_condition_holds": "verdict",
-        "methods_agree": "verdict",
-        "screens_pass": "verdict",
-        "greedy_found_witness": "verdict",
-        "random_found_witness": "verdict",
-        "consistent": "verdict",
-    },
-)
+    case: Label[str]
+    n: Parameter[int]
+    f: Parameter[int]
+    exact_condition_holds: Verdict[bool]
+    methods_agree: Verdict[bool]
+    screens_pass: Verdict[bool]
+    greedy_found_witness: Verdict[bool]
+    random_found_witness: Verdict[bool]
+    consistent: Verdict[bool]
 
 
 class CheckerScalingRow(TypedDict):
     """One row of the E10b checker-scaling sweep (one large graph)."""
 
-    case: str
-    n: int
-    f: int
-    satisfied: bool
-    decided_by: str
-    witness_valid: bool
-    elapsed_seconds: float
-
-
-#: Runtime half of :class:`CheckerScalingRow`; validated at shard boundaries.
-CHECKER_SCALING_SCHEMA = schema_from_typeddict(
-    CheckerScalingRow,
-    roles={
-        "case": "label",
-        "n": "parameter",
-        "f": "parameter",
-        "satisfied": "verdict",
-        "decided_by": "label",
-        "witness_valid": "verdict",
-        "elapsed_seconds": "metric",
-    },
-)
+    case: Label[str]
+    n: Parameter[int]
+    f: Parameter[int]
+    satisfied: Verdict[bool]
+    decided_by: Label[str]
+    witness_valid: Verdict[bool]
+    elapsed_seconds: Metric[float]
 
 
 def checker_test_battery(seed: int = 17) -> list[tuple[str, Digraph, int]]:
@@ -171,7 +139,6 @@ def checker_scaling_battery() -> list[tuple[str, Digraph, int]]:
     grid={
         "case": tuple(label for label, _, _ in checker_scaling_battery()),
     },
-    schema=CHECKER_SCALING_SCHEMA,
 )
 def checker_scaling_cell(case: str) -> list[CheckerScalingRow]:
     """Registry cell for E10b: time the exact bitset check on one large case."""
@@ -208,7 +175,6 @@ def checker_scaling_cell(case: str) -> list[CheckerScalingRow]:
         "case": tuple(label for label, _, _ in checker_test_battery()),
         "random_attempts": (300,),
     },
-    schema=CHECKER_SCHEMA,
 )
 def checker_cell(
     case: str, random_attempts: int = 300, seed: int = 29

@@ -48,7 +48,7 @@ from repro.simulation.vectorized import (
     run_vectorized,
 )
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 from repro.types import NodeId
 
 
@@ -59,38 +59,18 @@ class ConvergenceRateRow(TypedDict):
     converged set yields ``nan`` (declared float; int values still validate).
     """
 
-    case: str
-    n: int
-    f: int
-    batch: int
-    alpha: float
-    fraction_converged: float
-    all_validity_ok: bool
-    mean_rounds: float
-    p50_rounds: float
-    p90_rounds: float
-    max_rounds: float
-    bound_rounds: int
-
-
-#: Runtime half of :class:`ConvergenceRateRow`; validated at shard boundaries.
-CONVERGENCE_RATE_SCHEMA = schema_from_typeddict(
-    ConvergenceRateRow,
-    roles={
-        "case": "label",
-        "n": "parameter",
-        "f": "parameter",
-        "batch": "parameter",
-        "alpha": "metric",
-        "fraction_converged": "metric",
-        "all_validity_ok": "verdict",
-        "mean_rounds": "metric",
-        "p50_rounds": "metric",
-        "p90_rounds": "metric",
-        "max_rounds": "metric",
-        "bound_rounds": "metric",
-    },
-)
+    case: Label[str]
+    n: Parameter[int]
+    f: Parameter[int]
+    batch: Parameter[int]
+    alpha: Metric[float]
+    fraction_converged: Metric[float]
+    all_validity_ok: Verdict[bool]
+    mean_rounds: Metric[float]
+    p50_rounds: Metric[float]
+    p90_rounds: Metric[float]
+    max_rounds: Metric[float]
+    bound_rounds: Metric[int]
 
 
 def default_rate_cases() -> list[tuple[str, Digraph, int]]:
@@ -191,7 +171,6 @@ def convergence_rate_study(
         "rounds": (300,),
         "tolerance": (1e-7,),
     },
-    schema=CONVERGENCE_RATE_SCHEMA,
 )
 def convergence_rate_cell(
     case: str,

@@ -26,59 +26,44 @@ from repro.graphs.properties import minimum_in_degree
 from repro.simulation.engine import run_synchronous
 from repro.simulation.inputs import linear_ramp_inputs
 from repro.sweeps.registry import register_experiment
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 
 
-class _CorollariesRowBase(TypedDict):
+class _Corollary2Keys(TypedDict, total=False):
+    """The Corollary-2 sweep's leading columns (n-sweep over complete graphs)."""
+
+    n: Parameter[int]
+    f: Parameter[int]
+    n_gt_3f: Verdict[bool]
+
+
+class _CorollariesRowBase(_Corollary2Keys):
     """Column shared by both corollary sweeps."""
 
-    condition_holds: bool
+    condition_holds: Verdict[bool]
 
 
 class CorollariesRow(_CorollariesRowBase, total=False):
     """One row of E2 (Corollary 2) or E3 (Corollary 3).
 
     The two sweeps emit disjoint column sets, so every column except the
-    shared ``condition_holds`` verdict is absent-allowed.
+    shared ``condition_holds`` verdict is absent-allowed.  The three-class
+    chain only fixes the column order: ``n``, ``f``, ``n_gt_3f``, then
+    ``condition_holds``, then the rest.
     """
 
-    # Corollary-2 columns (n-sweep over complete graphs).
-    n: int
-    f: int
-    n_gt_3f: bool
-    method: str
-    algorithm_runs: bool
-    converged: bool
-    validity_ok: bool
-    rounds: int
-    final_spread: float
+    # Corollary-2 columns.
+    method: Label[str]
+    algorithm_runs: Verdict[bool]
+    converged: Verdict[bool]
+    validity_ok: Verdict[bool]
+    rounds: Metric[int]
+    final_spread: Metric[float]
     # Corollary-3 columns (edge removal at one victim node).
-    removed_incoming_edges: int
-    victim_in_degree: int
-    min_in_degree: int
-    in_degree_screen: bool
-
-
-#: Runtime half of :class:`CorollariesRow`; validated at shard boundaries.
-COROLLARIES_SCHEMA = schema_from_typeddict(
-    CorollariesRow,
-    roles={
-        "n": "parameter",
-        "f": "parameter",
-        "n_gt_3f": "verdict",
-        "condition_holds": "verdict",
-        "method": "label",
-        "algorithm_runs": "verdict",
-        "converged": "verdict",
-        "validity_ok": "verdict",
-        "rounds": "metric",
-        "final_spread": "metric",
-        "removed_incoming_edges": "parameter",
-        "victim_in_degree": "metric",
-        "min_in_degree": "metric",
-        "in_degree_screen": "verdict",
-    },
-)
+    removed_incoming_edges: Parameter[int]
+    victim_in_degree: Metric[int]
+    min_in_degree: Metric[int]
+    in_degree_screen: Verdict[bool]
 
 
 def corollary2_sweep(
@@ -182,7 +167,6 @@ def corollary3_edge_removal(
     ),
     engine="scalar-sync",
     grid={"corollary": (2, 3), "f": (1, 2)},
-    schema=COROLLARIES_SCHEMA,
 )
 def corollaries_cell(corollary: int, f: int) -> list[CorollariesRow]:
     """Registry cell for E2-E3: one corollary sweep for one fault budget."""

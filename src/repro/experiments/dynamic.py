@@ -52,88 +52,46 @@ from repro.simulation.vectorized import (
     random_input_matrix,
 )
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 from repro.types import NodeId
 
 
 class DynamicTopologyRow(TypedDict):
     """One guarded cell of the E16 dynamic-topology sweep."""
 
-    case: str
-    schedule: str
-    n: int
-    f: int
-    batch: int
-    rounds: int
-    mean_edge_down_fraction: float
-    mean_asleep_fraction: float
-    fraction_converged: float
-    all_validity_ok: bool
-    mean_final_spread: float
-    mean_contraction: float
-    scalar_guard: bool
+    case: Label[str]
+    schedule: Label[str]
+    n: Parameter[int]
+    f: Parameter[int]
+    batch: Parameter[int]
+    rounds: Parameter[int]
+    mean_edge_down_fraction: Metric[float]
+    mean_asleep_fraction: Metric[float]
+    fraction_converged: Metric[float]
+    all_validity_ok: Verdict[bool]
+    mean_final_spread: Metric[float]
+    mean_contraction: Metric[float]
+    scalar_guard: Verdict[bool]
     #: One masked round of every batch row matched the scalar engine (the
     #: name predates the single batch layout and is kept for stored runs).
-    sparse_guard: bool
-
-
-#: Runtime half of :class:`DynamicTopologyRow`; validated at shard boundaries.
-DYNAMIC_TOPOLOGY_SCHEMA = schema_from_typeddict(
-    DynamicTopologyRow,
-    roles={
-        "case": "label",
-        "schedule": "label",
-        "n": "parameter",
-        "f": "parameter",
-        "batch": "parameter",
-        "rounds": "parameter",
-        "mean_edge_down_fraction": "metric",
-        "mean_asleep_fraction": "metric",
-        "fraction_converged": "metric",
-        "all_validity_ok": "verdict",
-        "mean_final_spread": "metric",
-        "mean_contraction": "metric",
-        "scalar_guard": "verdict",
-        "sparse_guard": "verdict",
-    },
-)
+    sparse_guard: Verdict[bool]
 
 
 class ChurnSweepRow(TypedDict):
     """One awake-probability point of the E17 churn sweep."""
 
-    n: int
-    f: int
-    p_awake: float
-    batch: int
-    rounds: int
-    mean_asleep_fraction: float
-    fraction_converged: float
-    all_validity_ok: bool
-    participation_audit_ok: bool
-    mean_rounds: float
-    p90_rounds: float
-    mean_final_spread: float
-
-
-#: Runtime half of :class:`ChurnSweepRow`; validated at shard boundaries.
-CHURN_SWEEP_SCHEMA = schema_from_typeddict(
-    ChurnSweepRow,
-    roles={
-        "n": "parameter",
-        "f": "parameter",
-        "p_awake": "parameter",
-        "batch": "parameter",
-        "rounds": "parameter",
-        "mean_asleep_fraction": "metric",
-        "fraction_converged": "metric",
-        "all_validity_ok": "verdict",
-        "participation_audit_ok": "verdict",
-        "mean_rounds": "metric",
-        "p90_rounds": "metric",
-        "mean_final_spread": "metric",
-    },
-)
+    n: Parameter[int]
+    f: Parameter[int]
+    p_awake: Parameter[float]
+    batch: Parameter[int]
+    rounds: Parameter[int]
+    mean_asleep_fraction: Metric[float]
+    fraction_converged: Metric[float]
+    all_validity_ok: Verdict[bool]
+    participation_audit_ok: Verdict[bool]
+    mean_rounds: Metric[float]
+    p90_rounds: Metric[float]
+    mean_final_spread: Metric[float]
 
 #: Schedule kinds the E16 grid sweeps (``make_dynamic_schedule`` keys).
 DYNAMIC_SCHEDULE_KINDS = (
@@ -229,7 +187,6 @@ def _mean_masked_fraction(
         "batch": (16,),
         "rounds": (60,),
     },
-    schema=DYNAMIC_TOPOLOGY_SCHEMA,
 )
 def dynamic_topology_cell(
     case: str,
@@ -344,7 +301,6 @@ def dynamic_topology_cell(
         "batch": (32,),
         "rounds": (120,),
     },
-    schema=CHURN_SWEEP_SCHEMA,
 )
 def churn_sweep_cell(
     p_awake: float,

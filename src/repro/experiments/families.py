@@ -51,7 +51,7 @@ from repro.simulation.vectorized import (
     run_vectorized,
 )
 from repro.sweeps.registry import register_experiment
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 
 # The six Section-6 studies emit disjoint column sets, so the union schema
 # marks every column absent-allowed.  Functional syntax because
@@ -60,79 +60,42 @@ FamiliesRow = TypedDict(
     "FamiliesRow",
     {
         # Shared / E4 core-network columns.
-        "n": int,
-        "f": int,
-        "detected_as_core": bool,
-        "condition_holds": bool,
-        "undirected_edges": int,
-        "complete_graph_edges": int,
-        "converged": bool,
-        "validity_ok": bool,
-        "rounds": int,
+        "n": Parameter[int],
+        "f": Parameter[int],
+        "detected_as_core": Verdict[bool],
+        "condition_holds": Verdict[bool],
+        "undirected_edges": Metric[int],
+        "complete_graph_edges": Metric[int],
+        "converged": Verdict[bool],
+        "validity_ok": Verdict[bool],
+        "rounds": Metric[int],
         # E4 Monte-Carlo batch columns.
-        "batch": int,
-        "fraction_converged": float,
-        "all_validity_ok": bool,
-        "mean_rounds": float,
+        "batch": Parameter[int],
+        "fraction_converged": Metric[float],
+        "all_validity_ok": Verdict[bool],
+        "mean_rounds": Metric[float],
         # Minimality-conjecture columns.
-        "core_edges": int,
-        "complete_edges": int,
-        "savings_fraction": float,
+        "core_edges": Metric[int],
+        "complete_edges": Metric[int],
+        "savings_fraction": Metric[float],
         # E5 hypercube columns.
-        "dimension": int,
-        "vertex_connectivity": int,
-        "connectivity_at_least_2f+1": bool,
-        "dimension_cut_is_witness": bool,
-        "attack_stalls": bool,
-        "attack_validity_ok": bool,
+        "dimension": Parameter[int],
+        "vertex_connectivity": Metric[int],
+        "connectivity_at_least_2f+1": Verdict[bool],
+        "dimension_cut_is_witness": Verdict[bool],
+        "attack_stalls": Verdict[bool],
+        "attack_validity_ok": Verdict[bool],
         # E6 chord columns.
-        "case": str,
-        "is_complete": bool,
-        "paper_verdict": bool,
-        "agrees_with_paper": bool,
-        "paper_witness_valid": bool,
-        "checker_found_witness": bool,
-        "converged_under_attack": bool,
-        "method": str,
+        "case": Label[str],
+        "is_complete": Verdict[bool],
+        "paper_verdict": Verdict[bool],
+        "agrees_with_paper": Verdict[bool],
+        "paper_witness_valid": Verdict[bool],
+        "checker_found_witness": Verdict[bool],
+        "converged_under_attack": Verdict[bool],
+        "method": Label[str],
     },
     total=False,
-)
-
-#: Runtime half of :class:`FamiliesRow`; validated at shard boundaries.
-FAMILIES_SCHEMA = schema_from_typeddict(
-    FamiliesRow,
-    roles={
-        "n": "parameter",
-        "f": "parameter",
-        "detected_as_core": "verdict",
-        "condition_holds": "verdict",
-        "undirected_edges": "metric",
-        "complete_graph_edges": "metric",
-        "converged": "verdict",
-        "validity_ok": "verdict",
-        "rounds": "metric",
-        "batch": "parameter",
-        "fraction_converged": "metric",
-        "all_validity_ok": "verdict",
-        "mean_rounds": "metric",
-        "core_edges": "metric",
-        "complete_edges": "metric",
-        "savings_fraction": "metric",
-        "dimension": "parameter",
-        "vertex_connectivity": "metric",
-        "connectivity_at_least_2f+1": "verdict",
-        "dimension_cut_is_witness": "verdict",
-        "attack_stalls": "verdict",
-        "attack_validity_ok": "verdict",
-        "case": "label",
-        "is_complete": "verdict",
-        "paper_verdict": "verdict",
-        "agrees_with_paper": "verdict",
-        "paper_witness_valid": "verdict",
-        "checker_found_witness": "verdict",
-        "converged_under_attack": "verdict",
-        "method": "label",
-    },
 )
 
 
@@ -395,7 +358,6 @@ FAMILY_STUDIES = (
     ),
     engine="mixed",
     grid={"study": FAMILY_STUDIES},
-    schema=FAMILIES_SCHEMA,
 )
 def families_cell(study: str, seed: int = 7) -> list[FamiliesRow]:
     """Registry cell for E4-E6: one Section-6 family study per cell."""

@@ -38,42 +38,23 @@ from repro.graphs.random_graphs import (
     random_core_like_network,
 )
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 
 
 class FeasibilityScaleRow(TypedDict):
     """One audited verdict of the E15 feasibility-at-scale sweep."""
 
-    case: str
-    n: int
-    f: int
-    status: str
-    decided: bool
-    decided_by: str
-    certificate: str
-    certificate_ok: bool
-    screens_ms: float
-    witness_ms: float
-    elapsed_seconds: float
-
-
-#: Runtime half of :class:`FeasibilityScaleRow`; validated at shard boundaries.
-FEASIBILITY_SCALE_SCHEMA = schema_from_typeddict(
-    FeasibilityScaleRow,
-    roles={
-        "case": "label",
-        "n": "parameter",
-        "f": "parameter",
-        "status": "label",
-        "decided": "verdict",
-        "decided_by": "label",
-        "certificate": "label",
-        "certificate_ok": "verdict",
-        "screens_ms": "metric",
-        "witness_ms": "metric",
-        "elapsed_seconds": "metric",
-    },
-)
+    case: Label[str]
+    n: Parameter[int]
+    f: Parameter[int]
+    status: Label[str]
+    decided: Verdict[bool]
+    decided_by: Label[str]
+    certificate: Label[str]
+    certificate_ok: Verdict[bool]
+    screens_ms: Metric[float]
+    witness_ms: Metric[float]
+    elapsed_seconds: Metric[float]
 
 #: Node counts swept by the scale battery.
 DEFAULT_SCALE_SIZES = (100, 300, 1000)
@@ -131,7 +112,6 @@ def feasibility_scale_cases(seed: int = 11) -> list[ScaleCase]:
         "case": tuple(label for label, _, _ in feasibility_scale_cases()),
         "witness_attempts": (60,),
     },
-    schema=FEASIBILITY_SCALE_SCHEMA,
 )
 def feasibility_scale_cell(
     case: str, witness_attempts: int = 60, seed: int = 23

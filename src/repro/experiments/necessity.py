@@ -39,39 +39,22 @@ from repro.simulation.engine import SimulationConfig, run_synchronous
 from repro.simulation.inputs import split_inputs_from_witness
 from repro.simulation.vectorized import BatchOutcome, VectorizedEngine, run_vectorized
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 from repro.types import ConsensusOutcome, PartitionWitness
 
 
 class NecessityRow(TypedDict):
     """One row of the E1 necessity sweep (one violating graph, one attack)."""
 
-    case: str
-    n: int
-    f: int
-    witness: str
-    rounds: int
-    final_spread: float
-    converged: bool
-    validity_ok: bool
-    stalled: bool
-
-
-#: Runtime half of :class:`NecessityRow`; validated at shard boundaries.
-NECESSITY_SCHEMA = schema_from_typeddict(
-    NecessityRow,
-    roles={
-        "case": "label",
-        "n": "parameter",
-        "f": "parameter",
-        "witness": "label",
-        "rounds": "metric",
-        "final_spread": "metric",
-        "converged": "verdict",
-        "validity_ok": "verdict",
-        "stalled": "verdict",
-    },
-)
+    case: Label[str]
+    n: Parameter[int]
+    f: Parameter[int]
+    witness: Label[str]
+    rounds: Metric[int]
+    final_spread: Metric[float]
+    converged: Verdict[bool]
+    validity_ok: Verdict[bool]
+    stalled: Verdict[bool]
 
 
 @dataclass(frozen=True)
@@ -267,7 +250,6 @@ def default_necessity_cases() -> list[tuple[str, Digraph, int, PartitionWitness 
         ),
         "rounds": (50,),
     },
-    schema=NECESSITY_SCHEMA,
 )
 def necessity_cell(case: str, rounds: int = 50) -> list[NecessityRow]:
     """Registry cell for E1: mount the necessity attack on one violating graph."""

@@ -37,7 +37,7 @@ from repro.graphs.generators import (
 from repro.simulation.engine import SimulationConfig
 from repro.simulation.vectorized import VectorizedEngine, random_input_matrix
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 from repro.types import FeasibilityResult
 
 
@@ -58,37 +58,18 @@ class _SimColumns(TypedDict):
 RobustnessRow = TypedDict(
     "RobustnessRow",
     {
-        "case": str,
-        "n": int,
-        "f": int,
-        "theorem1_holds": bool,
-        "robust_2f+1": bool,
-        "robust_(f+1,f+1)": bool,
-        "robustness_degree": int,
-        "agrees": bool,
-        "sim_adversary": str | None,
-        "sim_fraction_converged": float | None,
-        "sim_all_validity_ok": bool | None,
-        "sim_stalled_fraction": float | None,
-    },
-)
-
-#: Runtime half of :class:`RobustnessRow`; validated at shard boundaries.
-ROBUSTNESS_SCHEMA = schema_from_typeddict(
-    RobustnessRow,
-    roles={
-        "case": "label",
-        "n": "parameter",
-        "f": "parameter",
-        "theorem1_holds": "verdict",
-        "robust_2f+1": "verdict",
-        "robust_(f+1,f+1)": "verdict",
-        "robustness_degree": "metric",
-        "agrees": "verdict",
-        "sim_adversary": "label",
-        "sim_fraction_converged": "metric",
-        "sim_all_validity_ok": "verdict",
-        "sim_stalled_fraction": "metric",
+        "case": Label[str],
+        "n": Parameter[int],
+        "f": Parameter[int],
+        "theorem1_holds": Verdict[bool],
+        "robust_2f+1": Verdict[bool],
+        "robust_(f+1,f+1)": Verdict[bool],
+        "robustness_degree": Metric[int],
+        "agrees": Verdict[bool],
+        "sim_adversary": Label[str | None],
+        "sim_fraction_converged": Metric[float | None],
+        "sim_all_validity_ok": Verdict[bool | None],
+        "sim_stalled_fraction": Metric[float | None],
     },
 )
 
@@ -179,7 +160,6 @@ def _dynamic_check(
         "case": tuple(label for label, _, _ in default_robustness_cases()),
         "batch": (16,),
     },
-    schema=ROBUSTNESS_SCHEMA,
 )
 def robustness_cell(
     case: str, batch: int = 16, seed: int = 23

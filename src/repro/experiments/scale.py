@@ -33,52 +33,28 @@ from repro.graphs.random_graphs import heterogeneous_ring_lattice
 from repro.simulation.engine import SimulationConfig, SynchronousEngine
 from repro.simulation.vectorized import VectorizedEngine, random_input_matrix
 from repro.sweeps.registry import register_experiment
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Metric, Parameter, Verdict
 
 
 class LargeNRow(TypedDict):
     """One batched cell of the E14 large-``n`` scale sweep."""
 
-    n: int
-    f: int
-    dtype: str
-    batch: int
-    rounds: int
-    edges: int
-    nnz: int
-    plane_mb_per_row: float
-    build_seconds: float
-    run_seconds: float
-    node_rounds_per_second: float
-    fraction_converged: float
-    all_validity_ok: bool
-    mean_final_spread: float
-    mean_contraction: float
-    equivalence_checked: bool
-
-
-#: Runtime half of :class:`LargeNRow`; validated at shard boundaries.
-LARGE_N_SCHEMA = schema_from_typeddict(
-    LargeNRow,
-    roles={
-        "n": "parameter",
-        "f": "parameter",
-        "dtype": "parameter",
-        "batch": "parameter",
-        "rounds": "parameter",
-        "edges": "metric",
-        "nnz": "metric",
-        "plane_mb_per_row": "metric",
-        "build_seconds": "metric",
-        "run_seconds": "metric",
-        "node_rounds_per_second": "metric",
-        "fraction_converged": "metric",
-        "all_validity_ok": "verdict",
-        "mean_final_spread": "metric",
-        "mean_contraction": "metric",
-        "equivalence_checked": "verdict",
-    },
-)
+    n: Parameter[int]
+    f: Parameter[int]
+    dtype: Parameter[str]
+    batch: Parameter[int]
+    rounds: Parameter[int]
+    edges: Metric[int]
+    nnz: Metric[int]
+    plane_mb_per_row: Metric[float]
+    build_seconds: Metric[float]
+    run_seconds: Metric[float]
+    node_rounds_per_second: Metric[float]
+    fraction_converged: Metric[float]
+    all_validity_ok: Verdict[bool]
+    mean_final_spread: Metric[float]
+    mean_contraction: Metric[float]
+    equivalence_checked: Verdict[bool]
 
 #: State dtypes the sweep accepts (the batch engine's two tiers).
 SCALE_DTYPES = ("float64", "float32")
@@ -110,7 +86,6 @@ def default_scale_sizes() -> tuple[int, ...]:
         "batch": (8,),
         "rounds": (30,),
     },
-    schema=LARGE_N_SCHEMA,
 )
 def large_n_cell(
     n: int,

@@ -50,7 +50,7 @@ from repro.graphs.generators import (
 from repro.simulation.engine import SimulationConfig
 from repro.simulation.vectorized import VectorizedEngine, random_input_matrix
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 from repro.types import PartitionWitness
 
 
@@ -62,36 +62,17 @@ class ShowdownRow(TypedDict):
     ``stalled_fraction`` is ``None`` for every non-split-brain strategy.
     """
 
-    case: str
-    strategy: str
-    n: int
-    f: int
-    batch: int
-    condition_holds: bool
-    applicable: bool
-    fraction_converged: float | None
-    all_validity_ok: bool | None
-    mean_rounds: float | None
-    stalled_fraction: float | None
-
-
-#: Runtime half of :class:`ShowdownRow`; validated at shard boundaries.
-SHOWDOWN_SCHEMA = schema_from_typeddict(
-    ShowdownRow,
-    roles={
-        "case": "label",
-        "strategy": "label",
-        "n": "parameter",
-        "f": "parameter",
-        "batch": "parameter",
-        "condition_holds": "verdict",
-        "applicable": "verdict",
-        "fraction_converged": "metric",
-        "all_validity_ok": "verdict",
-        "mean_rounds": "metric",
-        "stalled_fraction": "metric",
-    },
-)
+    case: Label[str]
+    strategy: Label[str]
+    n: Parameter[int]
+    f: Parameter[int]
+    batch: Parameter[int]
+    condition_holds: Verdict[bool]
+    applicable: Verdict[bool]
+    fraction_converged: Metric[float | None]
+    all_validity_ok: Verdict[bool | None]
+    mean_rounds: Metric[float | None]
+    stalled_fraction: Metric[float | None]
 
 #: Strategy labels accepted by the sweep, in display order.
 SHOWDOWN_STRATEGIES = (
@@ -177,7 +158,6 @@ def _witness_for(label: str, graph: Digraph, f: int) -> PartitionWitness | None:
         "batch": (32,),
         "rounds": (150,),
     },
-    schema=SHOWDOWN_SCHEMA,
 )
 def adversary_showdown_cell(
     case: str,

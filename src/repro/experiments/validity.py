@@ -30,36 +30,20 @@ from repro.graphs.generators import chord_network, complete_graph, core_network
 from repro.simulation.engine import run_synchronous
 from repro.simulation.inputs import uniform_random_inputs
 from repro.sweeps.registry import register_experiment, select_labelled_case
-from repro.sweeps.schema import schema_from_typeddict
+from repro.sweeps.schema import Label, Metric, Parameter, Verdict
 
 
 class ValidityRow(TypedDict):
     """One row of the E8 validity study (one graph x rule x adversary)."""
 
-    graph: str
-    f: int
-    rule: str
-    adversary: str
-    validity_ok: bool
-    final_within_input_hull: bool
-    converged: bool
-    final_spread: float
-
-
-#: Runtime half of :class:`ValidityRow`; validated at shard boundaries.
-VALIDITY_SCHEMA = schema_from_typeddict(
-    ValidityRow,
-    roles={
-        "graph": "label",
-        "f": "parameter",
-        "rule": "label",
-        "adversary": "label",
-        "validity_ok": "verdict",
-        "final_within_input_hull": "verdict",
-        "converged": "verdict",
-        "final_spread": "metric",
-    },
-)
+    graph: Label[str]
+    f: Parameter[int]
+    rule: Label[str]
+    adversary: Label[str]
+    validity_ok: Verdict[bool]
+    final_within_input_hull: Verdict[bool]
+    converged: Verdict[bool]
+    final_spread: Metric[float]
 
 
 def default_validity_graphs() -> list[tuple[str, Digraph, int]]:
@@ -94,7 +78,6 @@ def adversary_zoo(seed: int = 5) -> list[ByzantineStrategy]:
         "graph": tuple(label for label, _, _ in default_validity_graphs()),
         "rounds": (80,),
     },
-    schema=VALIDITY_SCHEMA,
 )
 def validity_cell(
     graph: str, rounds: int = 80, seed: int = 5

@@ -51,9 +51,14 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.adversary.base import AdversaryContext, ByzantineStrategy, PassiveStrategy
+from repro.adversary.base import (
+    AdversaryContext,
+    ByzantineStrategy,
+    PassiveStrategy,
+    faulty_messages,
+)
 from repro.algorithms.base import UpdateRule
-from repro.exceptions import InvalidParameterError, SimulationError
+from repro.exceptions import InvalidParameterError
 from repro.graphs.digraph import Digraph
 from repro.simulation.dynamic import (
     ScheduleLayout,
@@ -214,33 +219,15 @@ class PartiallyAsynchronousEngine:
                 faulty=self._faulty,
                 f=self._rule.f,
             )
-            # 1. Faulty nodes choose their per-edge values, in canonical
-            #    (repr-sorted) sender order — the same contract as the
-            #    synchronous engine and ScalarStrategyAdapter, so RNG-backed
-            #    strategies consume their own draws identically everywhere.
-            faulty_messages: dict[NodeId, dict[NodeId, float]] = {}
-            for node in sorted(self._faulty, key=repr):
-                outgoing = self._adversary.outgoing_values(node, context)
-                missing_targets = graph.out_neighbors(node) - outgoing.keys()
-                if missing_targets:
-                    raise SimulationError(
-                        f"adversary strategy {self._adversary.name!r} did not "
-                        f"provide values for edges "
-                        f"{sorted(missing_targets, key=repr)!r} out of faulty "
-                        f"node {node!r}"
-                    )
-                # Canonical insertion order for the normalised copy;
-                # consumers index by key, so sorting is behaviour-neutral.
-                faulty_messages[node] = {
-                    target: float(value)
-                    for target, value in sorted(
-                        outgoing.items(), key=lambda item: repr(item[0])
-                    )
-                }
+            # 1. Faulty nodes choose their per-edge values (the synchronous
+            #    engine's interrogation order and checks).
+            messages = faulty_messages(self._adversary, context)
+            # reprolint: disable=ORD002 -- faulty_messages inserts the senders in repr order
+            for node, outgoing in messages.items():
                 refuse_nan_channels(
                     self._adversary.name,
                     node,
-                    faulty_messages[node],
+                    outgoing,
                     graph.out_neighbors(node) - self._faulty,
                 )
 
@@ -262,7 +249,7 @@ class PartiallyAsynchronousEngine:
                 if not channel_up:
                     continue
                 if sender in self._faulty:
-                    value = faulty_messages[sender][target]
+                    value = messages[sender][target]
                 else:
                     value = state[sender]
                 delay = int(delays[position]) if delays is not None else 0

@@ -458,28 +458,17 @@ class RandomChurnSchedule(TopologySchedule):
 
     def _probabilities(self, layout: ScheduleLayout) -> np.ndarray:
         if isinstance(self._p_awake, dict):
-            unknown = set(self._p_awake) - set(layout.node_order)
-            if unknown:
-                raise InvalidParameterError(
-                    f"RandomChurnSchedule p_awake mentions unknown nodes "
-                    f"{sorted(unknown, key=repr)!r}"
-                )
-            return np.array(
-                [
-                    self._p_awake.get(node, self._default)
-                    for node in layout.node_order
-                ]
-            )
+            _check_known(self._p_awake, layout, "p_awake")
+            probabilities = np.full(layout.node_count, self._default)
+            # reprolint: disable=ORD002 -- one write per node's own slot; their order is immaterial
+            for node, probability in self._p_awake.items():
+                probabilities[layout.node_index[node]] = probability
+            return probabilities
         return np.full(layout.node_count, self._p_awake)
 
     def activity(self, round_index: int, layout: ScheduleLayout) -> RoundActivity:
         """Return round ``round_index``'s seeded awake mask."""
-        unknown = self._always_awake - set(layout.node_order)
-        if unknown:
-            raise InvalidParameterError(
-                f"RandomChurnSchedule always_awake mentions unknown nodes "
-                f"{sorted(unknown, key=repr)!r}"
-            )
+        _check_known(self._always_awake, layout, "always_awake")
         probabilities = self._probabilities(layout)
         draws = schedule_rng(self._seed, self._stream_key, round_index).random(
             layout.node_count
@@ -490,6 +479,20 @@ class RandomChurnSchedule(TopologySchedule):
         if awake.all():
             return RoundActivity()
         return RoundActivity(awake=awake)
+
+
+def _check_known(
+    nodes: Iterable[NodeId], layout: ScheduleLayout, parameter: str
+) -> None:
+    """Raise :class:`~repro.exceptions.InvalidParameterError` naming the
+    ``nodes`` that are not in ``layout`` (looked up in its node index,
+    which is built once per layout)."""
+    unknown = [node for node in nodes if node not in layout.node_index]
+    if unknown:
+        raise InvalidParameterError(
+            f"RandomChurnSchedule {parameter} mentions unknown nodes "
+            f"{sorted(unknown, key=repr)!r}"
+        )
 
 
 class ComposedSchedule(TopologySchedule):

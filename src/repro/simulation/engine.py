@@ -23,7 +23,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.adversary.base import AdversaryContext, ByzantineStrategy, PassiveStrategy
+from repro.adversary.base import (
+    AdversaryContext,
+    ByzantineStrategy,
+    PassiveStrategy,
+    faulty_messages,
+)
 from repro.algorithms.base import UpdateRule
 from repro.exceptions import (
     FaultBudgetExceededError,
@@ -201,32 +206,14 @@ class SynchronousEngine:
             faulty=self._faulty,
             f=self._rule.f,
         )
-        # What each faulty node places on each of its outgoing edges.  The
-        # RNG-stream contract extends to the adversary layer: strategies are
-        # interrogated in canonical (repr-sorted) sender order, so RNG-backed
-        # strategies consume draws reproducibly across processes and engines.
-        faulty_messages: dict[NodeId, dict[NodeId, float]] = {}
-        for node in sorted(self._faulty, key=repr):
-            outgoing = self._adversary.outgoing_values(node, context)
-            missing = graph.out_neighbors(node) - outgoing.keys()
-            if missing:
-                raise SimulationError(
-                    f"adversary strategy {self._adversary.name!r} did not provide "
-                    f"values for edges {sorted(missing, key=repr)!r} out of faulty "
-                    f"node {node!r}; the synchronous model has no omissions"
-                )
-            # Canonical insertion order for the normalised copy; consumers
-            # index by key, so sorting here is behaviour-neutral.
-            faulty_messages[node] = {
-                target: float(value)
-                for target, value in sorted(
-                    outgoing.items(), key=lambda item: repr(item[0])
-                )
-            }
+        # What each faulty node places on each of its outgoing edges.
+        messages = faulty_messages(self._adversary, context)
+        # reprolint: disable=ORD002 -- faulty_messages inserts the senders in repr order
+        for node, outgoing in messages.items():
             refuse_nan_channels(
                 self._adversary.name,
                 node,
-                faulty_messages[node],
+                outgoing,
                 graph.out_neighbors(node) - self._faulty,
             )
 
@@ -254,7 +241,7 @@ class SynchronousEngine:
                     # receiver's own previous value (self-substitution).
                     value = state[node]
                 elif sender in self._faulty:
-                    value = faulty_messages[sender][node]
+                    value = messages[sender][node]
                 else:
                     value = state[sender]
                 received.append(ReceivedValue(sender=sender, value=value))

@@ -1,6 +1,6 @@
 """Former home of the CSR message-plane engine.
 
-The CSR message plane (bucket-major slabs, row tiling, the float32 tier) is
+The CSR message plane (bucket-major slabs, the float32 tier) is
 now the only batch layout, implemented once by
 :class:`~repro.simulation.vectorized.VectorizedEngine`.  The benchmark's
 layer trace (``perfbench/layers.py``) still imports :class:`SparseEngine`
@@ -16,5 +16,5 @@ class SparseEngine(VectorizedEngine):
     """Alias of :class:`~repro.simulation.vectorized.VectorizedEngine`.
 
     It adds nothing; new code should construct ``VectorizedEngine``, which
-    takes the same ``dtype`` and ``max_plane_bytes`` arguments.
+    takes the same ``dtype`` argument.
     """

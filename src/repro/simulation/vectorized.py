@@ -16,7 +16,7 @@ flat segment arithmetic over a compressed-sparse-row message plane:
 * a round reads a flat ``(B, nnz)`` message plane whose receiver segments
   are laid out *bucket-major* (receivers grouped by exact in-degree,
   canonical order within a bucket): plane slot ``k`` reads column
-  ``slots[k]`` of the state tile joined with the round's Byzantine channel
+  ``slots[k]`` of the state matrix joined with the round's Byzantine channel
   values, so the channel values need no scatter and the plane itself is
   never built by the compiled kernel;
 * each receiver sorts its received values, trims ``f`` from each end and
@@ -40,13 +40,6 @@ flat segment arithmetic over a compressed-sparse-row message plane:
   mathematical no-op that removes the one rounding path which could push a
   value out of the fault-free hull.  The contract is documented in
   ``docs/performance.md``.
-* ``max_plane_bytes`` tiles the batch: one round streams the ``B`` rows in
-  tiles small enough that the plane working set respects the budget, so a
-  single box can simulate ``10^5``-plus-node networks at large ``B``.
-  Tiling happens *inside* :meth:`VectorizedEngine.step_matrix` — the
-  adversary still sees the full batch once per round, so the RNG-stream
-  contract and every :class:`~repro.adversary.vectorized.BatchStrategy`
-  behave exactly as in the untiled run.
 
 The partially asynchronous
 :class:`~repro.simulation.vectorized_async.VectorizedAsyncEngine` feeds the
@@ -263,7 +256,7 @@ def reduce_plane(
     f: int,
     mode: str,
 ) -> None:
-    """Apply the trimmed update to one tile of batch rows.
+    """Apply the trimmed update to a block of batch rows.
 
     Plane slot ``k`` reads ``source[:, slots[k]]``; ``state`` holds the
     same rows' previous states and ``out`` receives the new values in the
@@ -478,13 +471,6 @@ class VectorizedEngine:
         ``np.float64`` (default) for bit-exact parity with the scalar
         engine, or ``np.float32`` for half-memory state under the documented
         tolerance contract.
-    max_plane_bytes:
-        Optional soft budget (in bytes) for the per-round plane working set.
-        When the full batch would exceed it, :meth:`step_matrix` processes
-        the batch in row tiles of :meth:`plane_tile_rows` rows each;
-        results are bit-identical to the untiled run.  ``None`` disables
-        tiling.  A single row's working set is the floor — one row is
-        always processed at a time even if it alone exceeds the budget.
     """
 
     #: Update rules the vectorized kernel implements; everything else must
@@ -511,7 +497,6 @@ class VectorizedEngine:
         schedule: TopologySchedule | None = None,
         *,
         dtype: np.dtype | type = np.float64,
-        max_plane_bytes: int | None = None,
     ) -> None:
         requested = np.dtype(dtype)
         if requested not in SUPPORTED_DTYPES:
@@ -519,15 +504,7 @@ class VectorizedEngine:
                 f"VectorizedEngine dtype must be one of "
                 f"{tuple(str(d) for d in SUPPORTED_DTYPES)}, got {requested}"
             )
-        if max_plane_bytes is not None and int(max_plane_bytes) < 1:
-            raise InvalidParameterError(
-                f"max_plane_bytes must be a positive byte budget or None, "
-                f"got {max_plane_bytes!r}"
-            )
         self._dtype = requested
-        self._max_plane_bytes = (
-            int(max_plane_bytes) if max_plane_bytes is not None else None
-        )
         self._graph = graph
         self._rule = rule
         self._faulty = frozenset(faulty)
@@ -624,10 +601,10 @@ class VectorizedEngine:
         slots[channel_slots] = len(self._nodes) + np.arange(channel_slots.size)
         self._plane = ChannelPlane(self._layout, slots, channel_slots, self._mode)
 
-        # Per-row working-set estimate of the NumPy kernel for the tiling
-        # budget: the flat plane plus the largest bucket's own+survivors
-        # block and its cumsum output (the two big per-bucket temporaries).
-        # The compiled kernel builds no plane and needs less.
+        # Per-row working-set estimate of the NumPy kernel: the flat plane
+        # plus the largest bucket's own+survivors block and its cumsum
+        # output (the two big per-bucket temporaries).  The compiled kernel
+        # builds no plane and needs less.
         f = self._rule.f
         max_trim_block = max(
             bucket.columns.size * (max(bucket.degree - 2 * f, 0) + 1)
@@ -727,11 +704,6 @@ class VectorizedEngine:
         return self._dtype
 
     @property
-    def max_plane_bytes(self) -> int | None:
-        """The plane working-set budget in bytes (``None`` = untiled)."""
-        return self._max_plane_bytes
-
-    @property
     def csr_indptr(self) -> np.ndarray:
         """CSR row pointer: fault-free receivers in canonical (repr) order."""
         return self._csr_indptr
@@ -750,21 +722,6 @@ class VectorizedEngine:
     def plane_bytes_per_row(self) -> int:
         """Estimated plane working-set bytes for one batch row."""
         return int(self._plane_row_elements) * self._dtype.itemsize
-
-    def plane_tile_rows(self, batch: int) -> int:
-        """Return how many batch rows one kernel tile processes.
-
-        Without a budget the whole batch is one tile.  With a budget the
-        tile is the largest row count whose estimated plane working set
-        (:attr:`plane_bytes_per_row` per row) fits ``max_plane_bytes``,
-        floored at one row.
-        """
-        if batch < 1:
-            raise InvalidParameterError(f"batch must be >= 1, got {batch}")
-        if self._max_plane_bytes is None:
-            return batch
-        per_row = max(self.plane_bytes_per_row, 1)
-        return max(1, min(batch, self._max_plane_bytes // per_row))
 
     # ------------------------------------------------------------------
     # Input packing
@@ -900,7 +857,7 @@ class VectorizedEngine:
         adversary's nominal values, exactly like the scalar engine's
         :meth:`~repro.simulation.engine.SynchronousEngine.step`.  The
         adversary fills every faulty → fault-free channel once for the full
-        batch, then the kernel streams the rows in plane tiles.
+        batch, then one kernel call reduces every row.
         """
         state = np.asarray(state, dtype=self._dtype)
         if state.ndim != 2 or state.shape[1] != len(self._nodes):
@@ -908,14 +865,10 @@ class VectorizedEngine:
                 f"state matrix must have shape (B, {len(self._nodes)}), "
                 f"got {state.shape}"
             )
-        batch = state.shape[0]
-
-        # Masks are resolved once per round (before tiling) exactly like the
-        # adversary: every tile sees the same round activity.
         activity = self._round_activity(round_index)
         context, channel_values = self._adversary_fill(state, round_index, activity)
 
-        # Plane slot k reads column slots[k] of the state tile joined with
+        # Plane slot k reads column slots[k] of the state joined with
         # the round's channel values.  Down slots are re-pointed to their
         # receiver after the channel pointers are set, so a down faulty
         # channel is substituted too: a dead slot carries the receiver's own
@@ -933,21 +886,12 @@ class VectorizedEngine:
                 slots[down] = self._plane_recv_cols[down]
 
         new_state = np.array(state)
-        tile = self.plane_tile_rows(batch)
-        for start in range(0, batch, tile):
-            rows = slice(start, start + tile)
-            source = state[rows]
-            if channel_values is not None:
-                source = np.concatenate([source, channel_values[rows]], axis=1)
-            reduce_plane(
-                source,
-                slots,
-                state[rows],
-                new_state[rows],
-                self._layout,
-                self._rule.f,
-                self._mode,
-            )
+        source = state
+        if channel_values is not None:
+            source = np.concatenate([state, channel_values], axis=1)
+        reduce_plane(
+            source, slots, state, new_state, self._layout, self._rule.f, self._mode
+        )
 
         if activity is not None and activity.awake is not None:
             # Asleep receivers skip their update (state frozen); their state
@@ -1303,7 +1247,6 @@ def run_vectorized(
     stop_on_convergence: bool = True,
     schedule: TopologySchedule | None = None,
     dtype: np.dtype | type = np.float64,
-    max_plane_bytes: int | None = None,
 ) -> ConsensusOutcome:
     """Functional wrapper around :class:`VectorizedEngine`, mirroring
     :func:`~repro.simulation.engine.run_synchronous`.
@@ -1327,6 +1270,5 @@ def run_vectorized(
         config=config,
         schedule=schedule,
         dtype=dtype,
-        max_plane_bytes=max_plane_bytes,
     )
     return engine.run(inputs)

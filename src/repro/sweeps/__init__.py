@@ -8,7 +8,7 @@ This subpackage turns the experiment modules under
   its parameter grid, the engine it runs on and the paper section it
   reproduces.
 * :mod:`repro.sweeps.schema` — per-experiment typed row schemas: a
-  ``TypedDict`` (static half, checked by mypy) and the
+  ``TypedDict`` whose fields carry their roles (checked by mypy) and the
   :class:`~repro.sweeps.schema.RowSchema` runtime descriptor derived from
   it, validated at every shard boundary and persisted in run manifests.
 * :mod:`repro.sweeps.grid` — parameter-grid expansion into cells, CLI-style

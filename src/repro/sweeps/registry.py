@@ -13,10 +13,12 @@ entry points with :func:`register_experiment` (one per module, plus the
 
 The registered runner is a plain function taking one grid cell's parameters
 as keyword arguments (all JSON-serialisable scalars) and returning a list of
-row dictionaries.  Runners that accept a ``seed`` keyword are seeded by the
-orchestrator from the run's root ``SeedSequence`` unless the grid pins the
-seed explicitly, so every cell is reproducible in isolation and independent
-of which worker processes it.
+row dictionaries.  Its ``-> list[Row]`` return annotation names the row
+``TypedDict``, from which registration derives the experiment's
+:class:`~repro.sweeps.schema.RowSchema` once.  Runners that accept a
+``seed`` keyword are seeded by the orchestrator from the run's root
+``SeedSequence`` unless the grid pins the seed explicitly, so every cell is
+reproducible in isolation and independent of which worker processes it.
 
 Registration happens at import time of the experiment modules; the registry
 loads them lazily on first access, so importing :mod:`repro.sweeps` alone
@@ -29,10 +31,19 @@ import importlib
 import inspect
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import (
+    Callable,
+    Mapping,
+    Sequence,
+    TypeVar,
+    get_args,
+    get_origin,
+    get_type_hints,
+    is_typeddict,
+)
 
 from repro.exceptions import InvalidParameterError
-from repro.sweeps.schema import RowSchema
+from repro.sweeps.schema import RowSchema, schema_from_typeddict
 
 #: The shape every registered runner satisfies: keyword cell parameters in,
 #: a sequence of row mappings out.  ``Sequence[Mapping[...]]`` rather than
@@ -75,8 +86,9 @@ class ExperimentSpec:
         ``runner(**cell_params) -> list[dict]``; one call per cell.
     schema:
         The :class:`~repro.sweeps.schema.RowSchema` every row the runner
-        emits must satisfy; the orchestrator validates rows against it at
-        shard boundaries and persists it in the run manifest.
+        emits must satisfy, derived at registration from the runner's
+        ``-> list[Row]`` annotation; the orchestrator validates rows against
+        it at shard boundaries and persists it in the run manifest.
     description:
         First line of the runner's docstring (shown by ``repro list``).
     accepts_seed:
@@ -116,16 +128,15 @@ def register_experiment(
     claim: str,
     engine: str,
     grid: Mapping[str, Sequence[object]],
-    schema: RowSchema,
 ) -> Callable[[F], F]:
     """Class the decorated function as the registry entry point ``name``.
 
     The decorator validates the grid (non-empty value tuples, parameter names
-    matching the runner's signature), requires the experiment's
-    :class:`~repro.sweeps.schema.RowSchema` (reprolint rule REG003 enforces
-    the same statically), and records an :class:`ExperimentSpec`; the
-    function itself is returned unchanged so it stays directly callable and
-    importable.
+    matching the runner's signature), derives the experiment's
+    :class:`~repro.sweeps.schema.RowSchema` from the runner's
+    ``-> list[Row]`` annotation, and records an :class:`ExperimentSpec`;
+    the function itself is returned unchanged so it stays directly callable
+    and importable.
     """
     normalized = {str(key): tuple(values) for key, values in grid.items()}
     for key, values in normalized.items():
@@ -133,11 +144,6 @@ def register_experiment(
             raise InvalidParameterError(
                 f"experiment {name!r}: grid parameter {key!r} has no values"
             )
-    if not isinstance(schema, RowSchema):
-        raise InvalidParameterError(
-            f"experiment {name!r}: schema must be a RowSchema "
-            f"(build one with schema_from_typeddict), got {schema!r}"
-        )
 
     def decorate(runner: F) -> F:
         if name in _REGISTRY:
@@ -161,13 +167,38 @@ def register_experiment(
             engine=engine,
             grid=normalized,
             runner=runner,
-            schema=schema,
+            schema=_row_schema(name, runner),
             description=description,
             accepts_seed="seed" in parameters,
         )
         return runner
 
     return decorate
+
+
+def _row_schema(name: str, runner: RowFn) -> RowSchema:
+    """The row schema of experiment ``name``, read from ``runner``'s
+    ``-> list[Row]`` return annotation.
+
+    Raises :class:`InvalidParameterError` naming the experiment when the
+    annotation is missing or its row type is not a ``TypedDict``, and, from
+    :func:`~repro.sweeps.schema.schema_from_typeddict`, naming the column
+    whose role is missing or doubled.  Registration calls this once; the
+    spec keeps the result, since a wrapped runner may carry no annotation.
+    """
+    returns = get_type_hints(runner, include_extras=True).get("return")
+    args = get_args(returns)
+    if not (
+        get_origin(returns) is list and len(args) == 1 and is_typeddict(args[0])
+    ):
+        raise InvalidParameterError(
+            f"experiment {name!r}: {runner.__qualname__} must be annotated "
+            f"'-> list[Row]' with a TypedDict row type, got {returns!r}"
+        )
+    try:
+        return schema_from_typeddict(args[0])
+    except InvalidParameterError as error:
+        raise InvalidParameterError(f"experiment {name!r}: {error}") from None
 
 
 def _ensure_loaded() -> None:

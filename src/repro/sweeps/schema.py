@@ -1,20 +1,29 @@
 """Typed row schemas: the contract every experiment's result rows satisfy.
 
-Each registered experiment declares its row shape twice, deliberately in the
-same place:
+Each registered experiment declares its row shape once, as a
+:class:`typing.TypedDict` whose every field carries its aggregation role
+through one of four :data:`typing.Annotated` aliases::
 
-* a :class:`typing.TypedDict` — the **static** half, used to annotate the
-  row-producing functions so mypy checks every construction site;
-* a :class:`RowSchema` — the **runtime** half, derived *from* the TypedDict
-  by :func:`schema_from_typeddict` so the two can never drift apart.
+    class NecessityRow(TypedDict):
+        case: Label[str]
+        n: Parameter[int]
+        final_spread: Metric[float]
+        stalled: Verdict[bool]
+
+mypy sees ``Parameter[int]`` as plain ``int``, so the TypedDict still
+checks every construction site; at registration
+(:func:`~repro.sweeps.registry.register_experiment`) the runner's
+``-> list[Row]`` return annotation is handed to
+:func:`schema_from_typeddict`, which reads the **runtime** descriptor, a
+:class:`RowSchema`, from that one declaration.
 
 The :class:`RowSchema` records, per column, the value **kind** (``int`` /
 ``float`` / ``bool`` / ``str``), whether ``None`` is an allowed value
 (``optional``, for columns such as a simulation verdict that is undefined
 when the condition screen already failed), whether the column may be absent
 from some rows (``required=False``, for union-shaped experiments whose
-studies emit different key sets), and an **aggregation role** that the
-report renderer and the NPZ column extractor consume:
+studies emit different key sets), and an **aggregation role**, persisted
+with the schema (golden digests leave timing metrics out by it):
 
 ``label``
     string identity of the row (case label, rule name, schedule kind);
@@ -42,8 +51,10 @@ import json
 import types
 from dataclasses import dataclass
 from typing import (
+    Annotated,
     Mapping,
     Sequence,
+    TypeVar,
     Union,
     get_args,
     get_origin,
@@ -62,6 +73,17 @@ COLUMN_ROLES = ("label", "parameter", "metric", "verdict")
 
 #: Kinds whose columns land in the NPZ aggregate as NumPy arrays.
 NUMERIC_KINDS = ("int", "float", "bool")
+
+_T = TypeVar("_T")
+
+#: ``Label[str]``: a row-identity column (``role="label"``).
+Label = Annotated[_T, "label"]
+#: ``Parameter[int]``: a swept or derived input column (``role="parameter"``).
+Parameter = Annotated[_T, "parameter"]
+#: ``Metric[float]``: a measured-quantity column (``role="metric"``).
+Metric = Annotated[_T, "metric"]
+#: ``Verdict[bool]``: a pass/fail column (``role="verdict"``).
+Verdict = Annotated[_T, "verdict"]
 
 
 @dataclass(frozen=True)
@@ -308,38 +330,46 @@ def _hint_kind(name: str, hint: object, schema_name: str) -> tuple[str, bool]:
     return kinds_by_type[hint], optional
 
 
-def schema_from_typeddict(
-    typed_dict: type,
-    roles: Mapping[str, str],
-    name: str | None = None,
-) -> RowSchema:
+def _hint_role(name: str, hint: object, schema_name: str) -> tuple[str, object]:
+    """Split one field annotation into ``(role, value type)``.
+
+    The role is the one :data:`COLUMN_ROLES` entry among the
+    :data:`typing.Annotated` metadata that :data:`Label`,
+    :data:`Parameter`, :data:`Metric` or :data:`Verdict` attach; a field
+    with none or with two raises, naming the column.
+    """
+    roles = [
+        entry
+        for entry in getattr(hint, "__metadata__", ())
+        if entry in COLUMN_ROLES
+    ]
+    if len(roles) != 1:
+        found = ", ".join(repr(role) for role in roles) or "none"
+        raise InvalidParameterError(
+            f"schema {schema_name!r}, column {name!r}: declare exactly one "
+            f"role with Label[...], Parameter[...], Metric[...] or "
+            f"Verdict[...]; found {found} in {hint!r}"
+        )
+    return roles[0], get_args(hint)[0]
+
+
+def schema_from_typeddict(typed_dict: type) -> RowSchema:
     """Derive the runtime :class:`RowSchema` from a row ``TypedDict``.
 
-    ``roles`` assigns every TypedDict key its aggregation role **and fixes
-    the column order** (the report renderer prints columns in ``roles``
-    declaration order).  The key sets must match exactly — a key present in
-    one but not the other raises at import time, and reprolint rule REG003
-    re-checks the same agreement statically.  Keys listed in the
-    TypedDict's ``__optional_keys__`` (``total=False`` sections) become
-    ``required=False`` columns; ``X | None`` value types become
-    ``optional=True`` columns.
+    Every field declares its role through one of the :data:`Label`,
+    :data:`Parameter`, :data:`Metric` and :data:`Verdict` aliases; the
+    fields' order (base classes first) is the column order the report
+    renderer prints.  Keys listed in the TypedDict's ``__optional_keys__``
+    (``total=False`` sections) become ``required=False`` columns; ``X |
+    None`` value types become ``optional=True`` columns.  The schema is
+    named after the TypedDict.
     """
-    schema_name = name or typed_dict.__name__
-    hints = get_type_hints(typed_dict)
-    declared = set(hints)
-    assigned = set(roles)
-    if declared != assigned:
-        missing = ", ".join(sorted(declared - assigned)) or "(none)"
-        extra = ", ".join(sorted(assigned - declared)) or "(none)"
-        raise InvalidParameterError(
-            f"schema {schema_name!r}: roles must cover exactly the TypedDict "
-            f"keys; missing from roles: {missing}; not in the TypedDict: "
-            f"{extra}"
-        )
+    schema_name = typed_dict.__name__
     absent_allowed = frozenset(getattr(typed_dict, "__optional_keys__", ()))
     columns: list[Column] = []
-    for key, role in roles.items():
-        kind, optional = _hint_kind(key, hints[key], schema_name)
+    for key, hint in get_type_hints(typed_dict, include_extras=True).items():
+        role, value_type = _hint_role(key, hint, schema_name)
+        kind, optional = _hint_kind(key, value_type, schema_name)
         columns.append(
             Column(
                 name=key,

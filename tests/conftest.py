@@ -9,11 +9,11 @@ be copy-pasted across ``test_engine_parity.py`` / ``test_adversary_batch.py``
 * :func:`make_scalar_adversary` — the shared scalar adversary factory;
 * the **engine axis**: :data:`SYNC_ENGINE_KINDS` /
   :func:`run_sync_engine` run one synchronous execution through any of the
-  engine tiers (scalar reference, vectorized, vectorized with a one-row
-  tile budget, or the vectorized async engine degenerated to
+  engine tiers (scalar reference, vectorized, vectorized on the NumPy
+  plane kernel, or the vectorized async engine degenerated to
   ``max_delay=0, p=1.0``), and :func:`make_batch_engine` builds a batch
-  engine for the vectorized/tiled/async tiers with one shared
-  configuration.  The ``tiled`` tier runs the NumPy plane kernel
+  engine for the vectorized/numpy/async tiers with one shared
+  configuration.  The ``numpy`` tier runs the NumPy plane kernel
   (:func:`numpy_kernel`), the others the compiled one where this machine
   can build it, so every parity and fuzz suite covers both kernels.
 * the **search axis**: :func:`numpy_search` (and the ``fallback_search``
@@ -153,16 +153,13 @@ def make_scalar_adversary(kind: str):
 # ---------------------------------------------------------------------------
 
 #: The synchronous engine tiers every differential suite sweeps: the scalar
-#: reference, the vectorized engine, the vectorized engine streaming one row
-#: per plane tile, and the vectorized async engine degenerated to the
+#: reference, the vectorized engine, the vectorized engine on the NumPy
+#: plane kernel, and the vectorized async engine degenerated to the
 #: synchronous point.
-SYNC_ENGINE_KINDS = ("scalar", "vectorized", "tiled", "async-degenerate")
+SYNC_ENGINE_KINDS = ("scalar", "vectorized", "numpy", "async-degenerate")
 
 #: The batch-capable engine tiers (everything but the scalar reference).
-BATCH_ENGINE_KINDS = ("vectorized", "tiled", "async-degenerate")
-
-#: Plane budget of the ``tiled`` tier: one byte, so every tile is one row.
-TILED_PLANE_BYTES = 1
+BATCH_ENGINE_KINDS = ("vectorized", "numpy", "async-degenerate")
 
 
 @contextlib.contextmanager
@@ -222,16 +219,10 @@ def run_sync_engine(
         return run_vectorized(
             graph, rule, inputs, faulty=faulty, adversary=adversary, **kwargs
         )
-    if engine_kind == "tiled":
+    if engine_kind == "numpy":
         with numpy_kernel():
             return run_vectorized(
-                graph,
-                rule,
-                inputs,
-                faulty=faulty,
-                adversary=adversary,
-                max_plane_bytes=TILED_PLANE_BYTES,
-                **kwargs,
+                graph, rule, inputs, faulty=faulty, adversary=adversary, **kwargs
             )
     if engine_kind == "async-degenerate":
         return run_vectorized_async(
@@ -256,21 +247,19 @@ def make_batch_engine(
     adversary=None,
     config: SimulationConfig | None = None,
     dtype=np.float64,
-    max_plane_bytes: int | None = None,
     schedule=None,
 ):
     """Build a batch engine of the requested tier with one shared config.
 
-    The vectorized tier honours ``dtype`` / ``max_plane_bytes``, the tiled
-    tier ``dtype`` (its budget is :data:`TILED_PLANE_BYTES`, and it runs the
-    NumPy plane kernel); the async-degenerate tier ignores both (it is
+    The vectorized and numpy tiers honour ``dtype`` (the numpy tier runs
+    the NumPy plane kernel); the async-degenerate tier ignores it (it is
     float64-only).  Note that
     under a schedule that actually masks something the async-degenerate tier
     intentionally leaves the synchronous equality set (never-delivered
     semantics instead of self-substitution).
     """
-    if engine_kind in ("vectorized", "tiled"):
-        engine_class = NumpyKernelEngine if engine_kind == "tiled" else VectorizedEngine
+    if engine_kind in ("vectorized", "numpy"):
+        engine_class = NumpyKernelEngine if engine_kind == "numpy" else VectorizedEngine
         return engine_class(
             graph,
             rule,
@@ -279,9 +268,6 @@ def make_batch_engine(
             config=config,
             schedule=schedule,
             dtype=dtype,
-            max_plane_bytes=(
-                TILED_PLANE_BYTES if engine_kind == "tiled" else max_plane_bytes
-            ),
         )
     if engine_kind == "async-degenerate":
         return VectorizedAsyncEngine(

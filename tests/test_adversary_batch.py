@@ -5,7 +5,7 @@ Every native :class:`~repro.adversary.vectorized.BatchStrategy` must be
 1. **bit-exact** with its :class:`~repro.adversary.vectorized.ScalarStrategyAdapter`
    counterpart at ``B = 1`` — identical trajectories (``==`` on floats, never
    ``approx``) on the synchronous :class:`VectorizedEngine`, the same engine
-   under a small plane-tile budget, and the partially asynchronous
+   on the NumPy plane kernel, and the partially asynchronous
    :class:`VectorizedAsyncEngine`;
 2. **row-for-row reproducible** at ``B = 64``: row ``b`` of a batch equals an
    independent ``B = 1`` run of row ``b``'s inputs (and, for randomized
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+
+from conftest import NumpyKernelEngine
 
 import repro.adversary.vectorized as batch_adversary
 from repro.adversary import (
@@ -160,16 +162,10 @@ def _make_engine(engine_kind: str, graph, rule, faulty, adversary, rounds: int):
         return VectorizedEngine(
             graph, rule, faulty=faulty, adversary=adversary, config=config
         )
-    if engine_kind == "tiled":
-        # Tiny tile budget: exercises the tiled kernel path under every
-        # strategy kind while the full-batch adversary contract holds.
-        return VectorizedEngine(
-            graph,
-            rule,
-            faulty=faulty,
-            adversary=adversary,
-            config=config,
-            max_plane_bytes=2048,
+    if engine_kind == "numpy":
+        # The NumPy plane kernel under every strategy kind.
+        return NumpyKernelEngine(
+            graph, rule, faulty=faulty, adversary=adversary, config=config
         )
     return VectorizedAsyncEngine(
         graph,
@@ -183,13 +179,13 @@ def _make_engine(engine_kind: str, graph, rule, faulty, adversary, rounds: int):
 
 
 def _run_batch(engine_kind: str, engine, matrix):
-    if engine_kind in ("sync", "tiled"):
+    if engine_kind in ("sync", "numpy"):
         return engine.run_batch(matrix)
     # Engine-level delay draws follow the same spawned-stream contract.
     return engine.run_batch(matrix, rng=spawn_row_generators(7, matrix.shape[0]))
 
 
-@pytest.mark.parametrize("engine_kind", ["sync", "tiled", "async"])
+@pytest.mark.parametrize("engine_kind", ["sync", "numpy", "async"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_native_bit_exact_with_adapter_at_b1(kind, engine_kind):
     """B=1: native trajectory == adapter trajectory, float-for-float."""
@@ -209,7 +205,7 @@ def test_native_bit_exact_with_adapter_at_b1(kind, engine_kind):
     assert np.array_equal(outcomes[0].final_spread, outcomes[1].final_spread)
 
 
-@pytest.mark.parametrize("engine_kind", ["sync", "tiled", "async"])
+@pytest.mark.parametrize("engine_kind", ["sync", "numpy", "async"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_native_rows_reproducible_at_b64(kind, engine_kind):
     """B=64: every row equals the B=1 run seeded with that row's stream."""
@@ -224,7 +220,7 @@ def test_native_rows_reproducible_at_b64(kind, engine_kind):
     for row in [0, 1, 31, 63]:
         row_native, _ = _strategy_pair(kind, batch=batch, row=row)
         single = _make_engine(engine_kind, graph, rule, faulty, row_native, rounds)
-        if engine_kind in ("sync", "tiled"):
+        if engine_kind in ("sync", "numpy"):
             single_outcome = single.run_batch(matrix[row : row + 1].copy())
         else:
             single_outcome = single.run_batch(

@@ -1,15 +1,14 @@
 """Cross-engine property/fuzz harness for the dynamic-topology axis.
 
 Each case derives an entire *dynamic* scenario — graph family, fault set,
-rule, adversary, batch size, tile budget, round count, **and topology
+rule, adversary, batch size, round count, **and topology
 schedule** (periodic edge outages, seeded random edge up/down, periodic or
 random churn, or their AND-composition) — from a single integer seed, then:
 
 1. runs the same batch through the
-   :class:`~repro.simulation.vectorized.VectorizedEngine` untiled on the
-   compiled plane kernel (where this machine builds it) and on the NumPy
-   kernel in tiles of one to three rows (deep copies of the same schedule;
-   every ``B > 1`` draw really tiles) and requires every
+   :class:`~repro.simulation.vectorized.VectorizedEngine` on the compiled
+   plane kernel (where this machine builds it) and on the NumPy kernel
+   (deep copies of the same schedule) and requires every
    :class:`BatchOutcome` array to match exactly (``np.array_equal``, never
    ``allclose``);
 2. replays batch row 0 through the scalar
@@ -24,7 +23,7 @@ random churn, or their AND-composition) — from a single integer seed, then:
 
 The batch-native :class:`~repro.adversary.vectorized.BatchAdaptiveStrategy`
 (greedy and 1-lookahead) has no scalar counterpart, so its seeds exercise
-the untiled/tiled pair only — it is deterministic, which is what makes it
+the compiled/NumPy pair only — it is deterministic, which is what makes it
 fuzzable at all.
 
 The first :data:`FAST_CASES` seeds run in the default suite; the remaining
@@ -220,7 +219,9 @@ def _fuzz_one(seed: int) -> None:
     schedule = _draw_schedule(rng, graph, seed)
     batch = int(rng.choice([1, 4, 16]))
     rounds = int(rng.integers(4, 11))
-    tile_rows = int(rng.integers(1, 4))
+    # A discarded draw (the former tile size): dropping it would shift
+    # every later draw of the seeded scenarios.
+    rng.integers(1, 4)
 
     config = SimulationConfig(
         max_rounds=rounds,
@@ -228,7 +229,7 @@ def _fuzz_one(seed: int) -> None:
         record_history=True,
         stop_on_convergence=False,
     )
-    untiled = VectorizedEngine(
+    compiled = VectorizedEngine(
         graph,
         rule_factory(f),
         faulty=faulty,
@@ -236,40 +237,38 @@ def _fuzz_one(seed: int) -> None:
         config=config,
         schedule=copy.deepcopy(schedule),
     )
-    # The tiled run takes the NumPy plane kernel, the untiled one the
-    # compiled kernel where this machine builds it.
-    tiled = NumpyKernelEngine(
+    # The second run takes the NumPy plane kernel, the first the compiled
+    # kernel where this machine builds it.
+    numpy_run = NumpyKernelEngine(
         graph,
         rule_factory(f),
         faulty=faulty,
         adversary=copy.deepcopy(batch_adversary),
         config=config,
         schedule=copy.deepcopy(schedule),
-        max_plane_bytes=tile_rows * untiled.plane_bytes_per_row,
     )
-    assert tiled.plane_tile_rows(batch) == min(tile_rows, batch)
 
-    matrix = random_input_matrix(untiled.nodes, batch, rng=rng)
-    untiled_out = untiled.run_batch(matrix.copy())
-    tiled_out = tiled.run_batch(matrix.copy())
+    matrix = random_input_matrix(compiled.nodes, batch, rng=rng)
+    compiled_out = compiled.run_batch(matrix.copy())
+    numpy_out = numpy_run.run_batch(matrix.copy())
 
     label = (
         f"seed={seed} n={len(nodes)} f={f} |F|={len(faulty)} B={batch} "
-        f"rounds={rounds} tile_rows={tile_rows} adversary={kind} "
+        f"rounds={rounds} adversary={kind} "
         f"schedule={schedule.name}"
     )
-    assert np.array_equal(untiled_out.final_states, tiled_out.final_states), label
-    assert np.array_equal(untiled_out.converged, tiled_out.converged), label
+    assert np.array_equal(compiled_out.final_states, numpy_out.final_states), label
+    assert np.array_equal(compiled_out.converged, numpy_out.converged), label
     assert np.array_equal(
-        untiled_out.rounds_executed, tiled_out.rounds_executed
+        compiled_out.rounds_executed, numpy_out.rounds_executed
     ), label
     assert np.array_equal(
-        untiled_out.initial_spread, tiled_out.initial_spread
+        compiled_out.initial_spread, numpy_out.initial_spread
     ), label
-    assert np.array_equal(untiled_out.final_spread, tiled_out.final_spread), label
-    assert np.array_equal(untiled_out.validity_ok, tiled_out.validity_ok), label
+    assert np.array_equal(compiled_out.final_spread, numpy_out.final_spread), label
+    assert np.array_equal(compiled_out.validity_ok, numpy_out.validity_ok), label
     assert np.array_equal(
-        untiled_out.spread_history, tiled_out.spread_history
+        compiled_out.spread_history, numpy_out.spread_history
     ), label
 
     # Independent reference: row 0 replayed on the scalar engine.
@@ -281,17 +280,17 @@ def _fuzz_one(seed: int) -> None:
             adversary=copy.deepcopy(twin(batch)),
             config=config,
             schedule=copy.deepcopy(schedule),
-        ).run(dict(zip(untiled.nodes, matrix[0].tolist())))
+        ).run(dict(zip(compiled.nodes, matrix[0].tolist())))
         final = scalar.history[-1].values
-        assert [final[node] for node in untiled.nodes] == (
-            untiled_out.final_states[0].tolist()
+        assert [final[node] for node in compiled.nodes] == (
+            compiled_out.final_states[0].tolist()
         ), label
         assert np.array_equal(
-            spreads_from_records(scalar.history), untiled_out.spread_history[:, 0]
+            spreads_from_records(scalar.history), compiled_out.spread_history[:, 0]
         ), label
-        assert scalar.rounds_executed == untiled_out.rounds_executed[0], label
-        assert scalar.converged == bool(untiled_out.converged[0]), label
-        assert scalar.validity_ok == bool(untiled_out.validity_ok[0]), label
+        assert scalar.rounds_executed == compiled_out.rounds_executed[0], label
+        assert scalar.converged == bool(compiled_out.converged[0]), label
+        assert scalar.validity_ok == bool(compiled_out.validity_ok[0]), label
 
     # Scalar lockstep: one batch row, scalar reference vs a fresh vectorized
     # engine, full trajectory, same schedule.
@@ -300,7 +299,7 @@ def _fuzz_one(seed: int) -> None:
         report = cross_check_engines(
             graph=graph,
             rule=rule_factory(f),
-            inputs=dict(zip(untiled.nodes, matrix[row].tolist())),
+            inputs=dict(zip(compiled.nodes, matrix[row].tolist())),
             faulty=faulty,
             adversary=copy.deepcopy(twin(batch)),
             config=config,

@@ -42,6 +42,8 @@ from repro.simulation import (
     VectorizedEngine,
     cross_check_engines,
 )
+from repro.exceptions import InvalidParameterError
+from repro.simulation.dynamic import CHURN_STREAM_KEY, schedule_rng
 from repro.simulation.metrics import VALIDITY_TOLERANCE
 
 from conftest import SYNC_ENGINE_KINDS, run_sync_engine
@@ -262,6 +264,40 @@ def test_random_schedules_are_pure_functions_of_the_round():
         assert again_churn.awake[layout.node_index[0]]
 
 
+def test_random_churn_mapping_masks_match_the_per_node_lookup():
+    """A mapping ``p_awake`` fills its probabilities through the layout's
+    node index; the masks equal the per-node lookup over ``node_order``."""
+    graph = core_network(9, 2)
+    layout = ScheduleLayout.for_graph(graph)
+    p_awake = {3: 0.2, 0: 0.6, 8: 1}
+    churn = RandomChurnSchedule(
+        p_awake=p_awake, seed=4, always_awake=(5,), default_p_awake=0.7
+    )
+    probabilities = np.array([p_awake.get(node, 0.7) for node in layout.node_order])
+    for round_index in range(1, 9):
+        draws = schedule_rng(4, CHURN_STREAM_KEY, round_index).random(len(graph.nodes))
+        expected = draws < probabilities
+        expected[layout.node_index[5]] = True
+        assert np.array_equal(churn.activity(round_index, layout).awake, expected)
+
+
+@pytest.mark.parametrize(
+    "options, parameter",
+    [
+        (dict(always_awake=(0, "ghost")), "always_awake"),
+        (dict(p_awake={"ghost": 0.5, 0: 0.5}), "p_awake"),
+    ],
+    ids=["always_awake", "p_awake"],
+)
+def test_random_churn_names_an_unknown_node(options, parameter):
+    layout = ScheduleLayout.for_graph(core_network(6, 1))
+    churn = RandomChurnSchedule(seed=2, **options)
+    with pytest.raises(
+        InvalidParameterError, match=rf"{parameter} mentions unknown nodes \['ghost'\]"
+    ):
+        churn.activity(1, layout)
+
+
 # ---------------------------------------------------------------------------
 # Participation-aware validity monitoring
 # ---------------------------------------------------------------------------
@@ -338,7 +374,7 @@ def test_monitor_sleep_check_waits_for_an_awake_mask():
     assert monitor.ok[0]
 
 
-@pytest.mark.parametrize("engine_kind", ["scalar", "vectorized", "tiled"])
+@pytest.mark.parametrize("engine_kind", ["scalar", "vectorized", "numpy"])
 def test_engine_run_folds_participation_audit_into_validity(engine_kind):
     graph = core_network(8, 1)
     outcome = run_sync_engine(

@@ -4,12 +4,13 @@ Four equivalence layers, each parametrized over the shared graph-family
 matrix in ``conftest.py`` (:data:`conftest.SYNC_FAMILY_CASES`):
 
 1. **Synchronous quartet** — the scalar :class:`SynchronousEngine`, the
-   :class:`VectorizedEngine` untiled and with a one-row plane tile, and the
+   :class:`VectorizedEngine` on the compiled and on the NumPy plane kernel,
+   and the
    vectorized :class:`VectorizedAsyncEngine` degenerated to ``max_delay=0,
    update_probability=1.0`` produce identical trajectories (``==`` on
    floats, never ``approx``).
-2. **Batch differential** — untiled and one-row-tiled ``run_batch`` agree
-   on every output array at ``B = 1`` and ``B = 64``.
+2. **Batch differential** — ``run_batch`` on the compiled and on the NumPy
+   plane kernel agree on every output array at ``B = 1`` and ``B = 64``.
 3. **Asynchronous pair** — the scalar :class:`PartiallyAsynchronousEngine`
    and :class:`VectorizedAsyncEngine` agree round-for-round under the shared
    RNG-stream contract (same seed → same delay draws and activation coins).
@@ -32,7 +33,11 @@ from conftest import (
     make_scalar_adversary,
     run_sync_engine,
 )
-from repro.adversary import ExtremePushStrategy, StaticValueStrategy
+from repro.adversary import (
+    ByzantineStrategy,
+    ExtremePushStrategy,
+    StaticValueStrategy,
+)
 from repro.algorithms import TrimmedMeanRule, TrimmedMidpointRule
 from repro.exceptions import SimulationError
 from repro.graphs import chord_network, complete_graph, core_network
@@ -59,7 +64,7 @@ from repro.types import ConsensusOutcome
 def test_sync_quartet_bit_exact(
     label, graph_factory, f, faulty, rule_factory, adversary_kind
 ):
-    """Scalar == vectorized == tiled == async-degenerate, float-for-float.
+    """Scalar == vectorized == numpy == async-degenerate, float-for-float.
 
     Every engine gets a fresh adversary instance; with tolerance 0 identical
     trajectories stop at identical rounds, so the histories must have equal
@@ -83,7 +88,7 @@ def test_sync_quartet_bit_exact(
             adversary=make_scalar_adversary(adversary_kind),
             **kwargs,
         )
-        for engine_kind in ("scalar", "vectorized", "tiled", "async-degenerate")
+        for engine_kind in ("scalar", "vectorized", "numpy", "async-degenerate")
     }
     scalar = outcomes.pop("scalar")
     for engine_kind, outcome in outcomes.items():
@@ -106,10 +111,10 @@ def test_sync_quartet_bit_exact(
     SYNC_FAMILY_CASES,
     ids=SYNC_FAMILY_IDS,
 )
-def test_batch_untiled_vs_tiled_bit_exact(
+def test_batch_compiled_vs_numpy_kernel_bit_exact(
     label, graph_factory, f, faulty, rule_factory, adversary_kind, batch
 ):
-    """run_batch parity: untiled and tiled agree on every output array."""
+    """run_batch parity: both plane kernels agree on every output array."""
     graph = graph_factory()
     config = SimulationConfig(
         max_rounds=12,
@@ -118,7 +123,7 @@ def test_batch_untiled_vs_tiled_bit_exact(
         stop_on_convergence=False,
     )
     outcomes = {}
-    for engine_kind in ("vectorized", "tiled"):
+    for engine_kind in ("vectorized", "numpy"):
         engine = make_batch_engine(
             engine_kind,
             graph,
@@ -129,15 +134,15 @@ def test_batch_untiled_vs_tiled_bit_exact(
         )
         matrix = random_input_matrix(engine.nodes, batch, rng=17)
         outcomes[engine_kind] = engine.run_batch(matrix)
-    untiled, tiled = outcomes["vectorized"], outcomes["tiled"]
-    assert untiled.nodes == tiled.nodes
-    assert np.array_equal(untiled.final_states, tiled.final_states)
-    assert np.array_equal(untiled.converged, tiled.converged)
-    assert np.array_equal(untiled.rounds_executed, tiled.rounds_executed)
-    assert np.array_equal(untiled.initial_spread, tiled.initial_spread)
-    assert np.array_equal(untiled.final_spread, tiled.final_spread)
-    assert np.array_equal(untiled.validity_ok, tiled.validity_ok)
-    assert np.array_equal(untiled.spread_history, tiled.spread_history)
+    compiled, fallback = outcomes["vectorized"], outcomes["numpy"]
+    assert compiled.nodes == fallback.nodes
+    assert np.array_equal(compiled.final_states, fallback.final_states)
+    assert np.array_equal(compiled.converged, fallback.converged)
+    assert np.array_equal(compiled.rounds_executed, fallback.rounds_executed)
+    assert np.array_equal(compiled.initial_spread, fallback.initial_spread)
+    assert np.array_equal(compiled.final_spread, fallback.final_spread)
+    assert np.array_equal(compiled.validity_ok, fallback.validity_ok)
+    assert np.array_equal(compiled.spread_history, fallback.spread_history)
 
 
 @pytest.mark.parametrize("engine_kind", BATCH_ENGINE_KINDS)
@@ -277,17 +282,15 @@ def test_single_run_seed_matches_scalar_seed_directly():
         assert scalar.rounds_executed == vector.rounds_executed
 
 
-#: The four tiers of the NaN / ±inf pins: both synchronous and both
-#: partially asynchronous engines.
+#: The four tiers of the NaN / ±inf / omission pins: both synchronous and
+#: both partially asynchronous engines.
 ALL_TIERS = ("scalar", "vectorized", "scalar-async", "vectorized-async")
 
 
-def _run_tier(tier, value, rounds=20):
+def _run_tier(tier, adversary, rounds=20):
     graph = core_network(7, 1)
     inputs = linear_ramp_inputs(graph.nodes)
-    options = dict(
-        faulty={6}, adversary=StaticValueStrategy(value), max_rounds=rounds
-    )
+    options = dict(faulty={6}, adversary=adversary, max_rounds=rounds)
     if tier in ("scalar", "vectorized"):
         return run_sync_engine(tier, graph, TrimmedMeanRule(1), inputs, **options)
     if tier == "scalar-async":
@@ -304,14 +307,40 @@ def test_every_tier_refuses_a_nan_from_a_byzantine_strategy(tier):
     """NumPy sorts NaN last and Python's ``sorted`` anywhere, so no two
     tiers could agree on it: each refuses, naming strategy and channel."""
     with pytest.raises(SimulationError, match=r"static-value.*NaN on channel 6 -> 0"):
-        _run_tier(tier, float("nan"))
+        _run_tier(tier, StaticValueStrategy(float("nan")))
+
+
+class _OmitsAnEdge(ByzantineStrategy):
+    """Sends on every out-edge but the ``repr``-largest one."""
+
+    name = "omits-an-edge"
+
+    def outgoing_values(self, node, context):
+        targets = sorted(context.graph.out_neighbors(node), key=repr)
+        return {target: 0.0 for target in targets[:-1]}
+
+
+@pytest.mark.parametrize("tier", ALL_TIERS)
+def test_every_tier_refuses_an_adversary_that_omits_an_out_edge(tier):
+    """The scalar engines and the batch tiers' scalar adapter share one
+    interrogation loop: a missing out-edge names strategy, edge and sender."""
+    with pytest.raises(
+        SimulationError,
+        match=r"'omits-an-edge' did not provide values for edges \[2\] out "
+        r"of faulty node 6",
+    ):
+        _run_tier(tier, _OmitsAnEdge())
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf")], ids=["inf", "-inf"])
 def test_every_tier_agrees_on_an_infinite_byzantine_value(value):
     """±inf is ordered, so the trim removes it on every tier alike."""
-    synchronous = [_run_tier(tier, value) for tier in ALL_TIERS[:2]]
-    asynchronous = [_run_tier(tier, value) for tier in ALL_TIERS[2:]]
+    synchronous = [
+        _run_tier(tier, StaticValueStrategy(value)) for tier in ALL_TIERS[:2]
+    ]
+    asynchronous = [
+        _run_tier(tier, StaticValueStrategy(value)) for tier in ALL_TIERS[2:]
+    ]
     for pair in (synchronous, asynchronous):
         reference, candidate = pair
         assert reference.final_values == candidate.final_values

@@ -155,7 +155,7 @@ class TestRelabeling:
 class TestAffineEquivalence:
     """Affine input shifts affinely shift every fault-free state."""
 
-    @pytest.mark.parametrize("engine_kind", ["scalar", "vectorized", "tiled"])
+    @pytest.mark.parametrize("engine_kind", ["scalar", "vectorized", "numpy"])
     @pytest.mark.parametrize("scale,shift", [(2.0, 5.0), (0.5, -3.0), (10.0, 0.0)])
     def test_synchronous(self, scale, shift, engine_kind):
         graph = complete_graph(6)

@@ -23,7 +23,7 @@ pin:
   every round split.
 
 The parity and fuzz suites cover the engines on both kernels: the conftest
-``tiled`` tier runs the NumPy kernel, the other tiers the compiled one.
+``numpy`` tier runs the NumPy kernel, the other tiers the compiled one.
 """
 
 from __future__ import annotations
@@ -165,7 +165,6 @@ def _engine_outputs():
         BatchAdaptiveStrategy(),
         config,
         schedule=RandomChurnSchedule(0.7, seed=4),
-        max_plane_bytes=1,
     )
     outputs.append(
         churn.run_batch(random_input_matrix(churn.nodes, 4, rng=3)).final_states
@@ -497,7 +496,7 @@ def test_status_names_the_split(monkeypatch):
 
 
 def test_fast_fuzz_seeds_pass_with_every_round_split(monkeypatch):
-    """Engine-level parity (untiled compiled against tiled NumPy, and row 0
+    """Engine-level parity (compiled against NumPy, and row 0
     against the scalar engine) with every compiled round split."""
     _compiled()
     parts_seen = _split_everything(monkeypatch, 3)

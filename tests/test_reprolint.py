@@ -261,49 +261,6 @@ RULE_FIXTURES = [
         """,
     ),
     (
-        "REG003",
-        EXPERIMENTS_PATH,
-        """
-        from repro.sweeps.registry import register_experiment
-
-        @register_experiment(
-            "study",
-            paper_section="Thm 2",
-            claim="c",
-            engine="vectorized",
-            grid={},
-        )
-        def study_cell(seed: int) -> list:
-            return []
-        """,
-        """
-        from typing import TypedDict
-
-        from repro.sweeps.registry import register_experiment
-        from repro.sweeps.schema import schema_from_typeddict
-
-        class StudyRow(TypedDict):
-            case: str
-            rounds: int
-
-        STUDY_SCHEMA = schema_from_typeddict(
-            StudyRow,
-            roles={"case": "label", "rounds": "metric"},
-        )
-
-        @register_experiment(
-            "study",
-            paper_section="Thm 2",
-            claim="c",
-            engine="vectorized",
-            grid={},
-            schema=STUDY_SCHEMA,
-        )
-        def study_cell(seed: int) -> list[StudyRow]:
-            return []
-        """,
-    ),
-    (
         "EXC001",
         GENERIC_PATH,
         """
@@ -441,124 +398,6 @@ class TestRuleScoping:
             return inner(value)
         """
         assert rules_fired(source, GENERIC_PATH, "TYP001") == []
-
-
-class TestRegistrySchema:
-    """REG003 statically cross-checks roles against the TypedDict fields."""
-
-    PREAMBLE = """
-        from typing import TypedDict
-
-        from repro.sweeps.registry import register_experiment
-        from repro.sweeps.schema import schema_from_typeddict
-    """
-
-    def _fired(self, body: str) -> list[str]:
-        return rules_fired(
-            self.PREAMBLE + body, EXPERIMENTS_PATH, "REG003"
-        )
-
-    def test_roles_key_mismatch_fires(self) -> None:
-        assert self._fired(
-            """
-        class StudyRow(TypedDict):
-            case: str
-            rounds: int
-
-        STUDY_SCHEMA = schema_from_typeddict(
-            StudyRow,
-            roles={"case": "label", "speed": "metric"},
-        )
-
-        @register_experiment(
-            "study", paper_section="s", claim="c", engine="e",
-            grid={}, schema=STUDY_SCHEMA,
-        )
-        def study_cell(seed: int) -> list[StudyRow]:
-            return []
-        """
-        ) == ["REG003"]
-
-    def test_functional_typeddict_form_resolved(self) -> None:
-        body = """
-        StudyRow = TypedDict(
-            "StudyRow", {"robust_2f+1": bool, "rounds": int}
-        )
-
-        STUDY_SCHEMA = schema_from_typeddict(
-            StudyRow,
-            roles={"robust_2f+1": "verdict", "rounds": "metric"},
-        )
-
-        @register_experiment(
-            "study", paper_section="s", claim="c", engine="e",
-            grid={}, schema=STUDY_SCHEMA,
-        )
-        def study_cell(seed: int) -> list:
-            return []
-        """
-        assert self._fired(body) == []
-        assert self._fired(
-            body.replace('"rounds": "metric"', '"round": "metric"')
-        ) == ["REG003"]
-
-    def test_same_module_base_class_fields_counted(self) -> None:
-        assert self._fired(
-            """
-        class _Base(TypedDict):
-            condition_holds: bool
-
-        class StudyRow(_Base, total=False):
-            rounds: int
-
-        STUDY_SCHEMA = schema_from_typeddict(
-            StudyRow,
-            roles={"condition_holds": "verdict", "rounds": "metric"},
-        )
-
-        @register_experiment(
-            "study", paper_section="s", claim="c", engine="e",
-            grid={}, schema=STUDY_SCHEMA,
-        )
-        def study_cell(seed: int) -> list[StudyRow]:
-            return []
-        """
-        ) == []
-
-    def test_unresolvable_schema_value_is_presence_only(self) -> None:
-        assert self._fired(
-            """
-        from somewhere import make_schema
-
-        @register_experiment(
-            "study", paper_section="s", claim="c", engine="e",
-            grid={}, schema=make_schema(),
-        )
-        def study_cell(seed: int) -> list:
-            return []
-        """
-        ) == []
-
-    def test_schema_none_counts_as_missing(self) -> None:
-        assert self._fired(
-            """
-        @register_experiment(
-            "study", paper_section="s", claim="c", engine="e",
-            grid={}, schema=None,
-        )
-        def study_cell(seed: int) -> list:
-            return []
-        """
-        ) == ["REG003"]
-
-    def test_self_check_src_repro_clean(self) -> None:
-        report = lint_paths(
-            [str(REPO_ROOT / "src" / "repro")], select=["REG003"]
-        )
-        # Selecting one rule makes other rules' pragmas look unused; only
-        # the REG003 verdicts matter here.
-        fired = [f for f in report.findings if f.rule == "REG003"]
-        assert fired == []
 
 
 class TestPragmas:

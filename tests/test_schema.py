@@ -22,10 +22,18 @@ import pytest
 
 from repro.exceptions import InvalidParameterError, SchemaViolationError
 from repro.sweeps.orchestrator import run_sweep
-from repro.sweeps.registry import all_experiments, get_experiment
+from repro.sweeps.registry import (
+    all_experiments,
+    get_experiment,
+    register_experiment,
+)
 from repro.sweeps.schema import (
     Column,
+    Label,
+    Metric,
+    Parameter,
     RowSchema,
+    Verdict,
     numeric_arrays,
     schema_from_typeddict,
 )
@@ -175,6 +183,57 @@ GOLDEN_SWEEPS = [
     ),
 ]
 
+#: Every registered experiment's ``RowSchema.fingerprint()``, pinned so that
+#: no change reorders, re-kinds or re-roles a column silently: a stored run's
+#: manifest carries the fingerprint, and a drifted one refuses to resume.
+SCHEMA_FINGERPRINTS = {
+    "ablation": (
+        "3b3360064a303e96a9afd9dff9559f95964c7911fc512c0f8d9b473c5bbba797"
+    ),
+    "adversary_showdown": (
+        "75b30a26afd564727420df1a12939cb54fbe971b33ded56bf070253783baaf8b"
+    ),
+    "asynchronous": (
+        "8a4f5152737c0b1b852a4f4a648d34e07c6837333d676e3c7df972a808980d82"
+    ),
+    "checker": (
+        "a6f2c32a1e3e3a1b126ed4f7740b91843b9df4c71f6c62bab96b54e4340a534a"
+    ),
+    "checker_scaling": (
+        "0a768f74ca5a4395585eb4ad80c41b5a86d57ad28ece1c8af0554b0489c62d1f"
+    ),
+    "churn_sweep": (
+        "8cf12617c771f8c7419a5a28f035a96501b9ee4cbf5305339767c89485b71a2a"
+    ),
+    "convergence_rate": (
+        "d40a86e37998e2141e4288fe07bebcd9c2bc10f480ccb1330337def93c06d2e3"
+    ),
+    "corollaries": (
+        "d085e02ed7d6ce463558587903cb4d206d2f43e1476e5b56b21f967a73a8ec3b"
+    ),
+    "dynamic_topology": (
+        "17564dc1eea48a71fd7da3e2b2e881bb9aa147f5c015b1f838dc7840c7f39fe3"
+    ),
+    "families": (
+        "77c862646f207c6273331b3e8a004ce9478136e45ed3bbab36853e285aaef10e"
+    ),
+    "feasibility_at_scale": (
+        "ebcd14a08152bd1f2133ba52ab1745eabd8dd871c9609b81ed024524c9a52dd9"
+    ),
+    "large_n": (
+        "fb7fe3d7a84c9ae5ab32a453ded9b8ca44956865b15bf0b62e3fc871699c604d"
+    ),
+    "necessity": (
+        "7ce505746ff4a04a64f6dd7f38ba7bf7d2fad635995f06281696884e10928cce"
+    ),
+    "robustness": (
+        "62e554b7738b7af80cc8affe59bade93ffa737250b2b9b855a1de33451bfc2c1"
+    ),
+    "validity": (
+        "466b4d7452356aebe08f9ff39f3e08c08ea71c88f6472e461cd1d9173ccd2107"
+    ),
+}
+
 #: Name endings of wall-clock metric columns, left out of golden digests
 #: (the same rule as ``perfbench/outputs.py``).
 TIMING_SUFFIXES = ("_seconds", "_second", "_ms")
@@ -203,24 +262,17 @@ def deterministic_rows(
 
 
 class DemoRow(TypedDict):
-    """Fixture row type exercising all four kinds plus an optional column."""
+    """Fixture row type exercising all four kinds and roles plus an optional
+    column."""
 
-    case: str
-    n: int
-    spread: float
-    converged: bool
-    rounds: int | None
+    case: Label[str]
+    n: Parameter[int]
+    spread: Metric[float]
+    converged: Verdict[bool]
+    rounds: Metric[int | None]
 
 
-DEMO_ROLES = {
-    "case": "label",
-    "n": "parameter",
-    "spread": "metric",
-    "converged": "verdict",
-    "rounds": "metric",
-}
-
-DEMO_SCHEMA = schema_from_typeddict(DemoRow, roles=DEMO_ROLES)
+DEMO_SCHEMA = schema_from_typeddict(DemoRow)
 
 DEMO_ROW: DemoRow = {
     "case": "c",
@@ -328,38 +380,124 @@ class TestRowSchema:
             )
 
 
+class _ChainKeys(TypedDict, total=False):
+    n: Parameter[int]
+
+
+class _ChainBase(_ChainKeys):
+    holds: Verdict[bool]
+
+
+class ChainRow(_ChainBase, total=False):
+    method: Label[str]
+
+
+class NoRoleRow(TypedDict):
+    case: Label[str]
+    rounds: int
+
+
+class TwoRoleRow(TypedDict):
+    case: Label[str]
+    rounds: Metric[Label[int]]
+
+
 class TestSchemaFromTypedDict:
-    def test_roles_must_cover_exactly_the_typeddict_keys(self):
-        roles = dict(DEMO_ROLES)
-        roles["extra"] = "metric"
-        del roles["spread"]
-        with pytest.raises(
-            InvalidParameterError,
-            match="missing from roles: spread; not in the TypedDict: extra",
-        ):
-            schema_from_typeddict(DemoRow, roles=roles)
+    def test_kind_role_and_optionality_come_from_the_field(self):
+        assert DEMO_SCHEMA.name == "DemoRow"
+        assert DEMO_SCHEMA.columns == (
+            Column(name="case", kind="str", role="label"),
+            Column(name="n", kind="int", role="parameter"),
+            Column(name="spread", kind="float", role="metric"),
+            Column(name="converged", kind="bool", role="verdict"),
+            Column(name="rounds", kind="int", role="metric", optional=True),
+        )
 
     def test_optional_value_and_absent_key_are_distinct(self):
         class PartialRow(TypedDict, total=False):
-            verdict: bool
+            verdict: Verdict[bool]
 
-        schema = schema_from_typeddict(PartialRow, roles={"verdict": "verdict"})
+        schema = schema_from_typeddict(PartialRow)
         assert schema.column("verdict").required is False
         assert schema.column("verdict").optional is False
         rounds = DEMO_SCHEMA.column("rounds")
         assert rounds.optional is True and rounds.required is True
 
-    def test_column_order_follows_roles_declaration(self):
-        reordered = {key: DEMO_ROLES[key] for key in reversed(DEMO_ROLES)}
-        schema = schema_from_typeddict(DemoRow, roles=reordered)
-        assert schema.names == tuple(reversed(DEMO_SCHEMA.names))
+    def test_column_order_follows_the_class_chain_base_first(self):
+        schema = schema_from_typeddict(ChainRow)
+        assert schema.names == ("n", "holds", "method")
+        assert [column.required for column in schema.columns] == [
+            False,
+            True,
+            False,
+        ]
+
+    @pytest.mark.parametrize(
+        "row, found",
+        [(NoRoleRow, "found none"), (TwoRoleRow, "found 'label', 'metric'")],
+        ids=["no-role", "two-roles"],
+    )
+    def test_a_field_needs_exactly_one_role(self, row, found):
+        with pytest.raises(
+            InvalidParameterError, match=f"column 'rounds': .*{found}"
+        ):
+            schema_from_typeddict(row)
 
     def test_unsupported_value_type_rejected(self):
         class BadRow(TypedDict):
-            values: list
+            values: Metric[list]
 
         with pytest.raises(InvalidParameterError, match="unsupported value"):
-            schema_from_typeddict(BadRow, roles={"values": "metric"})
+            schema_from_typeddict(BadRow)
+
+
+def _register_probe(returns: object) -> None:
+    """Register a probe runner whose return annotation is ``returns``."""
+
+    def probe_cell() -> list:
+        return []
+
+    if returns is None:
+        del probe_cell.__annotations__["return"]
+    else:
+        probe_cell.__annotations__["return"] = returns
+    register_experiment(
+        "schema_probe",
+        paper_section="s",
+        claim="c",
+        engine="checker",
+        grid={},
+    )(probe_cell)
+
+
+class TestRegistrationDerivesTheSchema:
+    """``register_experiment`` reads the schema from ``-> list[Row]``."""
+
+    @pytest.mark.parametrize(
+        "returns",
+        [None, list, list[dict], tuple[DemoRow], DemoRow],
+        ids=["unannotated", "bare-list", "list-of-dict", "tuple", "row"],
+    )
+    def test_runner_without_a_row_list_annotation_refused(self, returns):
+        with pytest.raises(
+            InvalidParameterError,
+            match=r"experiment 'schema_probe': .*'-> list\[Row\]'",
+        ):
+            _register_probe(returns)
+        assert "schema_probe" not in all_experiments()
+
+    @pytest.mark.parametrize(
+        "row, found",
+        [(NoRoleRow, "found none"), (TwoRoleRow, "found 'label', 'metric'")],
+        ids=["no-role", "two-roles"],
+    )
+    def test_field_without_exactly_one_role_refused(self, row, found):
+        with pytest.raises(
+            InvalidParameterError,
+            match=f"experiment 'schema_probe': .*column 'rounds': .*{found}",
+        ):
+            _register_probe(list[row])
+        assert "schema_probe" not in all_experiments()
 
 
 class TestNumericColumnsWithSchema:
@@ -415,6 +553,9 @@ class TestRegisteredSchemas:
     @pytest.fixture(params=sorted(all_experiments()))
     def spec(self, request):
         return get_experiment(request.param)
+
+    def test_schema_fingerprint_is_pinned(self, spec):
+        assert spec.schema.fingerprint() == SCHEMA_FINGERPRINTS[spec.name]
 
     def test_schema_json_round_trip(self, spec):
         rebuilt = RowSchema.from_json(

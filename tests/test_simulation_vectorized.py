@@ -248,7 +248,7 @@ class TestBatchRuns:
         assert np.array_equal(first.rounds_executed, second.rounds_executed)
         assert np.array_equal(first.converged, second.converged)
 
-    @pytest.mark.parametrize("engine_kind", ["vectorized", "tiled"])
+    @pytest.mark.parametrize("engine_kind", ["vectorized", "numpy"])
     def test_rows_freezing_at_different_rounds_match_the_scalar_engine(
         self, engine_kind
     ):

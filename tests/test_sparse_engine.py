@@ -6,12 +6,11 @@ axis, which must be the CSR order, and the large-``n`` path, which must
 never build the graph's neighbour sets), the canonical edge order and the
 CSR slots' edge positions (pinned against the ``repr`` sort and dict lookup
 they replaced), the adaptive lookahead on the engine's plane (against the
-probe plane it used to build), parameter
-validation, the rejection of empty batches, the ``plane_tile_rows`` budget
-arithmetic, the memory-tiling regression (tiled == untiled bit-for-bit, and
-the tiled kernel actually allocates less), the ``run_consensus`` engine
-names, the ``cross_check_engines`` option checks, and the float32 dtype
-plumbing.
+probe plane it used to build), parameter validation, the rejection of empty
+batches, the plane footprint (float32 halves it, and the compiled kernel
+allocates under half of the NumPy kernel's plane), the ``run_consensus``
+engine names, the ``cross_check_engines`` option checks, and the float32
+dtype plumbing.
 """
 
 from __future__ import annotations
@@ -559,9 +558,55 @@ class TestAdaptiveProbeReadsTheEnginePlane:
             assert np.array_equal(plane.layout.receivers, legacy.layout.receivers)
 
 
+def repr_sorted_draw_layout(context):
+    """The noise strategy's draw layout as built before it read the edge
+    arrays: one ``repr`` sort of each faulty sender's out-neighbours."""
+    channel_index = {edge: i for i, edge in enumerate(context.edge_nodes)}
+    spans, offset = [], 0
+    positions = np.zeros(len(context.edge_nodes), dtype=int)
+    for sender in sorted(context.faulty, key=repr):
+        neighbors = sorted(context.graph.out_neighbors(sender), key=repr)
+        spans.append((offset, len(neighbors)))
+        for rank, receiver in enumerate(neighbors):
+            channel = channel_index.get((sender, receiver))
+            if channel is not None:
+                positions[channel] = offset + rank
+        offset += len(neighbors)
+    return spans, positions
+
+
+def test_noise_draw_layout_matches_the_repr_sort():
+    """``BatchRandomNoiseStrategy`` reads its draw spans and positions from
+    the edge arrays; they equal the per-sender ``repr`` sort on the 48
+    adaptive cases (int, str and tuple names, set- and array-built)."""
+    for seed, (graph, f) in enumerate(ADAPTIVE_CASES):
+        engine = VectorizedEngine(
+            graph, TrimmedMeanRule(f), faulty=random_fault_set(graph, f, rng=seed)
+        )
+        state = engine.pack_inputs(random_input_matrix(engine.nodes, 1, rng=seed))
+        context = engine._context(state, 1)
+        spans, positions = BatchRandomNoiseStrategy(-1.0, 1.0)._build_layout(context)
+        legacy_spans, legacy_positions = repr_sorted_draw_layout(context)
+        assert spans == legacy_spans, f"case {seed}"
+        assert np.array_equal(positions, legacy_positions), f"case {seed}"
+
+
 class TestLargeNPathBuildsNoSets:
     """E14's path reads the lattice's edge arrays only: building its
     neighbour sets at n = 10^5 would cost as much as the rounds."""
+
+    def test_random_noise_run(self):
+        graph = heterogeneous_ring_lattice(3000, 2, rng=5)
+        engine = VectorizedEngine(
+            graph,
+            TrimmedMeanRule(2),
+            faulty=random_fault_set(graph, 2, rng=6),
+            adversary=BatchRandomNoiseStrategy(-1.0, 1.0, rng=8),
+            config=SimulationConfig(max_rounds=3, record_history=False),
+        )
+        outcome = engine.run_batch(random_input_matrix(engine.nodes, 2, rng=7))
+        assert outcome.all_valid
+        assert type(graph) is not Digraph, "the neighbour sets were built"
 
     def test_generator_to_run_batch(self):
         graph = heterogeneous_ring_lattice(3000, 2, rng=5)
@@ -599,18 +644,6 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             VectorizedEngine(graph, TrimmedMeanRule(1), dtype=np.float16)
 
-    def test_rejects_nonpositive_budget(self):
-        graph = complete_graph(5)
-        with pytest.raises(InvalidParameterError):
-            VectorizedEngine(graph, TrimmedMeanRule(1), max_plane_bytes=0)
-        with pytest.raises(InvalidParameterError):
-            VectorizedEngine(graph, TrimmedMeanRule(1), max_plane_bytes=-8)
-
-    def test_plane_tile_rows_rejects_bad_batch(self):
-        engine = VectorizedEngine(complete_graph(5), TrimmedMeanRule(1))
-        with pytest.raises(InvalidParameterError):
-            engine.plane_tile_rows(0)
-
     @pytest.mark.parametrize("stop_on_convergence", [True, False])
     @pytest.mark.parametrize("engine_kind", BATCH_ENGINE_KINDS)
     def test_rejects_empty_batch(self, engine_kind, stop_on_convergence):
@@ -628,29 +661,7 @@ class TestValidation:
             engine.run_batch([])
 
 
-class TestTileArithmetic:
-    def test_no_budget_means_one_tile(self):
-        engine = VectorizedEngine(complete_graph(6), TrimmedMeanRule(1))
-        assert engine.max_plane_bytes is None
-        assert engine.plane_tile_rows(17) == 17
-
-    def test_budget_floors_at_one_row(self):
-        engine = VectorizedEngine(
-            complete_graph(6), TrimmedMeanRule(1), max_plane_bytes=1
-        )
-        assert engine.plane_tile_rows(8) == 1
-
-    def test_budget_rounds_down_to_whole_rows(self):
-        engine = VectorizedEngine(complete_graph(6), TrimmedMeanRule(1))
-        per_row = engine.plane_bytes_per_row
-        budgeted = VectorizedEngine(
-            complete_graph(6),
-            TrimmedMeanRule(1),
-            max_plane_bytes=3 * per_row + per_row // 2,
-        )
-        assert budgeted.plane_tile_rows(8) == 3
-        assert budgeted.plane_tile_rows(2) == 2
-
+class TestPlaneFootprint:
     def test_float32_halves_the_per_row_footprint(self):
         f64 = VectorizedEngine(core_network(10, 2), TrimmedMeanRule(2))
         f32 = VectorizedEngine(
@@ -658,83 +669,30 @@ class TestTileArithmetic:
         )
         assert f32.plane_bytes_per_row * 2 == f64.plane_bytes_per_row
 
-
-class TestTilingRegression:
-    @pytest.mark.parametrize("adversary_factory", [
-        lambda: None,
-        lambda: ExtremePushStrategy(2.0),
-        lambda: BatchExtremePushStrategy(2.0),
-        lambda: BatchRandomNoiseStrategy(-3.0, 3.0, rng=5),
-    ])
-    def test_tiled_equals_untiled_bit_for_bit(self, adversary_factory):
-        """A tiny tile budget never changes a single bit of the outputs.
-
-        Includes the RNG-backed noise strategy: the adversary runs once per
-        round on the full batch, so its draw sequence is identical whether
-        the kernel then processes 1 row or all of them per tile.
-        """
-        graph = core_network(14, 2)
-        faulty = frozenset({12, 13})
-        config = SimulationConfig(
-            max_rounds=10, tolerance=0.0, stop_on_convergence=False
-        )
-        outcomes = {}
-        for budget in (None, 1):  # 1 byte -> one row per tile
-            engine = VectorizedEngine(
-                graph,
-                TrimmedMeanRule(2),
-                faulty=faulty,
-                adversary=adversary_factory(),
-                config=config,
-                max_plane_bytes=budget,
-            )
-            matrix = random_input_matrix(engine.nodes, 16, rng=7)
-            outcomes[budget] = engine.run_batch(matrix)
-        assert np.array_equal(
-            outcomes[None].final_states, outcomes[1].final_states
-        )
-        assert np.array_equal(
-            outcomes[None].final_spread, outcomes[1].final_spread
-        )
-        assert np.array_equal(
-            outcomes[None].validity_ok, outcomes[1].validity_ok
-        )
-
-    def test_tiling_caps_peak_kernel_allocations(self):
-        """The tiled NumPy kernel's peak traced allocation is a fraction of
-        the untiled one on a plane that is large relative to the budget,
-        and the compiled kernel, which builds no plane, stays below both."""
+    def test_compiled_kernel_allocates_below_the_numpy_plane(self):
+        """The compiled kernel builds no message plane: its peak traced
+        allocation in one round is under half the NumPy kernel's, and the
+        two rounds are equal."""
+        if native.kernel() is None:
+            pytest.skip(native.status())
         graph = k_in_regular_digraph(1500, 8, rng=3)
-        rule = TrimmedMeanRule(2)
-        batch = 48
+        engine = VectorizedEngine(graph, TrimmedMeanRule(2))
+        state = engine.pack_inputs(random_input_matrix(engine.nodes, 48, rng=1))
 
-        def peak_bytes(budget):
-            engine = VectorizedEngine(graph, rule, max_plane_bytes=budget)
-            state = engine.pack_inputs(
-                random_input_matrix(engine.nodes, batch, rng=1)
-            )
+        def peak_bytes():
             tracemalloc.start()
             stepped = engine.step_matrix(state, 1)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return peak, stepped
 
-        budget = VectorizedEngine(graph, rule).plane_bytes_per_row * 4
         with numpy_kernel():
-            untiled_peak, untiled_state = peak_bytes(None)
-            tiled_peak, tiled_state = peak_bytes(budget)
-        assert np.array_equal(untiled_state, tiled_state)
-        assert tiled_peak < untiled_peak * 0.5, (
-            f"tiled peak {tiled_peak} not below half of untiled "
-            f"{untiled_peak}"
-        )
-        if native.kernel() is None:
-            pytest.skip(native.status())
-        native_peak, native_state = peak_bytes(None)
-        assert np.array_equal(native_state, untiled_state)
-        assert native_peak < tiled_peak, (
-            f"compiled untiled peak {native_peak} not below the NumPy tiled "
-            f"peak {tiled_peak}"
+            numpy_peak, numpy_state = peak_bytes()
+        native_peak, native_state = peak_bytes()
+        assert np.array_equal(native_state, numpy_state)
+        assert native_peak < numpy_peak * 0.5, (
+            f"compiled peak {native_peak} not below half of the NumPy "
+            f"kernel's {numpy_peak}"
         )
 
 

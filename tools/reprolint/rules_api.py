@@ -4,15 +4,12 @@
 sweep entry point (``run_*`` or the ``*_cell`` convention) but forgets
 ``@register_experiment`` silently drops out of ``repro list``/``repro run``
 — and a registration without ``engine=``/``paper_section=`` metadata breaks
-the paper-section mapping in ``docs/experiments.md``.  ``REG003`` guards the
-row-schema layer: every registration must carry ``schema=`` built by
-``schema_from_typeddict``, and the ``roles`` mapping must name exactly the
-TypedDict's fields (checked statically for the class form, same-module base
-classes, and the functional ``TypedDict("Row", {...})`` form).  ``EXC*``
-bans the
-two ways contract violations get swallowed instead of raised.  ``TYP001``
-is the static half of the typed-API gate: every public function carries
-full parameter and return annotations, so mypy (the dynamic half, run by
+the paper-section mapping in ``docs/experiments.md``.  (Row schemas need no
+rule: each column is declared once, in the row ``TypedDict``, and
+registration derives the schema from it.)  ``EXC*`` bans the two ways
+contract violations get swallowed instead of raised.  ``TYP001`` is the
+static half of the typed-API gate: every public function carries full
+parameter and return annotations, so mypy (the dynamic half, run by
 ``make lint`` when installed) actually has something to check.
 """
 
@@ -113,180 +110,6 @@ class RegistryMetadata(Rule):
                 "register_experiment call missing required metadata "
                 f"keyword(s): {', '.join(missing)}",
             )
-
-
-@register_rule
-class RegistrySchema(Rule):
-    """Registrations must declare a row schema that matches their TypedDict."""
-
-    rule_id = "REG003"
-    summary = (
-        "@register_experiment call missing schema=, or the declared "
-        "roles disagree with the TypedDict's fields"
-    )
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.AST, module: ParsedModule) -> Iterator[Finding]:
-        assert isinstance(node, ast.Call)
-        if not _is_register_experiment(node.func):
-            return
-        schema_kw = next(
-            (kw for kw in node.keywords if kw.arg == "schema"), None
-        )
-        if schema_kw is None or (
-            isinstance(schema_kw.value, ast.Constant)
-            and schema_kw.value.value is None
-        ):
-            yield self.finding(
-                module,
-                node,
-                "register_experiment call declares no row schema; pass "
-                "schema=schema_from_typeddict(YourRow, roles={...}) so the "
-                "orchestrator can validate rows at shard boundaries",
-            )
-            return
-        call = _resolve_schema_call(schema_kw.value, module)
-        if call is None:
-            # Dynamic construction we cannot follow statically; presence of
-            # the keyword is the best a linter can check here.
-            return
-        declared = _typeddict_field_names(call, module)
-        roles = _roles_dict_keys(call)
-        if declared is None or roles is None:
-            return
-        missing = sorted(declared - roles)
-        extra = sorted(roles - declared)
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(
-                    "TypedDict field(s) with no role: " + ", ".join(missing)
-                )
-            if extra:
-                parts.append(
-                    "role(s) naming no TypedDict field: " + ", ".join(extra)
-                )
-            yield self.finding(
-                module,
-                call,
-                "schema roles disagree with the row TypedDict ("
-                + "; ".join(parts)
-                + ")",
-            )
-
-
-def _resolve_schema_call(
-    expr: ast.expr, module: ParsedModule
-) -> ast.Call | None:
-    """Follow ``schema=`` to its ``schema_from_typeddict(...)`` call.
-
-    Accepts the call inline or via a module-level name assigned from one;
-    returns ``None`` when the value is built some other way (the rule then
-    only checks presence).
-    """
-    if isinstance(expr, ast.Name):
-        assigned = _module_level_assignment(expr.id, module)
-        if assigned is None:
-            return None
-        expr = assigned
-    if (
-        isinstance(expr, ast.Call)
-        and (name := dotted_name(expr.func)) is not None
-        and name.rsplit(".", 1)[-1] == "schema_from_typeddict"
-    ):
-        return expr
-    return None
-
-
-def _module_level_assignment(
-    name: str, module: ParsedModule
-) -> ast.expr | None:
-    """Return the value of a top-level ``name = ...`` assignment, if any."""
-    for stmt in module.tree.body:
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-        else:
-            continue
-        if any(
-            isinstance(target, ast.Name) and target.id == name
-            for target in targets
-        ):
-            return stmt.value
-    return None
-
-
-def _typeddict_field_names(
-    call: ast.Call, module: ParsedModule
-) -> set[str] | None:
-    """Declared field names of the TypedDict passed to the schema call.
-
-    Handles the class form (``class Row(TypedDict)`` — AnnAssign fields,
-    plus bases declared in the same module) and the functional form
-    (``Row = TypedDict("Row", {...})``).  Returns ``None`` when the
-    definition cannot be resolved statically.
-    """
-    if not call.args or not isinstance(call.args[0], ast.Name):
-        return None
-    return _fields_of(call.args[0].id, module)
-
-
-def _fields_of(name: str, module: ParsedModule) -> set[str] | None:
-    for stmt in module.tree.body:
-        if isinstance(stmt, ast.ClassDef) and stmt.name == name:
-            return _class_typeddict_fields(stmt, module)
-    assigned = _module_level_assignment(name, module)
-    if (
-        isinstance(assigned, ast.Call)
-        and (fn := dotted_name(assigned.func)) is not None
-        and fn.rsplit(".", 1)[-1] == "TypedDict"
-        and len(assigned.args) >= 2
-        and isinstance(assigned.args[1], ast.Dict)
-    ):
-        keys = assigned.args[1].keys
-        if all(
-            isinstance(key, ast.Constant) and isinstance(key.value, str)
-            for key in keys
-        ):
-            return {key.value for key in keys}  # type: ignore[union-attr]
-    return None
-
-
-def _class_typeddict_fields(
-    node: ast.ClassDef, module: ParsedModule
-) -> set[str] | None:
-    fields = {
-        stmt.target.id
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign)
-        and isinstance(stmt.target, ast.Name)
-    }
-    for base in node.bases:
-        base_name = dotted_name(base)
-        if base_name is None:
-            return None
-        if base_name.rsplit(".", 1)[-1] == "TypedDict":
-            continue
-        inherited = _fields_of(base_name, module)
-        if inherited is None:
-            # Base defined elsewhere: the full field set is unknowable here.
-            return None
-        fields |= inherited
-    return fields
-
-
-def _roles_dict_keys(call: ast.Call) -> set[str] | None:
-    """Literal string keys of the ``roles={...}`` keyword, if present."""
-    roles = next((kw for kw in call.keywords if kw.arg == "roles"), None)
-    if roles is None or not isinstance(roles.value, ast.Dict):
-        return None
-    if not all(
-        isinstance(key, ast.Constant) and isinstance(key.value, str)
-        for key in roles.value.keys
-    ):
-        return None
-    return {key.value for key in roles.value.keys}  # type: ignore[union-attr]
 
 
 @register_rule
