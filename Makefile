@@ -131,8 +131,10 @@ sweep-smoke:
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-corollaries
 	$(PYTHON) -m repro report smoke-corollaries --results-dir .sweep-smoke > .sweep-smoke/out.txt
 	grep -E "n_gt_3f +condition_holds +method" .sweep-smoke/out.txt
+	# hetring n=300 extra=2.0 stays UNKNOWN, so the compiled greedy and
+	# random witness searches run in full in a forked worker.
 	$(PYTHON) -m repro run feasibility_at_scale \
-		--grid "case=core-like n=100 f=3,hetring n=100 f=2 extra=0.5" \
+		--grid "case=core-like n=100 f=3,hetring n=100 f=2 extra=0.5,hetring n=300 f=2 extra=2.0" \
 		--workers 2 --results-dir .sweep-smoke --run-id smoke-scale
 	$(PYTHON) -m repro report smoke-scale --results-dir .sweep-smoke
 	# E14 through the CLI: the n = 2000 float64 cell runs the scalar

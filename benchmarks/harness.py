@@ -677,9 +677,11 @@ def verdict_guard(p: Params) -> None:
     On the parity cases the stack must agree with the bitset checker, the
     DPLL backend with both, the compiled solver's whole result with the
     Python solver's, and every witness must re-verify.  Every
-    battery verdict must carry a certificate that re-checks from scratch,
-    the DPLL case must be decided by an ``exact`` certificate that re-checks,
-    and both headline paths must call the core network feasible.
+    battery verdict must carry a certificate that re-checks from scratch
+    and equal the verdict of the interpreted search, the witness searches'
+    in particular; the DPLL case must be decided by an ``exact``
+    certificate that re-checks, and both headline paths must call the core
+    network feasible.
     """
     for label, graph, f in parity_cases():
         witness = find_violating_partition(graph, f)
@@ -699,8 +701,19 @@ def verdict_guard(p: Params) -> None:
             if found is not None and not verify_witness(graph, f, found):
                 refuse(f"a witness failed re-verification on {label}")
     for label, graph, f in battery(p):
-        if not verify_certificate(graph, f, battery_verdict(graph, f, p)):
+        verdict = battery_verdict(graph, f, p)
+        if not verify_certificate(graph, f, verdict):
             refuse(f"the certificate failed re-verification on {label}")
+        with search_path("python"):
+            interpreted = battery_verdict(graph, f, p)
+        if (verdict.status, verdict.certificate) != (
+            interpreted.status,
+            interpreted.certificate,
+        ):
+            refuse(
+                "the compiled witness search diverged from the interpreted "
+                f"one on {label}"
+            )
     graph, verdict = dpll_case(p)
     label = f"erdos-renyi n={p['dpll_n']} p=0.4"
     with search_path("python"):

@@ -1,7 +1,7 @@
 /*
  * Compiled Theorem-1 search (see search_kernel.py, which binds and
- * self-checks it).  Both entry points search one fault set and are called
- * once per fault set from the Python loops over fault sets:
+ * self-checks it).  The first two entry points search one fault set and
+ * are called once per fault set from the Python loops over fault sets:
  *
  * sweep_fault_set is the exhaustive sweep of bitset.py's _search_fault_set
  * (which stays as the NumPy fallback and the oracle): every candidate L
@@ -15,6 +15,15 @@
  * decision budget counted exactly as there.  Propagation pops its queue
  * last in, first out and walks each node's out-neighbours in the order
  * given, as the Python solver does.
+ *
+ * The other two are the steps of the heuristic witness searches of
+ * witnesses.py, over a graph of any size given as an in/out CSR:
+ *
+ * peel is necessary.py's maximal_insulated_subset, the deletion closure of
+ * a pool of nodes inside a universe;
+ *
+ * grow is witnesses.py's _grow_left, which grows L from one seed until it
+ * is insulated.
  */
 
 #include <stdint.h>
@@ -23,7 +32,9 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define POPCOUNT(x) __builtin_popcountll(x)
 #define LOWEST(x) __builtin_ctzll(x)
+#define INLINE static inline __attribute__((always_inline))
 #else
+#define INLINE static inline
 static int POPCOUNT(uint64_t x)
 {
     x = x - ((x >> 1) & 0x5555555555555555ULL);
@@ -42,7 +53,7 @@ static int LOWEST(uint64_t x)
  * ------------------------------------------------------------------------ */
 
 /* Whether no member of set has threshold or more in-neighbours in outside. */
-static int insulated(const uint64_t *in_masks, uint64_t set, uint64_t outside,
+INLINE int insulated(const uint64_t *in_masks, uint64_t set, uint64_t outside,
                      int64_t threshold)
 {
     while (set) {
@@ -58,7 +69,7 @@ static int insulated(const uint64_t *in_masks, uint64_t set, uint64_t outside,
    threshold or more in-neighbours outside the current set until none is
    left.  The closure is confluent, so the deletion order does not change
    the fixed point. */
-static uint64_t closure(const uint64_t *in_masks, uint64_t pool,
+INLINE uint64_t closure(const uint64_t *in_masks, uint64_t pool,
                         uint64_t universe, int64_t threshold)
 {
     uint64_t current = pool;
@@ -78,13 +89,9 @@ static uint64_t closure(const uint64_t *in_masks, uint64_t pool,
     return current;
 }
 
-/* Sweep the candidate L masks 1 ... 2^count - 2 of one fault set.
-   in_masks[i] is surviving node i's in-neighbour word over the count
-   surviving nodes (count <= 64).  Returns 1 and stores L and R in found[0]
-   and found[1] for the first insulated L whose complement closes to a
-   non-empty R, or 0 when there is none. */
-int sweep_fault_set(const uint64_t *in_masks, int64_t count, int64_t threshold,
-                    uint64_t *found)
+/* The body of sweep_fault_set, inlined into each of its copies. */
+INLINE int sweep(const uint64_t *in_masks, int64_t count, int64_t threshold,
+                 uint64_t *found)
 {
     /* 1 << 64 is undefined in C: 64 surviving nodes fill the word. */
     uint64_t full = count >= 64 ? ~(uint64_t)0 : ((uint64_t)1 << count) - 1;
@@ -101,6 +108,37 @@ int sweep_fault_set(const uint64_t *in_masks, int64_t count, int64_t threshold,
         }
     }
     return 0;
+}
+
+/* The library is built without -march, so on x86-64 POPCOUNT is a call
+   into libgcc.  A second copy of the sweep is compiled for the POPCNT
+   instruction and chosen at run time on CPUs that have it; a plain
+   run-time test rather than an ifunc, so that every C library and
+   toolchain that builds the rest still builds this. */
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define POPCNT_DISPATCH 1
+__attribute__((target("popcnt"))) static int
+sweep_popcnt(const uint64_t *in_masks, int64_t count, int64_t threshold,
+             uint64_t *found)
+{
+    return sweep(in_masks, count, threshold, found);
+}
+#endif
+
+/* Sweep the candidate L masks 1 ... 2^count - 2 of one fault set.
+   in_masks[i] is surviving node i's in-neighbour word over the count
+   surviving nodes (count <= 64).  Returns 1 and stores L and R in found[0]
+   and found[1] for the first insulated L whose complement closes to a
+   non-empty R, or 0 when there is none. */
+int sweep_fault_set(const uint64_t *in_masks, int64_t count, int64_t threshold,
+                    uint64_t *found)
+{
+#ifdef POPCNT_DISPATCH
+    if (__builtin_cpu_supports("popcnt")) {
+        return sweep_popcnt(in_masks, count, threshold, found);
+    }
+#endif
+    return sweep(in_masks, count, threshold, found);
 }
 
 /* ------------------------------------------------------------------------
@@ -342,4 +380,117 @@ int solve_universe(int64_t m, const int64_t *starts, const int64_t *successors,
     free(s.trail);
     free(s.queue);
     return result;
+}
+
+/* ------------------------------------------------------------------------
+ * The witness searches' closure and growth
+ * ------------------------------------------------------------------------ */
+
+/* Both take the graph as an in/out CSR over the columns 0 ... n - 1:
+   node v's in-neighbours are in_sources[in_starts[v]] ...
+   in_sources[in_starts[v + 1] - 1], in ascending column order, and its
+   out-neighbours out_targets[out_starts[v]] ... out_targets[out_starts[v
+   + 1] - 1].  Sets of nodes are flags, one byte per column. */
+
+/* The deletion closure of pool inside universe: delete every node of pool
+   with threshold or more in-neighbours in universe minus the current set
+   until none is left, and leave the fixed point in pool.  A deleted node
+   outside universe never joins the outside set.  Each node keeps a
+   counter of its outside in-neighbours, raised when one of them is
+   deleted; a node is queued when its counter reaches threshold, so once.
+   The closure is confluent, so the queue order does not change the fixed
+   point.  counts and queue are work buffers of n entries.  Returns the
+   number of nodes left in pool. */
+int64_t peel(int64_t n, const int64_t *in_starts, const int64_t *in_sources,
+             const int64_t *out_starts, const int64_t *out_targets,
+             const uint8_t *universe, int64_t threshold, uint8_t *pool,
+             int64_t *counts, int64_t *queue)
+{
+    int64_t head = 0, tail = 0, left = 0;
+    for (int64_t v = 0; v < n; v++) {
+        if (!pool[v]) {
+            continue;
+        }
+        left++;
+        int64_t count = 0;
+        for (int64_t k = in_starts[v]; k < in_starts[v + 1]; k++) {
+            count += universe[in_sources[k]] && !pool[in_sources[k]];
+        }
+        counts[v] = count;
+        if (count >= threshold) {
+            queue[tail++] = v;
+        }
+    }
+    while (head < tail) {
+        int64_t v = queue[head++];
+        pool[v] = 0;
+        left--;
+        if (!universe[v]) {
+            continue;
+        }
+        for (int64_t k = out_starts[v]; k < out_starts[v + 1]; k++) {
+            int64_t w = out_targets[k];
+            if (pool[w] && ++counts[w] == threshold) {
+                queue[tail++] = w;
+            }
+        }
+    }
+    return left;
+}
+
+enum { SIDE_OUTSIDE = 1, SIDE_LEFT = 2, SIDE_JOINING = 3 };
+
+/* Grow L from seed inside the universe, round by round.  side holds the
+   universe on entry (1 inside, 0 outside) and, on a result >= 1, L as 2
+   and the rest of the universe as 1.  Each round, every node that joined
+   in the previous round and has threshold or more in-neighbours in the
+   universe outside L absorbs the first count - threshold + 1 of them in
+   column order, counted against the outside of the round's start: the
+   joiners are marked 3, which still reads as outside (bit 0), and join L
+   when the round ends.  joined is a work buffer of n entries: each round's
+   joiners follow the previous round's.  Returns the size of L, or -1
+   when a round has offenders but nothing to absorb. */
+int64_t grow(const int64_t *in_starts, const int64_t *in_sources, int64_t seed,
+             int64_t threshold, uint8_t *side, int64_t *joined)
+{
+    int64_t start = 0, end = 1;
+    side[seed] = SIDE_LEFT;
+    joined[0] = seed;
+    for (;;) {
+        int64_t appended = end;
+        int offenders = 0;
+        for (int64_t i = start; i < end; i++) {
+            int64_t v = joined[i];
+            int64_t count = 0;
+            for (int64_t k = in_starts[v]; k < in_starts[v + 1]; k++) {
+                count += side[in_sources[k]] & 1;
+            }
+            if (count < threshold) {
+                continue;
+            }
+            offenders = 1;
+            int64_t needed = count - threshold + 1;
+            for (int64_t k = in_starts[v]; k < in_starts[v + 1] && needed; k++) {
+                uint8_t *neighbour = &side[in_sources[k]];
+                if (*neighbour & 1) {
+                    needed--;
+                    if (*neighbour == SIDE_OUTSIDE) {
+                        *neighbour = SIDE_JOINING;
+                        joined[appended++] = in_sources[k];
+                    }
+                }
+            }
+        }
+        if (!offenders) {
+            return end;
+        }
+        if (appended == end) {
+            return -1;
+        }
+        for (int64_t i = end; i < appended; i++) {
+            side[joined[i]] = SIDE_LEFT;
+        }
+        start = end;
+        end = appended;
+    }
 }

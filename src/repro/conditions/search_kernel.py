@@ -11,23 +11,37 @@ it, one fault set at a time:
   (:func:`~repro.conditions.exact.exact_violation_search`), whose Python
   form is :class:`repro.conditions.exact._UniverseSolver`.
 
-``search_kernel.c`` runs both in C (``sweep_fault_set`` and
-``solve_universe``), as the same search in faster arithmetic: the same
-candidates in the same order, the same pivots, labels and decision count.
-:data:`LIBRARY` builds, caches, loads and checks it through the shared
-loader of :mod:`repro.native` on the first :func:`kernel` call, never at
-import.  The self-check compares both entry points with their interpreted
-forms on fixed cases; if any step fails, :func:`kernel` returns ``None``,
-the fault-set loops call the NumPy sweep and the Python solver, and
-:func:`status` says why.  Those two forms stay as the fallback and as the
+Beyond their caps, the heuristic witness searches of
+:mod:`repro.conditions.witnesses` look for a witness with two linear
+steps:
+
+* the deletion closure, whose Python form is
+  :func:`repro.conditions.necessary.maximal_insulated_subset`;
+* the growth of ``L`` from a seed, whose Python form is
+  :func:`repro.conditions.witnesses._grow_left`.
+
+``search_kernel.c`` runs all four in C (``sweep_fault_set``,
+``solve_universe``, ``peel`` and ``grow``), as the same search in faster
+arithmetic: the same candidates in the same order, the same pivots,
+labels and decision count, the same closures and the same grown sets.
+``peel`` and ``grow`` read a graph of any size as a :class:`ColumnIndex`
+and take sets as ``uint8`` column flags.  On x86-64 the sweep also has a
+copy compiled for the ``POPCNT`` instruction, chosen at run time on CPUs
+that have it.  :data:`LIBRARY` builds, caches, loads and checks the
+library through the shared loader of :mod:`repro.native` on the first
+:func:`kernel` call, never at import.  The self-check compares every
+entry point with its interpreted form on fixed cases; if any step fails,
+:func:`kernel` returns ``None``, the callers run the interpreted forms,
+and :func:`status` says why.  Those forms stay as the fallback and as the
 test oracles, and what the machine can build is the only thing that
 selects the path.
 
 Python ints are clamped before they cross into C, where a ``c_int64``
 would wrap silently, to bounds beyond which every result is the same:
 the decision budget to :data:`MAX_BUDGET`, the sweep threshold to
-``[0, MAX_THRESHOLD]`` and the solver's threshold ``tau`` to at most
-``m + 1`` for a universe of ``m`` nodes.
+``[0, MAX_THRESHOLD]``, the solver's threshold ``tau`` to at most
+``m + 1`` for a universe of ``m`` nodes, and the threshold of ``peel``
+and ``grow`` to ``[0, n + 1]`` for a graph of ``n`` nodes.
 """
 
 from __future__ import annotations
@@ -63,12 +77,74 @@ class BudgetExceeded(Exception):
     """The DPLL decision budget ran out (raised by both solvers)."""
 
 
-class SearchKernel:
-    """The loaded library's two entry points.
+def _starts(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR row starts of ``n`` rows holding ``keys``' entries."""
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=starts[1:])
+    return starts
 
-    Each call builds its small ctypes arrays from Python ints; the per-call
-    cost is a few microseconds, against a search that is exponential in
-    the node count.
+
+class ColumnIndex:
+    """A simple digraph on the columns ``0 … n − 1`` as ``peel`` and
+    ``grow`` read it.
+
+    ``in_sources[in_starts[v]:in_starts[v + 1]]`` are column ``v``'s
+    in-neighbours in ascending column order, ``out_targets`` and
+    ``out_starts`` its out-neighbours likewise; the index also owns the two
+    work buffers of the C loops.  C indexes its arrays by every column it
+    reads, so the edges' ranges are checked here, once, and the arrays are
+    read-only.  Their addresses are taken once too: each costs ~2 µs.
+    """
+
+    def __init__(self, n: int, sources: np.ndarray, targets: np.ndarray) -> None:
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        if sources.ndim != 1 or sources.shape != targets.shape:
+            raise ValueError("sources and targets must be 1-D arrays of one length")
+        if sources.size and not (
+            0 <= min(sources.min(), targets.min())
+            and max(sources.max(), targets.max()) < n
+        ):
+            raise ValueError(f"edge endpoints must lie in 0 … {n - 1}")
+        self.n = n
+        # One int64 key per edge sorts faster than a two-key lexsort.
+        self.in_sources = sources[np.argsort(targets * n + sources)]
+        self.in_starts = _starts(targets, n)
+        self.out_targets = targets[np.argsort(sources * n + targets)]
+        self.out_starts = _starts(sources, n)
+        self.in_degrees = np.diff(self.in_starts)
+        for array in (self.in_starts, self.in_sources, self.out_starts, self.out_targets):
+            array.flags.writeable = False
+        self._buffers = (np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64))
+        self.in_csr = (self.in_starts.ctypes.data, self.in_sources.ctypes.data)
+        self.out_csr = (self.out_starts.ctypes.data, self.out_targets.ctypes.data)
+        self.counts, self.work = (array.ctypes.data for array in self._buffers)
+
+    def in_neighbours(self, column: int) -> np.ndarray:
+        """Column ``column``'s in-neighbours, in ascending column order."""
+        return self.in_sources[self.in_starts[column] : self.in_starts[column + 1]]
+
+
+def _flags(flags: np.ndarray, index: ColumnIndex) -> int:
+    """The address of ``flags``, one writable byte per column of ``index``."""
+    if not (
+        flags.dtype == np.uint8
+        and flags.shape == (index.n,)
+        and flags.flags.c_contiguous
+        and flags.flags.writeable
+    ):
+        raise ValueError(
+            f"column flags must be a writable contiguous uint8 array of {index.n}"
+        )
+    return int(flags.ctypes.data)
+
+
+class SearchKernel:
+    """The loaded library's four entry points.
+
+    Each call builds its small ctypes arrays from Python ints, or passes
+    the addresses of arrays checked once; the per-call cost is a few
+    microseconds.
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
@@ -86,6 +162,13 @@ class SearchKernel:
             ctypes.POINTER(ctypes.c_int8),
         ]
         self._solve.restype = ctypes.c_int
+        address, count = ctypes.c_void_p, ctypes.c_int64
+        self._peel: Any = library.peel
+        self._peel.argtypes = [count, *[address] * 5, count, *[address] * 3]
+        self._peel.restype = ctypes.c_int64
+        self._grow: Any = library.grow
+        self._grow.argtypes = [address, address, count, count, address, address]
+        self._grow.restype = ctypes.c_int64
 
     def sweep(self, in_masks: Sequence[int], threshold: int) -> tuple[int, int] | None:
         """``_search_fault_set(in_masks, len(in_masks), threshold)`` in C.
@@ -152,6 +235,54 @@ class SearchKernel:
             raise BudgetExceeded
         return tuple(labels) if result == 1 else None
 
+    def peel(
+        self,
+        index: ColumnIndex,
+        pool: np.ndarray,
+        universe: np.ndarray,
+        threshold: int,
+    ) -> int:
+        """``maximal_insulated_subset(graph, pool, universe, threshold)`` in C.
+
+        ``pool`` and ``universe`` are column flags of ``index``'s graph;
+        ``pool`` may hold columns outside ``universe``, and becomes the
+        closure.  Returns the closure's size.
+        """
+        n = index.n
+        return int(
+            self._peel(
+                n,
+                *index.in_csr,
+                *index.out_csr,
+                _flags(universe, index),
+                min(max(threshold, 0), n + 1),
+                _flags(pool, index),
+                index.counts,
+                index.work,
+            )
+        )
+
+    def grow(
+        self, index: ColumnIndex, seed: int, side: np.ndarray, threshold: int
+    ) -> int | None:
+        """``_grow_left(graph, seed, universe, threshold)`` in C.
+
+        ``side`` holds the universe as column flags (1 inside, 0 outside)
+        and becomes ``L`` as 2 and the rest of the universe as 1.  Returns
+        ``|L|``, or ``None`` where ``_grow_left`` returns ``None``.
+        """
+        n = index.n
+        if not 0 <= seed < n:
+            raise ValueError(f"the seed must lie in 0 … {n - 1}, got {seed}")
+        size = self._grow(
+            *index.in_csr,
+            seed,
+            min(max(threshold, 0), n + 1),
+            _flags(side, index),
+            index.work,
+        )
+        return None if size < 0 else int(size)
+
 
 def kernel() -> SearchKernel | None:
     """Return the compiled search, building it on first use.
@@ -172,14 +303,20 @@ def _self_check(compiled: SearchKernel) -> None:
 
     The sweep runs counts 0–12 at four edge densities, with empty and full
     in-masks, at thresholds from −1 to 70; the solver runs random
-    universes of 2–9 nodes at thresholds 0–3 and budgets 1, 6 and 10**6.
-    Both must return what the interpreted forms return, the solver with
-    the same decision count and the same budget exhaustion.
+    universes of 2–9 nodes at thresholds 0–3 and budgets 1, 6 and 10**6;
+    ``peel`` and ``grow`` run random graphs of 1–10 nodes, with random
+    universes, pools (outside the universe too) and seeds, at thresholds
+    from −1 to ``n + 2``.  Each must return what its interpreted form
+    returns, the solver with the same decision count and the same budget
+    exhaustion.
     """
-    # Both modules call kernel(), so their interpreted forms are imported
+    # These modules call kernel(), so their interpreted forms are imported
     # here, at first use, when every module has loaded.
     from repro.conditions.bitset import _search_fault_set
     from repro.conditions.exact import _UniverseSolver
+    from repro.conditions.necessary import maximal_insulated_subset
+    from repro.conditions.witnesses import _grow_left
+    from repro.graphs.digraph import Digraph
 
     # reprolint: disable=RNG004 -- the self-check cases are fixed, not a run's stream
     rng = np.random.default_rng(20120716)
@@ -226,6 +363,39 @@ def _self_check(compiled: SearchKernel) -> None:
             raise NativeUnavailableError(
                 f"self-check failed (solve, m={m}, tau={tau}, limit={limit})"
             )
+    # Nodes 0 … 9 sort by repr as by value, so columns are nodes here.
+    for _ in range(40):
+        n = int(rng.integers(1, 11))
+        edges = rng.random((n, n)) < rng.uniform(0.1, 0.8)
+        np.fill_diagonal(edges, False)
+        sources, targets = np.nonzero(edges)
+        graph = Digraph(range(n), zip(sources.tolist(), targets.tolist()))
+        index = ColumnIndex(n, sources, targets)
+        universe = (rng.random(n) < 0.8).astype(np.uint8)
+        pool = (rng.random(n) < 0.6).astype(np.uint8)
+        threshold = int(rng.integers(-1, n + 3))
+        members = frozenset(np.flatnonzero(universe).tolist())
+        closed = maximal_insulated_subset(
+            graph, frozenset(np.flatnonzero(pool).tolist()), members, threshold
+        )
+        size = compiled.peel(index, pool, universe, threshold)
+        if (size, set(np.flatnonzero(pool).tolist())) != (len(closed), closed):
+            raise NativeUnavailableError(
+                f"self-check failed (peel, n={n}, threshold={threshold})"
+            )
+        for seed in range(n):
+            side = universe.copy()
+            size = compiled.grow(index, seed, side, threshold)
+            observed = None if size is None else (
+                set(np.flatnonzero(side == 2).tolist()),
+                set(np.flatnonzero(side == 1).tolist()),
+            )
+            grown = _grow_left(graph, seed, members, threshold)
+            if observed != grown or (grown is not None and size != len(grown[0])):
+                raise NativeUnavailableError(
+                    f"self-check failed (grow, n={n}, seed={seed}, "
+                    f"threshold={threshold})"
+                )
 
 
 #: The search library: one cache file and one status of its own.

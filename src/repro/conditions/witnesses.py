@@ -12,12 +12,28 @@ the Theorem-1 condition (or its asynchronous variant).  This module provides
 * a greedy "grow two insulated islands" heuristic
   (:func:`greedy_witness_search`) that works well on graphs with obvious
   bottleneck cuts (barbells, hypercube dimension cuts).
+
+Both searches spend their time in two steps: growing ``L`` from a seed
+(:func:`_grow_left`) and the deletion closure
+(:func:`~repro.conditions.necessary.maximal_insulated_subset`).  Where
+:func:`repro.conditions.search_kernel.kernel` returns the compiled search,
+both run in C (``grow`` and ``peel``) for every ``n``, over one column
+index per call (the ``repr``-sorted nodes, from
+:meth:`~repro.graphs.digraph.Digraph.edge_arrays_in`) and ``uint8`` column
+flags; frozensets are built only for a candidate witness.  The seeds, the
+fault prefixes, every RNG draw, the duplicate samples and the
+:func:`verify_witness_fast` check of each candidate are those of the
+interpreted searches, which stay as the fallback and the oracle, so both
+paths return the same witness.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.conditions import search_kernel
 from repro.conditions.bitset import (
     MAX_BITSET_NODES,
     BitsetDigraphView,
@@ -187,6 +203,81 @@ def _grow_left(
         joined = set(absorbed)
 
 
+def _column_index(
+    graph: Digraph,
+) -> tuple[list[NodeId], search_kernel.ColumnIndex]:
+    """The ``repr``-sorted nodes and the graph over their positions, the
+    columns the compiled ``peel`` and ``grow`` read."""
+    nodes = sorted(graph.nodes, key=repr)
+    column_of, sources, targets = graph.edge_arrays_in(nodes)
+    index = search_kernel.ColumnIndex(
+        len(nodes), column_of[sources], column_of[targets]
+    )
+    return nodes, index
+
+
+def _flag_witness(
+    nodes: Sequence[NodeId],
+    faulty: np.ndarray,
+    universe: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> PartitionWitness:
+    """The candidate witness of fault columns ``faulty`` and the column
+    flags ``universe``, ``left`` and ``right``."""
+
+    def members(flags: np.ndarray) -> frozenset[NodeId]:
+        return frozenset(nodes[column] for column in np.flatnonzero(flags).tolist())
+
+    inside, left, right = (flags.view(np.bool_) for flags in (universe, left, right))
+    return PartitionWitness(
+        faulty=frozenset(nodes[column] for column in faulty.tolist()),
+        left=members(left),
+        center=members(inside & ~left & ~right),
+        right=members(right),
+    )
+
+
+def _compiled_greedy_search(
+    graph: Digraph,
+    f: int,
+    threshold: int,
+    max_seeds: int | None,
+    compiled: search_kernel.SearchKernel,
+) -> PartitionWitness | None:
+    """:func:`greedy_witness_search` on the compiled ``grow`` and ``peel``:
+    the same seeds, fault prefixes and candidates, over column flags."""
+    nodes, index = _column_index(graph)
+    n = len(nodes)
+    view = _bitset_view(graph)
+    seeds: Sequence[int] = range(n)
+    if max_seeds is not None and max_seeds < n:
+        stride = n / max_seeds
+        seeds = [int(position * stride) for position in range(max_seeds)]
+    universe = np.empty(n, dtype=np.uint8)
+    side = np.empty(n, dtype=np.uint8)
+    right = np.empty(n, dtype=np.uint8)
+    for seed in seeds:
+        # The in-neighbours come in column order, which is repr order, and
+        # a stable sort keeps it among equal in-degrees.
+        neighbours = index.in_neighbours(seed)
+        by_degree = neighbours[np.argsort(-index.in_degrees[neighbours], kind="stable")]
+        for size in range(min(f, by_degree.size) + 1):
+            faulty = by_degree[:size]
+            universe.fill(1)
+            universe[faulty] = 0
+            side[:] = universe
+            if compiled.grow(index, seed, side, threshold) is None:
+                continue
+            np.equal(side, 1, out=right.view(np.bool_))
+            if not compiled.peel(index, right, universe, threshold):
+                continue
+            witness = _flag_witness(nodes, faulty, universe, side == 2, right)
+            if verify_witness_fast(graph, f, witness, threshold=threshold, view=view):
+                return witness
+    return None
+
+
 def greedy_witness_search(
     graph: Digraph,
     f: int,
@@ -208,13 +299,19 @@ def greedy_witness_search(
     ``max_seeds`` caps the number of seed nodes tried (evenly spaced over the
     ``repr``-sorted node order, so the cap stays deterministic); ``None``
     tries every node.  The verdict stack uses the cap to bound the layer's
-    cost on graphs with hundreds of nodes.
+    cost on graphs with hundreds of nodes.  Where the compiled search
+    builds, the growth and the closure run in C, with the same result.
     """
     if f < 0:
         raise InvalidParameterError(f"f must be >= 0, got {f}")
     if max_seeds is not None and max_seeds < 1:
         raise InvalidParameterError(f"max_seeds must be >= 1, got {max_seeds}")
     effective_threshold = f + 1 if threshold is None else threshold
+    compiled = search_kernel.kernel()
+    if compiled is not None:
+        return _compiled_greedy_search(
+            graph, f, effective_threshold, max_seeds, compiled
+        )
     nodes = sorted(graph.nodes, key=repr)
     n = len(nodes)
     view = _bitset_view(graph)
@@ -272,6 +369,57 @@ def greedy_witness_search(
 DUPLICATE_DRAW_FACTOR = 8
 
 
+def _compiled_random_search(
+    graph: Digraph,
+    f: int,
+    attempts: int,
+    threshold: int,
+    generator: np.random.Generator,
+    compiled: search_kernel.SearchKernel,
+) -> PartitionWitness | None:
+    """:func:`random_witness_search` on the compiled ``peel``: the same
+    draws, duplicates and candidates, over column flags.  A sample's
+    fault columns and pool flags identify it as its node sets do."""
+    nodes, index = _column_index(graph)
+    n = len(nodes)
+    view = _bitset_view(graph)
+    universe = np.empty(n, dtype=np.uint8)
+    left = np.empty(n, dtype=np.uint8)
+    right = np.empty(n, dtype=np.uint8)
+    seen: set[tuple[frozenset[int], bytes]] = set()
+    performed = 0
+    draws = 0
+    max_draws = attempts * DUPLICATE_DRAW_FACTOR
+    while performed < attempts and draws < max_draws:
+        draws += 1
+        fault_size = int(generator.integers(0, f + 1)) if f > 0 else 0
+        faulty = generator.choice(n, size=fault_size, replace=False)
+        if n - fault_size < 2:
+            continue
+        universe.fill(1)
+        universe[faulty] = 0
+        remaining = np.flatnonzero(universe)
+        side_mask = generator.random(remaining.size) < 0.5
+        left.fill(0)
+        left[remaining[side_mask]] = 1
+        sample = (frozenset(faulty.tolist()), left.tobytes())
+        if sample in seen:
+            continue
+        seen.add(sample)
+        performed += 1
+        if side_mask.all() or not side_mask.any():
+            continue
+        if not compiled.peel(index, left, universe, threshold):
+            continue
+        np.subtract(universe, left, out=right)  # left lies in the universe
+        if not compiled.peel(index, right, universe, threshold):
+            continue
+        witness = _flag_witness(nodes, faulty, universe, left, right)
+        if verify_witness_fast(graph, f, witness, threshold=threshold, view=view):
+            return witness
+    return None
+
+
 def random_witness_search(
     graph: Digraph,
     f: int,
@@ -291,7 +439,8 @@ def random_witness_search(
     draws per attempt so tiny sample spaces still terminate), and candidate
     witnesses are re-verified through the bitset mask closure when the graph
     fits a :class:`BitsetDigraphView`.  The search stays deterministic for a
-    fixed ``rng`` seed.
+    fixed ``rng`` seed.  Where the compiled search builds, the closures run
+    in C, with the same draws and the same result.
     """
     if f < 0:
         raise InvalidParameterError(f"f must be >= 0, got {f}")
@@ -301,10 +450,15 @@ def random_witness_search(
     generator = (
         rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     )
+    if graph.number_of_nodes < 2:
+        return None
+    compiled = search_kernel.kernel()
+    if compiled is not None:
+        return _compiled_random_search(
+            graph, f, attempts, effective_threshold, generator, compiled
+        )
     nodes = sorted(graph.nodes, key=repr)
     n = len(nodes)
-    if n < 2:
-        return None
     view = _bitset_view(graph)
 
     seen: set[tuple[frozenset[NodeId], frozenset[NodeId]]] = set()

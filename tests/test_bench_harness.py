@@ -108,7 +108,8 @@ def test_guard_refuses_its_mutant_and_passes_without_it(name, monkeypatch):
 
 class _DriftingSearch:
     """The compiled search with one drifted entry point: a sweep that never
-    finds a witness, or a solver that counts one decision too many."""
+    finds a witness, a solver that counts one decision too many, or a
+    growth that never insulates ``L``."""
 
     def __init__(self, compiled, drift):
         self._compiled = compiled
@@ -125,12 +126,25 @@ class _DriftingSearch:
             budget["decisions"] += 1
         return labels
 
+    def peel(self, index, pool, universe, threshold):
+        return self._compiled.peel(index, pool, universe, threshold)
+
+    def grow(self, index, seed, side, threshold):
+        if self._drift == "grow":
+            return None
+        return self._compiled.grow(index, seed, side, threshold)
+
 
 @pytest.mark.parametrize(
     "name, drift, names",
     [
         ("checker", "sweep", "the compiled checker diverged from the legacy one"),
         ("verdict", "solve", "the compiled solver diverged from the Python one"),
+        (
+            "verdict",
+            "grow",
+            "the compiled witness search diverged from the interpreted one",
+        ),
     ],
 )
 def test_guard_refuses_a_drifted_compiled_search(name, drift, names, monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import numpy_search
 from repro.adversary import ExtremePushStrategy
 from repro.conditions import (
     FEASIBLE,
@@ -26,6 +27,8 @@ from repro.conditions import (
     exact_violation_search,
     feasibility_verdict,
     find_violating_partition,
+    greedy_witness_search,
+    random_witness_search,
     search_kernel,
     verify_certificate,
 )
@@ -302,6 +305,49 @@ def test_compiled_solver_makes_the_python_solvers_search(out_nbrs, tau, limit, m
         except BudgetExceeded:
             outcomes.append((None, budget["decisions"], True))
     assert outcomes[1] == outcomes[0]
+
+
+@st.composite
+def witness_search_cases(draw):
+    """A digraph of 1–12 or 60–72 nodes, so on either side of the 64-node
+    bitset cap, built per edge or from edge arrays, with ``f`` up to
+    ``min(3, n)`` and a threshold of ``None`` or −1 to 4."""
+    large = draw(st.booleans(), label="past the cap")
+    n = draw(st.integers(60, 72) if large else st.integers(1, 12), label="n")
+    density = draw(st.sampled_from([0.03, 0.1, 0.2, 0.4, 0.8]), label="density")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16), label="edge seed"))
+    edges = rng.random((n, n)) < density
+    np.fill_diagonal(edges, False)
+    sources, targets = np.nonzero(edges)
+    order = rng.permutation(sources.size)
+    sources, targets = sources[order], targets[order]
+    if draw(st.booleans(), label="array-built"):
+        graph = Digraph.from_edge_arrays(n, sources, targets)
+    else:
+        graph = Digraph(range(n), zip(sources.tolist(), targets.tolist()))
+    f = draw(st.integers(0, min(3, n)), label="f")
+    threshold = draw(st.none() | st.integers(-1, 4), label="threshold")
+    return graph, f, threshold
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=witness_search_cases(),
+    max_seeds=st.none() | st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_compiled_witness_searches_return_the_interpreted_ones(case, max_seeds, seed):
+    compiled_search()
+    graph, f, threshold = case
+    searches = (
+        lambda: greedy_witness_search(graph, f, threshold, max_seeds=max_seeds),
+        lambda: random_witness_search(graph, f, 12, threshold, rng=seed),
+    )
+    # The compiled searches go first, while an array-built graph still
+    # has no neighbour sets.
+    compiled = [search() for search in searches]
+    with numpy_search():
+        assert compiled == [search() for search in searches]
 
 
 #: Element types of the edge-array fuzzer: only the integer ones are legal.

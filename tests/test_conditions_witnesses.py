@@ -1,10 +1,18 @@
-"""Unit tests for canonical and heuristic witness search."""
+"""Unit tests for canonical and heuristic witness search.
+
+The greedy and random searches run on the compiled ``grow`` and ``peel``
+of :mod:`repro.conditions.search_kernel` where this machine can build
+them; the reference-parity suite also runs on the interpreted searches
+(the conftest ``fallback_search`` fixture), and the random search is
+compared with its interpreted form directly.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from conftest import numpy_search
 from repro.conditions import (
     chord_n7_f2_witness,
     find_violating_partition,
@@ -12,6 +20,7 @@ from repro.conditions import (
     hypercube_dimension_cut_witness,
     random_witness_search,
     satisfies_theorem1,
+    search_kernel,
     verify_witness,
 )
 from repro.conditions.necessary import maximal_insulated_subset
@@ -205,6 +214,47 @@ class TestGreedyMatchesReference:
         cap = DEFAULT_GREEDY_SEED_CAP
         expected = _reference_greedy_witness_search(graph, f, max_seeds=cap)
         assert greedy_witness_search(graph, f, max_seeds=cap) == expected
+
+
+@pytest.mark.usefixtures("fallback_search")
+class TestGreedyMatchesReferenceOnTheFallback(TestGreedyMatchesReference):
+    """The reference parity of the interpreted greedy search."""
+
+
+class TestRandomMatchesInterpreted:
+    """The compiled random search returns the interpreted one's witnesses."""
+
+    @pytest.mark.parametrize("threshold", [None, 0, 2])
+    def test_random_families(self, threshold):
+        if search_kernel.kernel() is None:
+            pytest.skip(search_kernel.status())
+        found = 0
+        for seed, (label, graph, f) in enumerate(_random_family_cases()):
+            compiled = random_witness_search(
+                graph, f, attempts=30, threshold=threshold, rng=seed
+            )
+            with numpy_search():
+                expected = random_witness_search(
+                    graph, f, attempts=30, threshold=threshold, rng=seed
+                )
+            assert compiled == expected, label
+            found += expected is not None
+        if threshold != 0:
+            assert found > 0
+
+    def test_tiny_graphs_up_to_every_fault_budget(self):
+        # Few distinct samples: duplicates, and fault sets that leave fewer
+        # than two nodes, are common here.
+        if search_kernel.kernel() is None:
+            pytest.skip(search_kernel.status())
+        for n in range(2, 6):
+            for graph in (complete_graph(n), erdos_renyi_digraph(n, 0.5, rng=n)):
+                for f in range(n + 1):
+                    for seed in range(4):
+                        compiled = random_witness_search(graph, f, attempts=8, rng=seed)
+                        with numpy_search():
+                            expected = random_witness_search(graph, f, attempts=8, rng=seed)
+                        assert compiled == expected, (n, f, seed)
 
 
 class TestRandomSearch:

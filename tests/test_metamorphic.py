@@ -35,7 +35,6 @@ from repro.simulation import (
     SimulationConfig,
     VectorizedEngine,
     run_partially_asynchronous,
-    run_synchronous,
     run_vectorized_async,
     uniform_random_inputs,
 )

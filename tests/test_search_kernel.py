@@ -9,17 +9,18 @@ Python ``_UniverseSolver``.  These tests pin:
 * **Build** — the library builds where a compiler exists, through its own
   cache file, and importing the package builds or loads nothing;
 * **Clamps** — a budget, threshold, ``tau`` or ``f`` past ``int64`` gives
-  what the interpreted forms give instead of wrapping, and 64 surviving
-  nodes do not shift past the word;
+  what the interpreted forms give instead of wrapping, 64 surviving nodes
+  do not shift past the word, and no column outside the graph reaches C;
 * **Self-check** — a library whose entry point searches differently, or
   that lacks an entry point, is refused, ``status()`` says why, the
   interpreted forms run, and the plane kernel is untouched;
 * **Fallback** — with no C compiler the witnesses and ``ExactSearchResult``
   are those of the compiled search.
 
-The Hypothesis properties in ``tests/test_boundary_fuzz.py`` compare both
-entry points with their interpreted forms on drawn inputs, and the exact,
-bitset and verdict parity suites run on both paths.
+The Hypothesis properties in ``tests/test_boundary_fuzz.py`` compare the
+sweep, the solver and the witness searches with their interpreted forms
+on drawn inputs, and the exact, bitset, verdict and greedy-reference
+parity suites run on both paths.
 """
 
 from __future__ import annotations
@@ -39,16 +40,21 @@ from conftest import numpy_search
 from repro.conditions import (
     exact_violation_search,
     find_violating_partition,
+    greedy_witness_search,
+    random_witness_search,
     search_kernel,
 )
 from repro.conditions.bitset import _search_fault_set
 from repro.conditions.exact import DEFAULT_DECISION_BUDGET, _UniverseSolver
-from repro.conditions.search_kernel import BudgetExceeded
+from repro.conditions.necessary import maximal_insulated_subset
+from repro.conditions.search_kernel import BudgetExceeded, ColumnIndex
+from repro.conditions.witnesses import _grow_left
 from repro.graphs import (
     chord_network,
     complete_graph,
     core_network,
     erdos_renyi_digraph,
+    heterogeneous_ring_lattice,
     hypercube,
     undirected_ring,
 )
@@ -184,6 +190,73 @@ def test_an_out_neighbour_outside_the_universe_never_reaches_c():
             compiled.solve(bad, 1, {"decisions": 0, "limit": 10})
 
 
+def _witness_searches(graph, f, threshold=None):
+    """The greedy and the random witness search's results."""
+    return (
+        greedy_witness_search(graph, f, threshold=threshold),
+        random_witness_search(graph, f, attempts=20, threshold=threshold, rng=4),
+    )
+
+
+@pytest.mark.parametrize("threshold", [2**63, 2**64 + 1, -1, -(2**63) - 1])
+def test_a_witness_threshold_past_int64_searches_as_its_clamp(threshold):
+    compiled = _compiled()
+    graph = erdos_renyi_digraph(9, 0.4, rng=6)
+    index = ColumnIndex(9, *np.array(sorted(graph.edges), dtype=np.int64).T)
+    clamp = 10 if threshold > 0 else 0
+    universe = np.array([1, 1, 0, 1, 1, 1, 1, 0, 1], dtype=np.uint8)
+    members = frozenset(np.flatnonzero(universe).tolist())
+    expected_peel = maximal_insulated_subset(
+        graph, frozenset(range(2, 9)), members, threshold
+    )
+    expected_grow = _grow_left(graph, 3, members, threshold)
+    for value in (threshold, clamp):
+        pool = np.array([0, 0, 1, 1, 1, 1, 1, 1, 1], dtype=np.uint8)
+        assert compiled.peel(index, pool, universe, value) == len(expected_peel)
+        assert set(np.flatnonzero(pool).tolist()) == expected_peel
+        side = universe.copy()
+        grown = compiled.grow(index, 3, side, value)
+        assert (grown is None) == (expected_grow is None)
+        if grown is not None:
+            assert set(np.flatnonzero(side == 2).tolist()) == expected_grow[0]
+    for graph, f in ((undirected_ring(6), 1), (undirected_ring(70), 1)):
+        searched = _witness_searches(graph, f, threshold)
+        n = graph.number_of_nodes
+        assert searched == _witness_searches(graph, f, n + 1 if threshold > 0 else 0)
+        with numpy_search():
+            assert searched == _witness_searches(graph, f, threshold)
+        # Past n no node ever offends; below 0 every node does.
+        assert (searched[0] is not None) == (threshold > 0)
+
+
+def test_no_column_outside_the_graph_reaches_c():
+    compiled = _compiled()
+    with pytest.raises(ValueError, match="edge endpoints"):
+        ColumnIndex(3, np.array([0, 3]), np.array([1, 2]))
+    with pytest.raises(ValueError, match="edge endpoints"):
+        ColumnIndex(3, np.array([0, -1]), np.array([1, 2]))
+    with pytest.raises(ValueError, match="one length"):
+        ColumnIndex(3, np.array([0, 1]), np.array([1]))
+    index = ColumnIndex(3, np.array([0, 1]), np.array([1, 2]))
+    flags = np.ones(3, dtype=np.uint8)
+    for seed in (-1, 3):
+        with pytest.raises(ValueError, match="seed"):
+            compiled.grow(index, seed, flags.copy(), 1)
+    for bad in (
+        np.ones(2, dtype=np.uint8),
+        np.ones(3, dtype=np.int64),
+        np.ones(6, dtype=np.uint8)[::2],
+    ):
+        with pytest.raises(ValueError, match="column flags"):
+            compiled.peel(index, bad, flags, 1)
+        with pytest.raises(ValueError, match="column flags"):
+            compiled.peel(index, flags.copy(), bad, 1)
+        with pytest.raises(ValueError, match="column flags"):
+            compiled.grow(index, 0, bad, 1)
+    with pytest.raises(ValueError):
+        index.in_sources[0] = 2  # checked once, so never changed
+
+
 def test_sixty_four_nodes_fill_the_word():
     compiled = _compiled()
     full = (1 << 64) - 1
@@ -224,6 +297,26 @@ MUTANTS = [
         "        if (!assign(s, i, LABEL_C)) {\n            return 0;\n        }\n",
         "",
     ),
+    (
+        "peel queues late",
+        "if (pool[w] && ++counts[w] == threshold) {",
+        "if (pool[w] && ++counts[w] == threshold + 1) {",
+    ),
+    (
+        "peel lets outside pool nodes count",
+        "        if (!universe[v]) {\n            continue;\n        }\n",
+        "",
+    ),
+    (
+        "grow absorbs one too many",
+        "int64_t needed = count - threshold + 1;",
+        "int64_t needed = count - threshold + 2;",
+    ),
+    (
+        "grow counts joiners as inside",
+        "count += side[in_sources[k]] & 1;",
+        "count += side[in_sources[k]] == SIDE_OUTSIDE;",
+    ),
 ]
 
 
@@ -249,17 +342,21 @@ def test_a_library_whose_entry_point_searches_differently_is_refused(
     # Switched in, the refused library leaves the interpreted forms running,
     # with the compiled search's results, and the plane kernel compiled.
     graph = erdos_renyi_digraph(12, 0.4, rng=3)
-    expected = (
-        find_violating_partition(graph, 1),
-        exact_violation_search(graph, 1, backend="dpll"),
-    )
+    lattice = heterogeneous_ring_lattice(80, 2, 0.5, rng=1)
+
+    def searched():
+        return (
+            find_violating_partition(graph, 1),
+            exact_violation_search(graph, 1, backend="dpll"),
+            *_witness_searches(graph, 1),
+            *_witness_searches(lattice, 2),
+        )
+
+    expected = searched()
     monkeypatch.setattr(search_kernel, "LIBRARY", library)
     assert search_kernel.kernel() is None
     assert "self-check failed" in search_kernel.status()
-    assert (
-        find_violating_partition(graph, 1),
-        exact_violation_search(graph, 1, backend="dpll"),
-    ) == expected
+    assert searched() == expected
     assert native.kernel() is not None, native.status()
 
 
@@ -302,6 +399,7 @@ def test_without_a_compiler_the_results_are_the_compiled_ones(monkeypatch, tmp_p
         (
             find_violating_partition(graph, f),
             [exact_violation_search(graph, f, backend="dpll", decision_budget=b) for b in budgets],
+            _witness_searches(graph, f),
         )
         for graph, f in cases
     ]
@@ -320,6 +418,7 @@ def test_without_a_compiler_the_results_are_the_compiled_ones(monkeypatch, tmp_p
         (
             find_violating_partition(graph, f),
             [exact_violation_search(graph, f, backend="dpll", decision_budget=b) for b in budgets],
+            _witness_searches(graph, f),
         )
         for graph, f in cases
     ]
